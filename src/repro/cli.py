@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="OVERLAP",
-        help="simulate the speculative race `run --race` would hold; "
+        help="forecast the speculative race `run --race` would hold; "
         "the recommendation becomes the predicted race winner "
         "(optional OVERLAP fraction, default 0.5)",
     )

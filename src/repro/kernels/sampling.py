@@ -42,10 +42,6 @@ from repro.kernels.plan import (
 )
 from repro.runtime.budget import checkpoint
 
-# Convergence traces partition a budget into at most this many batches,
-# matching the scalar loops' TRACE_BATCHES cadence.
-TRACE_BATCHES = 64
-
 # Positions of the set bits in a byte, for coverage counting.
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
@@ -72,21 +68,18 @@ def draw_columns(
     return [bernoulli_column(rng, width, b, full) for b in bits]
 
 
-def plan_batches(
-    budget: int, trace: bool, lanes: int = 1
-) -> List[Tuple[int, int]]:
+def plan_batches(budget: int, lanes: int = 1) -> List[Tuple[int, int]]:
     """Split a sample budget into ``(index, width)`` batches.
 
     The width is adaptive (:func:`~repro.kernels.bitops.pick_batch_bits`):
     ``lanes`` — the plan's live column count — narrows wide plans for
     locality, and a tiny budget yields one narrow batch instead of a
-    full-width column.  With tracing on, batches are additionally
-    capped at the trace stride so the convergence curve keeps its
-    ~:data:`TRACE_BATCHES` points.
+    full-width column.  The split never depends on whether a recorder
+    is on: batches seed the sample stream, so a traced run draws
+    exactly the samples an untraced one does, and the convergence
+    trace gets one event per batch.
     """
     cap = pick_batch_bits(budget, lanes)
-    if trace:
-        cap = min(cap, max(1, budget // TRACE_BATCHES))
     batches = []
     start = 0
     index = 0
@@ -158,7 +151,7 @@ def sample_truth_batches(
         obs.inc("montecarlo.samples", budget)
         return plan.constant
     base = rng.getrandbits(64)
-    batches = plan_batches(budget, trace, lanes=len(plan.bits))
+    batches = plan_batches(budget, lanes=len(plan.bits))
     payloads = [(base, index, width) for index, width in batches]
     results = _execute(truth_batch_hits, payloads, shards, shared=(plan,))
     hits = 0
@@ -265,7 +258,7 @@ def sample_hamming_batches(
 
     trace = obs.enabled()
     base = rng.getrandbits(64)
-    batches = plan_batches(budget, trace, lanes=len(plan.bits))
+    batches = plan_batches(budget, lanes=len(plan.bits))
     payloads = [(base, index, width) for index, width in batches]
     results = _execute(hamming_batch_distance, payloads, shards, shared=(plan,))
     total = 0.0
@@ -445,7 +438,7 @@ def sample_kl_batches(
     """Batched Karp–Luby accumulator over the full sample budget."""
     trace = obs.enabled()
     base = rng.getrandbits(64)
-    batches = plan_batches(samples, trace, lanes=len(plan.bits))
+    batches = plan_batches(samples, lanes=len(plan.bits))
     payloads = [(base, index, width) for index, width in batches]
     results = _execute(kl_batch, payloads, shards, shared=(plan,))
     accumulator = 0.0
@@ -494,7 +487,7 @@ def sample_naive_batches(
     """Batched naive Monte-Carlo estimate of ``Pr[dnf]``."""
     trace = obs.enabled()
     base = rng.getrandbits(64)
-    batches = plan_batches(samples, trace, lanes=len(bits))
+    batches = plan_batches(samples, lanes=len(bits))
     payloads = [(base, index, width) for index, width in batches]
     results = _execute(naive_batch_hits, payloads, shards, shared=(clauses, bits))
     hits = 0

@@ -88,6 +88,22 @@ def existential_probability(
     return AdditiveEstimate(run.estimate, epsilon, delta, run.samples)
 
 
+def wrong_target(formula: Formula) -> Formula:
+    """The existential sentence Corollary 5.5 estimates for ``formula``.
+
+    A universal sentence is handled through its existential negation:
+    ``Wrong(psi) = Wrong(~psi)`` (the truth values differ on exactly the
+    same worlds).
+    """
+    if is_existential(formula):
+        return formula
+    if is_universal(formula):
+        return neg(formula)
+    raise QueryError(
+        "Corollary 5.5 applies to existential or universal queries only"
+    )
+
+
 def _boolean_wrong_estimate(
     db: UnreliableDatabase,
     formula: Formula,
@@ -97,20 +113,8 @@ def _boolean_wrong_estimate(
     method: str,
     adaptive: bool = False,
 ) -> AdditiveEstimate:
-    """Additive estimate of ``Pr[Wrong(psi)]`` for existential/universal psi.
-
-    A universal sentence is handled through its existential negation:
-    ``Wrong(psi) = Wrong(~psi)`` (the truth values differ on exactly the
-    same worlds).
-    """
-    if is_existential(formula):
-        target: Formula = formula
-    elif is_universal(formula):
-        target = neg(formula)
-    else:
-        raise QueryError(
-            "Corollary 5.5 applies to existential or universal queries only"
-        )
+    """Additive estimate of ``Pr[Wrong(psi)]`` for existential/universal psi."""
+    target = wrong_target(formula)
     observed = FOQuery(target).evaluate(db.structure, ())
     probability = existential_probability(
         db, target, epsilon, delta, rng, method, adaptive=adaptive

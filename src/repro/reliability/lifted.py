@@ -132,7 +132,7 @@ def is_safe(query: QueryLike) -> bool:
 
 
 def lifted_probability(
-    db: UnreliableDatabase, query: QueryLike
+    db: UnreliableDatabase, query: QueryLike, verdict=None
 ) -> Fraction:
     """Exact ``Pr[B |= q]`` for a safe Boolean conjunctive query.
 
@@ -140,13 +140,16 @@ def lifted_probability(
     level (``n`` branches each), multiplies independent components and
     ``nu``-values of ground atoms.  Raises :class:`UnsafeQueryError` if
     the recursion gets stuck, which for self-join-free CQs happens
-    exactly on the non-hierarchical ones.
+    exactly on the non-hierarchical ones.  ``verdict`` is the query's
+    dichotomy verdict when the caller already holds it (the executor's
+    plan); otherwise it is classified here.
     """
     from repro.logic.safety import classify_dichotomy
 
     cq = _as_boolean_cq(query)
     atoms = _atom_parts(cq)
-    verdict = classify_dichotomy(cq)
+    if verdict is None:
+        verdict = classify_dichotomy(cq)
     if not verdict.safe:
         raise UnsafeQueryError(verdict.summary(), verdict=verdict)
     with obs.span("lifted.probability", atoms=len(atoms)):
@@ -335,15 +338,17 @@ def uniform_reliability(db: UnreliableDatabase, query: QueryLike) -> Fraction:
 
 
 def lifted_wrong_probability(
-    db: UnreliableDatabase, query: QueryLike
+    db: UnreliableDatabase, query: QueryLike, verdict=None
 ) -> Fraction:
     """``Pr[Wrong(q)]`` through the lifted engine."""
     cq = _as_boolean_cq(query)
     observed = cq.evaluate(db.structure, ())
-    p = lifted_probability(db, cq)
+    p = lifted_probability(db, cq, verdict)
     return 1 - p if observed else p
 
 
-def lifted_reliability(db: UnreliableDatabase, query: QueryLike) -> Fraction:
+def lifted_reliability(
+    db: UnreliableDatabase, query: QueryLike, verdict=None
+) -> Fraction:
     """``R_q`` of a safe Boolean conjunctive query, in polynomial time."""
-    return 1 - lifted_wrong_probability(db, query)
+    return 1 - lifted_wrong_probability(db, query, verdict)

@@ -36,7 +36,6 @@ from repro.reliability.approx import reliability_additive
 from repro.reliability.exact import as_query, reliability
 from repro.reliability.grounding import relevant_atoms
 from repro.reliability.influence import most_fragile_atoms
-from repro.reliability.lifted import is_safe
 from repro.reliability.padding import padded_reliability
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
@@ -55,12 +54,12 @@ EXACT_DNF_LIMIT = 48
 class ReliabilityReport:
     """Structured result of :func:`analyze`.
 
-    ``recommended_engine``/``recommended_chain`` come from the
-    budget-aware executor dry-run (:func:`repro.runtime.costmodel.plan_chain`)
-    under the same budget and cost model ``repro run`` would use, so the
+    ``recommended_engine``/``recommended_chain`` come from the forecast
+    (:func:`repro.runtime.costmodel.plan_chain`) of the plan ``repro
+    run`` would execute under the same budget and cost model, so the
     recommendation names the engine a ``run`` of the same request would
     actually answer with (``None`` when the whole chain would be
-    refused).  ``plan`` is the full :class:`~repro.runtime.costmodel.ChainPlan`
+    refused).  ``plan`` is the full :class:`~repro.runtime.plan.ChainPlan`
     with per-engine forecasts and predicted seconds.
     """
 
@@ -144,21 +143,35 @@ def analyze(
 
     The report additionally carries a budget-aware *recommendation*:
     the engine :func:`repro.runtime.run_with_fallback` would select for
-    the same request, simulated under ``budget`` (the active budget by
+    the same request, forecast under ``budget`` (the active budget by
     default), ``chain`` (the default chain by default) and
     ``cost_model`` (a :class:`~repro.runtime.costmodel.CostModel`, a
     calibration-file path, or the active model) — so advice and
     execution cannot drift apart.  ``race`` (``True`` or an overlap
-    fraction) makes the recommendation simulate the speculative race
+    fraction) makes the recommendation forecast the speculative race
     a ``run --race`` of the same request would hold: the recommended
     engine is then the predicted race *winner* and ``report.plan.race``
-    carries the full :class:`~repro.runtime.costmodel.RaceForecast`.
+    carries the full :class:`~repro.runtime.plan.RaceForecast`.
     ``adaptive`` makes the recommendation price the sequential
     empirical-Bernstein stopper a ``run --adaptive`` would use: the
     plan's sampling-engine forecasts then show expected versus
     worst-case sample counts and surrogate-adjusted seconds.
     """
+    from repro.runtime.costmodel import plan_chain
+
     query = as_query(query)
+    plan = plan_chain(
+        db,
+        query,
+        chain=chain,
+        budget=budget,
+        quantity="reliability",
+        epsilon=epsilon,
+        delta=delta,
+        cost_model=cost_model,
+        race=race,
+        adaptive=adaptive,
+    )
     formula = query.formula if isinstance(query, FOQuery) else None
     relevant = relevant_atoms(db, query)
     fragment = classify(formula) if formula is not None else "opaque (PTIME)"
@@ -172,12 +185,7 @@ def analyze(
     if formula is not None and fragment == "quantifier-free":
         engine = "exact/qf (Prop 3.1)"
         exact_value = reliability(db, query, method="qf")
-    elif (
-        formula is not None
-        and fragment == "conjunctive"
-        and query.arity == 0
-        and is_safe(formula)
-    ):
+    elif fragment == "conjunctive" and plan.dichotomy.safe:
         engine = "exact/lifted (safe plan)"
         exact_value = reliability(db, query)
     elif formula is not None and (
@@ -239,21 +247,6 @@ def analyze(
             # report but leave an attributable record of the failure.
             logger.warning("fragile-atom analysis skipped: %s", exc)
             fragile = []
-
-    from repro.runtime.costmodel import plan_chain
-
-    plan = plan_chain(
-        db,
-        query,
-        chain=chain,
-        budget=budget,
-        quantity="reliability",
-        epsilon=epsilon,
-        delta=delta,
-        cost_model=cost_model,
-        race=race,
-        adaptive=adaptive,
-    )
 
     return ReliabilityReport(
         fragment=fragment,

@@ -12,9 +12,12 @@ that landscape into an execution policy instead of a crash report:
   refuse hopeless runs up front with
   :class:`~repro.util.errors.CostRefused`;
 * :mod:`repro.runtime.executor` — :func:`run_with_fallback`, walking an
-  engine chain (exact → lifted → karp_luby → montecarlo by default)
-  and returning a :class:`RuntimeResult` with value, engine, guarantee
-  type, and the attempt log;
+  engine chain (safe_lifted → exact → karp_luby → montecarlo by
+  default) and returning a :class:`RuntimeResult` with value, engine,
+  guarantee type, and the attempt log;
+* :mod:`repro.runtime.plan` — the one plan per call: inputs validated,
+  cost model, chain order and dichotomy verdict decided once; ``run``
+  executes it, ``analyze``/``--race``/serve admission forecast it;
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (timeout / slowdown / exception) wrapping engine entry points, so
   tests can prove every degradation path fires — plus the
@@ -23,7 +26,8 @@ that landscape into an execution policy instead of a crash report:
 * :mod:`repro.runtime.racing` — speculative engine racing for
   ``run_with_fallback(..., race=...)``: staggered concurrent attempts,
   tier-aware winner selection, loser cancellation through the budget
-  checkpoints.
+  checkpoints — the same driver, on a virtual clock with stub
+  engines, forecasts a race.
 
 See ``docs/ROBUSTNESS.md`` for the full story.
 

@@ -29,9 +29,10 @@ guarantee long before.  This module adds the sequential alternative:
   keeps an exponentially-weighted estimate of that shrink fraction and
   :func:`surrogate_adjusted` wraps a :class:`~repro.runtime.costmodel.
   CostModel` so predicted seconds for the sampling engines scale by
-  the expected fraction.  ``plan_chain`` and ``run_with_fallback``
-  wrap the model identically, so analyze/run agreement survives
-  adaptivity; serve admission sees cheaper expected costs and admits
+  the expected fraction.  The wrapped model is part of the one plan
+  (:func:`repro.runtime.plan.make_plan`) that ``run_with_fallback``
+  executes and ``plan_chain`` forecasts, so analyze/run agreement
+  survives adaptivity; serve admission sees cheaper expected costs and admits
   more under the same deadline.  The surrogate is staleness-guarded:
   a kind that has not observed anything recently (or ever) falls back
   to the worst-case fraction 1.0.
@@ -519,9 +520,9 @@ class SurrogateAdjustedModel(CostModel):
     multiplied by the surrogate's expected shrink fraction; everything
     else — calibration provenance, chain ordering policy — delegates
     to :class:`CostModel` semantics via the adjusted predictions.
-    ``plan_chain`` and ``run_with_fallback`` build this wrapper the
-    same way, which is what keeps analyze/run agreement exact with
-    adaptivity on.
+    :func:`repro.runtime.plan.make_plan` builds this wrapper once per
+    plan, for the run and its forecast alike, which is what keeps
+    analyze/run agreement exact with adaptivity on.
     """
 
     __slots__ = ("base", "surrogate")

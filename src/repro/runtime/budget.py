@@ -395,8 +395,8 @@ class RacerBudget:
       so cap checks cannot depend on thread interleaving;
     * ``sample_headroom`` pre-partitions the parent's ``max_samples``:
       racer *i* sees ``cap - sum(predicted needs of earlier racers)``,
-      the same cumulative accounting ``plan_chain`` simulates, which is
-      what keeps the racing forecast exact;
+      each need read from the engine's forecast
+      (:meth:`repro.runtime.plan.Plan.forecast`);
     * ``token`` is a :class:`CancelToken` checked on every
       :meth:`consume` — the cross-thread cancel flag;
     * ``on_checkpoint`` is an optional hook run first on every

@@ -23,12 +23,11 @@ between queries.  This module closes the loop:
   violated.  Uncalibrated engines and corrupt calibration files fall
   back to the existing closed forms (``costmodel.fallback`` counter);
   nothing here can crash a run.
-* :func:`plan_chain` — a dry-run of the executor's walk: preflights,
-  fragment checks, and sequential sample-budget accounting are
-  simulated without consuming the active budget, so
-  :func:`repro.reliability.report.analyze` can *recommend* exactly the
-  engine :func:`~repro.runtime.executor.run_with_fallback` would
-  select (the differential harness pins this to 100% agreement).
+* :func:`plan_chain` — the forecast of the executor's own plan
+  (:mod:`repro.runtime.plan` builds and forecasts it), so
+  :func:`repro.reliability.report.analyze`, ``run --race`` forecasts
+  and serve admission *recommend* exactly the engine
+  :func:`~repro.runtime.executor.run_with_fallback` would select.
 
 Guarantee tiers are quantity-dependent, mirroring the engines
 themselves: Karp–Luby is *relative* on probabilities (Theorem 5.4) but
@@ -49,7 +48,6 @@ import os
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
 from typing import (
     Any,
     Dict,
@@ -63,18 +61,22 @@ from typing import (
 )
 
 from repro import obs
-from repro.logic.classify import is_conjunctive, is_existential, is_universal
+from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import neg
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.propositional.karp_luby import sample_count
 from repro.reliability.exact import as_query
-from repro.reliability.grounding import ground_existential_to_dnf, relevant_atoms
-from repro.reliability.lifted import is_safe
+from repro.reliability.grounding import relevant_atoms
 from repro.reliability.montecarlo import hoeffding_samples
-from repro.runtime.budget import Budget, active_budget, apply
-from repro.runtime.preflight import grounding_cost, worlds_cost
-from repro.util.errors import CalibrationError, QueryError, ResourceError
+from repro.runtime.budget import Budget, active_budget
+from repro.runtime.executor import (
+    DEFAULT_CHAIN,
+    engine_guarantee,
+    run_with_fallback,
+)
+from repro.runtime.preflight import grounding_cost
+from repro.util.errors import CalibrationError, FallbackExhausted, QueryError
 
 __all__ = [
     "FEATURE_NAMES",
@@ -82,11 +84,7 @@ __all__ = [
     "CostObservation",
     "EngineCalibration",
     "CostModel",
-    "EngineForecast",
-    "RaceForecast",
-    "ChainPlan",
     "plan_features",
-    "engine_guarantee",
     "static_cost",
     "fit",
     "fit_from_trace",
@@ -123,9 +121,6 @@ CLOSED_FORM_UNIT_SECONDS = 1e-6
 
 #: Minimum per-engine observations before a fit is trusted.
 MIN_OBSERVATIONS = 3
-
-#: Guarantee ranks, strongest first (executor's GUARANTEE_ORDER).
-_GUARANTEE_RANK = {"exact": 0, "relative": 1, "additive": 2}
 
 #: Cap on feature magnitudes so ``float`` conversion of the closed
 #: forms (big ints like ``n ** k``) can never overflow.
@@ -212,22 +207,6 @@ def plan_features(
     }
 
 
-def engine_guarantee(engine: str, quantity: str = "reliability") -> str:
-    """The guarantee tier an engine's answer would carry for ``quantity``.
-
-    Mirrors the executor's engines: Karp–Luby is *relative* on
-    probabilities (Theorem 5.4) but *additive* on reliability
-    (Corollary 5.5) — the tier is a property of the answer, not the
-    algorithm.  Unknown engines conservatively land in the weakest
-    tier (the executor validates names before any ordering happens).
-    """
-    if engine in ("safe_lifted", "exact", "lifted"):
-        return "exact"
-    if engine == "karp_luby":
-        return "relative" if quantity == "probability" else "additive"
-    return "additive"
-
-
 def static_cost(engine: str, features: Mapping[str, float]) -> float:
     """Closed-form work units for an engine — the uncalibrated fallback.
 
@@ -257,29 +236,6 @@ def static_cost(engine: str, features: Mapping[str, float]) -> float:
     if engine == "montecarlo":
         return _capped(mc * (atoms + cells))
     return _FEATURE_CAP
-
-
-def delta_stream_cost(diagram_nodes: int, updates: int) -> float:
-    """Closed-form work units for a delta update stream.
-
-    One weight-only update re-evaluates at most every reachable
-    diagram node — ``|BDD|`` exact multiplies — so a stream of ``m``
-    updates is bounded by ``m * |BDD|`` units.  Compare against
-    ``static_cost("exact", ...) * m`` (a cold recompute per update) to
-    see why :class:`~repro.delta.DeltaSession` wins: the diagram is
-    polynomial-size whenever compilation succeeds, while the cold form
-    is ``2 ** atoms``.  Priced at the same
-    :data:`CLOSED_FORM_UNIT_SECONDS` as the other closed forms.
-    """
-    from repro.runtime.preflight import delta_update_cost
-
-    return _capped(float(delta_update_cost(diagram_nodes, updates)))
-
-
-def predict_update_stream_seconds(diagram_nodes: int, updates: int) -> float:
-    """Seconds forecast for a delta stream (closed-form pricing)."""
-    obs.inc("costmodel.closed_form")
-    return delta_stream_cost(diagram_nodes, updates) * CLOSED_FORM_UNIT_SECONDS
 
 
 # ---------------------------------------------------------------------- #
@@ -636,443 +592,8 @@ def resolve_model(
 
 
 # ---------------------------------------------------------------------- #
-# plan_chain: a budget-aware dry run of the executor
+# plan_chain: forecast the executor's plan
 # ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class EngineForecast:
-    """One engine's predicted fate in a chain walk."""
-
-    engine: str
-    guarantee: str
-    #: "ok" | "cost_refused" | "fragment_mismatch" | "skipped_static"
-    #: (the dichotomy router excludes the engine statically) |
-    #: "not_tried"
-    outcome: str
-    predicted_seconds: float
-    detail: str = ""
-    #: Sampling engines only, under ``plan_chain(..., adaptive=True)``:
-    #: the surrogate's expected draw count versus the worst-case bound
-    #: the preflight reserves.  ``None`` elsewhere.
-    expected_samples: Optional[int] = None
-    worst_samples: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RaceForecast:
-    """The simulated race: who launches when, who wins, who is wasted.
-
-    Produced by ``plan_chain(..., race=...)`` — an event simulation of
-    :func:`repro.runtime.racing.run_race` over the model's predicted
-    per-engine seconds.  ``outcomes`` maps every engine in the chain to
-    its predicted fate: ``"won"``, ``"preempted"``, ``"cancelled"``,
-    ``"not_launched"``, ``"skipped_static"`` (excluded by the dichotomy
-    router before launch), or a failure outcome (``"cost_refused"``,
-    ``"fragment_mismatch"``, ``"budget_exceeded"``).
-    ``finish_seconds`` gives each launched engine's predicted completion
-    time on the race clock; ``elapsed_seconds`` is the predicted race
-    wall-clock (the winner's decision time).
-    """
-
-    winner: Optional[str]
-    overlap: float
-    launch_order: Tuple[str, ...]
-    outcomes: Mapping[str, str]
-    finish_seconds: Mapping[str, float]
-    elapsed_seconds: float
-
-
-@dataclass(frozen=True)
-class ChainPlan:
-    """The simulated walk: ordered chain, forecasts, selected engine.
-
-    ``dichotomy`` carries the static Dalvi–Suciu verdict
-    (:class:`repro.logic.safety.SafeVerdict` /
-    :class:`~repro.logic.safety.UnsafeVerdict`) the router consulted:
-    the #P-hardness witness of an unsafe query travels with its
-    forecast, and ``analyze --explain-dichotomy`` renders it.
-    """
-
-    chain: Tuple[str, ...]
-    selected: Optional[str]
-    forecasts: Tuple[EngineForecast, ...]
-    features: Mapping[str, float]
-    race: Optional[RaceForecast] = None
-    dichotomy: Optional[Any] = None
-
-    def describe(self) -> str:
-        lines = []
-        for forecast in self.forecasts:
-            mark = "->" if forecast.engine == self.selected else "  "
-            line = (
-                f"{mark} {forecast.engine}: {forecast.outcome} "
-                f"[{forecast.guarantee}] "
-                f"~{forecast.predicted_seconds:.3g}s"
-            )
-            if forecast.worst_samples is not None:
-                expected = forecast.expected_samples
-                if expected is not None and expected < forecast.worst_samples:
-                    line += (
-                        f" samples~{expected}/{forecast.worst_samples}"
-                        " expected/worst"
-                    )
-                else:
-                    line += f" samples<={forecast.worst_samples}"
-            if forecast.detail:
-                line += f" — {forecast.detail}"
-            lines.append(line)
-        if self.race is not None:
-            lines.append(
-                f"race (overlap={self.race.overlap:g}): "
-                f"winner={self.race.winner or 'none'} "
-                f"~{self.race.elapsed_seconds:.3g}s, "
-                f"launched {', '.join(self.race.launch_order) or 'nothing'}"
-            )
-        if self.dichotomy is not None:
-            lines.append(f"dichotomy: {self.dichotomy.summary()}")
-        return "\n".join(lines)
-
-
-def _neutral_budget() -> Budget:
-    """An uncapped budget for simulation-side grounding.
-
-    ``plan_chain`` must be read-only with respect to the caller's
-    budget: grounding done to *predict* a run may not consume the
-    clause allowance of the run itself.  (The compiled grounding is
-    cached, so the real run reuses it rather than paying twice.)
-    """
-    return Budget(max_atoms=None)
-
-
-def _forecast_exact(db, query, budget, features) -> Tuple[str, str, int]:
-    limit = budget.world_limit()
-    estimate = worlds_cost(int(features["atoms"]))
-    if limit is not None and estimate > limit:
-        return (
-            "cost_refused",
-            f"2^{int(features['atoms'])} worlds over limit {limit}",
-            0,
-        )
-    return "ok", "", 0
-
-
-def _forecast_safe_lifted(db, query, budget, features) -> Tuple[str, str, int]:
-    """Forecast for the statically-routed tier.
-
-    Only reached when the dichotomy verdict is safe (the plan loop and
-    the race partition mark unsafe queries ``skipped_static`` before
-    dispatching here), and a safe verdict *is* the admissibility proof:
-    the lifted plan terminates in polynomial time with no preflight.
-    """
-    return "ok", "", 0
-
-
-def _forecast_lifted(db, query, budget, features) -> Tuple[str, str, int]:
-    if not isinstance(query, FOQuery):
-        return "fragment_mismatch", "lifted engine requires a first-order query", 0
-    if query.arity != 0:
-        return "fragment_mismatch", "lifted engine handles Boolean queries only", 0
-    if not is_conjunctive(query.formula):
-        return "fragment_mismatch", "lifted engine requires a conjunctive query", 0
-    try:
-        if not is_safe(query.formula):
-            return "fragment_mismatch", "query has no safe plan", 0
-    except QueryError as exc:
-        return "fragment_mismatch", str(exc), 0
-    return "ok", "", 0
-
-
-def _kl_targets(db, query, quantity):
-    """The Boolean existential sentences one Karp–Luby attempt grounds."""
-    formula = query.formula
-    if quantity == "probability":
-        if not is_existential(formula):
-            raise QueryError("sentence is not existential")
-        return [formula], 1
-    if query.arity == 0:
-        if is_existential(formula):
-            return [formula], 1
-        if is_universal(formula):
-            return [neg(formula)], 1
-        raise QueryError(
-            "Corollary 5.5 applies to existential or universal queries only"
-        )
-    if not (is_existential(formula) or is_universal(formula)):
-        raise QueryError(
-            "Corollary 5.5 applies to existential or universal queries only"
-        )
-    n = db.universe_size
-    cells = n**query.arity
-    if cells == 0:
-        raise QueryError("reliability undefined on an empty universe")
-    targets = []
-    for args in product(db.structure.universe, repeat=query.arity):
-        inner = query.instantiated(args)
-        if is_existential(inner):
-            targets.append(inner)
-        elif is_universal(inner):
-            targets.append(neg(inner))
-        else:
-            raise QueryError(
-                "Corollary 5.5 applies to existential or universal queries only"
-            )
-    return targets, cells
-
-
-def _forecast_karp_luby(
-    db, query, quantity, epsilon, delta, budget, samples_used
-) -> Tuple[str, str, int]:
-    if not isinstance(query, FOQuery):
-        return (
-            "fragment_mismatch",
-            "karp_luby engine requires a first-order query",
-            0,
-        )
-    try:
-        targets, cells = _kl_targets(db, query, quantity)
-    except QueryError as exc:
-        return "fragment_mismatch", str(exc), 0
-    per_delta = delta / cells if cells > 1 else delta
-    cap = budget.max_samples
-    consumed = 0
-    for target in targets:
-        try:
-            with apply(_neutral_budget()):
-                predicted = _simulated_grounding_cost(db, target, budget)
-                if predicted is not None:
-                    return predicted[0], predicted[1], consumed
-                grounding = ground_existential_to_dnf(db, target)
-        except QueryError as exc:
-            return "fragment_mismatch", str(exc), consumed
-        if grounding.dnf.is_true() or grounding.dnf.is_false():
-            continue
-        needed = sample_count(len(grounding.dnf.clauses), epsilon, per_delta)
-        if cap is not None:
-            remaining = max(0, cap - budget.samples - samples_used - consumed)
-            if needed > remaining:
-                return (
-                    "cost_refused",
-                    f"needs {needed} samples, {remaining} remain",
-                    consumed,
-                )
-        consumed += needed
-    return "ok", "", consumed
-
-
-def _simulated_grounding_cost(db, target, budget):
-    """Mirror ``preflight_grounding`` against the *real* budget.
-
-    Returns a ``(outcome, detail)`` pair when the real run would refuse
-    the grounding, else ``None``.  Runs inside the neutral budget so
-    the caller's allowance is untouched.
-    """
-    limit = budget.max_ground_clauses
-    if limit is None:
-        return None
-    try:
-        variables, matrix = existential_parts(target)
-    except QueryError:
-        return None
-    templates = dnf_clauses(matrix)
-    estimate = grounding_cost(db.universe_size, len(variables), len(templates))
-    if estimate > limit:
-        return (
-            "cost_refused",
-            f"grounding needs {estimate} clauses over limit {limit}",
-        )
-    return None
-
-
-def _forecast_montecarlo(
-    db, query, quantity, epsilon, delta, budget, samples_used
-) -> Tuple[str, str, int]:
-    if quantity == "reliability":
-        cells = db.universe_size ** int(getattr(query, "arity", 0))
-        if cells == 0:
-            return (
-                "fragment_mismatch",
-                "reliability undefined on an empty universe",
-                0,
-            )
-    needed = hoeffding_samples(epsilon, delta)
-    cap = budget.max_samples
-    if cap is not None:
-        remaining = max(0, cap - budget.samples - samples_used)
-        if needed > remaining:
-            return (
-                "cost_refused",
-                f"needs {needed} samples, {remaining} remain",
-                0,
-            )
-    return "ok", "", needed
-
-
-def _forecast_engine(
-    db, query, quantity, epsilon, delta, budget, features, name, samples_used
-) -> Tuple[str, str, int]:
-    """Dispatch to the per-engine forecast: (outcome, detail, samples)."""
-    if name == "exact":
-        return _forecast_exact(db, query, budget, features)
-    if name == "safe_lifted":
-        return _forecast_safe_lifted(db, query, budget, features)
-    if name == "lifted":
-        return _forecast_lifted(db, query, budget, features)
-    if name == "karp_luby":
-        return _forecast_karp_luby(
-            db, query, quantity, epsilon, delta, budget, samples_used
-        )
-    return _forecast_montecarlo(
-        db, query, quantity, epsilon, delta, budget, samples_used
-    )
-
-
-class _SimRacer:
-    """Mutable per-engine state of the racing simulation."""
-
-    __slots__ = ("index", "name", "rank", "outcome", "detail", "finish", "predicted")
-
-    def __init__(self, index: int, name: str, rank: int, predicted: float):
-        self.index = index
-        self.name = name
-        self.rank = rank
-        self.outcome: Optional[str] = None
-        self.detail = ""
-        self.finish: Optional[float] = None
-        self.predicted = predicted
-
-
-def _simulate_race(
-    db, query, chain, budget, quantity, epsilon, delta, scorer, features, overlap
-) -> RaceForecast:
-    """Event-simulate :func:`repro.runtime.racing.run_race` on model time.
-
-    The simulation replays the racing driver's loop exactly — launch
-    stagger (``overlap`` of the fair-share slice, or of the nominal
-    share without a deadline), instant completions for preflight
-    refusals and fragment mismatches, ``predicted_seconds`` completions
-    for engines forecast ``ok``, cumulative chain-order sample
-    reservations (the same ``_forecast_*`` arithmetic the executor's
-    reservations reuse), equal-time completions processed before
-    launches, early launch on a failure cascade, and the
-    winner/held/preempt rules of ``on_complete``.  Under budgets made of
-    caps (no deadline) and a cost model whose predictions match the
-    engines' stall times, the forecast winner is the race winner — the
-    racing differential harness scripts exactly that correspondence.
-    """
-    from repro.runtime.racing import NOMINAL_SHARE_SECONDS
-
-    total = len(chain)
-    deadline = budget.deadline_seconds
-    racers = [
-        _SimRacer(
-            index,
-            name,
-            _GUARANTEE_RANK.get(engine_guarantee(name, quantity), 3),
-            scorer.predict_seconds(name, features),
-        )
-        for index, name in enumerate(chain)
-    ]
-    pending = list(racers)
-    contenders: List[_SimRacer] = []
-    events: List[_SimRacer] = []  # launched, completion not yet processed
-    launch_order: List[str] = []
-    held: Optional[_SimRacer] = None
-    winner: Optional[_SimRacer] = None
-    samples_reserved = 0
-    t = 0.0
-    next_launch_at = 0.0
-
-    def launch(racer: _SimRacer) -> None:
-        nonlocal samples_reserved, next_launch_at
-        remaining = None if deadline is None else deadline - t
-        if remaining is not None and remaining <= 0:
-            racer.outcome = "budget_exceeded"
-            racer.detail = "deadline exhausted before the engine started"
-            racer.finish = t
-            return
-        share = None if remaining is None else remaining / (total - racer.index)
-        outcome, detail, spent = _forecast_engine(
-            db, query, quantity, epsilon, delta, budget, features,
-            racer.name, samples_reserved,
-        )
-        samples_reserved += spent
-        if outcome == "ok":
-            racer.finish = t + racer.predicted
-            if share is not None and racer.predicted > share:
-                outcome = "budget_exceeded"
-                detail = f"predicted {racer.predicted:.3g}s over {share:.3g}s slice"
-            elif deadline is not None and racer.finish > deadline:
-                outcome = "budget_exceeded"
-                detail = f"predicted finish {racer.finish:.3g}s past the deadline"
-        else:
-            racer.finish = t
-        racer.outcome = outcome
-        racer.detail = detail
-        launch_order.append(racer.name)
-        contenders.append(racer)
-        events.append(racer)
-        next_launch_at = t + overlap * (
-            share if share is not None else NOMINAL_SHARE_SECONDS
-        )
-
-    def on_complete(racer: _SimRacer) -> None:
-        nonlocal held, winner, next_launch_at
-        if racer in contenders:
-            contenders.remove(racer)
-        if racer.outcome == "ok":
-            for other in list(contenders):
-                if other.rank >= racer.rank:
-                    other.outcome = "cancelled"
-                    other.detail = f"preempted by {racer.name!r}"
-                    contenders.remove(other)
-                    if other in events:
-                        events.remove(other)
-            for other in pending:
-                other.outcome = "not_launched"
-            pending.clear()
-            if held is not None:
-                held.outcome = "preempted"
-                held.detail = f"preempted by stronger engine {racer.name!r}"
-            held = racer
-        elif not contenders and held is None and pending:
-            next_launch_at = t
-
-        if held is not None and not any(r.rank < held.rank for r in contenders):
-            winner = held
-            held = None
-
-    while winner is None and (pending or events):
-        while pending and winner is None and (not contenders or t >= next_launch_at):
-            launch(pending.pop(0))
-        if winner is not None or not events:
-            continue
-        racer = min(events, key=lambda r: (r.finish, r.index))
-        if pending and contenders and next_launch_at < racer.finish:
-            # The driver's wait times out at the launch target first.
-            t = max(t, next_launch_at)
-            continue
-        events.remove(racer)
-        t = max(t, racer.finish)
-        on_complete(racer)
-
-    for racer in contenders:
-        racer.outcome = "cancelled"
-        racer.detail = racer.detail or "cancelled when the race was decided"
-    for racer in pending:
-        racer.outcome = "not_launched"
-    if winner is not None:
-        winner.outcome = "won"
-    return RaceForecast(
-        winner=winner.name if winner is not None else None,
-        overlap=overlap,
-        launch_order=tuple(launch_order),
-        outcomes={racer.name: racer.outcome or "not_launched" for racer in racers},
-        finish_seconds={
-            racer.name: racer.finish for racer in racers if racer.finish is not None
-        },
-        elapsed_seconds=t,
-    )
 
 
 def plan_chain(
@@ -1086,215 +607,27 @@ def plan_chain(
     cost_model: Union[None, CostModel, str, "os.PathLike"] = None,
     race: Union[None, bool, float] = None,
     adaptive: Union[None, bool] = None,
-) -> ChainPlan:
-    """Dry-run the fallback executor: predict its walk without running it.
+):
+    """Forecast the fallback executor's walk without running an engine.
 
-    The simulation mirrors :func:`~repro.runtime.executor.run_with_fallback`
-    step for step — the same chain ordering under the same cost model,
-    the same preflights against the same budget (the active one when
-    ``budget`` is None), the same fragment checks, and sequential
-    sample-consumption accounting across attempts (a partially-consumed
-    Karp–Luby attempt shrinks what Monte Carlo preflights against).
-    Under budgets made of ``max_atoms`` / ``max_samples`` caps the
-    forecast is *exact*: the selected engine is the engine the real run
-    answers with.  Deadlines are inherently racy and running
-    world/clause caps depend on cache state, so those can diverge —
-    the differential harness pins the exact cases.
-
-    The caller's budget is never consumed: simulation-side grounding
-    runs under a neutral budget (and warms the compilation cache the
-    real run then hits).
-
-    ``race`` mirrors the executor's parameter: ``True`` (or an overlap
-    fraction) simulates the speculative race instead of the sequential
-    walk — the returned plan carries a :class:`RaceForecast` in
-    ``plan.race``, ``selected`` is the predicted race winner, and each
-    engine's forecast outcome is its predicted fate in the race.
-
-    ``adaptive`` mirrors the executor's parameter too: the cost model
-    is wrapped by the same surrogate adjustment
-    (:func:`repro.runtime.adaptive.surrogate_adjusted`), so predicted
-    seconds for the sampling engines reflect expected stopping while
-    sample-cap *preflights stay worst-case* — exactly what the real run
-    reserves, which is what keeps analyze/run engine selection in
-    lockstep.  Sampling-engine forecasts additionally carry
-    ``expected_samples``/``worst_samples``.
+    Builds the plan :func:`~repro.runtime.executor.run_with_fallback`
+    would run for the same arguments and forecasts it with
+    :func:`repro.runtime.plan.forecast` against ``budget`` (the active
+    one when ``None``), which is never consumed.  The returned
+    :class:`~repro.runtime.plan.ChainPlan` names the selected engine —
+    under ``max_atoms`` / ``max_samples`` caps, the engine the run
+    answers with.  ``race`` forecasts the speculative race instead
+    (``plan.race``; ``selected`` is the predicted winner); ``adaptive``
+    prices the surrogate's expected stopping.
     """
-    from repro.logic.safety import classify_dichotomy
-    from repro.runtime.executor import (
-        DEFAULT_CHAIN,
-        ENGINES,
-        STATIC_SAFE_ENGINES,
-        race_partition,
-        static_skip_detail,
+    from repro.runtime import plan
+
+    built = plan.make_plan(
+        db, query, DEFAULT_CHAIN if chain is None else chain,
+        quantity, epsilon, delta, cost_model, race, adaptive,
+        forecast=True,
     )
-
-    if quantity not in ("reliability", "probability"):
-        raise QueryError(
-            f"unknown quantity {quantity!r}; use 'reliability' or 'probability'"
-        )
-    chain = tuple(chain) if chain is not None else DEFAULT_CHAIN
-    if not chain:
-        raise ResourceError("engine chain is empty")
-    unknown = [name for name in chain if name not in ENGINES]
-    if unknown:
-        raise ResourceError(
-            f"unknown engines {unknown}; available: {sorted(ENGINES)}"
-        )
-    query = as_query(query)
-    if quantity == "probability" and getattr(query, "arity", 0) != 0:
-        raise QueryError(
-            "quantity='probability' needs a Boolean (0-ary) query; "
-            "use quantity='reliability' for k-ary queries"
-        )
-    budget = budget if budget is not None else active_budget()
-    model = resolve_model(cost_model)
-    adaptive = bool(adaptive)
-    surrogate = None
-    if adaptive:
-        from repro.runtime.adaptive import (
-            active_surrogate,
-            surrogate_adjusted,
-        )
-
-        surrogate = active_surrogate()
-        if model is not None:
-            # Identical wrapping to run_with_fallback: analyze/run
-            # chain ordering cannot drift apart under adaptivity.
-            model = surrogate_adjusted(model, surrogate)
-    features = plan_features(db, query, quantity, epsilon, delta)
-    if model is not None:
-        chain = model.order_chain(chain, features, quantity)
-    if model is not None:
-        scorer = model
-    elif adaptive:
-        from repro.runtime.adaptive import surrogate_adjusted
-
-        # Display-side only: with no model there is no reordering to
-        # keep in agreement, but forecasts (and serve admission's
-        # deadline arithmetic) should still price expected stopping.
-        scorer = surrogate_adjusted(CostModel(), surrogate)
-    else:
-        scorer = CostModel()
-    verdict = classify_dichotomy(query)
-
-    if race is not None and race is not False:
-        from repro.runtime.racing import DEFAULT_OVERLAP
-
-        overlap = DEFAULT_OVERLAP if race is True else float(race)
-        if not (overlap >= 0.0 and math.isfinite(overlap)):
-            raise ResourceError(
-                f"race overlap must be a finite fraction >= 0, got {race!r}"
-            )
-        # The executor partitions the (ordered) chain before launching:
-        # statically-skipped engines never race.  Simulate over the
-        # same trimmed chain so shares and staggers line up exactly.
-        race_chain, skipped = race_partition(chain, verdict, quantity)
-        if race_chain:
-            forecast = _simulate_race(
-                db, query, race_chain, budget, quantity, epsilon, delta,
-                scorer, features, overlap,
-            )
-        else:
-            forecast = RaceForecast(
-                winner=None,
-                overlap=overlap,
-                launch_order=(),
-                outcomes={},
-                finish_seconds={},
-                elapsed_seconds=0.0,
-            )
-        outcomes = dict(forecast.outcomes)
-        details = {name: detail for name, detail in skipped}
-        for name in details:
-            outcomes[name] = "skipped_static"
-        forecast = RaceForecast(
-            winner=forecast.winner,
-            overlap=forecast.overlap,
-            launch_order=forecast.launch_order,
-            outcomes=outcomes,
-            finish_seconds=forecast.finish_seconds,
-            elapsed_seconds=forecast.elapsed_seconds,
-        )
-        race_forecasts = tuple(
-            EngineForecast(
-                name,
-                engine_guarantee(name, quantity),
-                forecast.outcomes[name],
-                scorer.predict_seconds(name, features),
-                details.get(name, ""),
-            )
-            for name in chain
-        )
-        return ChainPlan(
-            chain,
-            forecast.winner,
-            race_forecasts,
-            features,
-            race=forecast,
-            dichotomy=verdict,
-        )
-
-    forecasts: List[EngineForecast] = []
-    selected: Optional[str] = None
-    samples_used = 0
-    for name in chain:
-        predicted = scorer.predict_seconds(name, features)
-        tier = engine_guarantee(name, quantity)
-        if selected is not None:
-            forecasts.append(
-                EngineForecast(name, tier, "not_tried", predicted)
-            )
-            continue
-        if name in STATIC_SAFE_ENGINES:
-            skip_detail = static_skip_detail(name, verdict)
-            if skip_detail is not None:
-                forecasts.append(
-                    EngineForecast(
-                        name, tier, "skipped_static", 0.0, skip_detail
-                    )
-                )
-                continue
-        if name == "exact":
-            outcome, detail, spent = _forecast_exact(db, query, budget, features)
-        elif name == "safe_lifted":
-            outcome, detail, spent = _forecast_safe_lifted(
-                db, query, budget, features
-            )
-        elif name == "lifted":
-            outcome, detail, spent = _forecast_lifted(db, query, budget, features)
-        elif name == "karp_luby":
-            outcome, detail, spent = _forecast_karp_luby(
-                db, query, quantity, epsilon, delta, budget, samples_used
-            )
-        else:
-            outcome, detail, spent = _forecast_montecarlo(
-                db, query, quantity, epsilon, delta, budget, samples_used
-            )
-        samples_used += spent
-        expected: Optional[int] = None
-        worst: Optional[int] = None
-        if name in ("karp_luby", "montecarlo") and spent > 0:
-            worst = spent
-            if surrogate is not None:
-                fraction = surrogate.expected_fraction(name)
-                expected = max(1, math.ceil(spent * fraction))
-        forecasts.append(
-            EngineForecast(
-                name,
-                tier,
-                outcome,
-                predicted,
-                detail,
-                expected_samples=expected,
-                worst_samples=worst,
-            )
-        )
-        if outcome == "ok":
-            selected = name
-    return ChainPlan(
-        chain, selected, tuple(forecasts), features, dichotomy=verdict
-    )
+    return plan.forecast(built, budget if budget is not None else active_budget())
 
 
 # ---------------------------------------------------------------------- #
@@ -1363,9 +696,6 @@ def calibrate(
     extrapolate a steep sample-count slope onto tight-accuracy
     workloads and overpredict by orders of magnitude.
     """
-    from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
-    from repro.util.errors import FallbackExhausted
-
     if cases is None:
         cases = calibration_workload(seed)
     run_budget = budget if budget is not None else Budget(max_atoms=14)

@@ -59,7 +59,6 @@ from repro.reliability.montecarlo import (
     estimate_reliability_hamming,
     estimate_truth_probability,
 )
-from repro.runtime import costmodel
 from repro.runtime.budget import Budget, active_budget, apply
 from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import (
@@ -67,7 +66,6 @@ from repro.util.errors import (
     CostRefused,
     FallbackExhausted,
     QueryError,
-    ResourceError,
 )
 from repro.util.rng import Seed, as_rng
 
@@ -91,6 +89,27 @@ DEFAULT_CHAIN: Tuple[str, ...] = (
 
 #: Guarantee types, strongest first (see docs/ROBUSTNESS.md).
 GUARANTEE_ORDER: Tuple[str, ...] = ("exact", "relative", "additive")
+
+#: Guarantee tiers by strength rank (lower is stronger).
+GUARANTEE_RANK: Dict[str, int] = {
+    tier: rank for rank, tier in enumerate(GUARANTEE_ORDER)
+}
+
+
+def engine_guarantee(engine: str, quantity: str = "reliability") -> str:
+    """The guarantee tier an engine's answer would carry for ``quantity``.
+
+    Mirrors the engines below: Karp–Luby is *relative* on probabilities
+    (Theorem 5.4) but *additive* on reliability (Corollary 5.5) — the
+    tier is a property of the answer, not the algorithm.  Unknown
+    engines conservatively land in the weakest tier (the executor
+    validates names before any ordering happens).
+    """
+    if engine in ("safe_lifted", "exact", "lifted"):
+        return "exact"
+    if engine == "karp_luby":
+        return "relative" if quantity == "probability" else "additive"
+    return "additive"
 
 
 @dataclass(frozen=True)
@@ -169,6 +188,8 @@ class _Request:
     #: Sequential empirical-Bernstein stopping for the sampling engines
     #: (see :mod:`repro.runtime.adaptive`); exact engines ignore it.
     adaptive: bool = False
+    #: The plan's dichotomy verdict (``None``: not classified).
+    verdict: Any = None
 
 
 @dataclass(frozen=True)
@@ -196,37 +217,32 @@ def _engine_exact(db, query, req: _Request) -> _Answer:
     return _Answer(float(value), "exact", None, None, fraction=value)
 
 
-def _engine_lifted(db, query, req: _Request) -> _Answer:
-    """Safe-plan lifted inference: exact and polynomial, narrow fragment."""
+def lifted_fragment(query) -> ConjunctiveQuery:
+    """The Boolean CQ the lifted engines evaluate; raises
+    :class:`QueryError` outside that fragment (forecasts read it too)."""
     if not isinstance(query, FOQuery):
         raise QueryError("lifted engine requires a first-order query")
     if query.arity != 0:
         raise QueryError("lifted engine handles Boolean queries only")
     if not is_conjunctive(query.formula):
         raise QueryError("lifted engine requires a conjunctive query")
-    cq = ConjunctiveQuery.from_formula(query.formula)
-    if req.quantity == "probability":
-        value = lifted_probability(db, cq)
-    else:
-        value = lifted_reliability(db, cq)
-    return _Answer(float(value), "exact", None, None, fraction=value)
+    return ConjunctiveQuery.from_formula(query.formula)
 
 
-def _engine_safe_lifted(db, query, req: _Request) -> _Answer:
-    """Dichotomy-routed lifted inference: statically-proved safe queries.
+def _engine_lifted(db, query, req: _Request) -> _Answer:
+    """Safe-plan lifted inference: exact and polynomial, narrow fragment.
 
-    The executor's static router normally guarantees this engine only
-    runs on queries the classifier proved safe; the in-engine re-check
-    is defence in depth for explicit single-engine chains.
+    Serves both ``lifted`` and the dichotomy-routed ``safe_lifted``:
+    the plan classified the query once, the static router skips both
+    on an unsafe verdict, and the lifted plan reuses the verdict
+    instead of classifying again.
     """
-    from repro.logic.safety import classify_dichotomy
-
-    verdict = classify_dichotomy(query)
-    if not verdict.safe:
-        raise QueryError(
-            f"safe_lifted requires a statically safe query — {verdict.summary()}"
-        )
-    return _engine_lifted(db, query, req)
+    cq = lifted_fragment(query)
+    if req.quantity == "probability":
+        value = lifted_probability(db, cq, req.verdict)
+    else:
+        value = lifted_reliability(db, cq, req.verdict)
+    return _Answer(float(value), "exact", None, None, fraction=value)
 
 
 def _engine_karp_luby(db, query, req: _Request) -> _Answer:
@@ -264,7 +280,7 @@ def _engine_montecarlo(db, query, req: _Request) -> _Answer:
 #: for fault-wrapped versions; :func:`run_with_fallback` looks names up
 #: per attempt, so injection works mid-chain.
 ENGINES: Dict[str, Callable[..., _Answer]] = {
-    "safe_lifted": _engine_safe_lifted,
+    "safe_lifted": _engine_lifted,
     "exact": _engine_exact,
     "lifted": _engine_lifted,
     "karp_luby": _engine_karp_luby,
@@ -281,8 +297,8 @@ STATIC_SAFE_ENGINES: Tuple[str, ...] = ("safe_lifted", "lifted")
 def static_skip_detail(name: str, verdict) -> Optional[str]:
     """The skip reason for ``name`` under ``verdict``, or ``None`` to run.
 
-    Shared between the sequential walk, the racing dispatcher, and
-    :func:`repro.runtime.costmodel.plan_chain` — the forecast must mark
+    Shared between the sequential walk, the racing dispatcher, and the
+    forecasts of :mod:`repro.runtime.plan` — the forecast must mark
     ``skipped_static`` exactly where the run does.
     """
     if name in STATIC_SAFE_ENGINES and not verdict.safe:
@@ -308,13 +324,12 @@ def race_partition(
     skipped = []
     if verdict.safe:
         has_exact = any(
-            costmodel.engine_guarantee(name, quantity) == "exact"
-            for name in chain
+            engine_guarantee(name, quantity) == "exact" for name in chain
         )
         if not has_exact:
             return tuple(chain), ()
         for name in chain:
-            if costmodel.engine_guarantee(name, quantity) == "exact":
+            if engine_guarantee(name, quantity) == "exact":
                 kept.append(name)
             else:
                 skipped.append(
@@ -357,22 +372,26 @@ def _record_prediction_error(model, engine, features, elapsed) -> None:
 TRANSIENT_OUTCOMES: Tuple[str, ...] = ("budget_exceeded",)
 
 
-def _classify_failure(exc: Exception) -> Tuple[str, str]:
-    if isinstance(exc, CostRefused):
-        return "cost_refused", "runtime.cost_refused"
-    if isinstance(exc, BudgetExceeded):
-        return "budget_exceeded", "runtime.budget_exceeded"
-    return "fragment_mismatch", "runtime.fragment_mismatch"
+def check_quantity(quantity: str) -> None:
+    """Reject a quantity other than ``reliability`` / ``probability``."""
+    if quantity not in ("reliability", "probability"):
+        raise QueryError(
+            f"unknown quantity {quantity!r}; use 'reliability' or 'probability'"
+        )
 
 
 def classify_failure(exc: Exception) -> Tuple[str, str]:
     """The executor's failure taxonomy: ``(outcome, obs counter)``.
 
-    Public alias of the classifier every degradation path shares —
-    the sequential walk, the racing executor, and the serve layer's
-    retry/breaker policies all speak these outcome strings.
+    Every degradation path shares it — the sequential walk, the racing
+    executor, and the serve layer's retry/breaker policies all speak
+    these outcome strings.
     """
-    return _classify_failure(exc)
+    if isinstance(exc, CostRefused):
+        return "cost_refused", "runtime.cost_refused"
+    if isinstance(exc, BudgetExceeded):
+        return "budget_exceeded", "runtime.budget_exceeded"
+    return "fragment_mismatch", "runtime.fragment_mismatch"
 
 
 def _run_clock():
@@ -456,195 +475,155 @@ def run_with_fallback(
     worst-case sample count as a never-exceeded cap, and the budget
     only charged for samples actually drawn.  When a cost model is in
     play it is wrapped so predicted seconds for the sampling engines
-    reflect the surrogate's expected stopping — identically in
-    :func:`repro.runtime.costmodel.plan_chain`, preserving analyze/run
-    agreement.
+    reflect the surrogate's expected stopping.
+
+    The inputs are validated and the static decisions — model, chain
+    order, dichotomy verdict — made once, by
+    :func:`repro.runtime.plan.make_plan`; the same plan is what
+    :func:`repro.runtime.costmodel.plan_chain` forecasts.
 
     Raises :class:`FallbackExhausted` (with the attempt log attached)
     when no engine in the chain produced an answer.
     """
-    if quantity not in ("reliability", "probability"):
-        raise QueryError(
-            f"unknown quantity {quantity!r}; use 'reliability' or 'probability'"
-        )
-    if not chain:
-        raise ResourceError("engine chain is empty")
-    unknown = [name for name in chain if name not in ENGINES]
-    if unknown:
-        raise ResourceError(
-            f"unknown engines {unknown}; available: {sorted(ENGINES)}"
-        )
-    query = as_query(query)
-    if quantity == "probability" and getattr(query, "arity", 0) != 0:
-        raise QueryError(
-            "quantity='probability' needs a Boolean (0-ary) query; "
-            "use quantity='reliability' for k-ary queries"
-        )
-    model = costmodel.resolve_model(cost_model)
-    adaptive = bool(adaptive)
-    if adaptive and model is not None:
-        # plan_chain wraps identically, so analyze/run chain ordering
-        # cannot drift apart under adaptivity.
-        from repro.runtime.adaptive import surrogate_adjusted
+    from repro.runtime.plan import make_plan
 
-        model = surrogate_adjusted(model)
-    features = None
-    if model is not None or obs.enabled():
-        features = costmodel.plan_features(db, query, quantity, epsilon, delta)
-    if model is not None:
-        chain = model.order_chain(chain, features, quantity)
-    overlap: Optional[float] = None
-    if race is not None and race is not False:
-        from repro.runtime import racing
-
-        overlap = racing.DEFAULT_OVERLAP if race is True else float(race)
-        if not (0.0 <= overlap and math.isfinite(overlap)):
-            raise ResourceError(
-                f"race overlap must be a finite fraction >= 0, got {race!r}"
-            )
+    plan = make_plan(
+        db, query, chain, quantity, epsilon, delta, cost_model, race, adaptive
+    )
     rng_base = as_rng(rng).getrandbits(64)
     scope = apply(budget) if budget is not None else nullcontext()
+    with scope:
+        if plan.overlap is not None:
+            return _race(plan, active_budget(), rng_base)
+        return _walk(plan, active_budget(), rng_base)
+
+
+def _record_skip(name: str, detail: str) -> Attempt:
+    obs.inc("runtime.skipped_static")
+    obs.event("runtime.skip_static", engine=name, detail=detail)
+    return Attempt(name, "skipped_static", detail, 0.0)
+
+
+def _race(plan, run_budget, rng_base: int) -> RuntimeResult:
+    """Race the plan's chain after the dichotomy partition."""
+    from repro.runtime import racing
+
+    race_chain, skipped = race_partition(
+        plan.chain, plan.verdict, plan.quantity
+    )
+    attempts = tuple(_record_skip(name, detail) for name, detail in skipped)
+    if not race_chain:
+        obs.inc("runtime.exhausted")
+        raise FallbackExhausted(
+            "no engine to race: every engine in the chain was "
+            "statically skipped "
+            f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
+            attempts,
+        )
+    try:
+        result = racing.run_race(plan, race_chain, run_budget, rng_base)
+    except FallbackExhausted as exc:
+        raise FallbackExhausted(str(exc), attempts + tuple(exc.attempts)) from None
+    if attempts:
+        result = replace(result, attempts=attempts + result.attempts)
+    return result
+
+
+def _walk(plan, run_budget, rng_base: int) -> RuntimeResult:
+    """Walk the plan's chain sequentially: the first answer wins."""
+    chain = plan.chain
+    features = plan.features
     attempts = []
     clock = _run_clock()
     started = clock()
-
-    # The dichotomy verdict is computed at most once per run, lazily:
-    # only chains containing statically-gated engines (or races, which
-    # always partition) consult it.
-    verdict_cache = []
-
-    def dichotomy():
-        if not verdict_cache:
-            from repro.logic.safety import classify_dichotomy
-
-            verdict_cache.append(classify_dichotomy(query))
-        return verdict_cache[0]
-
-    def record_skip(name: str, detail: str) -> Attempt:
-        obs.inc("runtime.skipped_static")
-        obs.event("runtime.skip_static", engine=name, detail=detail)
-        return Attempt(name, "skipped_static", detail, 0.0)
-
-    with scope:
-        run_budget = active_budget()
-        if overlap is not None:
-            from repro.runtime import racing
-
-            race_chain, skipped = race_partition(chain, dichotomy(), quantity)
-            for name, detail in skipped:
-                attempts.append(record_skip(name, detail))
-            if not race_chain:
-                obs.inc("runtime.exhausted")
-                raise FallbackExhausted(
-                    "no engine to race: every engine in the chain was "
-                    "statically skipped "
-                    f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
-                    tuple(attempts),
-                )
+    with obs.span("runtime.run", engines=len(chain), quantity=plan.quantity):
+        for index, name in enumerate(chain):
+            skip_detail = static_skip_detail(name, plan.verdict)
+            if skip_detail is not None:
+                attempts.append(_record_skip(name, skip_detail))
+                continue
+            obs.inc("runtime.attempts")
+            attempt_start = clock()
             try:
-                result = racing.run_race(
-                    db, query, race_chain, run_budget,
-                    quantity, epsilon, delta,
-                    rng_base, model, features, overlap,
-                    adaptive=adaptive,
+                # Fair-share time slicing: under a deadline, each
+                # attempt gets remaining / attempts_left seconds, so
+                # one stalled engine cannot starve the rest of the
+                # chain; an attempt that finishes early rolls its
+                # unused share forward.
+                remaining = run_budget.remaining_time()
+                if remaining is None:
+                    attempt_scope = nullcontext()
+                elif remaining <= 0:
+                    raise BudgetExceeded(
+                        "deadline exhausted before the engine started"
+                    )
+                else:
+                    share = remaining / (len(chain) - index)
+                    attempt_scope = apply(run_budget.sliced(share))
+                request = _Request(
+                    plan.quantity, plan.epsilon, plan.delta,
+                    _attempt_rng(rng_base, name), plan.adaptive,
+                    plan.verdict,
                 )
-            except FallbackExhausted as exc:
-                raise FallbackExhausted(
-                    str(exc), tuple(attempts) + tuple(exc.attempts)
-                ) from None
-            if attempts:
-                result = replace(
-                    result, attempts=tuple(attempts) + result.attempts
-                )
-            return result
-        with obs.span("runtime.run", engines=len(chain), quantity=quantity):
-            for index, name in enumerate(chain):
-                if name in STATIC_SAFE_ENGINES:
-                    skip_detail = static_skip_detail(name, dichotomy())
-                    if skip_detail is not None:
-                        attempts.append(record_skip(name, skip_detail))
-                        continue
-                obs.inc("runtime.attempts")
-                attempt_start = clock()
-                try:
-                    # Fair-share time slicing: under a deadline, each
-                    # attempt gets remaining / attempts_left seconds, so
-                    # one stalled engine cannot starve the rest of the
-                    # chain; an attempt that finishes early rolls its
-                    # unused share forward.
-                    remaining = run_budget.remaining_time()
-                    if remaining is None:
-                        attempt_scope = nullcontext()
-                    elif remaining <= 0:
-                        raise BudgetExceeded(
-                            "deadline exhausted before the engine started"
-                        )
-                    else:
-                        share = remaining / (len(chain) - index)
-                        attempt_scope = apply(run_budget.sliced(share))
-                    request = _Request(
-                        quantity, epsilon, delta,
-                        _attempt_rng(rng_base, name), adaptive,
-                    )
-                    with attempt_scope:
-                        with obs.span("runtime.attempt", engine=name):
-                            answer = ENGINES[name](db, query, request)
-                except (CostRefused, BudgetExceeded, QueryError) as exc:
-                    attempt_elapsed = clock() - attempt_start
-                    outcome, counter = _classify_failure(exc)
-                    obs.inc(counter)
-                    obs.inc("runtime.fallbacks")
-                    obs.event(
-                        "runtime.fallback",
-                        engine=name,
-                        outcome=outcome,
-                        detail=str(exc),
-                    )
-                    if features is not None:
-                        obs.event(
-                            "runtime.attempt.cost",
-                            engine=name,
-                            outcome=outcome,
-                            seconds=attempt_elapsed,
-                            **features,
-                        )
-                    attempts.append(
-                        Attempt(name, outcome, str(exc), attempt_elapsed)
-                    )
-                    continue
+                with attempt_scope:
+                    with obs.span("runtime.attempt", engine=name):
+                        answer = ENGINES[name](plan.db, plan.query, request)
+            except (CostRefused, BudgetExceeded, QueryError) as exc:
                 attempt_elapsed = clock() - attempt_start
+                outcome, counter = classify_failure(exc)
+                obs.inc(counter)
+                obs.inc("runtime.fallbacks")
+                obs.event(
+                    "runtime.fallback",
+                    engine=name,
+                    outcome=outcome,
+                    detail=str(exc),
+                )
                 if features is not None:
                     obs.event(
                         "runtime.attempt.cost",
                         engine=name,
-                        outcome="ok",
+                        outcome=outcome,
                         seconds=attempt_elapsed,
                         **features,
                     )
-                if model is not None:
-                    _record_prediction_error(
-                        model, name, features, attempt_elapsed
-                    )
-                attempts.append(Attempt(name, "ok", "", attempt_elapsed))
-                result = RuntimeResult(
-                    value=answer.value,
-                    engine=name,
-                    guarantee=answer.guarantee,
-                    quantity=quantity,
-                    epsilon=answer.epsilon,
-                    delta=answer.delta,
-                    attempts=tuple(attempts),
-                    elapsed=clock() - started,
-                    fraction=answer.fraction,
+                attempts.append(
+                    Attempt(name, outcome, str(exc), attempt_elapsed)
                 )
-                obs.inc("runtime.completed")
+                continue
+            attempt_elapsed = clock() - attempt_start
+            if features is not None:
                 obs.event(
-                    "runtime.result",
+                    "runtime.attempt.cost",
                     engine=name,
-                    guarantee=answer.guarantee,
-                    attempts=len(attempts),
+                    outcome="ok",
+                    seconds=attempt_elapsed,
+                    **features,
                 )
-                return result
+            if plan.model is not None:
+                _record_prediction_error(
+                    plan.model, name, features, attempt_elapsed
+                )
+            attempts.append(Attempt(name, "ok", "", attempt_elapsed))
+            result = RuntimeResult(
+                value=answer.value,
+                engine=name,
+                guarantee=answer.guarantee,
+                quantity=plan.quantity,
+                epsilon=answer.epsilon,
+                delta=answer.delta,
+                attempts=tuple(attempts),
+                elapsed=clock() - started,
+                fraction=answer.fraction,
+            )
+            obs.inc("runtime.completed")
+            obs.event(
+                "runtime.result",
+                engine=name,
+                guarantee=answer.guarantee,
+                attempts=len(attempts),
+            )
+            return result
     obs.inc("runtime.exhausted")
     raise FallbackExhausted(
         f"all {len(chain)} engines failed "
@@ -677,10 +656,7 @@ def run_update_stream(
     from repro.runtime.budget import checkpoint
     from repro.runtime.preflight import preflight_delta
 
-    if quantity not in ("reliability", "probability"):
-        raise QueryError(
-            f"unknown quantity {quantity!r}; use 'reliability' or 'probability'"
-        )
+    check_quantity(quantity)
     scope = apply(budget) if budget is not None else nullcontext()
     with scope:
         with obs.span("runtime.update_stream", updates=len(updates)):

@@ -248,7 +248,7 @@ def inject(
 
 
 class _VirtualEntity:
-    __slots__ = ("index", "name", "resume", "vtime", "finished")
+    __slots__ = ("index", "name", "resume", "vtime", "finished", "thread")
 
     def __init__(self, index: int, name: str, vtime: float):
         self.index = index
@@ -256,6 +256,7 @@ class _VirtualEntity:
         self.resume = threading.Event()
         self.vtime = vtime
         self.finished = False
+        self.thread: Optional[threading.Thread] = None
 
 
 class VirtualScheduler:
@@ -368,10 +369,10 @@ class VirtualScheduler:
                     self._pending.append(entity.index)
                 self._wake_driver.set()
 
-        thread = threading.Thread(
+        entity.thread = threading.Thread(
             target=body, name=f"repro-vracer-{entity.index}-{label}", daemon=True
         )
-        thread.start()
+        entity.thread.start()
         return entity.index
 
     def _grant(self, entity: _VirtualEntity) -> None:
@@ -382,9 +383,12 @@ class VirtualScheduler:
 
     def _collect_pending(self) -> None:
         with self._lock:
-            if self._pending:
-                self._completions.extend(self._pending)
-                self._pending.clear()
+            done, self._pending = self._pending, []
+        for index in done:
+            # A finished entity's thread only returns after queueing
+            # itself: joining here means none outlives its delivery.
+            self._entities[index].thread.join()
+        self._completions.extend(done)
 
     def wait(self, timeout: Optional[float] = None) -> None:
         """Advance virtual time until a completion or ``timeout`` passes.

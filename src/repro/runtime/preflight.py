@@ -12,7 +12,10 @@ and the limit) when the run is hopeless.
 
 ``CostRefused`` is cheap to catch — nothing was computed — which is what
 lets the fallback executor walk a chain of engines without paying for
-the ones that would have blown up.
+the ones that would have blown up.  Each ``*_refusal`` function is the
+same check without the raise or the ``preflight.*`` counter: forecasts
+(:mod:`repro.runtime.plan`) read it to predict a refusal before any
+engine runs.
 """
 
 from __future__ import annotations
@@ -25,18 +28,43 @@ from repro.util.errors import CostRefused
 
 __all__ = [
     "worlds_cost",
+    "worlds_refusal",
     "preflight_worlds",
     "grounding_cost",
+    "grounding_refusal",
     "preflight_grounding",
+    "samples_refusal",
     "preflight_samples",
     "delta_update_cost",
     "preflight_delta",
 ]
 
 
+def _enforce(refusal: Optional[CostRefused], counter: str) -> None:
+    if refusal is not None:
+        obs.inc(counter)
+        raise refusal
+
+
 def worlds_cost(atom_count: int) -> int:
     """Worlds Theorem 4.2's enumeration evaluates: ``2 ** atom_count``."""
     return 1 << atom_count
+
+
+def worlds_refusal(atom_count: int, budget: Budget) -> Optional[CostRefused]:
+    """The refusal :func:`preflight_worlds` would raise, or ``None``."""
+    limit = budget.world_limit()
+    estimate = worlds_cost(atom_count)
+    if limit is None or estimate <= limit:
+        return None
+    return CostRefused(
+        f"world enumeration over {atom_count} uncertain atoms needs "
+        f"2^{atom_count} = {estimate} worlds, over the budget limit "
+        f"of {limit}; raise Budget(max_worlds=...) / "
+        f"Budget(max_atoms=...) or use a sampling engine",
+        estimate=estimate,
+        limit=limit,
+    )
 
 
 def preflight_worlds(atom_count: int, budget: Optional[Budget] = None) -> int:
@@ -48,19 +76,8 @@ def preflight_worlds(atom_count: int, budget: Optional[Budget] = None) -> int:
     ``budget`` defaults to the active one.
     """
     budget = budget if budget is not None else active_budget()
-    limit = budget.world_limit()
-    estimate = worlds_cost(atom_count)
-    if limit is not None and estimate > limit:
-        obs.inc("preflight.worlds_refused")
-        raise CostRefused(
-            f"world enumeration over {atom_count} uncertain atoms needs "
-            f"2^{atom_count} = {estimate} worlds, over the budget limit "
-            f"of {limit}; raise Budget(max_worlds=...) / "
-            f"Budget(max_atoms=...) or use a sampling engine",
-            estimate=estimate,
-            limit=limit,
-        )
-    return estimate
+    _enforce(worlds_refusal(atom_count, budget), "preflight.worlds_refused")
+    return worlds_cost(atom_count)
 
 
 def grounding_cost(
@@ -74,6 +91,27 @@ def grounding_cost(
     ``n^width * |clauses|`` bound.
     """
     return template_count * universe_size**variable_count
+
+
+def grounding_refusal(
+    universe_size: int,
+    variable_count: int,
+    template_count: int,
+    budget: Budget,
+) -> Optional[CostRefused]:
+    """The refusal :func:`preflight_grounding` would raise, or ``None``."""
+    limit = budget.max_ground_clauses
+    estimate = grounding_cost(universe_size, variable_count, template_count)
+    if limit is None or estimate <= limit:
+        return None
+    return CostRefused(
+        f"grounding would instantiate {template_count} clause "
+        f"templates * {universe_size}^{variable_count} = {estimate} "
+        f"clauses, over the budget limit of {limit}; raise "
+        f"Budget(max_ground_clauses=...) or use a sampling engine",
+        estimate=estimate,
+        limit=limit,
+    )
 
 
 def preflight_grounding(
@@ -90,19 +128,11 @@ def preflight_grounding(
     :class:`CostRefused` otherwise.
     """
     budget = budget if budget is not None else active_budget()
-    limit = budget.max_ground_clauses
-    estimate = grounding_cost(universe_size, variable_count, template_count)
-    if limit is not None and estimate > limit:
-        obs.inc("preflight.grounding_refused")
-        raise CostRefused(
-            f"grounding would instantiate {template_count} clause "
-            f"templates * {universe_size}^{variable_count} = {estimate} "
-            f"clauses, over the budget limit of {limit}; raise "
-            f"Budget(max_ground_clauses=...) or use a sampling engine",
-            estimate=estimate,
-            limit=limit,
-        )
-    return estimate
+    _enforce(
+        grounding_refusal(universe_size, variable_count, template_count, budget),
+        "preflight.grounding_refused",
+    )
+    return grounding_cost(universe_size, variable_count, template_count)
 
 
 def delta_update_cost(node_count: int, update_count: int) -> int:
@@ -146,6 +176,24 @@ def preflight_delta(
     return estimate
 
 
+def samples_refusal(
+    sample_count: int, remaining: Optional[int]
+) -> Optional[CostRefused]:
+    """The refusal :func:`preflight_samples` would raise, or ``None``.
+
+    ``remaining`` is the sample allowance left (``None``: uncapped).
+    """
+    if remaining is None or sample_count <= remaining:
+        return None
+    return CostRefused(
+        f"estimator needs {sample_count} samples but only "
+        f"{remaining} remain under the budget's max_samples cap; "
+        f"loosen epsilon/delta or raise Budget(max_samples=...)",
+        estimate=sample_count,
+        limit=remaining,
+    )
+
+
 def preflight_samples(sample_count: int, budget: Optional[Budget] = None) -> int:
     """Refuse a sampling run whose budget cannot fit its sample count.
 
@@ -156,14 +204,8 @@ def preflight_samples(sample_count: int, budget: Optional[Budget] = None) -> int
     ``sample_count`` when it fits (or the budget is uncapped).
     """
     budget = budget if budget is not None else active_budget()
-    remaining = budget.remaining_samples()
-    if remaining is not None and sample_count > remaining:
-        obs.inc("preflight.samples_refused")
-        raise CostRefused(
-            f"estimator needs {sample_count} samples but only "
-            f"{remaining} remain under the budget's max_samples cap; "
-            f"loosen epsilon/delta or raise Budget(max_samples=...)",
-            estimate=sample_count,
-            limit=remaining,
-        )
+    _enforce(
+        samples_refusal(sample_count, budget.remaining_samples()),
+        "preflight.samples_refused",
+    )
     return sample_count

@@ -20,13 +20,14 @@ Mechanics, all built from existing runtime machinery:
 * cancellation is a :class:`~repro.runtime.budget.CancelToken` checked
   at every checkpoint — losers unwind through the ``BudgetExceeded``
   path the engines already have;
-* sample headroom uses the *same* cumulative chain-order accounting
-  :func:`repro.runtime.costmodel.plan_chain` simulates, which is what
-  lets ``analyze --race`` forecast the winner of ``run --race``;
+* sample headroom is reserved in chain order from each engine's
+  forecast (:meth:`repro.runtime.plan.Plan.forecast`);
 * the scheduler is pluggable: :class:`ThreadScheduler` races real
   threads on the wall clock, while the deterministic virtual-clock
   :class:`~repro.runtime.faults.VirtualScheduler` replays any scripted
-  fault interleaving bit-for-bit (see docs/ROBUSTNESS.md).
+  fault interleaving bit-for-bit (see docs/ROBUSTNESS.md).  ``analyze
+  --race`` forecasts by running this same driver on a virtual clock
+  with stub engines that take their predicted seconds.
 
 Winner selection: when a racer finishes ``ok`` at tier rank ``r``,
 every contender at rank ``>= r`` is cancelled (it could at best tie)
@@ -46,6 +47,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.runtime import executor as _executor
 from repro.runtime.budget import Budget, CancelToken, RacerBudget, apply
 from repro.util.errors import (
     BudgetExceeded,
@@ -57,7 +59,6 @@ from repro.util.errors import (
 __all__ = [
     "DEFAULT_OVERLAP",
     "NOMINAL_SHARE_SECONDS",
-    "GUARANTEE_RANK",
     "ThreadScheduler",
     "use_scheduler",
     "current_scheduler",
@@ -73,10 +74,6 @@ DEFAULT_OVERLAP = 0.5
 #: Fair-share stand-in when the budget has no deadline: the stagger
 #: between launches is ``overlap * NOMINAL_SHARE_SECONDS``.
 NOMINAL_SHARE_SECONDS = 1.0
-
-#: Guarantee tiers by strength rank (lower is stronger); mirrors
-#: :data:`repro.runtime.executor.GUARANTEE_ORDER`.
-GUARANTEE_RANK = {"exact": 0, "relative": 1, "additive": 2}
 
 #: Real-mode grace period for joining cancelled losers before
 #: abandoning their (daemon) threads, in seconds.  Joining a stalled
@@ -326,68 +323,40 @@ class _Racer:
         self.launched_at = 0.0
 
 
-def _reserved_samples(
-    db, query, quantity: str, epsilon: float, delta: float,
-    name: str, budget: Budget, samples_used: int,
-) -> int:
-    """Predicted sample need of one racer — the reservation it claims.
-
-    Reuses the *forecast* machinery of :mod:`repro.runtime.costmodel`
-    verbatim, so the executor's cumulative chain-order reservation is
-    byte-identical to the accounting ``plan_chain(race=...)`` simulates:
-    that identity is what makes the racing forecast exact for
-    ``max_samples`` budgets.
-    """
-    from repro.runtime import costmodel
-
-    if name == "karp_luby":
-        try:
-            return costmodel._forecast_karp_luby(
-                db, query, quantity, epsilon, delta, budget, samples_used
-            )[2]
-        except QueryError:
-            return 0
-    if name == "montecarlo":
-        return costmodel._forecast_montecarlo(
-            db, query, quantity, epsilon, delta, budget, samples_used
-        )[2]
-    return 0
-
-
 def run_race(
-    db,
-    query,
+    plan,
     chain: Sequence[str],
     run_budget: Budget,
-    quantity: str,
-    epsilon: float,
-    delta: float,
     rng_base: int,
-    model,
-    features,
-    overlap: float,
-    adaptive: bool = False,
+    scheduler=None,
+    engines=None,
+    emit=obs,
 ):
     """Race ``chain`` speculatively; returns a ``RuntimeResult``.
 
-    Called by :func:`repro.runtime.executor.run_with_fallback` after
-    validation and cost-model ordering, inside the budget scope.
+    Called by :func:`repro.runtime.executor.run_with_fallback` with its
+    plan and the dichotomy-partitioned chain, inside the budget scope.
     ``rng_base`` seeds the per-attempt generators (the same derivation
     the sequential walk uses, so a race winner's value equals the value
-    a sequential run of that engine would have produced).
+    a sequential run of that engine would have produced).  The race
+    forecast passes its own ``scheduler``, stub ``engines`` and
+    ``emit=obs.NULL`` in place of the process recorder.
     """
-    import random
-
-    from repro.runtime import costmodel
-    from repro.runtime import executor as _executor
-
-    scheduler = _forced_scheduler if _forced_scheduler is not None else ThreadScheduler()
+    if scheduler is None:
+        scheduler = (
+            _forced_scheduler if _forced_scheduler is not None
+            else ThreadScheduler()
+        )
+    if engines is None:
+        engines = _executor.ENGINES
+    db, query, quantity = plan.db, plan.query, plan.quantity
+    model, features, overlap = plan.model, plan.features, plan.overlap
     started = scheduler.now()
     chain = tuple(chain)
     total = len(chain)
     racers = [
-        _Racer(i, name, GUARANTEE_RANK.get(
-            costmodel.engine_guarantee(name, quantity), len(GUARANTEE_RANK)))
+        _Racer(i, name, _executor.GUARANTEE_RANK[
+            _executor.engine_guarantee(name, quantity)])
         for i, name in enumerate(chain)
     ]
     pending = deque(racers)
@@ -400,15 +369,12 @@ def run_race(
     samples_reserved = 0
     next_launch_at = scheduler.now()
 
-    def attempt_request(name: str):
-        return _executor._Request(
-            quantity, epsilon, delta,
-            random.Random(f"{rng_base:x}:attempt:{name}"),
-            adaptive,
-        )
-
     def make_body(racer: _Racer, share: Optional[float], headroom: Optional[int]):
-        request = attempt_request(racer.name)
+        request = _executor._Request(
+            quantity, plan.epsilon, plan.delta,
+            _executor._attempt_rng(rng_base, racer.name),
+            plan.adaptive, plan.verdict,
+        )
 
         def body():
             racer_budget = RacerBudget(
@@ -424,7 +390,7 @@ def run_race(
             t0 = scheduler.now()
             try:
                 with apply(racer_budget):
-                    answer = _executor.ENGINES[racer.name](db, query, request)
+                    answer = engines[racer.name](db, query, request)
                 if racer.token.cancelled:
                     # Finished past its last checkpoint after losing the
                     # race: the answer is discarded, never merged.
@@ -438,7 +404,7 @@ def run_race(
                     racer.outcome = "cancelled"
                     racer.detail = racer.token.reason or str(exc)
                 else:
-                    racer.outcome, racer.counter = _executor._classify_failure(exc)
+                    racer.outcome, racer.counter = _executor.classify_failure(exc)
                     racer.detail = str(exc)
             except BaseException as exc:  # a genuine bug: carry to the driver
                 racer.outcome = "crashed"
@@ -451,10 +417,10 @@ def run_race(
 
     def record_attempt(racer: _Racer) -> None:
         completed.append(racer)
-        obs.inc("runtime.attempts")
+        emit.inc("runtime.attempts")
         if racer.outcome == "ok":
             if features is not None:
-                obs.event(
+                emit.event(
                     "runtime.attempt.cost",
                     engine=racer.name,
                     outcome="ok",
@@ -467,11 +433,11 @@ def run_race(
                 )
             return
         if racer.counter:
-            obs.inc(racer.counter)
+            emit.inc(racer.counter)
         if racer.outcome == "cancelled":
-            obs.inc("runtime.race.cancelled")
-        obs.inc("runtime.fallbacks")
-        obs.event(
+            emit.inc("runtime.race.cancelled")
+        emit.inc("runtime.fallbacks")
+        emit.event(
             "runtime.fallback",
             engine=racer.name,
             outcome=racer.outcome,
@@ -480,7 +446,7 @@ def run_race(
         if features is not None and racer.outcome in (
             "cost_refused", "budget_exceeded", "fragment_mismatch"
         ):
-            obs.event(
+            emit.event(
                 "runtime.attempt.cost",
                 engine=racer.name,
                 outcome=racer.outcome,
@@ -539,7 +505,7 @@ def run_race(
                 # answer preempts the held one.
                 held.outcome = "preempted"
                 held.detail = f"preempted by stronger engine {racer.name!r}"
-                obs.inc("runtime.race.preempted")
+                emit.inc("runtime.race.preempted")
                 record_attempt(held)
             held = racer
         else:
@@ -572,18 +538,17 @@ def run_race(
         headroom = None
         if cap is not None:
             headroom = max(0, cap - run_budget.samples - samples_reserved)
-        samples_reserved += _reserved_samples(
-            db, query, quantity, epsilon, delta,
-            racer.name, run_budget, samples_reserved,
-        )
+        samples_reserved += plan.forecast(
+            racer.name, run_budget, samples_reserved
+        )[2]
         racer.launched_at = now
         body = make_body(racer, share, headroom)
         racer.entity = scheduler.spawn(racer.name, body)
         by_entity[racer.entity] = racer
         running.append(racer)
         contenders.append(racer)
-        obs.inc("runtime.race.launched")
-        obs.event(
+        emit.inc("runtime.race.launched")
+        emit.event(
             "runtime.race.launch",
             engine=racer.name,
             index=racer.index,
@@ -593,7 +558,7 @@ def run_race(
         stagger = overlap * (share if share is not None else NOMINAL_SHARE_SECONDS)
         next_launch_at = now + stagger
 
-    with obs.span(
+    with emit.span(
         "runtime.race", engines=total, quantity=quantity, overlap=overlap
     ):
         while True:
@@ -634,7 +599,7 @@ def run_race(
             racer.elapsed = scheduler.now() - racer.launched_at
             record_attempt(racer)
         if abandoned_count:
-            obs.inc("runtime.race.abandoned", abandoned_count)
+            emit.inc("runtime.race.abandoned", abandoned_count)
 
         # Fold private ledgers back into the shared budget (losers too:
         # their draws were really spent) — direct adds, no enforcement;
@@ -655,13 +620,13 @@ def run_race(
                 run_budget.ground_clauses += racer.budget.ground_clauses
             if winner is None or racer is not winner:
                 wasted += racer.elapsed
-        obs.observe("runtime.race.wasted_seconds", wasted)
+        emit.observe("runtime.race.wasted_seconds", wasted)
 
         if winner is not None:
             record_attempt(winner)
-            obs.inc("runtime.race.won")
-            obs.inc("runtime.completed")
-            obs.event(
+            emit.inc("runtime.race.won")
+            emit.inc("runtime.completed")
+            emit.event(
                 "runtime.race.result",
                 engine=winner.name,
                 guarantee=winner.answer.guarantee,
@@ -669,7 +634,7 @@ def run_race(
                 cancelled=sum(1 for r in completed if r.outcome == "cancelled"),
                 wasted_seconds=wasted,
             )
-            obs.event(
+            emit.event(
                 "runtime.result",
                 engine=winner.name,
                 guarantee=winner.answer.guarantee,
@@ -681,7 +646,7 @@ def run_race(
         for r in completed
     )
     if winner is None:
-        obs.inc("runtime.exhausted")
+        emit.inc("runtime.exhausted")
         raise FallbackExhausted(
             f"all {total} engines failed "
             f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",

@@ -6,9 +6,10 @@ process; this package is the layer that stops assuming.  A
 :class:`~repro.runtime.budget.Budget`/deadline, and schedules them over
 one shared worker pool with:
 
-* **admission control** via :func:`repro.runtime.costmodel.plan_chain`
-  forecasts — hopeless or deadline-unmeetable work is refused with a
-  structured response before it queues
+* **admission control** by forecasting the plan the executor would run
+  (:func:`repro.runtime.costmodel.plan_chain`, the same forecast
+  ``repro analyze`` prints) — hopeless or deadline-unmeetable work is
+  refused with a structured response before it queues
   (:mod:`repro.serve.admission`);
 * a **load-shedding guarantee ladder** that degrades admission tiers
   (exact → relative → additive, the paper's Corollary 5.5 axis) as the

@@ -1,9 +1,11 @@
 """Admission control: forecasts, deadlines, and the degradation ladder.
 
-Every request is assessed *before* it may queue, using the same
-:func:`repro.runtime.costmodel.plan_chain` dry run ``repro analyze``
-prints — admission and execution share one cost model, so a request
-the forecast refuses is a request the executor would have refused.
+Every request is assessed *before* it may queue, by forecasting the
+same plan the executor would run (:func:`repro.runtime.costmodel.
+plan_chain`, the forecast ``repro analyze`` prints) — admission and
+execution share one validation, one cost model and one dichotomy
+verdict, so a request the forecast refuses is a request the executor
+would have refused.
 
 The :class:`DegradationLadder` is the overload policy the paper's
 guarantee tiers make principled: under pressure the server does not
@@ -23,7 +25,7 @@ from typing import Optional, Tuple
 
 from repro.runtime import costmodel
 from repro.runtime.budget import Budget
-from repro.runtime.racing import GUARANTEE_RANK
+from repro.runtime.executor import GUARANTEE_RANK, engine_guarantee
 from repro.util.errors import QueryError, ResourceError
 
 from repro.serve import request as rq
@@ -76,37 +78,9 @@ def tier_filter(
     filtered = tuple(
         engine
         for engine in chain
-        if GUARANTEE_RANK[costmodel.engine_guarantee(engine, quantity)] >= floor
+        if GUARANTEE_RANK[engine_guarantee(engine, quantity)] >= floor
     )
     return filtered if filtered else chain
-
-
-def retain_safe_tier(
-    chain: Tuple[str, ...],
-    filtered: Tuple[str, ...],
-    query,
-    tier: str,
-) -> Tuple[str, ...]:
-    """Keep ``safe_lifted`` through ladder degradation for safe queries.
-
-    The ladder sheds the *expensive* exact engines; a statically safe
-    query's lifted plan is polynomial — cheaper than the samplers the
-    degraded tier falls back to — so dropping it would make an
-    overloaded server do strictly more work for a weaker answer.  When
-    the dichotomy classifier proves the query safe, the static tier is
-    re-prepended to the degraded chain.
-    """
-    if (
-        tier == "exact"
-        or "safe_lifted" not in chain
-        or "safe_lifted" in filtered
-    ):
-        return filtered
-    from repro.logic.safety import classify_dichotomy
-
-    if not classify_dichotomy(query).safe:
-        return filtered
-    return ("safe_lifted",) + filtered
 
 
 @dataclass(frozen=True)
@@ -142,27 +116,30 @@ def assess(
     """Decide one request's admission against the current backlog depth.
 
     Order of checks: ladder tier for the depth, then the ``plan_chain``
-    dry run of the tier-filtered chain under the request's own budget
+    forecast of the tier-filtered chain under the request's own budget
     (no engine forecast ``ok`` → ``cost_refused``), then the selected
     engine's predicted seconds against the deadline
     (``deadline_unmeetable``).  Malformed queries surface as
-    ``invalid``.  The caller's budget is never consumed — the dry run
+    ``invalid``.  The caller's budget is never consumed — the forecast
     is read-only, exactly as ``repro analyze`` is.
 
-    ``adaptive`` forwards to the ``plan_chain`` dry run: predicted
+    ``adaptive`` forwards to the ``plan_chain`` forecast: predicted
     seconds for the sampling engines then price the surrogate's
     expected early stopping, so a warm surrogate admits requests a
     worst-case forecast would refuse under the same deadline.
     """
     tier = ladder.tier_for_depth(depth)
     filtered = tier_filter(chain, request.quantity, tier)
+    # The ladder sheds the expensive exact engines, but a statically
+    # safe query's lifted plan is polynomial — cheaper than the
+    # samplers a degraded tier falls back to.  The static tier is
+    # planned along, and kept only when the plan's verdict is safe.
+    keep_static = "safe_lifted" in chain and "safe_lifted" not in filtered
     try:
-        query = request.resolved_query()
-        filtered = retain_safe_tier(chain, filtered, query, tier)
         plan = costmodel.plan_chain(
             db,
-            query,
-            chain=filtered,
+            request.resolved_query(),
+            chain=("safe_lifted",) + filtered if keep_static else filtered,
             budget=budget,
             quantity=request.quantity,
             epsilon=request.epsilon,
@@ -172,26 +149,30 @@ def assess(
         )
     except QueryError as exc:
         return AdmissionDecision(rq.INVALID, tier, filtered, str(exc))
+    forecasts = plan.forecasts
+    if keep_static and plan.dichotomy.safe:
+        filtered = ("safe_lifted",) + filtered
+    elif keep_static:
+        forecasts = tuple(f for f in forecasts if f.engine != "safe_lifted")
+    planned = tuple(f.engine for f in forecasts)
     if plan.selected is None:
         reasons = "; ".join(
-            f"{f.engine}: {f.detail or f.outcome}" for f in plan.forecasts
+            f"{f.engine}: {f.detail or f.outcome}" for f in forecasts
         )
         return AdmissionDecision(
             rq.COST_REFUSED, tier, filtered, f"no engine admissible ({reasons})"
         )
-    forecast = {f.engine: f.predicted_seconds for f in plan.forecasts}
+    forecast = {f.engine: f.predicted_seconds for f in forecasts}
     predicted = forecast[plan.selected]
     remaining = budget.remaining_time()
     if remaining is None or predicted <= remaining:
-        return AdmissionDecision(ADMITTED, tier, plan.chain, "", predicted)
+        return AdmissionDecision(ADMITTED, tier, planned, "", predicted)
     # The preferred engine cannot finish in time.  Before refusing,
     # fall forward through the plan: admit on the engines whose own
     # forecasts fit the deadline (deadline pressure is just another
     # degradation axis — serve a weaker answer rather than none).
     fitting = tuple(
-        engine
-        for engine in plan.chain
-        if forecast.get(engine, 0.0) <= remaining
+        engine for engine in planned if forecast[engine] <= remaining
     )
     if fitting:
         return AdmissionDecision(

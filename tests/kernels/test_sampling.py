@@ -213,3 +213,27 @@ def test_batched_respects_budget(triangle_db):
             estimate_truth_probability(
                 triangle_db, QUERY, make_rng(1), samples=SAMPLES
             )
+
+
+def test_tracing_does_not_change_sampled_answers():
+    """A recorder must not change the batch split, hence the samples."""
+    from repro.reliability.approx import existential_probability
+    from repro.workloads.random_db import random_unreliable_database
+
+    db = random_unreliable_database(
+        make_rng(7), size=6, relations={"E": 2, "S": 1}, density=0.5
+    )
+    query = "exists x. E(x, x) & S(x)"
+
+    def answers():
+        return (
+            estimate_truth_probability(db, query, make_rng(3), samples=SAMPLES),
+            estimate_reliability_hamming(db, query, make_rng(3), samples=SAMPLES),
+            existential_probability(db, query, 0.05, 0.05, make_rng(3)).value,
+        )
+
+    untraced = answers()
+    with obs.recording() as recorder:
+        traced = answers()
+    assert traced == untraced
+    assert recorder.summary()["counters"]["kernels.batches"] > 0

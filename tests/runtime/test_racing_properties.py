@@ -22,7 +22,7 @@ from repro.logic.safety import classify_dichotomy
 from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime import costmodel, faults, racing
+from repro.runtime import costmodel, executor, faults, racing
 from repro.runtime.budget import Budget
 from repro.runtime.executor import (
     DEFAULT_CHAIN,
@@ -62,7 +62,7 @@ DB = _make_db()
 
 
 def _rank(engine, quantity="reliability"):
-    return racing.GUARANTEE_RANK[costmodel.engine_guarantee(engine, quantity)]
+    return executor.GUARANTEE_RANK[costmodel.engine_guarantee(engine, quantity)]
 
 
 FAULTS = st.one_of(

@@ -219,28 +219,34 @@ class TestDegradationLadder:
         assert tier_filter(("exact",), "reliability", "additive") == ("exact",)
 
     def test_retain_safe_tier_keeps_safe_lifted_under_degradation(self):
-        from repro.serve.admission import retain_safe_tier
+        from repro.serve.admission import assess
+        from repro.serve.request import ServeRequest
+        from repro.util.rng import make_rng
+        from repro.workloads.random_db import random_unreliable_database
 
+        db = random_unreliable_database(
+            make_rng(3), size=3, relations={"E": 2, "S": 1}, density=0.5
+        )
         safe = "exists x. exists y. E(x, y) & S(y)"
         unsafe = "exists x. exists y. E(x, y) & S(x) & S(y)"
+        ladder = DegradationLadder(relative_at=1, additive_at=2)
+
+        def admitted_chain(query, chain, depth):
+            decision = assess(
+                db, ServeRequest("q", query), chain, depth, ladder, Budget()
+            )
+            assert decision.code == "admitted", decision.detail
+            return decision.chain
+
         degraded = tier_filter(DEFAULT_CHAIN, "reliability", "additive")
         assert "safe_lifted" not in degraded
         # Statically safe: the polynomial tier is re-prepended.
-        assert retain_safe_tier(DEFAULT_CHAIN, degraded, safe, "additive") == (
+        assert admitted_chain(safe, DEFAULT_CHAIN, 2) == (
             ("safe_lifted",) + degraded
         )
         # Unsafe (non-hierarchical) or full-strength: chain unchanged.
-        assert (
-            retain_safe_tier(DEFAULT_CHAIN, degraded, unsafe, "additive")
-            == degraded
-        )
-        assert (
-            retain_safe_tier(DEFAULT_CHAIN, DEFAULT_CHAIN, safe, "exact")
-            == DEFAULT_CHAIN
-        )
+        assert admitted_chain(unsafe, DEFAULT_CHAIN, 2) == degraded
+        assert admitted_chain(safe, DEFAULT_CHAIN, 0) == DEFAULT_CHAIN
         # A chain that never had the static tier is left alone.
         no_tier = ("exact", "montecarlo")
-        assert (
-            retain_safe_tier(no_tier, ("montecarlo",), safe, "additive")
-            == ("montecarlo",)
-        )
+        assert admitted_chain(safe, no_tier, 2) == ("montecarlo",)
