@@ -12,16 +12,22 @@ Two primitives live here:
 * :func:`bernoulli_column` — ``S`` independent Bernoulli(p) bits from
   a ``random.Random``, exact for any float ``p`` via its (finite)
   dyadic expansion: the column is the lane-wise comparison ``U < p``
-  of a uniform bit-stream against the bits of ``p``, processed from
-  the deepest bit up, which costs one ``getrandbits(S)`` per bit of
-  ``p`` (at most 54) instead of ``S`` calls to ``rng.random()``.
+  of a uniform bit-stream against the bits of ``p``, most significant
+  bit first, stopping as soon as every lane is decided — about
+  ``log2(S) + 2`` ``getrandbits(S)`` calls instead of ``S`` calls to
+  ``rng.random()`` (and instead of one per bit of ``p``, up to 53).
+
+Two helpers serve the Karp–Luby and Hamming workers:
+:func:`add_to_counter` and :func:`count_tally` keep a per-lane count
+as a vertical (carry-save) stack of bit planes, so counting covers
+never loops over lanes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 # Default batch width: worlds evaluated per column batch.  4096 bits is
 # 64 machine words per big-int op — wide enough to amortise interpreter
@@ -92,30 +98,90 @@ def dyadic_bits(probability: Union[float, Fraction]) -> Tuple[int, ...]:
     return tuple((numerator >> (length - 1 - i)) & 1 for i in range(length))
 
 
+def column_bits(
+    probability: Union[float, Fraction]
+) -> Optional[Tuple[int, ...]]:
+    """What :func:`bernoulli_column` draws for ``probability``.
+
+    :func:`dyadic_bits`, except that ``p >= 1`` gives ``None`` — the
+    always-true column — instead of the empty (always-false) expansion.
+    """
+    if float(probability) >= 1.0:
+        return None
+    return dyadic_bits(probability)
+
+
 def bernoulli_column(
-    rng: random.Random, width: int, bits: Tuple[int, ...], full: int
+    rng: random.Random,
+    width: int,
+    bits: Optional[Tuple[int, ...]],
+    full: int,
 ) -> int:
     """``width`` independent Bernoulli bits with P(1) given by ``bits``.
 
-    ``bits`` is the dyadic expansion from :func:`dyadic_bits`; an empty
-    expansion means deterministic 0.  Lane ``s`` compares a fresh
-    uniform bit-stream against the expansion: starting from the deepest
-    bit, ``lt`` tracks "stream suffix < p suffix", and one more
-    significant bit updates it to *less* when the p-bit is 1 and the
-    stream bit is 0, *greater* in the opposite case, and *carry* on a
-    tie.  The result is exactly ``P(lane) = p`` per lane, matching the
-    scalar ``rng.random() < p`` distribution.
+    ``bits`` comes from :func:`column_bits`: the dyadic expansion of
+    ``p`` (empty means deterministic 0), or ``None`` for deterministic
+    1.  Lane ``s`` compares a fresh uniform bit-stream against the
+    expansion, most significant bit first: a lane is decided *less*
+    (set) where the p-bit is 1 and the stream bit is 0, *greater*
+    (clear) in the opposite case, and stays undecided on a tie.  Lanes
+    still undecided when the expansion ends are greater (p's remaining
+    bits are 0), so ``P(lane) = p`` exactly — the distribution of the
+    scalar ``rng.random() < p``.  The loop stops once no lane is
+    undecided; each draw halves the undecided lanes on average.
     """
-    if not bits:
-        return 0
-    less = 0
-    for bit in reversed(bits):
+    if bits is None:
+        return full
+    ones = 0
+    undecided = full
+    for bit in bits:
         stream = rng.getrandbits(width)
         if bit:
-            less = (~stream & full) | (stream & less)
+            ones |= undecided & ~stream
+            undecided &= stream
         else:
-            less = ~stream & less
-    return less & full
+            undecided &= ~stream
+        if not undecided:
+            break
+    return ones
+
+
+def add_to_counter(planes: List[int], mask: int) -> None:
+    """Add one to the per-lane count of every lane set in ``mask``.
+
+    ``planes[j]`` holds bit ``j`` of every lane's count; the addition
+    ripples a carry up the planes (amortised two big-int ops per add).
+    """
+    carry = mask
+    for level, plane in enumerate(planes):
+        planes[level] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    if carry:
+        planes.append(carry)
+
+
+def count_tally(planes: Sequence[int], full: int) -> List[Tuple[int, int]]:
+    """``(count, lanes with that count)`` pairs of a vertical counter.
+
+    Walks the planes from the top, splitting the lanes of each count
+    prefix by the next plane; empty groups are dropped, so the work is
+    bounded by the distinct counts present times the plane count.
+    Lanes of count 0 are included.
+    """
+    groups = [(0, full)]
+    for level in reversed(range(len(planes))):
+        plane = planes[level]
+        split = []
+        for value, lanes in groups:
+            high = lanes & plane
+            if high != lanes:
+                split.append((value, lanes ^ high))
+            if high:
+                split.append((value | 1 << level, high))
+        groups = split
+    return [(value, popcount(lanes)) for value, lanes in groups]
 
 
 def iter_set_bits(mask: int):

@@ -29,7 +29,7 @@ from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.kernels.bitops import dyadic_bits
+from repro.kernels.bitops import column_bits
 from repro.kernels.cache import compilation_cache
 from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
@@ -202,7 +202,7 @@ def _truth_plan_from_formula(db, formula: Formula) -> Optional[TruthPlan]:
     if dnf.is_false():
         return TruthPlan(None, (), negate, 1.0 if negate else 0.0)
     plan = DnfPlan(dnf)
-    bits = tuple(dyadic_bits(float(db.nu(atom))) for atom in plan.variables)
+    bits = tuple(column_bits(float(db.nu(atom))) for atom in plan.variables)
     return TruthPlan(plan, bits, negate, None)
 
 
@@ -260,7 +260,7 @@ def _hamming_plan(db, query: FOQuery) -> Optional[HammingPlan]:
                 variables.append(variable)
         clauses = _compile_clauses(dnf, index)
         tuples.append(HammingTuple(clauses, negate, observed, None))
-    bits = tuple(dyadic_bits(float(db.nu(atom))) for atom in variables)
+    bits = tuple(column_bits(float(db.nu(atom))) for atom in variables)
     return HammingPlan(tuple(variables), bits, tuple(tuples), cells)
 
 

@@ -11,9 +11,10 @@ per batch instead of a few thousand per *sample*.
 Determinism contract: the caller's ``rng`` contributes exactly one
 ``getrandbits(64)`` draw, which seeds an independent ``random.Random``
 per *batch index*.  Batch results are combined in index order, so the
-estimate is a pure function of (plan, seed, budget, trace cadence) —
-identical whether batches run sequentially or fanned out over any
-number of :mod:`repro.kernels.shard` workers.
+estimate is a pure function of (plan, seed, budget) — identical
+whether batches run sequentially or fanned out over any number of
+:mod:`repro.kernels.shard` workers, and whether or not a recorder is
+on.
 
 Budgets are charged through ``runtime.checkpoint`` at batch
 granularity (the documented accuracy of ``BudgetExceeded`` is one
@@ -24,12 +25,14 @@ scalar loops (``montecarlo.batch``, ``karp_luby.batch``, ...).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernels.bitops import (
+    add_to_counter,
     bernoulli_column,
+    column_bits,
+    count_tally,
     full_mask,
     pick_batch_bits,
     popcount,
@@ -41,11 +44,6 @@ from repro.kernels.plan import (
     satisfied_mask,
 )
 from repro.runtime.budget import checkpoint
-
-# Positions of the set bits in a byte, for coverage counting.
-_BYTE_BITS = tuple(
-    tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
-)
 
 
 def batch_rng(base: int, index: int) -> random.Random:
@@ -60,7 +58,7 @@ def batch_rng(base: int, index: int) -> random.Random:
 
 def draw_columns(
     rng: random.Random,
-    bits: Sequence[Tuple[int, ...]],
+    bits: Sequence[Optional[Tuple[int, ...]]],
     width: int,
     full: int,
 ) -> List[int]:
@@ -181,46 +179,22 @@ def sample_truth_batches(
 # ---------------------------------------------------------------------- #
 
 
-def hamming_batch_distance(
+def _hamming_diffs(
     plan: HammingPlan, base: int, index: int, width: int
-) -> int:
-    """Total Hamming distance over one batch of sampled worlds."""
-    rng = batch_rng(base, index)
-    full = full_mask(width)
-    columns = draw_columns(rng, plan.bits, width, full)
-    distance = 0
-    for cell in plan.tuples:
-        if cell.constant is not None:
-            if cell.constant != cell.observed:
-                distance += width
-            continue
-        sat = satisfied_mask(cell.clauses, columns, full)
-        if cell.negate:
-            sat ^= full
-        diff = sat ^ full if cell.observed else sat
-        if diff:
-            distance += popcount(diff)
-    return distance
+) -> Tuple[int, int, List[int]]:
+    """One batch's disagreement with the observed answer table.
 
-
-def hamming_block_moments(
-    plan: HammingPlan, base: int, index: int, width: int
-) -> Tuple[int, int]:
-    """Per-lane Hamming distance first and second moments of one block.
-
-    The adaptive controller needs the empirical variance of the
-    per-world distance, which :func:`hamming_batch_distance`'s batch
-    total cannot provide — so this worker extracts the per-lane
-    distances by byte through the same 256-entry bit-position table the
-    coverage estimator uses.  The lane total matches
-    ``hamming_batch_distance(plan, base, index, width)`` exactly.
+    Returns ``(full, constant, diffs)``: the batch's all-lanes mask,
+    the number of cells whose grounded DNF folded to a constant that
+    disagrees with the observation (they add to every lane's
+    distance), and one lane mask per sampled cell of the lanes where
+    the cell's truth value disagrees.
     """
     rng = batch_rng(base, index)
     full = full_mask(width)
     columns = draw_columns(rng, plan.bits, width, full)
     constant = 0
-    counts = [0] * width
-    nbytes = (width + 7) >> 3
+    diffs = []
     for cell in plan.tuples:
         if cell.constant is not None:
             if cell.constant != cell.observed:
@@ -230,19 +204,41 @@ def hamming_block_moments(
         if cell.negate:
             sat ^= full
         diff = sat ^ full if cell.observed else sat
-        if not diff:
-            continue
-        for byte_index, byte in enumerate(diff.to_bytes(nbytes, "little")):
-            if byte:
-                lane = byte_index << 3
-                for offset in _BYTE_BITS[byte]:
-                    counts[lane + offset] += 1
+        if diff:
+            diffs.append(diff)
+    return full, constant, diffs
+
+
+def hamming_batch_distance(
+    plan: HammingPlan, base: int, index: int, width: int
+) -> int:
+    """Total Hamming distance over one batch of sampled worlds."""
+    _, constant, diffs = _hamming_diffs(plan, base, index, width)
+    return constant * width + sum(popcount(diff) for diff in diffs)
+
+
+def hamming_block_moments(
+    plan: HammingPlan, base: int, index: int, width: int
+) -> Tuple[int, int]:
+    """Per-lane Hamming distance first and second moments of one block.
+
+    The adaptive controller needs the empirical variance of the
+    per-world distance, which :func:`hamming_batch_distance`'s batch
+    total cannot provide — so this worker counts, per lane, the cells
+    that disagree in a vertical counter and reads the lanes of each
+    distance off its tally.  The lane total matches
+    ``hamming_batch_distance(plan, base, index, width)`` exactly.
+    """
+    full, constant, diffs = _hamming_diffs(plan, base, index, width)
+    planes: List[int] = []
+    for diff in diffs:
+        add_to_counter(planes, diff)
     total = 0
     total_sq = 0
-    for count in counts:
+    for count, lanes in count_tally(planes, full):
         distance = count + constant
-        total += distance
-        total_sq += distance * distance
+        total += lanes * distance
+        total_sq += lanes * distance * distance
     return total, total_sq
 
 
@@ -290,79 +286,68 @@ def sample_hamming_batches(
 class KlPlan:
     """The picklable state of a batched Karp–Luby run.
 
-    ``clauses``/``bits`` come from the compiled DNF plan; ``cumulative``
-    and ``total_weight`` drive the weighted clause choice; ``method`` is
+    ``clauses``/``bits`` come from the compiled DNF plan; ``weights``
+    are the per-clause weights ``W_i`` (their sum is ``total_weight``)
+    and drive the clause choice through :attr:`tree`, the split tree
+    :func:`clause_split_tree` builds once per plan; ``method`` is
     ``"coverage"`` or ``"canonical"``.
     """
 
-    __slots__ = ("clauses", "bits", "cumulative", "total_weight", "method")
+    __slots__ = ("clauses", "bits", "tree", "total_weight", "method")
 
-    def __init__(self, clauses, bits, cumulative, total_weight, method):
+    def __init__(self, clauses, bits, weights, total_weight, method):
         self.clauses = clauses
         self.bits = bits
-        self.cumulative = cumulative
+        self.tree = clause_split_tree(weights)
         self.total_weight = total_weight
         self.method = method
 
 
-def kl_batch(plan: KlPlan, base: int, index: int, width: int) -> float:
-    """One batch of the Karp–Luby estimator; returns its accumulator sum.
+def clause_split_tree(weights: Sequence[float]):
+    """A binary split tree over the clauses of positive weight.
 
-    Clause choice stays per-sample (one ``rng.random()`` each — the
-    importance distribution is not dyadic), but conditioning, clause
-    evaluation, and the canonical estimator are bit-parallel.  The
-    coverage estimator needs per-lane cover counts, extracted by byte
-    through a 256-entry bit-position table.
+    A leaf is a clause index; an inner node is ``(bits, left, right)``
+    where ``bits`` (:func:`~repro.kernels.bitops.column_bits`) encodes
+    ``q``, the left subtree's share of the node's weight.  Zero-weight
+    clauses are pruned, so no draw can choose one.  ``None`` when no
+    clause has positive weight.
     """
-    rng = batch_rng(base, index)
-    full = full_mask(width)
-    cumulative = plan.cumulative
-    total_weight = plan.total_weight
-    top = len(cumulative) - 1
-    chosen = [0] * len(plan.clauses)
-    bit = 1
-    for _ in range(width):
-        target = rng.random() * total_weight
-        chosen[min(bisect_right(cumulative, target), top)] |= bit
-        bit <<= 1
-    columns = draw_columns(rng, plan.bits, width, full)
-    # Condition each lane on its chosen clause being true.
-    for clause_index, mask in enumerate(chosen):
-        if not mask:
+
+    def build(indices):
+        if len(indices) == 1:
+            return indices[0]
+        mid = len(indices) // 2
+        left = sum(weights[i] for i in indices[:mid])
+        right = sum(weights[i] for i in indices[mid:])
+        share = left / (left + right)
+        return (column_bits(share), build(indices[:mid]), build(indices[mid:]))
+
+    live = [i for i, weight in enumerate(weights) if weight > 0.0]
+    return build(live) if live else None
+
+
+def clause_counts(tree, rng: random.Random, width: int) -> List[Tuple[int, int]]:
+    """Multinomial(width, W_i / W) clause counts, as ``(clause, count)``.
+
+    Walks the split tree from the root: a node with ``n`` lanes sends
+    ``Binomial(n, q)`` of them left — the popcount of an ``n``-wide
+    Bernoulli(q) column — and the rest right; subtrees that get no
+    lanes are skipped.  Clauses drawn zero times are omitted.
+    """
+    counts = []
+    pending = [(tree, width)]
+    while pending:
+        node, lanes = pending.pop()
+        if isinstance(node, int):
+            counts.append((node, lanes))
             continue
-        clause = plan.clauses[clause_index]
-        if clause is None:
-            continue
-        positive, negative = clause
-        for slot in positive:
-            columns[slot] |= mask
-        for slot in negative:
-            columns[slot] &= ~mask
-    masks = clause_masks(plan.clauses, columns, full)
-    if plan.method == "canonical":
-        assigned = 0
-        hits = 0
-        for clause_index, mask in enumerate(masks):
-            first = mask & ~assigned
-            assigned |= mask
-            if first:
-                hits += popcount(first & chosen[clause_index])
-        return float(hits)
-    counts = [0] * width
-    nbytes = (width + 7) >> 3
-    for mask in masks:
-        if not mask:
-            continue
-        for byte_index, byte in enumerate(mask.to_bytes(nbytes, "little")):
-            if byte:
-                lane = byte_index << 3
-                for offset in _BYTE_BITS[byte]:
-                    counts[lane + offset] += 1
-    acc = 0.0
-    for count in counts:
-        if count:  # forced lanes always cover >= 1 well-formed clause
-            acc += 1.0 / count
-    return acc
+        bits, left, right = node
+        sent = popcount(bernoulli_column(rng, lanes, bits, full_mask(lanes)))
+        if lanes - sent:
+            pending.append((right, lanes - sent))
+        if sent:
+            pending.append((left, sent))
+    return counts
 
 
 def kl_block_moments(
@@ -370,31 +355,27 @@ def kl_block_moments(
 ) -> Tuple[float, float]:
     """One Karp–Luby block's per-sample sum and sum of squares.
 
-    Draws exactly the same stream as :func:`kl_batch` (same clause
-    choices, same world columns, same conditioning), so the first
-    moment matches ``kl_batch(plan, base, index, width)`` bit for bit;
-    the second moment is what the empirical-Bernstein stopper needs.
-    Canonical samples are 0/1, so their sum of squares is the sum.
+    Lanes are exchangeable — the world columns are drawn independently
+    of the clause choice — so only how many lanes choose each clause
+    matters: clause ``i``'s lanes are one contiguous block, its
+    literals are forced true there, and every clause is then evaluated
+    on all lanes at once.  The coverage estimator ``1 / #covered``
+    reads the lanes per cover count off a vertical counter; canonical
+    samples are 0/1, so their sum of squares is the sum.
     """
     rng = batch_rng(base, index)
     full = full_mask(width)
-    cumulative = plan.cumulative
-    total_weight = plan.total_weight
-    top = len(cumulative) - 1
     chosen = [0] * len(plan.clauses)
-    bit = 1
-    for _ in range(width):
-        target = rng.random() * total_weight
-        chosen[min(bisect_right(cumulative, target), top)] |= bit
-        bit <<= 1
+    offset = 0
+    for clause_index, count in clause_counts(plan.tree, rng, width):
+        chosen[clause_index] = full_mask(count) << offset
+        offset += count
     columns = draw_columns(rng, plan.bits, width, full)
+    # Condition each lane on its chosen clause being true.
     for clause_index, mask in enumerate(chosen):
         if not mask:
             continue
-        clause = plan.clauses[clause_index]
-        if clause is None:
-            continue
-        positive, negative = clause
+        positive, negative = plan.clauses[clause_index]
         for slot in positive:
             columns[slot] |= mask
         for slot in negative:
@@ -409,24 +390,26 @@ def kl_block_moments(
             if first:
                 hits += popcount(first & chosen[clause_index])
         return float(hits), float(hits)
-    counts = [0] * width
-    nbytes = (width + 7) >> 3
+    planes: List[int] = []
     for mask in masks:
-        if not mask:
-            continue
-        for byte_index, byte in enumerate(mask.to_bytes(nbytes, "little")):
-            if byte:
-                lane = byte_index << 3
-                for offset in _BYTE_BITS[byte]:
-                    counts[lane + offset] += 1
+        if mask:
+            add_to_counter(planes, mask)
     acc = 0.0
     acc_sq = 0.0
-    for count in counts:
-        if count:  # forced lanes always cover >= 1 well-formed clause
-            value = 1.0 / count
-            acc += value
-            acc_sq += value * value
+    # Every lane covers at least its chosen clause: no count is 0.
+    for count, lanes in count_tally(planes, full):
+        acc += lanes / count
+        acc_sq += lanes / (count * count)
     return acc, acc_sq
+
+
+def kl_batch(plan: KlPlan, base: int, index: int, width: int) -> float:
+    """One batch of the Karp–Luby estimator; returns its accumulator sum.
+
+    The first moment of :func:`kl_block_moments`, so fixed-budget and
+    adaptive runs share one worker.
+    """
+    return kl_block_moments(plan, base, index, width)[0]
 
 
 def sample_kl_batches(

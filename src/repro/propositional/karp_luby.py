@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.kernels.bitops import dyadic_bits
+from repro.kernels.bitops import column_bits
 from repro.kernels.plan import compile_dnf_plan
 from repro.kernels.sampling import (
     KlPlan,
@@ -152,7 +152,9 @@ def karp_luby_samples(
     bit-parallel column batches (see docs/PERFORMANCE.md);
     ``kernel="scalar"`` keeps the per-sample loop for comparison.
     ``shards`` fans batches out over worker processes; results are
-    identical for a fixed seed regardless of shard count.
+    identical for a fixed seed regardless of shard count.  A one-clause
+    DNF is answered exactly (``Pr = W``) with no samples drawn, after
+    the same argument and budget checks as a sampled run.
 
     ``adaptive`` treats ``samples`` as the worst case and stops at the
     first canonical checkpoint where the empirical-Bernstein interval
@@ -190,12 +192,10 @@ def karp_luby_samples(
     total_weight = sum(weights)
     if total_weight <= 0.0:
         return KarpLubyEstimate(0.0, 0, 0.0, method)
+    if len(weights) == 1:
+        # One clause: Pr[dnf] = W exactly (every estimator sample is 1).
+        return KarpLubyEstimate(total_weight, 0, total_weight, method)
 
-    cumulative: List[float] = []
-    running = 0.0
-    for weight in weights:
-        running += weight
-        cumulative.append(running)
     variables = sorted(dnf.variables, key=repr)
     float_probs = {v: float(probs[v]) for v in variables}
 
@@ -209,8 +209,8 @@ def karp_luby_samples(
         plan = compile_dnf_plan(dnf)
         kl_plan = KlPlan(
             plan.clauses,
-            tuple(dyadic_bits(float_probs[v]) for v in plan.variables),
-            cumulative,
+            tuple(column_bits(float_probs[v]) for v in plan.variables),
+            weights,
             total_weight,
             method,
         )
@@ -232,6 +232,11 @@ def karp_luby_samples(
             min(estimate, 1.0), samples, total_weight, method
         )
 
+    cumulative: List[float] = []
+    running = 0.0
+    for weight in weights:
+        running += weight
+        cumulative.append(running)
     accumulator = 0.0
     pending = 0
     for drawn in range(1, samples + 1):
@@ -310,7 +315,7 @@ def naive_probability_estimate(
     float_probs = {v: float(probs[v]) for v in variables}
     if kernel == "batched":
         plan = compile_dnf_plan(dnf)
-        bits = tuple(dyadic_bits(float_probs[v]) for v in plan.variables)
+        bits = tuple(column_bits(float_probs[v]) for v in plan.variables)
         return sample_naive_batches(
             plan.clauses, bits, rng, samples, shards=shards
         )

@@ -56,17 +56,19 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.kernels.sampling", "truth_batch_hits"): (
         "per-batch worker; the driver charges checkpoint(samples=width)"
     ),
-    ("repro.kernels.sampling", "hamming_batch_distance"): (
+    ("repro.kernels.sampling", "_hamming_diffs"): (
         "per-batch worker; the driver charges checkpoint(samples=width)"
     ),
-    ("repro.kernels.sampling", "kl_batch"): (
-        "per-batch worker; the driver charges checkpoint(samples=width)"
+    ("repro.kernels.sampling", "clause_counts"): (
+        "per-batch worker over the clause split tree, bounded by the "
+        "formula; the driver charges checkpoint(samples=width)"
     ),
     ("repro.kernels.sampling", "hamming_block_moments"): (
         "per-block worker; the adaptive controller checkpoints per chunk"
     ),
     ("repro.kernels.sampling", "kl_block_moments"): (
-        "per-block worker; the adaptive controller checkpoints per chunk"
+        "per-batch worker (kl_batch's too); the fixed driver charges "
+        "checkpoint(samples=width), the adaptive controller per chunk"
     ),
     ("repro.runtime.adaptive", "block_layout"): (
         "partitions an already-preflighted budget into fixed blocks"

@@ -1,15 +1,21 @@
 """Bit-column primitives: popcount, dyadic expansion, Bernoulli columns."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels.bitops import (
     BATCH_BITS,
     MIN_BATCH_BITS,
     TARGET_WORKING_BITS,
+    add_to_counter,
     bernoulli_column,
+    column_bits,
+    count_tally,
     dyadic_bits,
     full_mask,
     iter_set_bits,
@@ -93,6 +99,70 @@ def test_bernoulli_column_exact_dyadic_rate(seed):
     # p = 1/2 sets the lane exactly when the stream bit is 0 (the lane
     # value is *less than* the p-bit).
     assert column == ~replay & full
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 1.0 / 3.0, 0.7, 0.9])
+def test_bernoulli_column_stops_once_every_lane_is_decided(p):
+    """Non-dyadic p has a ~53-bit expansion; a 4096-lane column should
+    be decided after about log2(4096) + 2 draws, not 53."""
+    width = 4096
+    full = full_mask(width)
+    bits = dyadic_bits(p)
+    assert len(bits) > 50
+    rng = CountingRandom(17)
+    columns = 40
+    ones = 0
+    for _ in range(columns):
+        ones += popcount(bernoulli_column(rng, width, bits, full))
+    assert rng.calls / columns <= 20, rng.calls / columns
+    # ... and the early exit keeps the rate exact.
+    total = columns * width
+    assert abs(ones / total - p) < 5 * math.sqrt(p * (1 - p) / total)
+
+
+def test_column_bits_marks_certain_variables():
+    assert column_bits(1.0) is None
+    assert column_bits(Fraction(3, 2)) is None
+    assert column_bits(0.0) == ()
+    assert column_bits(0.25) == dyadic_bits(0.25)
+    full = full_mask(64)
+    assert bernoulli_column(random.Random(3), 64, column_bits(1.0), full) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32),
+    masks=st.integers(min_value=0, max_value=40),
+)
+def test_count_tally_matches_per_lane_counting(width, seed, masks):
+    rng = random.Random(seed)
+    full = full_mask(width)
+    planes = []
+    naive = [0] * width
+    for _ in range(masks):
+        mask = rng.getrandbits(width) & rng.getrandbits(width)
+        add_to_counter(planes, mask)
+        for lane in range(width):
+            naive[lane] += mask >> lane & 1
+    expected = {}
+    for count in naive:
+        expected[count] = expected.get(count, 0) + 1
+    tally = count_tally(planes, full)
+    assert dict(tally) == expected
+    assert len(tally) == len(expected)  # no count listed twice
 
 
 def test_iter_set_bits_round_trip():

@@ -126,6 +126,28 @@ def test_hamming_sharded_matches_single_shard(triangle_db, shards):
     assert sharded == baseline
 
 
+def test_hamming_block_moments_match_per_lane_distances(triangle_db):
+    """The counter-based moments equal a per-lane reference count."""
+    from repro.kernels.sampling import (
+        _hamming_diffs,
+        hamming_batch_distance,
+        hamming_block_moments,
+    )
+    from repro.reliability.exact import as_query
+
+    plan = compile_hamming_plan(triangle_db, as_query("E(x, y) & ~S(y)"))
+    for index, width in ((0, 1), (1, 64), (2, 1000)):
+        _, constant, diffs = _hamming_diffs(plan, 99, index, width)
+        distances = [
+            constant + sum(diff >> lane & 1 for diff in diffs)
+            for lane in range(width)
+        ]
+        total, total_sq = hamming_block_moments(plan, 99, index, width)
+        assert total == sum(distances)
+        assert total_sq == sum(d * d for d in distances)
+        assert total == hamming_batch_distance(plan, 99, index, width)
+
+
 def _small_dnf():
     a, b, c = Atom("P", (1,)), Atom("P", (2,)), Atom("P", (3,))
     dnf = DNF(

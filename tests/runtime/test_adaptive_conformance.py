@@ -16,6 +16,12 @@ Two estimator paths are swept:
 * relative — :func:`karp_luby` with ``adaptive=True`` against the
   exact DNF probability.
 
+The fixed-budget Karp–Luby kernel makes the same relative claim with
+its worst-case ``sample_count``, so both of its estimators (coverage
+and canonical) are swept on the same window against the
+``probability_enumerate`` oracle: a new sample stream has to earn the
+guarantee, not inherit it.
+
 ``ADAPTIVE_CONF_SEEDS`` (environment) replays an explicit seed window —
 the CI ``adaptive-guarantee`` lane pins a fixed window while letting
 developers widen the sweep locally, mirroring ``SAFETY_DIFF_SEEDS``.
@@ -28,7 +34,10 @@ import pytest
 
 from repro import obs
 from repro.logic.evaluator import FOQuery
-from repro.propositional.counting import probability_exact
+from repro.propositional.counting import (
+    probability_enumerate,
+    probability_exact,
+)
 from repro.propositional.karp_luby import karp_luby, sample_count
 from repro.reliability.exact import truth_probability
 from repro.reliability.montecarlo import (
@@ -103,6 +112,20 @@ def _kl_estimate(seed):
     return _KL_RESULTS[seed]
 
 
+_FIXED_KL_RESULTS = {}
+
+
+def _fixed_kl_estimate(seed, method):
+    key = (seed, method)
+    if key not in _FIXED_KL_RESULTS:
+        dnf, probs, _ = _kl_instance()
+        _FIXED_KL_RESULTS[key] = karp_luby(
+            dnf, probs, KL_EPSILON, KL_DELTA, make_rng(seed),
+            method=method, adaptive=False,
+        )
+    return _FIXED_KL_RESULTS[key]
+
+
 @pytest.mark.parametrize("seed", _seeds())
 def test_additive_estimate_is_sane(seed):
     """Per-seed soundness: a probability, replayable bit-identically."""
@@ -147,6 +170,22 @@ def test_relative_empirical_coverage():
         abs(_kl_estimate(seed).estimate - exact) <= KL_EPSILON * exact
         for seed in seeds
     )
+    coverage = covered / len(seeds)
+    assert coverage >= 1.0 - KL_DELTA, (covered, len(seeds))
+
+
+@pytest.mark.parametrize("method", ["coverage", "canonical"])
+def test_fixed_budget_relative_empirical_coverage(method):
+    """The fixed worst-case budget meets the same relative contract."""
+    dnf, probs, _ = _kl_instance()
+    exact = float(probability_enumerate(dnf, probs))
+    worst = sample_count(len(dnf.clauses), KL_EPSILON, KL_DELTA, method)
+    seeds = _seeds()
+    covered = 0
+    for seed in seeds:
+        run = _fixed_kl_estimate(seed, method)
+        assert run.samples == worst
+        covered += abs(run.estimate - exact) <= KL_EPSILON * exact
     coverage = covered / len(seeds)
     assert coverage >= 1.0 - KL_DELTA, (covered, len(seeds))
 
