@@ -39,7 +39,6 @@ from repro.bench.registry import (
     register,
     register_case,
     unregister,
-    workload,
 )
 from repro.bench.runner import run_case, run_many
 
@@ -60,7 +59,6 @@ __all__ = [
     "register",
     "register_case",
     "unregister",
-    "workload",
     "run_case",
     "run_many",
     "History",

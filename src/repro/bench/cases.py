@@ -1,16 +1,12 @@
-"""The built-in benchmark cases: every ``benchmarks/bench_*.py``
-workload, registered declaratively.
+"""The built-in benchmark cases, registered declaratively.
 
-Each case is the *whole sweep* of its source script (the pytest files
-keep per-point timing via pytest-benchmark; the registered case is the
-unit the trend store and the regression gate reason about).  The pytest
-benchmark files read their sweep constants back through
-:func:`repro.bench.registry.workload`, so the parameter lists below are
-the single source of workload truth.
-
-Correctness is asserted inside the cases exactly as the scripts do —
-a benchmark that silently computes the wrong answer would poison the
-trajectory with meaningless timings.
+Each case is one whole workload sweep; the trend store and the
+regression gate reason about the case as a unit.  Correctness is
+asserted inside the cases — a benchmark that silently computes the
+wrong answer would poison the trajectory with meaningless timings.
+What a case returns (reliabilities, counts, speedups, agreement flags)
+is recorded as the record's ``extra`` payload; ``repro bench report
+<id>`` prints it.
 
 Groups:
 
@@ -30,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro import obs
 from repro.bench.registry import register
@@ -64,6 +60,8 @@ def e1_qf_reliability(params: Dict[str, Any]) -> Dict[str, Any]:
             density=params["density"],
             error=params["error"],
         )
+        # Exact far beyond world enumeration: 2^(n^2+n) worlds.
+        assert len(db.uncertain_atoms()) == size * size + size
         with obs.span("bench.point", size=size):
             value = reliability(db, query, method="qf")
         assert 0 < value <= 1
@@ -154,9 +152,6 @@ def e3_tree_walk(params: Dict[str, Any]) -> Dict[str, Any]:
         "variables": 12,
         "clauses": 8,
         "width": 3,
-        # Swept by benchmarks/bench_e4_fptras_kdnf.py (per-point pytest
-        # timings); the registered case times the epsilon sweep.
-        "clause_counts": [8, 16, 32],
     },
     quick={"epsilons": [0.2, 0.1]},
     repeats=2,
@@ -200,8 +195,9 @@ def e4_fptras(params: Dict[str, Any]) -> Dict[str, Any]:
         "sizes": [4, 6, 8],
         "epsilon": 0.1,
         "delta": 0.1,
-        # Swept by benchmarks/bench_e5_existential_approx.py.
-        "epsilon_sweep": [0.2, 0.1, 0.05],
+        # Grounding ablation: the share of atoms left uncertain, so
+        # deterministic-atom folding has clauses to remove.
+        "folding_fraction": 0.25,
     },
     quick={"sizes": [4, 6]},
     repeats=1,
@@ -212,19 +208,26 @@ def e5_additive(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.logic.evaluator import FOQuery
     from repro.reliability.approx import reliability_additive
     from repro.reliability.exact import reliability
+    from repro.reliability.grounding import ground_existential_to_dnf
     from repro.util.rng import make_rng
     from repro.workloads.random_db import random_unreliable_database
 
     query = FOQuery("exists x y. E(x, y) & S(x) & S(y)")
-    errors = {}
-    for size in params["sizes"]:
-        db = random_unreliable_database(
+
+    def database(size, uncertain_fraction=1.0):
+        return random_unreliable_database(
             make_rng(size),
             size=size,
             relations={"E": 2, "S": 1},
             density=0.3,
             error_choices=["1/8", "1/5"],
+            uncertain_fraction=uncertain_fraction,
         )
+
+    errors = {}
+    clauses = {}
+    for size in params["sizes"]:
+        db = database(size)
         exact = float(reliability(db, query))
         with obs.span("bench.point", size=size):
             estimate = reliability_additive(
@@ -233,23 +236,35 @@ def e5_additive(params: Dict[str, Any]) -> Dict[str, Any]:
             )
         assert abs(estimate.value - exact) <= params["epsilon"]
         errors[str(size)] = abs(estimate.value - exact)
-    return {"absolute_errors": errors}
+        grounded = ground_existential_to_dnf(
+            database(size, params["folding_fraction"]), query.formula
+        )
+        raw = grounded.clauses_before_folding
+        assert raw == size * size  # one clause per (x, y) valuation
+        assert len(grounded.dnf) < raw  # folding removed certain clauses
+        clauses[str(size)] = {"raw": raw, "kept": len(grounded.dnf)}
+    return {"absolute_errors": errors, "grounded_clauses": clauses}
 
 
 @register(
     "experiments.e6_ar_decision",
     group="experiments",
-    params={"nodes": [5, 6, 7]},
+    params={"nodes": [5, 6, 7], "naive_runs": 20},
     quick={"nodes": [5]},
     repeats=2,
     tags=("paper", "hardness"),
 )
 def e6_ar_decision(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Lem 5.9: absolute reliability via the 4-colourability reduction."""
+    """Lem 5.9/5.10: absolute reliability via 4-colourability; H near 0."""
+    from repro.logic.fo import neg
     from repro.reductions.fourcolouring import (
+        encode_four_colouring,
         four_colourable_via_absolute_reliability,
         is_four_colourable,
+        non_four_colouring_query,
     )
+    from repro.reliability.exact import expected_error
+    from repro.reliability.montecarlo import estimate_truth_probability
     from repro.util.rng import make_rng
     from repro.workloads.graphs import complete_graph, random_colourable_graph
 
@@ -271,7 +286,31 @@ def e6_ar_decision(params: Dict[str, Any]) -> Dict[str, Any]:
         assert four_colourable_via_absolute_reliability(
             vertex_list, edges
         ) is False
-    return {"decisions": decisions}
+
+    # Lemma 5.10: two disjoint K4s flip the answer only when both come
+    # out properly coloured, so H = (24/256)^2 ~ 0.9%.  A 100-sample
+    # naive estimator is off by half of H or more (often it reports 0)
+    # in far more runs than any relative guarantee could allow.
+    vertex_list, edges = complete_graph(4)
+    nodes = list(vertex_list) + [v + 10 for v in vertex_list]
+    edges = list(edges) + [(u + 10, v + 10) for u, v in edges]
+    db = encode_four_colouring(nodes, edges)
+    query = non_four_colouring_query()
+    with obs.span("bench.point", nodes="2xk4"):
+        h = expected_error(db, query)
+        estimates = [
+            estimate_truth_probability(
+                db, neg(query.formula), make_rng(seed), samples=100
+            )
+            for seed in range(params["naive_runs"])
+        ]
+    assert h == Fraction(24, 256) ** 2
+    far_off = sum(abs(e - float(h)) >= 0.5 * float(h) for e in estimates)
+    assert far_off >= params["naive_runs"] // 4, estimates
+    return {
+        "decisions": decisions,
+        "lemma_510": {"h": float(h), "naive_far_off": far_off},
+    }
 
 
 @register(
@@ -281,10 +320,10 @@ def e6_ar_decision(params: Dict[str, Any]) -> Dict[str, Any]:
         "sizes": [5, 7, 9],
         "epsilon": 0.15,
         "delta": 0.2,
-        # Swept by benchmarks/bench_e7_ptime_estimator.py (xi ablation).
+        # xi ablation on the smallest size: the paper's budget t ~ 1/xi.
         "xis": ["1/10", "1/4", "2/5"],
     },
-    quick={"sizes": [5]},
+    quick={"sizes": [5], "xis": ["2/5"]},
     repeats=1,
     tags=("paper", "ptime"),
 )
@@ -292,24 +331,43 @@ def e7_padded(params: Dict[str, Any]) -> Dict[str, Any]:
     """Thm 5.12: padded estimation of a Datalog (non-FO) query."""
     from repro.logic.datalog import reachability_query
     from repro.relational.builder import graph_structure
-    from repro.reliability.padding import padded_truth_probability
+    from repro.reliability.padding import (
+        padded_truth_probability,
+        padding_sample_count,
+    )
     from repro.reliability.unreliable import uniform_error
     from repro.util.rng import make_rng
     from repro.workloads.graphs import random_digraph
 
     query = reachability_query()
+    epsilon, delta = params["epsilon"], params["delta"]
     estimates = {}
+    samples = {}
     for size in params["sizes"]:
         nodes, edges = random_digraph(make_rng(size), size, 0.25)
         db = uniform_error(graph_structure(nodes, edges), Fraction(1, 10))
         with obs.span("bench.point", size=size):
             estimate = padded_truth_probability(
-                db, query, params["epsilon"], params["delta"],
+                db, query, epsilon, delta,
                 make_rng(500 + size), args=(0, size - 1),
             )
         assert 0.0 <= estimate.value <= 1.0
         estimates[str(size)] = estimate.value
-    return {"estimates": estimates}
+        if size > min(params["sizes"]):
+            continue
+        for xi in params["xis"]:  # the xi ablation, on the smallest size
+            with obs.span("bench.point", size=size, xi=xi):
+                estimate = padded_truth_probability(
+                    db, query, epsilon, delta, make_rng(900), xi=xi,
+                    args=(0, size - 1),
+                )
+            # The internal run targets epsilon / 2 (proof of Thm 5.12).
+            assert estimate.samples == padding_sample_count(
+                xi, epsilon / 2, delta
+            )
+            assert 0.0 <= estimate.value <= 1.0
+            samples[xi] = estimate.samples
+    return {"estimates": estimates, "samples_per_xi": samples}
 
 
 @register(
@@ -319,8 +377,6 @@ def e7_padded(params: Dict[str, Any]) -> Dict[str, Any]:
         "qf_sensors": [8, 16, 32],
         "agg_sensors": 6,
         "samples": 4000,
-        # Swept by benchmarks/bench_e8_metafinite.py (exact aggregate).
-        "agg_sizes": [4, 8, 10],
     },
     quick={"qf_sensors": [8, 16], "samples": 1000},
     tags=("paper", "metafinite"),
@@ -347,13 +403,21 @@ def e8_metafinite(params: Dict[str, Any]) -> Dict[str, Any]:
 
     sensors = params["agg_sensors"]
     scenario = sensor_scenario(make_rng(sensors), sensors=sensors)
-    query = scenario.queries["alarms"]
     with obs.span("bench.point", sensors=sensors, mode="aggregate"):
-        exact = float(metafinite_reliability(scenario.db, query))
+        exact = {
+            name: float(
+                metafinite_reliability(scenario.db, scenario.queries[name])
+            )
+            for name in ("total", "alarms", "hottest")
+        }
+    assert all(0 < value <= 1 for value in exact.values())
+    # SUM reacts to every sensor's jitter: the most fragile aggregate.
+    assert exact["total"] <= min(exact["alarms"], exact["hottest"])
     estimate = estimate_metafinite_reliability(
-        scenario.db, query, make_rng(7), samples=params["samples"]
+        scenario.db, scenario.queries["alarms"], make_rng(7),
+        samples=params["samples"],
     )
-    assert abs(estimate - exact) <= 0.05
+    assert abs(estimate - exact["alarms"]) <= 0.05
     return {"qf": qf_values, "aggregate_exact": exact}
 
 
@@ -392,7 +456,11 @@ def e9_rare_unions(params: Dict[str, Any]) -> Dict[str, Any]:
             naive = naive_probability_estimate(
                 dnf, probs, params["budget"], make_rng(width)
             )
-        assert abs(run.estimate - exact) / exact <= 0.25
+        # Karp-Luby stays relatively accurate; from width 10 on the
+        # union is so rare that naive sampling sees no hit at all.
+        assert abs(run.estimate - exact) / exact <= 0.2
+        if width >= 10:
+            assert naive == 0.0
         relative_errors[str(width)] = {
             "karp_luby": abs(run.estimate - exact) / exact,
             "naive_zero": naive == 0.0,
@@ -408,8 +476,6 @@ def e9_rare_unions(params: Dict[str, Any]) -> Dict[str, Any]:
         "dense_variables": 15,
         "epsilon": 0.05,
         "delta": 0.05,
-        # Swept by benchmarks/bench_e10_exact_vs_sampling.py.
-        "dense_sizes": [15, 20, 25],
     },
     quick={"chain_lengths": [8, 32], "epsilon": 0.1, "delta": 0.1},
     repeats=1,
@@ -417,6 +483,7 @@ def e9_rare_unions(params: Dict[str, Any]) -> Dict[str, Any]:
 )
 def e10_exact_vs_sampling(params: Dict[str, Any]) -> Dict[str, Any]:
     """Shannon expansion vs FPTRAS: chains and the dense-overlap regime."""
+    from repro.propositional.bdd import probability_via_bdd
     from repro.propositional.counting import probability_exact
     from repro.propositional.formula import DNF, Clause, Literal
     from repro.propositional.karp_luby import karp_luby
@@ -441,11 +508,14 @@ def e10_exact_vs_sampling(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     probs = random_probabilities(rng, dnf)
     with obs.span("bench.point", workload="dense", engine="exact"):
-        exact = float(probability_exact(dnf, probs))
+        exact_value = probability_exact(dnf, probs)
+    with obs.span("bench.point", workload="dense", engine="bdd"):
+        assert probability_via_bdd(dnf, probs) == exact_value
     with obs.span("bench.point", workload="dense", engine="karp_luby"):
         run = karp_luby(
             dnf, probs, params["epsilon"], params["delta"], make_rng(1)
         )
+    exact = float(exact_value)
     agreement = abs(run.estimate - exact) / exact
     assert agreement <= 2 * params["epsilon"]
     return {"dense_exact": exact, "dense_relative_error": agreement}
@@ -462,11 +532,12 @@ def e11_lifted(params: Dict[str, Any]) -> Dict[str, Any]:
     """Safe-plan lifted inference vs the grounded exact engine."""
     from repro.logic.conjunctive import ConjunctiveQuery
     from repro.reliability.exact import truth_probability
-    from repro.reliability.lifted import lifted_probability
+    from repro.reliability.lifted import UnsafeQueryError, lifted_probability
     from repro.util.rng import make_rng
     from repro.workloads.random_db import random_unreliable_database
 
     safe = ConjunctiveQuery.from_text("exists x y. R(x) & S(x, y) & T(x)")
+    unsafe = ConjunctiveQuery.from_text("exists x y. R(x) & S(x, y) & T(y)")
 
     def database(size):
         return random_unreliable_database(
@@ -489,27 +560,37 @@ def e11_lifted(params: Dict[str, Any]) -> Dict[str, Any]:
         with obs.span("bench.point", size=size, engine="grounded"):
             grounded = truth_probability(db, safe.to_formula(), method="dnf")
         assert grounded == lifted_probability(db, safe)
+        try:
+            lifted_probability(db, unsafe)
+        except UnsafeQueryError:
+            pass
+        else:
+            raise AssertionError("lifted engine answered the unsafe CQ")
     return {"lifted_values": values}
 
 
 @register(
     "experiments.e12_influence",
     group="experiments",
-    params={"sizes": [3, 4, 5], "density": 0.4},
+    params={"sizes": [3, 4, 5], "density": 0.4, "plan_budget": 3},
     quick={"sizes": [3, 4]},
     repeats=2,
     tags=("paper", "ablation"),
 )
 def e12_influence(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Birnbaum influence: conditioning engine vs compiled ROBDD."""
+    """Birnbaum influence: conditioning engine vs compiled ROBDD.
+
+    The greedy verification planner, whose exact lookahead is built on
+    these computations, then runs on the smallest database.
+    """
     from repro.reliability.influence import atom_influence
+    from repro.reliability.repair import greedy_verification_plan
     from repro.util.rng import make_rng
     from repro.workloads.random_db import random_unreliable_database
 
     sentence = "exists x y. E(x, y) & S(x) & S(y)"
-    agreed = []
-    for size in params["sizes"]:
-        db = random_unreliable_database(
+    databases = {
+        size: random_unreliable_database(
             make_rng(size),
             size=size,
             relations={"E": 2, "S": 1},
@@ -517,18 +598,47 @@ def e12_influence(params: Dict[str, Any]) -> Dict[str, Any]:
             error_choices=["1/6", "1/4"],
             uncertain_fraction=1.0,
         )
+        for size in params["sizes"]
+    }
+    agreed = []
+    for size, db in databases.items():
         with obs.span("bench.point", size=size, engine="conditioning"):
             conditioning = atom_influence(db, sentence, engine="conditioning")
         with obs.span("bench.point", size=size, engine="bdd"):
             bdd = atom_influence(db, sentence, engine="bdd")
         assert conditioning == bdd and conditioning
         agreed.append(size)
-    return {"agreed_sizes": agreed}
+
+    size = min(params["sizes"])
+    with obs.span("bench.point", size=size, engine="planner"):
+        plan = greedy_verification_plan(
+            databases[size], sentence, budget=params["plan_budget"]
+        )
+    # The lookahead schedules only verifications that gain reliability.
+    assert plan and all(gain > 0 for _atom, gain in plan)
+    return {
+        "agreed_sizes": agreed,
+        "plan_gains": [float(gain) for _atom, gain in plan],
+    }
 
 
 # --------------------------------------------------------------------- #
 # kernels group — bit-parallel vs scalar
 # --------------------------------------------------------------------- #
+
+
+def _scalar_vs_batched(run: Callable[[str], float]) -> Dict[str, Any]:
+    """Time ``run(kernel)`` on the scalar loop, then the batched kernel."""
+    seconds = {}
+    result = {}
+    for kernel in ("scalar", "batched"):
+        with obs.span("bench.point", kernel=kernel):
+            start = time.perf_counter()
+            result[f"{kernel}_estimate"] = run(kernel)
+            seconds[kernel] = time.perf_counter() - start
+        result[f"{kernel}_s"] = round(seconds[kernel], 6)
+    result["speedup_batched"] = round(seconds["scalar"] / seconds["batched"], 2)
+    return result
 
 
 @register(
@@ -561,21 +671,7 @@ def kernels_mc_truth(params: Dict[str, Any]) -> Dict[str, Any]:
             args=args, kernel=kernel,
         )
 
-    with obs.span("bench.point", kernel="scalar"):
-        start = time.perf_counter()
-        scalar_value = run("scalar")
-        scalar_s = time.perf_counter() - start
-    with obs.span("bench.point", kernel="batched"):
-        start = time.perf_counter()
-        batched_value = run("batched")
-        batched_s = time.perf_counter() - start
-    return {
-        "scalar_s": round(scalar_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup_batched": round(scalar_s / batched_s, 2),
-        "scalar_estimate": scalar_value,
-        "batched_estimate": batched_value,
-    }
+    return _scalar_vs_batched(run)
 
 
 @register(
@@ -606,21 +702,7 @@ def kernels_karp_luby(params: Dict[str, Any]) -> Dict[str, Any]:
             dnf, probs, params["samples"], make_rng(11), kernel=kernel
         ).estimate
 
-    with obs.span("bench.point", kernel="scalar"):
-        start = time.perf_counter()
-        scalar_value = run("scalar")
-        scalar_s = time.perf_counter() - start
-    with obs.span("bench.point", kernel="batched"):
-        start = time.perf_counter()
-        batched_value = run("batched")
-        batched_s = time.perf_counter() - start
-    return {
-        "scalar_s": round(scalar_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup_batched": round(scalar_s / batched_s, 2),
-        "scalar_estimate": scalar_value,
-        "batched_estimate": batched_value,
-    }
+    return _scalar_vs_batched(run)
 
 
 @register(
@@ -767,6 +849,7 @@ def runtime_costmodel(params: Dict[str, Any]) -> Dict[str, Any]:
             make_rng(500 + index), size=6, relations={"E": 2, "S": 1},
             density=0.6, uncertain_fraction=1.0,
         )
+        assert len(db.uncertain_atoms()) > budget_atoms  # exact refuses
         text, free = queries[index % len(queries)]
         query = FOQuery(text, free)
         kwargs = dict(
@@ -818,8 +901,10 @@ def runtime_racing(params: Dict[str, Any]) -> Dict[str, Any]:
     def arm(race):
         clear_caches()
         start = time.perf_counter()
+        # Stall the engine that answers a safe CQ first; racing lets the
+        # exact engine, of the same guarantee tier, answer meanwhile.
         with faults.inject(
-            {"exact": faults.SlowdownFault(seconds=params["stall"])}
+            {"safe_lifted": faults.SlowdownFault(seconds=params["stall"])}
         ):
             result = run_with_fallback(db, query, rng=0, race=race)
         return time.perf_counter() - start, result

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.bench.record import BenchResult, SchemaError, migrate, validate
@@ -43,13 +43,6 @@ class History:
         with open(self.path, "a") as handle:
             handle.write(line + "\n")
         return payload
-
-    def append_all(self, records: Iterable[Union[BenchResult, Dict]]) -> int:
-        count = 0
-        for record in records:
-            self.append(record)
-            count += 1
-        return count
 
     # -- reading -------------------------------------------------------- #
 

@@ -1,16 +1,14 @@
 """The schema-versioned benchmark record: one run, one ``BenchResult``.
 
-Every benchmark execution — a registered case run by
-:mod:`repro.bench.runner`, a converted legacy ``BENCH_*.json`` file, or
-an ``benchmarks/run_experiments.py`` experiment — produces one record
-with the same shape, identified by :data:`SCHEMA_VERSION`:
+Every run of a registered case (:mod:`repro.bench.runner`) produces
+one record with the same shape, identified by :data:`SCHEMA_VERSION`:
 
 ``schema_version``
     Integer.  Consumers reject versions they do not know;
     :func:`migrate` upgrades older shapes as the schema evolves.
 ``bench``
     Dotted benchmark id, ``<group>.<name>`` (e.g.
-    ``kernels.mc_batched``, ``experiments.e1_qf_polytime``).
+    ``kernels.mc_truth``, ``experiments.e1_qf_reliability``).
 ``workload``
     The declared workload parameters (sizes, sample counts, epsilons
     ...).  ``workload_key`` is a stable digest of this dict — trend
@@ -35,8 +33,8 @@ with the same shape, identified by :data:`SCHEMA_VERSION`:
 ``extra``
     Benchmark-specific payload (speedups, estimates, agreement flags).
 ``created_at`` / ``source``
-    ISO-8601 UTC timestamp and provenance (``runner``, ``experiment``,
-    ``legacy-convert``).
+    ISO-8601 UTC timestamp and provenance (``runner`` for the records
+    :mod:`repro.bench.runner` produces).
 
 Records travel as JSON objects, one per line, in the append-only
 trajectory store (:mod:`repro.bench.history`).

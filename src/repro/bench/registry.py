@@ -1,11 +1,9 @@
 """The declarative benchmark registry.
 
 A :class:`BenchCase` is a named, parameterised workload: a callable
-plus the declared parameter dict it runs with.  The thirteen ad-hoc
-``benchmarks/bench_*.py`` scripts are absorbed here as registered
-cases (see :mod:`repro.bench.cases`), so one runner executes them all,
-every run is recorded in the same schema, and the parameter sweeps the
-pytest benchmark files use come from a single declaration.
+plus the declared parameter dict it runs with.  Every benchmark of the
+repo is a registered case (see :mod:`repro.bench.cases`), so one
+runner executes them all and every run is recorded in the same schema.
 
 Each case declares two parameter profiles:
 
@@ -152,13 +150,3 @@ def all_cases(group: Optional[str] = None) -> List[BenchCase]:
     if group is not None:
         cases = [case for case in cases if case.group == group]
     return cases
-
-
-def workload(bench_id: str) -> Dict[str, Any]:
-    """The declared (full) parameters of a registered case.
-
-    The ``benchmarks/bench_*.py`` pytest files read their sweep series
-    through this, so the registry is the single source of workload
-    truth.
-    """
-    return dict(get_case(bench_id).params)

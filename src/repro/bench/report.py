@@ -3,15 +3,16 @@
 ``repro bench report`` renders these: a per-benchmark trend table (one
 row per ``(bench, workload_key)`` trajectory with first/last/best
 timings and the direction of travel) and a single-benchmark detail view
-with the recorded span-tree profile of the latest run.
+with the latest run's results (the case's ``extra`` payload) and its
+recorded span-tree profile.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bench.history import History
-from repro.obs.profile import SpanProfile
 
 
 def _direction(seconds: List[float]) -> str:
@@ -55,7 +56,7 @@ def bench_detail(
     bench: str,
     workload_key: Optional[str] = None,
 ) -> str:
-    """The trajectory of one benchmark plus the latest run's profile."""
+    """The trajectory of one benchmark plus the latest run's results."""
     store = history if isinstance(history, History) else History(history)
     records = store.records_for(bench, workload_key)
     if not records:
@@ -74,6 +75,11 @@ def bench_detail(
         lines.append("workload: " + ", ".join(
             f"{key}={value}" for key, value in sorted(workload.items())
         ))
+    extra = latest.get("extra") or {}
+    if extra:
+        lines.append("latest results:")
+        for name, value in sorted(extra.items()):
+            lines.append(f"  {name}: {json.dumps(value, sort_keys=True)}")
     phases = latest.get("profile", {}).get("phases") or []
     if phases:
         lines.append("latest span profile (self-time ordered):")

@@ -38,7 +38,6 @@ The ``bench`` subcommand family drives the unified benchmark harness
     python -m repro bench run kernels.mc_truth --out fresh.jsonl --no-append
     python -m repro bench compare --fresh fresh.jsonl
     python -m repro bench report experiments.e1_qf_reliability
-    python -m repro bench migrate
 """
 
 from __future__ import annotations
@@ -479,20 +478,6 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
         print(bench_report.bench_detail(history, args.benchmark, args.key))
     else:
         print(bench_report.trend_table(history))
-    return 0
-
-
-def _cmd_bench_migrate(args: argparse.Namespace) -> int:
-    from repro import bench
-    from repro.bench import convert
-
-    records = convert.convert_all(args.root)
-    if not records:
-        print("no legacy BENCH_*.json files found")
-        return 0
-    history = bench.History(args.history)
-    count = history.append_all(records)
-    print(f"converted {count} legacy record(s) into {history.path}")
     return 0
 
 
@@ -976,18 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--history", default=DEFAULT_HISTORY, metavar="PATH"
     )
     bench_report.set_defaults(handler=_cmd_bench_report)
-
-    bench_migrate = bench_sub.add_parser(
-        "migrate",
-        help="convert legacy BENCH_*.json files into the trajectory store",
-    )
-    bench_migrate.add_argument(
-        "--root", default=".", help="directory holding the legacy files"
-    )
-    bench_migrate.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH"
-    )
-    bench_migrate.set_defaults(handler=_cmd_bench_migrate)
 
     cache_cmd = sub.add_parser(
         "cache",

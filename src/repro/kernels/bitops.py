@@ -182,21 +182,3 @@ def count_tally(planes: Sequence[int], full: int) -> List[Tuple[int, int]]:
                 split.append((value | 1 << level, high))
         groups = split
     return [(value, popcount(lanes)) for value, lanes in groups]
-
-
-def iter_set_bits(mask: int):
-    """Yield the positions of the set bits of ``mask``, ascending.
-
-    Chunks the big-int into 64-bit words first so the per-bit work runs
-    on machine-word ints instead of repeatedly shifting the full-width
-    column.
-    """
-    base = 0
-    while mask:
-        word = mask & 0xFFFFFFFFFFFFFFFF
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
-        mask >>= 64
-        base += 64

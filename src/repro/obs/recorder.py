@@ -131,7 +131,7 @@ class StatsRecorder:
         self._span_pool: list = []
         # Span-duration histograms, memoised per span name: hot loops
         # close thousands of spans and the f-string + registry lookup
-        # per close is measurable (see BENCH_obs_overhead.json).
+        # per close is measurable (the ``obs.overhead`` bench case).
         self._span_seconds: Dict[str, Any] = {}
         # Sink capabilities, resolved once: ``emit_span`` is the
         # dict-free span fast path, ``flush`` the buffered-sink drain.

@@ -50,8 +50,8 @@ class JsonlSink:
     Events are *buffered*: ``emit`` serialises the record and appends it
     to an in-memory list, and the file sees one joined write per
     :data:`FLUSH_EVERY` events — one syscall per batch instead of one
-    per record, which keeps hot-loop tracing overhead low (see
-    BENCH_obs_overhead.json).  The recorder flushes explicitly whenever
+    per record, which keeps hot-loop tracing overhead low (the
+    ``obs.overhead`` bench case).  The recorder flushes explicitly whenever
     a top-level span closes, so a trace file is complete after every
     engine call, not just at ``close``.
     """

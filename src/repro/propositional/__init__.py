@@ -46,11 +46,6 @@ from repro.propositional.bdd import (
     probability_via_bdd,
     influences_via_bdd,
 )
-from repro.propositional.stopping_rule import (
-    StoppingRuleEstimate,
-    karp_luby_stopping_rule,
-    stopping_rule_threshold,
-)
 
 __all__ = [
     "Literal",
@@ -76,7 +71,4 @@ __all__ = [
     "compile_dnf",
     "probability_via_bdd",
     "influences_via_bdd",
-    "StoppingRuleEstimate",
-    "karp_luby_stopping_rule",
-    "stopping_rule_threshold",
 ]

@@ -202,8 +202,6 @@ def karp_luby_samples(
     obs.inc("karp_luby.runs")
     obs.gauge("karp_luby.cover_weight", total_weight)
     obs.gauge("karp_luby.clauses", len(dnf.clauses))
-    trace = obs.enabled()
-    stride = max(1, samples // TRACE_BATCHES)
 
     if kernel == "batched":
         plan = compile_dnf_plan(dnf)
@@ -232,6 +230,8 @@ def karp_luby_samples(
             min(estimate, 1.0), samples, total_weight, method
         )
 
+    trace = obs.enabled()
+    stride = max(1, samples // TRACE_BATCHES)
     cumulative: List[float] = []
     running = 0.0
     for weight in weights:

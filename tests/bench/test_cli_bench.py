@@ -181,27 +181,39 @@ def test_bench_report_trend_and_detail(tiny_case, tmp_path, capsys):
     assert "span profile" in detail
 
 
-def test_bench_migrate(tmp_path, capsys):
-    legacy = {
-        "benchmark": "obs_overhead",
-        "workload": "E1 qf n=24",
-        "repeats": 5,
-        "null_recorder_s": 0.068,
-        "stats_recorder_s": 0.070,
-        "traced_recorder_s": 0.073,
-        "overhead_pct": {"stats_vs_null": 3.0, "traced_vs_null": 7.0},
-        "pass": True,
-    }
-    (tmp_path / "BENCH_obs_overhead.json").write_text(json.dumps(legacy))
-    history = tmp_path / "h.jsonl"
-    code = main(
-        [
-            "bench", "migrate", "--root", str(tmp_path),
-            "--history", str(history),
-        ]
+
+def test_bench_report_detail_prints_latest_results(tmp_path, capsys):
+    """The detail view shows what the latest run measured, not only
+    how long it took: the values a case returns (its ``extra``)."""
+
+    def fn(params):
+        return {
+            "reliability": {"4": 0.9075, "8": 0.9184},
+            "bit_identical": True,
+            "speedup": params["speedup"],
+        }
+
+    case = BenchCase(
+        bench_id="testcli.results",
+        group="testcli",
+        fn=fn,
+        params={"speedup": 2.5},
+        quick={"speedup": 7.25},
+        repeats=1,
+        warmup=0,
     )
-    assert code == 0
-    records = History(str(history)).records()
-    assert len(records) == 1
-    assert records[0]["bench"] == "obs.legacy_overhead"
-    assert records[0]["source"] == "legacy-convert"
+    register_case(case)
+    history = str(tmp_path / "h.jsonl")
+    try:
+        for mode in ([], ["--quick"]):
+            main(["bench", "run", case.bench_id, "--history", history, *mode])
+    finally:
+        unregister(case.bench_id)
+    capsys.readouterr()
+    assert main(["bench", "report", case.bench_id, "--history", history]) == 0
+    out = capsys.readouterr().out
+    assert "latest results:" in out
+    assert '  reliability: {"4": 0.9075, "8": 0.9184}' in out
+    assert "  bit_identical: true" in out
+    assert "  speedup: 7.25" in out  # the quick run came last
+    assert "speedup: 2.5" not in out

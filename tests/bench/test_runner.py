@@ -11,7 +11,6 @@ from repro.bench.registry import (
     get_case,
     register_case,
     unregister,
-    workload,
 )
 from repro.bench.runner import run_case, run_many
 
@@ -135,11 +134,6 @@ class TestRegistry:
     def test_group_filter(self):
         kernels = all_cases(group="kernels")
         assert kernels and all(c.group == "kernels" for c in kernels)
-
-    def test_workload_accessor_returns_copy(self):
-        first = workload("experiments.e1_qf_reliability")
-        first["sizes"] = []
-        assert workload("experiments.e1_qf_reliability")["sizes"]
 
     def test_ids_are_group_dotted(self):
         for case in all_cases():

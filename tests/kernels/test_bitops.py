@@ -18,7 +18,6 @@ from repro.kernels.bitops import (
     count_tally,
     dyadic_bits,
     full_mask,
-    iter_set_bits,
     pick_batch_bits,
     popcount,
 )
@@ -163,14 +162,6 @@ def test_count_tally_matches_per_lane_counting(width, seed, masks):
     tally = count_tally(planes, full)
     assert dict(tally) == expected
     assert len(tally) == len(expected)  # no count listed twice
-
-
-def test_iter_set_bits_round_trip():
-    rng = random.Random(11)
-    for _ in range(20):
-        value = rng.getrandbits(300)
-        assert sum(1 << i for i in iter_set_bits(value)) == value
-    assert list(iter_set_bits(0)) == []
 
 
 def test_pick_batch_bits_tiny_budget_narrows_to_the_budget():

@@ -1,7 +1,7 @@
 """Engine instrumentation: the counters and traces the engines populate.
 
 Smoke-tests the contract that downstream tooling (the ``--stats`` CLI
-table, ``run_experiments.py`` records, convergence plots) relies on:
+table, ``repro bench`` records, convergence plots) relies on:
 each exact dispatch path populates its advertised counter names, the
 estimators emit per-batch running estimates, and the CLI flags work end
 to end.  Also audits seed threading: estimator entry points accept bare
@@ -235,57 +235,3 @@ class TestCliObservability:
         code = main(["compute", db_file, "exists x y. E(x, y)"])
         assert code == 0
         assert "engine stats" not in capsys.readouterr().out
-
-
-class TestRunExperimentsRecords:
-    def test_record_carries_metrics_and_logs_failures(self, caplog):
-        import sys
-
-        sys.path.insert(0, str(Path(repro.__file__).parents[2] / "benchmarks"))
-        try:
-            import run_experiments
-        finally:
-            sys.path.pop(0)
-
-        run_experiments.EXPERIMENTS["ETEST"] = lambda: truth_probability(
-            _tiny_db(), EXISTENTIAL, method="dnf"
-        )
-        run_experiments.EXPERIMENTS["EBOOM"] = _boom
-        from repro.bench.record import validate
-
-        try:
-            good_ok, good = run_experiments._run_experiment("ETEST")
-            assert good_ok is True
-            validate(good.to_dict())
-            assert good.bench == "experiments.table_etest"
-            assert good.metrics["counters"]["exact.dispatch.dnf"] == 1
-            assert good.profile["phases"]
-            with caplog.at_level("ERROR", logger="repro.benchmarks"):
-                bad_ok, bad = run_experiments._run_experiment("EBOOM")
-            assert bad_ok is False
-            assert bad.extra["ok"] is False
-            assert any(
-                "EBOOM" in record.message for record in caplog.records
-            )
-        finally:
-            del run_experiments.EXPERIMENTS["ETEST"]
-            del run_experiments.EXPERIMENTS["EBOOM"]
-
-
-def _boom():
-    raise RuntimeError("deliberate test failure")
-
-
-def _tiny_db():
-    from repro.relational.atoms import Atom
-    from repro.relational.builder import StructureBuilder
-    from repro.reliability.unreliable import UnreliableDatabase
-
-    builder = StructureBuilder(["a", "b"])
-    builder.relation("E", 2)
-    builder.relation("S", 1)
-    builder.add("E", ("a", "b"))
-    builder.add("S", ("b",))
-    return UnreliableDatabase(
-        builder.build(), {Atom("E", ("a", "b")): Fraction(1, 4)}
-    )

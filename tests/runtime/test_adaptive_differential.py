@@ -19,7 +19,7 @@ demanding agreement:
 
 import pytest
 
-from repro.kernels.bitops import dyadic_bits
+from repro.kernels.bitops import column_bits
 from repro.kernels.plan import (
     compile_dnf_plan,
     compile_hamming_plan,
@@ -28,7 +28,12 @@ from repro.kernels.plan import (
 from repro.kernels.sampling import KlPlan
 from repro.logic.evaluator import FOQuery
 from repro.propositional.counting import probability_exact
-from repro.propositional.karp_luby import karp_luby, sample_count
+from repro.propositional.karp_luby import (
+    _clause_weights,
+    karp_luby,
+    karp_luby_samples,
+    sample_count,
+)
 from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.montecarlo import estimate_truth_probability
 from repro.runtime.adaptive import (
@@ -60,27 +65,33 @@ def _db(seed, size=4):
 
 def _kl_plan(dnf, probs):
     """The compiled Karp-Luby plan, as ``karp_luby_samples`` builds it."""
-    weights = []
-    for clause in dnf.clauses:
-        weight = 1.0
-        for literal in clause:
-            p = float(probs[literal.variable])
-            weight *= p if literal.positive else 1.0 - p
-        weights.append(weight)
-    cumulative = []
-    running = 0.0
-    for weight in weights:
-        running += weight
-        cumulative.append(running)
+    weights = _clause_weights(dnf, probs)
     plan = compile_dnf_plan(dnf)
-    float_probs = {v: float(probs[v]) for v in dnf.variables}
     return KlPlan(
         plan.clauses,
-        tuple(dyadic_bits(float_probs[v]) for v in plan.variables),
-        cumulative,
+        tuple(column_bits(float(probs[v])) for v in plan.variables),
+        weights,
         sum(weights),
         "coverage",
     )
+
+
+def test_kl_plan_helper_builds_the_library_plan():
+    """Driving the helper's plan gives ``karp_luby_samples``' answer."""
+    rng = make_rng(3)
+    dnf = random_kdnf(rng, variables=8, clauses=4, width=3)
+    probs = random_probabilities(rng, dnf)
+    with use_surrogate(CostSurrogate()):
+        run = adaptive_kl_accumulate(
+            _kl_plan(dnf, probs), make_rng(4), 2000, 0.2, 0.1
+        )
+        library = karp_luby_samples(
+            dnf, probs, 2000, make_rng(4), epsilon=0.2, delta=0.1,
+            adaptive=True,
+        )
+    assert run.drawn == library.samples
+    total = library.clause_weight_total
+    assert min(total * run.mean, 1.0) == library.estimate
 
 
 # --------------------------------------------------------------------- #
