@@ -163,13 +163,6 @@ def _eq_operand(term) -> MTerm:
     return func(ID_FUNCTION, term)
 
 
-def _atom_functions(atom: AtomF) -> Tuple[str, str, Tuple]:
-    args = []
-    for term in atom.args:
-        args.append(term)
-    return TRUTH_PREFIX + atom.relation, ERROR_PREFIX + atom.relation, tuple(args)
-
-
 def reliability_term(query: FOQuery) -> MetafiniteQuery:
     """Compile a quantifier-free relational query into a reliability term.
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.logic.conjunctive import ConjunctiveQuery, hardness_query
+from repro.logic.conjunctive import hardness_query
 from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
 from repro.reliability.exact import expected_error
@@ -121,8 +121,3 @@ def sat_count_via_expected_error(
             f"reduction identity violated: H * 2^m = {count} is not integral"
         )
     return count.numerator
-
-
-def reduction_query() -> ConjunctiveQuery:
-    """The fixed conjunctive query of Proposition 3.2 (re-exported)."""
-    return hardness_query()

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
@@ -74,9 +74,8 @@ def existential_probability(
         raise QueryError(
             "existential_probability expects a Boolean first-order sentence"
         )
-    if not is_existential(query.formula):
-        raise QueryError("sentence is not existential")
-    grounding = ground_existential_to_dnf(db, query.formula)
+    _, targets = karp_luby_targets(db, query, "probability")
+    grounding = ground_existential_to_dnf(db, next(targets))
     if grounding.dnf.is_true():
         return AdditiveEstimate(1.0, epsilon, delta, 0)
     if grounding.dnf.is_false():
@@ -104,17 +103,42 @@ def wrong_target(formula: Formula) -> Formula:
     )
 
 
-def _boolean_wrong_estimate(
+def karp_luby_targets(
+    db: UnreliableDatabase, query: FOQuery, quantity: str = "reliability"
+) -> Tuple[int, Iterator[Formula]]:
+    """``(cells, targets)``: the existential sentences Karp–Luby
+    estimates for ``quantity``, one per answer cell, lazily, each at
+    failure probability ``delta / cells``.
+
+    That is a Boolean query itself for ``probability`` (Theorem 5.4),
+    and for reliability its :func:`wrong_target`, or one instantiated
+    ``wrong_target`` per answer tuple of a k-ary query (Corollary 5.5).
+    """
+    if quantity == "probability":
+        if not is_existential(query.formula):
+            raise QueryError("sentence is not existential")
+        return 1, iter((query.formula,))
+    if query.arity == 0:
+        return 1, iter((wrong_target(query.formula),))
+    cells = db.universe_size**query.arity
+    if cells == 0:
+        raise QueryError("reliability undefined on an empty universe")
+    return cells, (
+        wrong_target(query.instantiated(args))
+        for args in product(db.structure.universe, repeat=query.arity)
+    )
+
+
+def _wrong_estimate(
     db: UnreliableDatabase,
-    formula: Formula,
+    target: Formula,
     epsilon: float,
     delta: float,
     rng: random.Random,
     method: str,
     adaptive: bool = False,
 ) -> AdditiveEstimate:
-    """Additive estimate of ``Pr[Wrong(psi)]`` for existential/universal psi."""
-    target = wrong_target(formula)
+    """Additive estimate of ``Pr[Wrong(psi)]`` from psi's wrong target."""
     observed = FOQuery(target).evaluate(db.structure, ())
     probability = existential_probability(
         db, target, epsilon, delta, rng, method, adaptive=adaptive
@@ -149,27 +173,16 @@ def reliability_additive(
             "reliability_additive expects a first-order query; use "
             "padded_reliability for general polynomial-time queries"
         )
-    n = db.universe_size
-    k = fo_query.arity
-    if k == 0:
-        estimate = _boolean_wrong_estimate(
-            db, fo_query.formula, epsilon, delta, rng, method, adaptive
-        )
-        return AdditiveEstimate(
-            1.0 - estimate.value, epsilon, delta, estimate.samples
-        )
-    cells = n**k
-    if cells == 0:
-        raise QueryError("reliability undefined on an empty universe")
+    cells, targets = karp_luby_targets(db, fo_query)
     per_epsilon = epsilon  # relative eps per cell; see note below
     per_delta = delta / cells
     total_wrong = 0.0
     total_samples = 0
-    for args in product(db.structure.universe, repeat=k):
-        checkpoint()
-        instantiated = fo_query.instantiated(args)
-        estimate = _boolean_wrong_estimate(
-            db, instantiated, per_epsilon, per_delta, rng, method, adaptive
+    for target in targets:
+        if cells > 1:  # per answer tuple; a Boolean query has one target
+            checkpoint()
+        estimate = _wrong_estimate(
+            db, target, per_epsilon, per_delta, rng, method, adaptive
         )
         total_wrong += estimate.value
         total_samples += estimate.samples

@@ -492,11 +492,6 @@ def set_surrogate(surrogate: CostSurrogate) -> CostSurrogate:
     return previous
 
 
-def reset_surrogate() -> CostSurrogate:
-    """Install a fresh cold surrogate (tests; process hygiene)."""
-    return set_surrogate(CostSurrogate())
-
-
 @contextmanager
 def use_surrogate(surrogate: CostSurrogate) -> Iterator[CostSurrogate]:
     """Scoped :func:`set_surrogate` — restores the previous on exit."""

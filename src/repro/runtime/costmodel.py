@@ -612,8 +612,9 @@ def plan_chain(
 
     Builds the plan :func:`~repro.runtime.executor.run_with_fallback`
     would run for the same arguments and forecasts it with
-    :func:`repro.runtime.plan.forecast` against ``budget`` (the active
-    one when ``None``), which is never consumed.  The returned
+    :func:`repro.runtime.plan.forecast` — the executor's own walk with
+    stub engines — against ``budget`` (the active one when ``None``),
+    which is never consumed.  The returned
     :class:`~repro.runtime.plan.ChainPlan` names the selected engine —
     under ``max_atoms`` / ``max_samples`` caps, the engine the run
     answers with.  ``race`` forecasts the speculative race instead

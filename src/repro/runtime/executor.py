@@ -35,7 +35,9 @@ checkpoint) or :class:`QueryError` (fragment mismatch) is recorded and
 the next engine gets its turn.  The returned :class:`RuntimeResult`
 carries the value, the engine that answered, its guarantee type, and
 the full attempt log; everything is mirrored into :mod:`repro.obs`
-(``runtime.*`` counters, per-attempt spans).
+(``runtime.*`` counters, per-attempt spans).  The walk and the race
+of :mod:`repro.runtime.racing` sit behind one dispatch,
+:func:`execute`, which forecasts also run with stub engines.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro import obs
 from repro.logic.classify import is_conjunctive
@@ -179,21 +183,26 @@ class RuntimeResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _Request:
+class _Request(NamedTuple):
     quantity: str
     epsilon: float
     delta: float
-    rng: random.Random
+    rng_base: int
+    engine: str
     #: Sequential empirical-Bernstein stopping for the sampling engines
     #: (see :mod:`repro.runtime.adaptive`); exact engines ignore it.
     adaptive: bool = False
     #: The plan's dichotomy verdict (``None``: not classified).
     verdict: Any = None
 
+    @property
+    def rng(self) -> random.Random:
+        """Seeded on read: only sampling engines read it, and seeding
+        costs more than a whole forecast attempt."""
+        return _attempt_rng(self.rng_base, self.engine)
 
-@dataclass(frozen=True)
-class _Answer:
+
+class _Answer(NamedTuple):
     value: float
     guarantee: str
     epsilon: Optional[float]
@@ -297,9 +306,9 @@ STATIC_SAFE_ENGINES: Tuple[str, ...] = ("safe_lifted", "lifted")
 def static_skip_detail(name: str, verdict) -> Optional[str]:
     """The skip reason for ``name`` under ``verdict``, or ``None`` to run.
 
-    Shared between the sequential walk, the racing dispatcher, and the
-    forecasts of :mod:`repro.runtime.plan` — the forecast must mark
-    ``skipped_static`` exactly where the run does.
+    Shared between the sequential walk and the race partition, which
+    forecasts run too, so they mark ``skipped_static`` exactly where
+    the run does.
     """
     if name in STATIC_SAFE_ENGINES and not verdict.safe:
         return verdict.summary()
@@ -349,20 +358,50 @@ def race_partition(
     return tuple(kept), tuple(skipped)
 
 
-def _record_prediction_error(model, engine, features, elapsed) -> None:
-    """Mirror a successful attempt's predicted-vs-observed cost into obs.
+def _record_prediction_error(model, engine, features, elapsed, emit) -> None:
+    """Mirror a successful attempt's predicted-vs-observed cost into ``emit``.
 
     ``costmodel.prediction_error`` is the absolute log10 ratio of
     observed to predicted seconds (0 = perfect, 1 = off by 10x) — the
     quantity the calibration smoke lane bounds.
     """
     predicted = model.predict_seconds(engine, features)
-    obs.inc("costmodel.predictions")
+    emit.inc("costmodel.predictions")
     if not (predicted > 0 and math.isfinite(predicted)):
         return
     ratio = max(elapsed, 1e-9) / predicted
-    obs.observe("costmodel.prediction_error", abs(math.log10(ratio)))
-    obs.gauge("costmodel.last_ratio", ratio)
+    emit.observe("costmodel.prediction_error", abs(math.log10(ratio)))
+    emit.gauge("costmodel.last_ratio", ratio)
+
+
+def report_attempt(plan, attempt: Attempt, counter: str = "", emit=obs) -> None:
+    """Mirror one finished attempt of the walk or the race into
+    ``emit``; ``counter`` is a failure's :func:`classify_failure` one."""
+    emit.inc("runtime.attempts")
+    if attempt.outcome != "ok":
+        if counter:
+            emit.inc(counter)
+        emit.inc("runtime.fallbacks")
+        emit.event(
+            "runtime.fallback",
+            engine=attempt.engine,
+            outcome=attempt.outcome,
+            detail=attempt.detail,
+        )
+        if attempt.outcome in ("cancelled", "preempted", "abandoned"):
+            return  # a lost racer's time says nothing about its cost
+    if plan.features is not None:
+        emit.event(
+            "runtime.attempt.cost",
+            engine=attempt.engine,
+            outcome=attempt.outcome,
+            seconds=attempt.elapsed,
+            **plan.features,
+        )
+    if attempt.outcome == "ok" and plan.model is not None:
+        _record_prediction_error(
+            plan.model, attempt.engine, plan.features, attempt.elapsed, emit
+        )
 
 
 #: Attempt outcomes a retry could plausibly cure: a blown deadline or
@@ -479,7 +518,8 @@ def run_with_fallback(
 
     The inputs are validated and the static decisions — model, chain
     order, dichotomy verdict — made once, by
-    :func:`repro.runtime.plan.make_plan`; the same plan is what
+    :func:`repro.runtime.plan.make_plan`, and the plan runs through
+    :func:`execute` — the same plan and the same dispatch that
     :func:`repro.runtime.costmodel.plan_chain` forecasts.
 
     Raises :class:`FallbackExhausted` (with the attempt log attached)
@@ -493,35 +533,63 @@ def run_with_fallback(
     rng_base = as_rng(rng).getrandbits(64)
     scope = apply(budget) if budget is not None else nullcontext()
     with scope:
-        if plan.overlap is not None:
-            return _race(plan, active_budget(), rng_base)
-        return _walk(plan, active_budget(), rng_base)
+        return execute(plan, active_budget(), rng_base)
 
 
-def _record_skip(name: str, detail: str) -> Attempt:
-    obs.inc("runtime.skipped_static")
-    obs.event("runtime.skip_static", engine=name, detail=detail)
+def execute(
+    plan, budget, rng_base: int, engines=None, emit=obs, scheduler=None
+) -> RuntimeResult:
+    """Race ``plan`` under ``budget`` if it has an overlap, else walk it.
+
+    The one dispatch of runs and of :func:`repro.runtime.plan.forecast`,
+    which passes stub ``engines``, ``emit=obs.NULL`` and, for a race,
+    a virtual ``scheduler``; a walk times itself on ``scheduler.now``.
+    """
+    if engines is None:
+        engines = ENGINES
+    if plan.overlap is not None:
+        return _race(plan, budget, rng_base, engines, emit, scheduler)
+    clock = _run_clock() if scheduler is None else scheduler.now
+    return _walk(plan, budget, rng_base, engines, emit, clock)
+
+
+def _record_skip(name: str, detail: str, emit) -> Attempt:
+    emit.inc("runtime.skipped_static")
+    emit.event("runtime.skip_static", engine=name, detail=detail)
     return Attempt(name, "skipped_static", detail, 0.0)
 
 
-def _race(plan, run_budget, rng_base: int) -> RuntimeResult:
+def _exhausted(message: str, attempts, emit) -> FallbackExhausted:
+    emit.inc("runtime.exhausted")
+    return FallbackExhausted(
+        f"{message} "
+        f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
+        attempts,
+    )
+
+
+def _race(plan, run_budget, rng_base, engines, emit, scheduler) -> RuntimeResult:
     """Race the plan's chain after the dichotomy partition."""
     from repro.runtime import racing
 
     race_chain, skipped = race_partition(
         plan.chain, plan.verdict, plan.quantity
     )
-    attempts = tuple(_record_skip(name, detail) for name, detail in skipped)
+    attempts = tuple(
+        _record_skip(name, detail, emit) for name, detail in skipped
+    )
     if not race_chain:
-        obs.inc("runtime.exhausted")
-        raise FallbackExhausted(
+        raise _exhausted(
             "no engine to race: every engine in the chain was "
-            "statically skipped "
-            f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
+            "statically skipped",
             attempts,
+            emit,
         )
     try:
-        result = racing.run_race(plan, race_chain, run_budget, rng_base)
+        result = racing.run_race(
+            plan, race_chain, run_budget, rng_base,
+            scheduler=scheduler, engines=engines, emit=emit,
+        )
     except FallbackExhausted as exc:
         raise FallbackExhausted(str(exc), attempts + tuple(exc.attempts)) from None
     if attempts:
@@ -529,20 +597,17 @@ def _race(plan, run_budget, rng_base: int) -> RuntimeResult:
     return result
 
 
-def _walk(plan, run_budget, rng_base: int) -> RuntimeResult:
+def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
     """Walk the plan's chain sequentially: the first answer wins."""
     chain = plan.chain
-    features = plan.features
     attempts = []
-    clock = _run_clock()
     started = clock()
-    with obs.span("runtime.run", engines=len(chain), quantity=plan.quantity):
+    with emit.span("runtime.run", engines=len(chain), quantity=plan.quantity):
         for index, name in enumerate(chain):
             skip_detail = static_skip_detail(name, plan.verdict)
             if skip_detail is not None:
-                attempts.append(_record_skip(name, skip_detail))
+                attempts.append(_record_skip(name, skip_detail, emit))
                 continue
-            obs.inc("runtime.attempts")
             attempt_start = clock()
             try:
                 # Fair-share time slicing: under a deadline, each
@@ -561,50 +626,21 @@ def _walk(plan, run_budget, rng_base: int) -> RuntimeResult:
                     share = remaining / (len(chain) - index)
                     attempt_scope = apply(run_budget.sliced(share))
                 request = _Request(
-                    plan.quantity, plan.epsilon, plan.delta,
-                    _attempt_rng(rng_base, name), plan.adaptive,
-                    plan.verdict,
+                    plan.quantity, plan.epsilon, plan.delta, rng_base, name,
+                    plan.adaptive, plan.verdict,
                 )
                 with attempt_scope:
-                    with obs.span("runtime.attempt", engine=name):
-                        answer = ENGINES[name](plan.db, plan.query, request)
+                    with emit.span("runtime.attempt", engine=name):
+                        answer = engines[name](plan.db, plan.query, request)
             except (CostRefused, BudgetExceeded, QueryError) as exc:
-                attempt_elapsed = clock() - attempt_start
                 outcome, counter = classify_failure(exc)
-                obs.inc(counter)
-                obs.inc("runtime.fallbacks")
-                obs.event(
-                    "runtime.fallback",
-                    engine=name,
-                    outcome=outcome,
-                    detail=str(exc),
-                )
-                if features is not None:
-                    obs.event(
-                        "runtime.attempt.cost",
-                        engine=name,
-                        outcome=outcome,
-                        seconds=attempt_elapsed,
-                        **features,
-                    )
-                attempts.append(
-                    Attempt(name, outcome, str(exc), attempt_elapsed)
-                )
+                attempt = Attempt(name, outcome, str(exc), clock() - attempt_start)
+                report_attempt(plan, attempt, counter, emit)
+                attempts.append(attempt)
                 continue
-            attempt_elapsed = clock() - attempt_start
-            if features is not None:
-                obs.event(
-                    "runtime.attempt.cost",
-                    engine=name,
-                    outcome="ok",
-                    seconds=attempt_elapsed,
-                    **features,
-                )
-            if plan.model is not None:
-                _record_prediction_error(
-                    plan.model, name, features, attempt_elapsed
-                )
-            attempts.append(Attempt(name, "ok", "", attempt_elapsed))
+            attempt = Attempt(name, "ok", "", clock() - attempt_start)
+            report_attempt(plan, attempt, emit=emit)
+            attempts.append(attempt)
             result = RuntimeResult(
                 value=answer.value,
                 engine=name,
@@ -616,20 +652,15 @@ def _walk(plan, run_budget, rng_base: int) -> RuntimeResult:
                 elapsed=clock() - started,
                 fraction=answer.fraction,
             )
-            obs.inc("runtime.completed")
-            obs.event(
+            emit.inc("runtime.completed")
+            emit.event(
                 "runtime.result",
                 engine=name,
                 guarantee=answer.guarantee,
                 attempts=len(attempts),
             )
             return result
-    obs.inc("runtime.exhausted")
-    raise FallbackExhausted(
-        f"all {len(chain)} engines failed "
-        f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
-        attempts,
-    )
+    raise _exhausted(f"all {len(chain)} engines failed", attempts, emit)
 
 
 def run_update_stream(

@@ -10,32 +10,30 @@ runs the :class:`Plan`; :func:`forecast` predicts its walk or race for
 
 Each engine has one forecast function (:meth:`Plan.forecast`): its
 fragment check plus the refusal arithmetic of
-:mod:`repro.runtime.preflight`.  The sequential forecast walks the
-chain with it, the race driver reserves samples with it, and the race
-forecast runs the real :func:`repro.runtime.racing.run_race` on a
-:class:`~repro.runtime.faults.VirtualScheduler` with stub engines that
-refuse as forecast or take their predicted seconds.
+:mod:`repro.runtime.preflight`.  The race driver reserves samples with
+it, and :func:`forecast` runs the executor's own walk or race with
+stub engines that replay it, so the order, skips, fair shares and
+exhaustion it predicts are the executor's by construction.
 
 Under ``max_atoms`` / ``max_samples`` caps a forecast is exact: the
-selected engine is the engine the run answers with.  Deadlines are
-racy and running world/clause caps depend on cache state, so those can
-diverge — the differential harness pins the exact cases.
+selected engine is the engine the run answers with, as long as each
+forecast function predicts its engine's preflight (the differential
+harness checks this).  Deadlines are racy and running world/clause
+caps depend on cache state, so those can diverge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.logic import safety
-from repro.logic.classify import is_existential
 from repro.logic.evaluator import FOQuery
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.propositional.karp_luby import sample_count
-from repro.reliability.approx import wrong_target
+from repro.reliability.approx import karp_luby_targets
 from repro.reliability.exact import as_query
 from repro.reliability.grounding import ground_existential_to_dnf, relevant_atoms
 from repro.reliability.montecarlo import hoeffding_samples
@@ -200,27 +198,6 @@ def _forecast_lifted(plan: Plan, budget, samples_used: int) -> Forecast:
     return _OK
 
 
-def _kl_targets(db, query, quantity):
-    """The existential sentences one Karp–Luby attempt grounds, and the
-    number of answer cells its ``delta`` is split over."""
-    if not isinstance(query, FOQuery):
-        raise QueryError("karp_luby engine requires a first-order query")
-    if quantity == "probability":
-        if not is_existential(query.formula):
-            raise QueryError("sentence is not existential")
-        return [query.formula], 1
-    if query.arity == 0:
-        return [wrong_target(query.formula)], 1
-    cells = db.universe_size**query.arity
-    if cells == 0:
-        raise QueryError("reliability undefined on an empty universe")
-    universe = db.structure.universe
-    return [
-        wrong_target(query.instantiated(args))
-        for args in product(universe, repeat=query.arity)
-    ], cells
-
-
 def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
     """Per target: the grounding preflight, then the sample preflight.
 
@@ -229,14 +206,13 @@ def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
     is cached, and the real run reuses it rather than paying twice.
     """
     db = plan.db
-    try:
-        targets, cells = _kl_targets(db, plan.query, plan.quantity)
-    except QueryError as exc:
-        return "fragment_mismatch", str(exc), 0
-    per_delta = plan.delta / cells if cells > 1 else plan.delta
     consumed = 0
-    for target in targets:
-        try:
+    try:
+        if not isinstance(plan.query, FOQuery):
+            raise QueryError("karp_luby engine requires a first-order query")
+        cells, targets = karp_luby_targets(db, plan.query, plan.quantity)
+        per_delta = plan.delta / cells
+        for target in targets:
             if budget.max_ground_clauses is not None:
                 variables, matrix = existential_parts(target)
                 refusal = grounding_refusal(
@@ -247,15 +223,17 @@ def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
                     return _refused(refusal, consumed)
             with apply(Budget(max_atoms=None)):
                 grounding = ground_existential_to_dnf(db, target)
-        except QueryError as exc:
-            return "fragment_mismatch", str(exc), consumed
-        if grounding.dnf.is_true() or grounding.dnf.is_false():
-            continue
-        needed = sample_count(len(grounding.dnf.clauses), plan.epsilon, per_delta)
-        refusal = samples_refusal(needed, _left(budget, samples_used + consumed))
-        if refusal is not None:
-            return _refused(refusal, consumed)
-        consumed += needed
+            if grounding.dnf.is_true() or grounding.dnf.is_false():
+                continue
+            needed = sample_count(len(grounding.dnf.clauses), plan.epsilon, per_delta)
+            refusal = samples_refusal(
+                needed, _left(budget, samples_used + consumed)
+            )
+            if refusal is not None:
+                return _refused(refusal, consumed)
+            consumed += needed
+    except QueryError as exc:
+        return "fragment_mismatch", str(exc), consumed
     return "ok", "", consumed
 
 
@@ -310,9 +288,9 @@ class EngineForecast:
 class RaceForecast:
     """The forecast race: who launches when, who wins, who is wasted.
 
-    Produced by ``plan_chain(..., race=...)``, which runs
-    :func:`repro.runtime.racing.run_race` on a virtual clock over the
-    model's predicted per-engine seconds.  ``outcomes`` maps every
+    Produced by ``plan_chain(..., race=...)``, which races the plan
+    through :func:`repro.runtime.executor.execute` on a virtual clock
+    over the model's predicted per-engine seconds.  ``outcomes`` maps every
     engine in the chain to its predicted fate: ``"won"``,
     ``"preempted"``, ``"cancelled"``, ``"not_launched"``,
     ``"skipped_static"`` (excluded by the dichotomy router before
@@ -385,12 +363,21 @@ class ChainPlan:
 def forecast(plan: Plan, budget) -> ChainPlan:
     """Predict ``plan``'s walk — or race — under ``budget``.
 
+    Runs the executor's own dispatch,
+    :func:`repro.runtime.executor.execute`, over a shadow of
+    ``budget``'s caps and sample ledger, with stub engines that refuse
+    as :meth:`Plan.forecast` predicts or answer.  A walk's stub takes no
+    time and charges its draw to the shadow's ledger (the walk forecast
+    is deadline-blind); a race's takes its predicted seconds on a
+    :class:`~repro.runtime.faults.VirtualScheduler`, its racer's sample
+    headroom doing the reserving.
+
     Read-only: no engine runs, ``budget``'s ledgers are not charged,
-    and the race forecast emits no ``runtime.*`` instrumentation.
-    Under ``plan.adaptive`` the predicted seconds of the sampling
-    engines price the surrogate's expected stopping, while the sample
-    preflights stay worst-case — exactly what the run reserves — and
-    sampling forecasts carry ``expected_samples``/``worst_samples``.
+    and the executor reports to ``obs.NULL``.  Under ``plan.adaptive``
+    the predicted seconds of the sampling engines price the surrogate's
+    expected stopping, while the sample preflights stay worst-case —
+    exactly what the run reserves — and sampling forecasts carry
+    ``expected_samples``/``worst_samples``.
     """
     surrogate = None
     if plan.adaptive:
@@ -408,27 +395,70 @@ def forecast(plan: Plan, budget) -> ChainPlan:
     predicted = {
         name: scorer.predict_seconds(name, plan.features) for name in plan.chain
     }
-    if plan.overlap is not None:
-        return _forecast_race(plan, budget, predicted)
+    race = plan.overlap is not None
+    caps = (
+        budget.max_worlds, budget.max_ground_clauses, budget.max_samples,
+        budget.max_atoms,
+    )
+    scheduler = None
+    if race:
+        scheduler = VirtualScheduler()
+        shadow = Budget(budget.deadline_seconds, *caps, clock=scheduler.now)
+    else:
+        shadow = Budget(None, *caps)
+    left = budget.remaining_samples()
+    if left is not None:
+        shadow.samples = shadow.max_samples - left
+    samples: Dict[str, int] = {}
+    finish: Dict[str, float] = {}
 
+    def stub(db, query, request):
+        name = request.engine
+        view = active_budget() if race else shadow
+        outcome, detail, spent = plan.forecast(name, view)
+        samples[name] = spent
+        try:
+            if not race:
+                view.consume(samples=spent)
+            if outcome == "cost_refused":
+                raise CostRefused(detail)
+            if outcome != "ok":
+                raise QueryError(detail)
+            if race:
+                racing.race_sleep(predicted[name])
+                checkpoint()
+        finally:
+            if race:
+                finish[name] = scheduler.now()
+        guarantee = executor.engine_guarantee(name, plan.quantity)
+        return executor._Answer(0.0, guarantee, None, None)
+
+    try:
+        result = executor.execute(
+            plan, shadow.start(), 0, engines=dict.fromkeys(plan.chain, stub),
+            emit=obs.NULL, scheduler=scheduler,
+        )
+        winner, attempts, elapsed = result.engine, result.attempts, result.elapsed
+    except FallbackExhausted as exc:
+        winner, attempts = None, exc.attempts
+        elapsed = scheduler.now() if race else 0.0
+    # One conversion of the attempt log for both modes.  An engine the
+    # executor never reached is not_tried in a walk, not_launched in a
+    # race; a statically skipped one is forecast at 0 s.
+    log: Dict[str, list] = {}
+    for attempt in attempts:
+        log.setdefault(attempt.engine, []).append(attempt)
     forecasts = []
-    selected: Optional[str] = None
-    samples_used = 0
     for name in plan.chain:
         tier = executor.engine_guarantee(name, plan.quantity)
-        if selected is not None:
-            forecasts.append(
-                EngineForecast(name, tier, "not_tried", predicted[name])
-            )
+        tried = log.get(name)
+        if not tried:
+            unreached = "not_launched" if race else "not_tried"
+            forecasts.append(EngineForecast(name, tier, unreached, predicted[name]))
             continue
-        skip_detail = executor.static_skip_detail(name, plan.verdict)
-        if skip_detail is not None:
-            forecasts.append(
-                EngineForecast(name, tier, "skipped_static", 0.0, skip_detail)
-            )
-            continue
-        outcome, detail, spent = plan.forecast(name, budget, samples_used)
-        samples_used += spent
+        attempt = tried.pop(0)
+        outcome = "won" if race and name == winner else attempt.outcome
+        spent = samples.get(name, 0)
         expected: Optional[int] = None
         worst: Optional[int] = None
         if name in ("karp_luby", "montecarlo") and spent > 0:
@@ -438,105 +468,24 @@ def forecast(plan: Plan, budget) -> ChainPlan:
                 expected = max(1, math.ceil(spent * fraction))
         forecasts.append(
             EngineForecast(
-                name, tier, outcome, predicted[name], detail,
+                name, tier, outcome,
+                0.0 if outcome == "skipped_static" else predicted[name],
+                attempt.detail,
                 expected_samples=expected,
                 worst_samples=worst,
             )
         )
-        if outcome == "ok":
-            selected = name
-    return ChainPlan(
-        plan.chain, selected, tuple(forecasts), plan.features,
-        dichotomy=plan.verdict,
-    )
-
-
-def _forecast_race(
-    plan: Plan, budget, predicted: Dict[str, float]
-) -> ChainPlan:
-    """Run the real race driver on a virtual clock with stub engines.
-
-    Each stub refuses as its engine's forecast says against the racer's
-    own budget view, or takes its predicted seconds and answers.  The
-    race runs over a copy of the caller's caps and sample ledger, with
-    instrumentation off and no cost model.
-    """
-    race_chain, skipped = executor.race_partition(
-        plan.chain, plan.verdict, plan.quantity
-    )
-    outcomes = {name: "not_launched" for name in race_chain}
-    finish: Dict[str, float] = {}
-    winner: Optional[str] = None
-    elapsed = 0.0
-    if race_chain:
-        scheduler = VirtualScheduler()
-
-        def stub(name):
-            def engine(db, query, request):
-                outcome, detail, _ = plan.forecast(name, active_budget())
-                try:
-                    if outcome == "cost_refused":
-                        raise CostRefused(detail)
-                    if outcome != "ok":
-                        raise QueryError(detail)
-                    racing.race_sleep(predicted[name])
-                    checkpoint()
-                finally:
-                    finish[name] = scheduler.now()
-                guarantee = executor.engine_guarantee(name, plan.quantity)
-                return executor._Answer(0.0, guarantee, None, None)
-
-            return engine
-
-        shadow = Budget(
-            deadline=budget.deadline_seconds,
-            max_worlds=budget.max_worlds,
-            max_ground_clauses=budget.max_ground_clauses,
-            max_samples=budget.max_samples,
-            max_atoms=budget.max_atoms,
-            clock=scheduler.now,
+    race_forecast = None
+    if race:
+        race_forecast = RaceForecast(
+            winner=winner,
+            overlap=plan.overlap,
+            launch_order=tuple(name for name in plan.chain if name in finish),
+            outcomes={f.engine: f.outcome for f in forecasts},
+            finish_seconds=finish,
+            elapsed_seconds=elapsed,
         )
-        shadow.samples = budget.samples
-        try:
-            result = racing.run_race(
-                replace(plan, model=None, features=None),
-                race_chain,
-                shadow.start(),
-                0,
-                scheduler=scheduler,
-                engines={name: stub(name) for name in race_chain},
-                emit=obs.NULL,
-            )
-            winner, attempts, elapsed = (
-                result.engine, result.attempts, result.elapsed
-            )
-        except FallbackExhausted as exc:
-            attempts, elapsed = exc.attempts, scheduler.now()
-        outcomes.update((a.engine, a.outcome) for a in attempts)
-        if winner is not None:
-            outcomes[winner] = "won"
-    details = dict(skipped)
-    for name in details:
-        outcomes[name] = "skipped_static"
-    race = RaceForecast(
-        winner=winner,
-        overlap=plan.overlap,
-        launch_order=tuple(name for name in race_chain if name in finish),
-        outcomes=outcomes,
-        finish_seconds=finish,
-        elapsed_seconds=elapsed,
-    )
-    forecasts = tuple(
-        EngineForecast(
-            name,
-            executor.engine_guarantee(name, plan.quantity),
-            outcomes[name],
-            predicted[name],
-            details.get(name, ""),
-        )
-        for name in plan.chain
-    )
     return ChainPlan(
-        plan.chain, winner, forecasts, plan.features,
-        race=race, dichotomy=plan.verdict,
+        plan.chain, winner, tuple(forecasts), plan.features,
+        race=race_forecast, dichotomy=plan.verdict,
     )

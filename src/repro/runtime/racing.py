@@ -26,8 +26,9 @@ Mechanics, all built from existing runtime machinery:
   threads on the wall clock, while the deterministic virtual-clock
   :class:`~repro.runtime.faults.VirtualScheduler` replays any scripted
   fault interleaving bit-for-bit (see docs/ROBUSTNESS.md).  ``analyze
-  --race`` forecasts by running this same driver on a virtual clock
-  with stub engines that take their predicted seconds.
+  --race`` forecasts by running this same driver, through
+  :func:`repro.runtime.executor.execute`, on a virtual clock with stub
+  engines that take their predicted seconds.
 
 Winner selection: when a racer finishes ``ok`` at tier rank ``r``,
 every contender at rank ``>= r`` is cancelled (it could at best tie)
@@ -49,12 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import obs
 from repro.runtime import executor as _executor
 from repro.runtime.budget import Budget, CancelToken, RacerBudget, apply
-from repro.util.errors import (
-    BudgetExceeded,
-    CostRefused,
-    FallbackExhausted,
-    QueryError,
-)
+from repro.util.errors import BudgetExceeded, CostRefused, QueryError
 
 __all__ = [
     "DEFAULT_OVERLAP",
@@ -334,13 +330,13 @@ def run_race(
 ):
     """Race ``chain`` speculatively; returns a ``RuntimeResult``.
 
-    Called by :func:`repro.runtime.executor.run_with_fallback` with its
-    plan and the dichotomy-partitioned chain, inside the budget scope.
+    Called by :func:`repro.runtime.executor.execute` with its plan and
+    the dichotomy-partitioned chain, inside the budget scope.
     ``rng_base`` seeds the per-attempt generators (the same derivation
     the sequential walk uses, so a race winner's value equals the value
-    a sequential run of that engine would have produced).  The race
-    forecast passes its own ``scheduler``, stub ``engines`` and
-    ``emit=obs.NULL`` in place of the process recorder.
+    a sequential run of that engine would have produced).  A forecast
+    passes its own ``scheduler``, stub ``engines`` and ``emit=obs.NULL``
+    in place of the process recorder.
     """
     if scheduler is None:
         scheduler = (
@@ -350,7 +346,7 @@ def run_race(
     if engines is None:
         engines = _executor.ENGINES
     db, query, quantity = plan.db, plan.query, plan.quantity
-    model, features, overlap = plan.model, plan.features, plan.overlap
+    overlap = plan.overlap
     started = scheduler.now()
     chain = tuple(chain)
     total = len(chain)
@@ -364,6 +360,7 @@ def run_race(
     contenders: List[_Racer] = []   # launched, not finished, not cancelled
     running: List[_Racer] = []      # launched, not finished (incl. cancelled)
     completed: List[_Racer] = []    # in completion order
+    attempts: List[_executor.Attempt] = []  # their records, likewise
     held: Optional[_Racer] = None
     winner: Optional[_Racer] = None
     samples_reserved = 0
@@ -371,8 +368,7 @@ def run_race(
 
     def make_body(racer: _Racer, share: Optional[float], headroom: Optional[int]):
         request = _executor._Request(
-            quantity, plan.epsilon, plan.delta,
-            _executor._attempt_rng(rng_base, racer.name),
+            quantity, plan.epsilon, plan.delta, rng_base, racer.name,
             plan.adaptive, plan.verdict,
         )
 
@@ -416,43 +412,14 @@ def run_race(
         return body
 
     def record_attempt(racer: _Racer) -> None:
+        attempt = _executor.Attempt(
+            racer.name, racer.outcome, racer.detail, racer.elapsed
+        )
         completed.append(racer)
-        emit.inc("runtime.attempts")
-        if racer.outcome == "ok":
-            if features is not None:
-                emit.event(
-                    "runtime.attempt.cost",
-                    engine=racer.name,
-                    outcome="ok",
-                    seconds=racer.elapsed,
-                    **features,
-                )
-            if model is not None:
-                _executor._record_prediction_error(
-                    model, racer.name, features, racer.elapsed
-                )
-            return
-        if racer.counter:
-            emit.inc(racer.counter)
+        attempts.append(attempt)
         if racer.outcome == "cancelled":
             emit.inc("runtime.race.cancelled")
-        emit.inc("runtime.fallbacks")
-        emit.event(
-            "runtime.fallback",
-            engine=racer.name,
-            outcome=racer.outcome,
-            detail=racer.detail,
-        )
-        if features is not None and racer.outcome in (
-            "cost_refused", "budget_exceeded", "fragment_mismatch"
-        ):
-            emit.event(
-                "runtime.attempt.cost",
-                engine=racer.name,
-                outcome=racer.outcome,
-                seconds=racer.elapsed,
-                **features,
-            )
+        _executor.report_attempt(plan, attempt, racer.counter, emit)
 
     def cancel(racer: _Racer, reason: str) -> None:
         if not racer.token.cancelled:
@@ -641,16 +608,9 @@ def run_race(
                 attempts=len(completed),
             )
 
-    attempts = tuple(
-        _executor.Attempt(r.name, r.outcome, r.detail, r.elapsed)
-        for r in completed
-    )
     if winner is None:
-        emit.inc("runtime.exhausted")
-        raise FallbackExhausted(
-            f"all {total} engines failed "
-            f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
-            attempts,
+        raise _executor._exhausted(
+            f"all {total} engines failed", tuple(attempts), emit
         )
     answer = winner.answer
     return _executor.RuntimeResult(
@@ -660,7 +620,7 @@ def run_race(
         quantity=quantity,
         epsilon=answer.epsilon,
         delta=answer.delta,
-        attempts=attempts,
+        attempts=tuple(attempts),
         elapsed=scheduler.now() - started,
         fraction=answer.fraction,
     )

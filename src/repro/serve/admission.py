@@ -118,10 +118,11 @@ def assess(
     Order of checks: ladder tier for the depth, then the ``plan_chain``
     forecast of the tier-filtered chain under the request's own budget
     (no engine forecast ``ok`` → ``cost_refused``), then the selected
-    engine's predicted seconds against the deadline
-    (``deadline_unmeetable``).  Malformed queries surface as
-    ``invalid``.  The caller's budget is never consumed — the forecast
-    is read-only, exactly as ``repro analyze`` is.
+    engine's predicted seconds against the deadline, falling forward to
+    the ``not_tried`` engines that fit (``deadline_unmeetable`` when
+    none does).  Malformed queries surface as ``invalid``.  The
+    caller's budget is never consumed — the forecast is read-only,
+    exactly as ``repro analyze`` is.
 
     ``adaptive`` forwards to the ``plan_chain`` forecast: predicted
     seconds for the sampling engines then price the surrogate's
@@ -168,11 +169,13 @@ def assess(
     if remaining is None or predicted <= remaining:
         return AdmissionDecision(ADMITTED, tier, planned, "", predicted)
     # The preferred engine cannot finish in time.  Before refusing,
-    # fall forward through the plan: admit on the engines whose own
-    # forecasts fit the deadline (deadline pressure is just another
-    # degradation axis — serve a weaker answer rather than none).
+    # fall forward through the plan: admit on the engines the forecast
+    # leaves runnable (``not_tried``) whose own forecasts fit the
+    # deadline (deadline pressure is just another degradation axis —
+    # serve a weaker answer rather than none).
     fitting = tuple(
-        engine for engine in planned if forecast[engine] <= remaining
+        f.engine for f in forecasts
+        if f.outcome == "not_tried" and f.predicted_seconds <= remaining
     )
     if fitting:
         return AdmissionDecision(

@@ -199,12 +199,6 @@ class Server:
     def draining(self) -> bool:
         return self._draining
 
-    def backlog_depth(self) -> int:
-        return len(self._backlog)
-
-    def inflight(self) -> int:
-        return len(self._running)
-
     def run(
         self, requests: Iterable["rq.ServeRequest"] = ()
     ) -> List["rq.ServeResponse"]:

@@ -74,8 +74,3 @@ def dyadic_approximation(value: Fraction, bits: int) -> Fraction:
     scale = 1 << bits
     numerator = (value * scale + Fraction(1, 2)).__floor__()
     return Fraction(numerator, scale)
-
-
-def float_of(value: Union[Fraction, float, int]) -> float:
-    """Lossy float view of a rational, for reporting only."""
-    return float(value)

@@ -118,8 +118,15 @@ class TestAdmissionControl:
         assert counters["serve.rejected"] == 1
         check_accounting(counters)
 
-    def test_deadline_unmeetable_is_refused_up_front(self, db):
-        request = ServeRequest(id="q", query=QUERY, deadline=1e-9)
+    # The unsafe query's statically skipped ``safe_lifted`` is forecast
+    # at 0 s, yet it is no engine to fall forward to.
+    @pytest.mark.parametrize(
+        "query",
+        [QUERY, "exists x. exists y. E(x, y) & S(x) & S(y)"],
+        ids=["safe", "unsafe"],
+    )
+    def test_deadline_unmeetable_is_refused_up_front(self, db, query):
+        request = ServeRequest(id="q", query=query, deadline=1e-9)
         _, responses, counters = serve(db, [request])
         assert responses[0].code == "deadline_unmeetable"
         assert "deadline" in responses[0].detail
