@@ -41,7 +41,6 @@ from repro.runtime.budget import (
     DEFAULT_MAX_ATOMS,
     Budget,
     Deadline,
-    SlicedBudget,
     active_budget,
     apply,
     checkpoint,
@@ -58,7 +57,6 @@ from repro.runtime.preflight import (
 __all__ = [
     "Budget",
     "Deadline",
-    "SlicedBudget",
     "DEFAULT_BUDGET",
     "DEFAULT_MAX_ATOMS",
     "active_budget",

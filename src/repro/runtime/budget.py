@@ -10,6 +10,10 @@ a randomized estimator.  This module supplies the stopping machinery:
   clock, raising :class:`~repro.util.errors.BudgetExceeded` on expiry;
 * :class:`Budget` — a deadline plus caps on worlds enumerated, clauses
   grounded, and samples drawn, consumed at **cooperative checkpoints**;
+  :meth:`Budget.child` makes the budget of one attempt (a fair-share
+  slice of the fallback walk, a racer, a serve worker's try), with its
+  own deadline, :class:`CancelToken` and scheduler hook, and
+  :meth:`Budget.close` charges what it consumed back to its parent;
 * a module-level *active budget*, mirroring the :mod:`repro.obs`
   recorder pattern: engines call :func:`checkpoint` inside their hot
   loops, which is a near-no-op under the default (uncapped) budget, and
@@ -90,6 +94,57 @@ class Deadline:
         return f"Deadline({self.seconds:g}s, {state})"
 
 
+class CancelToken:
+    """A cross-thread cancellation flag checked at budget checkpoints.
+
+    The racing executor hands every speculative engine attempt a token;
+    cancelling it makes the racer's next cooperative checkpoint raise
+    :class:`BudgetExceeded`, so losers unwind through exactly the same
+    path as a blown deadline — no new control flow inside the engines.
+    """
+
+    __slots__ = ("_event", "reason")
+
+    def __init__(self):
+        self._event = threading.Event()
+        self.reason = ""
+
+    def cancel(self, reason: str = "") -> None:
+        """Set the flag (idempotent); the first reason given sticks."""
+        if reason and not self.reason:
+            self.reason = reason
+        self._event.set()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._event.is_set()
+
+    def check(self) -> None:
+        """Raise :class:`BudgetExceeded` if the token was cancelled."""
+        if self._event.is_set():
+            raise BudgetExceeded(
+                self.reason or "attempt cancelled by the racing executor"
+            )
+
+
+def _in_order(calls) -> Optional[Callable[[], None]]:
+    """One callable making ``calls`` in order (``None`` when empty).
+
+    Nested pairs rather than a loop: checkpoints make these calls once
+    per unit of work, and a child rarely has more than two.
+    """
+    calls = tuple(calls)
+    if len(calls) <= 1:
+        return calls[0] if calls else None
+    first, rest = calls[0], _in_order(calls[1:])
+
+    def run() -> None:
+        first()
+        rest()
+
+    return run
+
+
 def _check_cap(name: str, value: Optional[int]) -> Optional[int]:
     if value is None:
         return None
@@ -123,6 +178,10 @@ class Budget:
     :class:`BudgetExceeded`.  Counters accumulate across engines run
     under the same budget — a fallback chain shares one allowance.
     Budgets are single-use in spirit: call :meth:`reset` to reuse one.
+
+    One attempt — a fair-share slice of the walk, a racer, a serve
+    worker's try — runs under a :meth:`child`, which :meth:`close`
+    charges back to this budget.
     """
 
     __slots__ = (
@@ -133,10 +192,15 @@ class Budget:
         "max_atoms",
         "_clock",
         "_deadline",
+        "_deadlines",
         "worlds",
         "ground_clauses",
         "samples",
         "_limited",
+        "_calls",
+        "_guard",
+        "_parent",
+        "_base",
     )
 
     def __init__(
@@ -158,9 +222,12 @@ class Budget:
         self.max_samples = _check_cap("max_samples", max_samples)
         self.max_atoms = _check_cap("max_atoms", max_atoms)
         self._clock = clock
+        # This budget's own deadline, and every deadline its checkpoints
+        # enforce: its ancestors' (outermost first), then its own.
         self._deadline: Optional[Deadline] = (
             Deadline(deadline, clock) if deadline is not None else None
         )
+        self._deadlines = (self._deadline,) if deadline is not None else ()
         self.worlds = 0
         self.ground_clauses = 0
         self.samples = 0
@@ -172,32 +239,100 @@ class Budget:
             or self.max_ground_clauses is not None
             or self.max_samples is not None
         )
+        # A child's scheduler hook and cancel-token check, and what its
+        # checkpoints run before the caps: those, then its ancestors'
+        # deadlines.  Its own deadline is checked after the caps, so a
+        # budget made by the constructor keeps the short path.
+        self._calls: tuple = ()
+        self._guard: Optional[Callable[[], None]] = None
+        self._parent: Optional[Budget] = None
+        self._base = (0, 0, 0)
 
     # ------------------------------------------------------------------ #
 
+    def child(
+        self,
+        seconds: Optional[float] = None,
+        token: Optional[CancelToken] = None,
+        reserved_samples: int = 0,
+        hook: Optional[Callable[[], None]] = None,
+    ) -> "Budget":
+        """A budget for one attempt, charged back to this one on :meth:`close`.
+
+        The child starts from a copy of this budget's caps and ledgers,
+        so its caps bound this budget's *total* consumption; its sample
+        ledger additionally starts ``reserved_samples`` in (the draws
+        forecast for racers launched before it).  Its checkpoints run
+        ``hook`` first — the virtual-clock scheduler's yield point —
+        then check ``token``, every ancestor's deadline, the caps, and
+        its own ``seconds`` deadline.  Given neither ``hook`` nor
+        ``token``, the child inherits its parent's.
+        The ledgers are the child's own until :meth:`close`, so
+        concurrent children never share a counter.
+        """
+        kid = Budget(
+            seconds, self.max_worlds, self.max_ground_clauses,
+            self.max_samples, self.max_atoms, self._clock,
+        )
+        if seconds is None:
+            kid.deadline_seconds = self.deadline_seconds
+        kid._deadlines = self._deadlines + kid._deadlines
+        kid._limited = True  # always counts: close() charges the parent
+        if hook is None and token is None:
+            kid._calls = self._calls
+        else:
+            kid._calls = tuple(
+                call
+                for call in (hook, None if token is None else token.check)
+                if call is not None
+            )
+        kid._guard = _in_order(
+            kid._calls + tuple(deadline.check for deadline in self._deadlines)
+        )
+        kid._parent = self
+        kid.worlds = self.worlds
+        kid.ground_clauses = self.ground_clauses
+        kid.samples = self.samples + max(0, int(reserved_samples))
+        kid._base = (kid.worlds, kid.ground_clauses, kid.samples)
+        return kid
+
+    def close(self) -> None:
+        """Charge a child's consumption to its parent, once.
+
+        The one place an attempt's work is added to its request's
+        ledgers: no enforcement (the attempt is over), and never into
+        :data:`DEFAULT_BUDGET`, which every thread shares.  A no-op on
+        a budget made by the constructor.
+        """
+        parent, self._parent = self._parent, None
+        if parent is None or parent is DEFAULT_BUDGET:
+            return
+        worlds, clauses, samples = self._base
+        parent.worlds += self.worlds - worlds
+        parent.ground_clauses += self.ground_clauses - clauses
+        parent.samples += self.samples - samples
+
     def start(self) -> "Budget":
-        """Start the deadline countdown (no-op without a deadline)."""
+        """Start this budget's own deadline countdown (no-op without one)."""
         if self._deadline is not None:
             self._deadline.start()
         return self
 
     def reset(self) -> "Budget":
-        """Zero the consumption counters and restart the deadline."""
-        self.worlds = 0
-        self.ground_clauses = 0
-        self.samples = 0
+        """Rewind the consumption counters and restart the deadline."""
+        self.worlds, self.ground_clauses, self.samples = self._base
         return self.start()
 
     @property
     def deadline(self) -> Optional[Deadline]:
-        """The live :class:`Deadline`, or ``None``."""
-        return self._deadline
+        """The innermost live :class:`Deadline`, or ``None``."""
+        return self._deadlines[-1] if self._deadlines else None
 
     def remaining_time(self) -> Optional[float]:
-        """Seconds left on the deadline (``None`` when unconstrained)."""
-        if self._deadline is None:
+        """Seconds left on the tightest deadline (``None`` when unconstrained)."""
+        if not self._deadlines:
             return None
-        return self._deadline.remaining()
+        return min(deadline.remaining() for deadline in self._deadlines)
 
     def world_limit(self) -> Optional[int]:
         """The effective preflight cap on predicted world counts.
@@ -216,18 +351,6 @@ class Budget:
             return None
         return max(0, self.max_samples - self.samples)
 
-    def sliced(self, seconds: float) -> "SlicedBudget":
-        """A per-attempt view of this budget with a tighter deadline.
-
-        Work consumed through the slice is charged to this (parent)
-        budget — counters and the parent deadline stay shared — but the
-        slice additionally expires after ``seconds``.  The fallback
-        executor uses this for fair-share time slicing: one stalled
-        engine can then burn only its share of the wall clock, not the
-        whole allowance.
-        """
-        return SlicedBudget(self, seconds)
-
     # ------------------------------------------------------------------ #
 
     def consume(self, worlds: int = 0, samples: int = 0, clauses: int = 0) -> None:
@@ -239,6 +362,8 @@ class Budget:
         """
         if not self._limited:
             return
+        if self._guard is not None:
+            self._guard()
         if worlds:
             self.worlds += worlds
             if self.max_worlds is not None and self.worlds > self.max_worlds:
@@ -277,270 +402,6 @@ class Budget:
         return f"Budget({', '.join(caps) or 'uncapped'})"
 
 
-class SlicedBudget:
-    """A parent budget plus a per-slice deadline (see :meth:`Budget.sliced`).
-
-    Duck-types the :class:`Budget` surface the engines and preflights
-    consult: :meth:`consume` charges the parent *and* checks the slice
-    deadline; caps and limits delegate to the parent.
-    """
-
-    __slots__ = ("parent", "slice_deadline")
-
-    def __init__(self, parent: "Budget", seconds: float):
-        self.parent = parent
-        self.slice_deadline = Deadline(seconds, parent._clock)
-
-    def start(self) -> "SlicedBudget":
-        self.slice_deadline.start()
-        return self
-
-    @property
-    def _clock(self) -> Clock:
-        return self.parent._clock
-
-    def sliced(self, seconds: float) -> "SlicedBudget":
-        """Slices nest: the child charges this slice's parent chain."""
-        return SlicedBudget(self, seconds)
-
-    @property
-    def deadline_seconds(self) -> float:
-        return self.slice_deadline.seconds
-
-    @property
-    def deadline(self) -> Deadline:
-        return self.slice_deadline
-
-    @property
-    def max_worlds(self) -> Optional[int]:
-        return self.parent.max_worlds
-
-    @property
-    def max_ground_clauses(self) -> Optional[int]:
-        return self.parent.max_ground_clauses
-
-    @property
-    def max_samples(self) -> Optional[int]:
-        return self.parent.max_samples
-
-    @property
-    def max_atoms(self) -> Optional[int]:
-        return self.parent.max_atoms
-
-    def world_limit(self) -> Optional[int]:
-        return self.parent.world_limit()
-
-    def remaining_samples(self) -> Optional[int]:
-        return self.parent.remaining_samples()
-
-    def remaining_time(self) -> float:
-        remaining = self.slice_deadline.remaining()
-        parent_remaining = self.parent.remaining_time()
-        if parent_remaining is not None:
-            remaining = min(remaining, parent_remaining)
-        return remaining
-
-    def consume(self, worlds: int = 0, samples: int = 0, clauses: int = 0) -> None:
-        self.parent.consume(worlds=worlds, samples=samples, clauses=clauses)
-        self.slice_deadline.check()
-
-    def __repr__(self) -> str:
-        return (
-            f"SlicedBudget({self.slice_deadline.seconds:g}s of {self.parent!r})"
-        )
-
-
-class CancelToken:
-    """A cross-thread cancellation flag checked at budget checkpoints.
-
-    The racing executor hands every speculative engine attempt a token;
-    cancelling it makes the racer's next cooperative checkpoint raise
-    :class:`BudgetExceeded`, so losers unwind through exactly the same
-    path as a blown deadline — no new control flow inside the engines.
-    """
-
-    __slots__ = ("_event", "reason")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self.reason = ""
-
-    def cancel(self, reason: str = "") -> None:
-        """Set the flag (idempotent); the first reason given sticks."""
-        if reason and not self.reason:
-            self.reason = reason
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def check(self) -> None:
-        """Raise :class:`BudgetExceeded` if the token was cancelled."""
-        if self._event.is_set():
-            raise BudgetExceeded(
-                self.reason or "attempt cancelled by the racing executor"
-            )
-
-
-class RacerBudget:
-    """A per-racer view of a shared budget for speculative racing.
-
-    Like :class:`SlicedBudget` this duck-types the :class:`Budget`
-    surface the engines and preflights consult, but it is built for
-    *concurrent* attempts:
-
-    * consumption ledgers (``worlds``/``samples``/``ground_clauses``)
-      are **private** — concurrent racers never mutate shared counters,
-      so cap checks cannot depend on thread interleaving;
-    * ``sample_headroom`` pre-partitions the parent's ``max_samples``:
-      racer *i* sees ``cap - sum(predicted needs of earlier racers)``,
-      each need read from the engine's forecast
-      (:meth:`repro.runtime.plan.Plan.forecast`);
-    * ``token`` is a :class:`CancelToken` checked on every
-      :meth:`consume` — the cross-thread cancel flag;
-    * ``on_checkpoint`` is an optional hook run first on every
-      :meth:`consume` — the deterministic virtual-clock scheduler uses
-      it as its lock-step yield point.
-
-    The parent's *deadline* stays shared (wall clock is one resource no
-    partition can split); an optional per-racer slice deadline bounds
-    the racer's own wall-clock share.
-    """
-
-    __slots__ = (
-        "parent",
-        "token",
-        "slice_deadline",
-        "sample_headroom",
-        "worlds",
-        "ground_clauses",
-        "samples",
-        "_hook",
-    )
-
-    def __init__(
-        self,
-        parent: "Budget",
-        token: CancelToken,
-        slice_seconds: Optional[float] = None,
-        sample_headroom: Optional[int] = None,
-        on_checkpoint: Optional[Callable[[], None]] = None,
-    ):
-        self.parent = parent
-        self.token = token
-        self.slice_deadline = (
-            Deadline(slice_seconds, parent._clock)
-            if slice_seconds is not None
-            else None
-        )
-        if sample_headroom is not None:
-            sample_headroom = max(0, int(sample_headroom))
-        self.sample_headroom = sample_headroom
-        self.worlds = 0
-        self.ground_clauses = 0
-        self.samples = 0
-        self._hook = on_checkpoint
-
-    def start(self) -> "RacerBudget":
-        if self.slice_deadline is not None:
-            self.slice_deadline.start()
-        return self
-
-    @property
-    def _clock(self) -> Clock:
-        return self.parent._clock
-
-    def sliced(self, seconds: float) -> "SlicedBudget":
-        return SlicedBudget(self, seconds)
-
-    @property
-    def deadline(self) -> Optional[Deadline]:
-        if self.slice_deadline is not None:
-            return self.slice_deadline
-        return self.parent.deadline
-
-    @property
-    def max_worlds(self) -> Optional[int]:
-        return self.parent.max_worlds
-
-    @property
-    def max_ground_clauses(self) -> Optional[int]:
-        return self.parent.max_ground_clauses
-
-    @property
-    def max_samples(self) -> Optional[int]:
-        if self.sample_headroom is not None:
-            return self.sample_headroom
-        return self.parent.max_samples
-
-    @property
-    def max_atoms(self) -> Optional[int]:
-        return self.parent.max_atoms
-
-    def world_limit(self) -> Optional[int]:
-        return self.parent.world_limit()
-
-    def remaining_samples(self) -> Optional[int]:
-        cap = self.max_samples
-        if cap is None:
-            return None
-        return max(0, cap - self.samples)
-
-    def remaining_time(self) -> Optional[float]:
-        remaining = self.parent.remaining_time()
-        if self.slice_deadline is not None:
-            slice_left = self.slice_deadline.remaining()
-            remaining = (
-                slice_left if remaining is None else min(remaining, slice_left)
-            )
-        return remaining
-
-    def consume(self, worlds: int = 0, samples: int = 0, clauses: int = 0) -> None:
-        if self._hook is not None:
-            self._hook()
-        self.token.check()
-        if worlds:
-            self.worlds += worlds
-            cap = self.max_worlds
-            if cap is not None and self.worlds > cap:
-                raise BudgetExceeded(
-                    f"world budget exhausted: {self.worlds} worlds "
-                    f"evaluated, cap is {cap}"
-                )
-        if samples:
-            self.samples += samples
-            cap = self.max_samples
-            if cap is not None and self.samples > cap:
-                raise BudgetExceeded(
-                    f"sample budget exhausted: {self.samples} samples "
-                    f"drawn, cap is {cap}"
-                )
-        if clauses:
-            self.ground_clauses += clauses
-            cap = self.max_ground_clauses
-            if cap is not None and self.ground_clauses > cap:
-                raise BudgetExceeded(
-                    f"grounding budget exhausted: {self.ground_clauses} "
-                    f"clauses instantiated, cap is {cap}"
-                )
-        parent_deadline = self.parent.deadline
-        if parent_deadline is not None:
-            parent_deadline.check()
-        if self.slice_deadline is not None:
-            self.slice_deadline.check()
-
-    def __repr__(self) -> str:
-        bits = []
-        if self.slice_deadline is not None:
-            bits.append(f"slice={self.slice_deadline.seconds:g}s")
-        if self.sample_headroom is not None:
-            bits.append(f"headroom={self.sample_headroom}")
-        if self.token.cancelled:
-            bits.append("cancelled")
-        return f"RacerBudget({', '.join(bits) or 'unsliced'} of {self.parent!r})"
-
-
 #: The budget in force when none is applied: no running caps, only the
 #: default preflight atom guard.  Checkpoints under it are no-ops.
 DEFAULT_BUDGET = Budget()
@@ -550,7 +411,7 @@ class _ActiveBudget(threading.local):
     """Thread-local active budget.
 
     Thread-local (not a bare module global) so concurrent racing
-    attempts each see their own :class:`RacerBudget`: an engine running
+    attempts each see their own child budget: an engine running
     in one racer thread must never charge — or be cancelled by — a
     sibling's budget.  Fresh threads start at :data:`DEFAULT_BUDGET`,
     so single-threaded behaviour is unchanged.

@@ -401,7 +401,6 @@ class CostModel:
         """
         calibration = self.engines.get(engine)
         if calibration is None:
-            obs.inc("costmodel.closed_form")
             return static_cost(engine, features) * CLOSED_FORM_UNIT_SECONDS
         response = 0.0
         for weight, value in zip(calibration.weights, _design_row(features)):

@@ -609,12 +609,13 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                 attempts.append(_record_skip(name, skip_detail, emit))
                 continue
             attempt_start = clock()
+            slice_budget = None
             try:
                 # Fair-share time slicing: under a deadline, each
-                # attempt gets remaining / attempts_left seconds, so
-                # one stalled engine cannot starve the rest of the
-                # chain; an attempt that finishes early rolls its
-                # unused share forward.
+                # attempt runs under a child budget with remaining /
+                # attempts_left seconds, so one stalled engine cannot
+                # starve the rest of the chain; an attempt that
+                # finishes early rolls its unused share forward.
                 remaining = run_budget.remaining_time()
                 if remaining is None:
                     attempt_scope = nullcontext()
@@ -624,7 +625,8 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                     )
                 else:
                     share = remaining / (len(chain) - index)
-                    attempt_scope = apply(run_budget.sliced(share))
+                    slice_budget = run_budget.child(share)
+                    attempt_scope = apply(slice_budget)
                 request = _Request(
                     plan.quantity, plan.epsilon, plan.delta, rng_base, name,
                     plan.adaptive, plan.verdict,
@@ -638,6 +640,9 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                 report_attempt(plan, attempt, counter, emit)
                 attempts.append(attempt)
                 continue
+            finally:
+                if slice_budget is not None:
+                    slice_budget.close()
             attempt = Attempt(name, "ok", "", clock() - attempt_start)
             report_attempt(plan, attempt, emit=emit)
             attempts.append(attempt)

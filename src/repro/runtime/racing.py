@@ -13,10 +13,13 @@ the reverse.
 
 Mechanics, all built from existing runtime machinery:
 
-* each racer runs under a :class:`~repro.runtime.budget.RacerBudget`
-  (private consumption ledgers, a pre-partitioned sample headroom, an
-  optional fair-share slice deadline) installed thread-locally, so
-  concurrent attempts cannot interfere through the budget;
+* each racer runs under a child of the run's budget
+  (:meth:`~repro.runtime.budget.Budget.child`: private consumption
+  ledgers, a pre-partitioned sample headroom, an optional fair-share
+  slice deadline) installed thread-locally, so concurrent attempts
+  cannot interfere through the budget; after the race every racer
+  whose thread was joined is charged back through
+  :meth:`~repro.runtime.budget.Budget.close`;
 * cancellation is a :class:`~repro.runtime.budget.CancelToken` checked
   at every checkpoint — losers unwind through the ``BudgetExceeded``
   path the engines already have;
@@ -49,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.runtime import executor as _executor
-from repro.runtime.budget import Budget, CancelToken, RacerBudget, apply
+from repro.runtime.budget import Budget, CancelToken, apply
 from repro.util.errors import BudgetExceeded, CostRefused, QueryError
 
 __all__ = [
@@ -309,7 +312,7 @@ class _Racer:
         self.rank = rank
         self.entity: Optional[int] = None
         self.token = CancelToken()
-        self.budget: Optional[RacerBudget] = None
+        self.budget: Optional[Budget] = None
         self.outcome: Optional[str] = None
         self.detail = ""
         self.counter = ""
@@ -366,26 +369,18 @@ def run_race(
     samples_reserved = 0
     next_launch_at = scheduler.now()
 
-    def make_body(racer: _Racer, share: Optional[float], headroom: Optional[int]):
+    def make_body(racer: _Racer):
         request = _executor._Request(
             quantity, plan.epsilon, plan.delta, rng_base, racer.name,
             plan.adaptive, plan.verdict,
         )
 
         def body():
-            racer_budget = RacerBudget(
-                run_budget,
-                racer.token,
-                slice_seconds=share,
-                sample_headroom=headroom,
-                on_checkpoint=scheduler.checkpoint,
-            )
-            racer.budget = racer_budget
             scope = racer_scope(scheduler, racer.token)
             scope.__enter__()
             t0 = scheduler.now()
             try:
-                with apply(racer_budget):
+                with apply(racer.budget):
                     answer = engines[racer.name](db, query, request)
                 if racer.token.cancelled:
                     # Finished past its last checkpoint after losing the
@@ -501,15 +496,14 @@ def run_race(
                 record_attempt(racer)
                 return
             share = remaining / (total - racer.index)
-        cap = run_budget.max_samples
-        headroom = None
-        if cap is not None:
-            headroom = max(0, cap - run_budget.samples - samples_reserved)
+        racer.budget = run_budget.child(
+            share, racer.token, samples_reserved, scheduler.checkpoint
+        )
         samples_reserved += plan.forecast(
             racer.name, run_budget, samples_reserved
         )[2]
         racer.launched_at = now
-        body = make_body(racer, share, headroom)
+        body = make_body(racer)
         racer.entity = scheduler.spawn(racer.name, body)
         by_entity[racer.entity] = racer
         running.append(racer)
@@ -520,7 +514,7 @@ def run_race(
             engine=racer.name,
             index=racer.index,
             share=share,
-            headroom=headroom,
+            headroom=racer.budget.remaining_samples(),
         )
         stagger = overlap * (share if share is not None else NOMINAL_SHARE_SECONDS)
         next_launch_at = now + stagger
@@ -568,23 +562,13 @@ def run_race(
         if abandoned_count:
             emit.inc("runtime.race.abandoned", abandoned_count)
 
-        # Fold private ledgers back into the shared budget (losers too:
-        # their draws were really spent) — direct adds, no enforcement;
-        # the race is over.  Abandoned racers' ledgers are still live
-        # on their threads and stay unfolded.
-        from repro.runtime.budget import DEFAULT_BUDGET
-
-        foldable = isinstance(run_budget, Budget) and run_budget is not DEFAULT_BUDGET
+        # Charge the racers to the shared budget (losers too: their
+        # draws were really spent).  Abandoned racers' ledgers are
+        # still live on their threads and stay uncharged.
         wasted = 0.0
         for racer in completed + ([winner] if winner is not None else []):
-            if (
-                foldable
-                and racer.budget is not None
-                and racer.outcome != "abandoned"
-            ):
-                run_budget.worlds += racer.budget.worlds
-                run_budget.samples += racer.budget.samples
-                run_budget.ground_clauses += racer.budget.ground_clauses
+            if racer.budget is not None and racer.outcome != "abandoned":
+                racer.budget.close()
             if winner is None or racer is not winner:
                 wasted += racer.elapsed
         emit.observe("runtime.race.wasted_seconds", wasted)

@@ -42,7 +42,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.runtime.budget import CancelToken, RacerBudget
+from repro.runtime.budget import Budget, CancelToken
 from repro.runtime.executor import DEFAULT_CHAIN
 from repro.runtime.racing import ThreadScheduler, racer_scope
 from repro.util.errors import (
@@ -96,7 +96,7 @@ class _Ticket:
         self.chain: Tuple[str, ...] = ()
         self.budget = None
         self.token: Optional[CancelToken] = None
-        self.worker_budget: Optional[RacerBudget] = None
+        self.worker_budget: Optional[Budget] = None
         self.entity: Optional[int] = None
         self.not_before = now
         self.retries = 0
@@ -399,11 +399,8 @@ class Server:
             return
         token = CancelToken()
         ticket.token = token
-        ticket.worker_budget = RacerBudget(
-            ticket.budget,
-            token,
-            sample_headroom=ticket.budget.remaining_samples(),
-            on_checkpoint=self.scheduler.checkpoint,
+        ticket.worker_budget = ticket.budget.child(
+            token=token, hook=self.scheduler.checkpoint
         )
         ticket.launched_at = now
         if ticket.first_launch_at is None:
@@ -495,14 +492,10 @@ class Server:
         )
         if ticket.outcome == "crashed":
             raise ticket.error
-        # Fold the worker's private ledgers back into the per-query
-        # budget: a retry continues the same allowance, it does not get
-        # a fresh one — retries cure transient faults, not exhaustion.
-        worker_budget = ticket.worker_budget
-        if worker_budget is not None:
-            ticket.budget.worlds += worker_budget.worlds
-            ticket.budget.samples += worker_budget.samples
-            ticket.budget.ground_clauses += worker_budget.ground_clauses
+        # Charge the try to the per-query budget: a retry continues the
+        # same allowance, it does not get a fresh one — retries cure
+        # transient faults, not exhaustion.
+        ticket.worker_budget.close()
         for attempt in ticket.last_attempts:
             self.breaker.record(attempt.engine, attempt.outcome, now)
         if ticket.outcome == "ok":

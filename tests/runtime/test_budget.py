@@ -1,4 +1,4 @@
-"""Deadlines, budgets, slices and the active-budget machinery.
+"""Deadlines, budgets, child budgets and the active-budget machinery.
 
 All timing tests drive an injectable fake clock — nothing here sleeps,
 so the suite stays fast and deterministic.
@@ -11,7 +11,6 @@ from repro.runtime.budget import (
     DEFAULT_MAX_ATOMS,
     Budget,
     Deadline,
-    SlicedBudget,
     active_budget,
     apply,
     checkpoint,
@@ -141,11 +140,11 @@ class TestBudget:
         assert "max_worlds=5" in repr(Budget(max_worlds=5))
 
 
-class TestSlicedBudget:
+class TestChildBudget:
     def test_slice_expires_before_parent(self):
         clock = FakeClock()
         parent = Budget(deadline=10.0, clock=clock).start()
-        piece = parent.sliced(2.0).start()
+        piece = parent.child(2.0).start()
         clock.advance(3.0)
         parent.consume()  # parent has 7s left
         with pytest.raises(BudgetExceeded):
@@ -153,32 +152,53 @@ class TestSlicedBudget:
 
     def test_slice_charges_parent_counters(self):
         parent = Budget(max_samples=5)
-        piece = parent.sliced(60.0).start()
+        piece = parent.child(60.0).start()
         piece.consume(samples=3)
-        assert parent.samples == 3
-        with pytest.raises(BudgetExceeded):
+        assert parent.samples == 0  # charged on close, not as it goes
+        with pytest.raises(BudgetExceeded, match="6 samples drawn, cap is 5"):
             piece.consume(samples=3)
+        piece.close()
+        assert parent.samples == 6
+        piece.close()  # charges once
+        assert parent.samples == 6
 
     def test_remaining_time_is_min_of_slice_and_parent(self):
         clock = FakeClock()
         parent = Budget(deadline=1.0, clock=clock).start()
-        piece = parent.sliced(5.0).start()
+        piece = parent.child(5.0).start()
         assert piece.remaining_time() == pytest.approx(1.0)
+        assert piece.deadline_seconds == 5.0
 
     def test_caps_delegate(self):
         parent = Budget(max_worlds=9, max_atoms=12)
-        piece = parent.sliced(1.0)
+        piece = parent.child(1.0)
         assert piece.max_worlds == 9
         assert piece.world_limit() == 9
-        assert isinstance(piece, SlicedBudget)
+        assert type(piece) is Budget
 
     def test_slices_nest(self):
         clock = FakeClock()
         parent = Budget(deadline=10.0, clock=clock).start()
-        inner = parent.sliced(4.0).start().sliced(1.0).start()
+        inner = parent.child(4.0).start().child(1.0).start()
         clock.advance(2.0)
         with pytest.raises(BudgetExceeded):
             inner.consume()
+
+    def test_nested_children_charge_up_the_chain(self):
+        root = Budget(max_worlds=10)
+        middle = root.child()
+        inner = middle.child(5.0)
+        inner.consume(worlds=4)
+        inner.close()
+        assert (middle.worlds, root.worlds) == (4, 0)
+        middle.close()
+        assert root.worlds == 4
+
+    def test_no_charge_into_the_default_budget(self):
+        piece = DEFAULT_BUDGET.child()
+        piece.consume(samples=7)
+        piece.close()
+        assert DEFAULT_BUDGET.samples == 0
 
 
 class TestActiveBudget:

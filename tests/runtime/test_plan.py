@@ -52,11 +52,15 @@ def _fitted_model():
     ])
 
 
-@pytest.mark.parametrize("race", [None, 0.25], ids=["walk", "race"])
-def test_race_forecast_has_no_side_effects(race):
+@pytest.mark.parametrize(
+    "race, fitted",
+    [(None, True), (0.25, True), (None, False), (0.25, False)],
+    ids=["walk", "race", "walk-no_model", "race-no_model"],
+)
+def test_race_forecast_has_no_side_effects(race, fitted):
     db = _db()
     budget = Budget(max_atoms=2, max_samples=200_000, max_ground_clauses=10_000)
-    model = _fitted_model()
+    model = _fitted_model() if fitted else None
     before = _racer_threads()
     sink = obs.ListSink()
     with obs.use(obs.StatsRecorder(sink=sink)) as recorder:

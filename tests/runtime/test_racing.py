@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.runtime import faults, racing
-from repro.runtime.budget import Budget, CancelToken, RacerBudget
+from repro.runtime.budget import Budget, CancelToken
 from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
 from repro.util.errors import BudgetExceeded, FallbackExhausted, ResourceError
 
@@ -339,7 +339,7 @@ def test_race_sleep_outside_a_race_is_plain_sleep():
 
 def test_cancel_token_checkpoint_raises():
     token = CancelToken()
-    budget = RacerBudget(Budget(), token)
+    budget = Budget().child(token=token)
     budget.consume(samples=1)
     token.cancel("loser")
     with pytest.raises(BudgetExceeded, match="loser"):
@@ -348,19 +348,20 @@ def test_cancel_token_checkpoint_raises():
 
 def test_racer_budget_ledgers_are_private():
     parent = Budget(max_samples=100)
-    racer = RacerBudget(parent, CancelToken(), sample_headroom=10)
+    racer = parent.child(token=CancelToken(), reserved_samples=90)
     racer.consume(samples=5)
     assert parent.samples == 0
-    assert racer.samples == 5
     assert racer.remaining_samples() == 5
     with pytest.raises(BudgetExceeded):
         racer.consume(samples=6)
+    racer.close()
+    assert parent.samples == 11  # the reservation is not charged
 
 
 def test_racer_budget_checkpoint_hook_runs_first():
     calls = []
     token = CancelToken()
-    racer = RacerBudget(Budget(), token, on_checkpoint=lambda: calls.append(1))
+    racer = Budget().child(token=token, hook=lambda: calls.append(1))
     token.cancel()
     with pytest.raises(BudgetExceeded):
         racer.consume()

@@ -365,3 +365,60 @@ class TestDeadlines:
         assert by_id["q1"].attempts == ()  # never launched
         assert counters["serve.expired"] == 1
         check_accounting(counters)
+
+
+def capture_budgets(monkeypatch):
+    """Record each request's per-query budget as the server makes it."""
+    budgets = {}
+    make_budget = ServeRequest.make_budget
+
+    def capture(request, clock):
+        budgets[request.id] = make_budget(request, clock)
+        return budgets[request.id]
+
+    monkeypatch.setattr(ServeRequest, "make_budget", capture)
+    return budgets
+
+
+class TestBudgetLedger:
+    def test_retries_continue_the_world_allowance(self, db, monkeypatch):
+        # Each try overshoots the world cap by one checkpoint unit and
+        # retries; the retry starts from the ledger the failed try left,
+        # not from a fresh allowance.
+        budgets = capture_budgets(monkeypatch)
+        request = ServeRequest(
+            id="q", query="S(x) | S(y)", free=("x", "y"), max_cost=16
+        )
+        _, responses, _ = serve(
+            db, [request], pool_size=1, chain=("exact",)
+        )
+        response = responses[0]
+        assert response.code == "exhausted"
+        assert response.retries >= 1
+        attempts = len(response.attempts)
+        assert budgets["q"].worlds <= 16 + attempts
+
+    def test_raced_request_is_charged_like_an_unraced_one(self, db, monkeypatch):
+        # A one-engine race is deterministic: the racer draws exactly
+        # the samples the walk would, and both reach the per-query
+        # budget.
+        budgets = capture_budgets(monkeypatch)
+        requests = [
+            ServeRequest(
+                id=f"q-{race}",
+                query="exists x. exists y. E(x, y) & E(y, x)",
+                max_cost=10**6,
+                epsilon=0.2,
+                delta=0.2,
+                race=race,
+                seed=3,
+            )
+            for race in (False, True)
+        ]
+        responses = Server(db, pool_size=1, chain=("karp_luby",)).run(requests)
+        assert [(r.code, r.engine) for r in responses] == [
+            ("ok", "karp_luby"),
+            ("ok", "karp_luby"),
+        ]
+        assert budgets["q-False"].samples > 0
+        assert budgets["q-True"].samples == budgets["q-False"].samples
