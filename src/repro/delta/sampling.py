@@ -28,17 +28,35 @@ the ``delta.kl.ess`` gauge) and redraw when it dips too low.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
+from repro.propositional.counting import _check_probs
 from repro.propositional.formula import DNF, Variable
-from repro.propositional.karp_luby import _bisect, _first_satisfied
 from repro.runtime.budget import checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rng import as_rng
 
 CHECKPOINT_CHUNK = 64
+
+
+def _bisect(cumulative: Sequence[float], target: float) -> int:
+    low, high = 0, len(cumulative) - 1
+    while low < high:
+        mid = (low + high) // 2
+        if cumulative[mid] <= target:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def _first_satisfied(dnf: DNF, assignment: Mapping[Variable, bool]) -> int:
+    for index, clause in enumerate(dnf.clauses):
+        if clause.satisfied_by(assignment):
+            return index
+    raise AssertionError("sampled assignment satisfies no clause")
 
 
 class ReweightableKarpLuby:
@@ -59,6 +77,7 @@ class ReweightableKarpLuby:
             raise ProbabilityError(
                 f"sample budget must be positive, got {samples}"
             )
+        _check_probs(dnf, probs)
         self.dnf = dnf
         self.method = method
         self.negate = negate

@@ -12,12 +12,11 @@ time.  This package makes that work *compile-once, evaluate-many*:
 * :mod:`repro.kernels.cache` — a bounded LRU keyed on a database
   fingerprint plus the query AST, so repeated ``run``/``analyze``/
   benchmark invocations stop re-grounding.
-* :mod:`repro.kernels.sampling` — batched Monte-Carlo and Karp–Luby
-  sample loops over column batches.
+* :mod:`repro.kernels.sampling` — the one batched sample loop behind
+  the Monte-Carlo, Karp–Luby and naive-DNF estimators, fixed-budget
+  and adaptive alike, with deterministic per-batch seeding.
 * :mod:`repro.kernels.gray` — Gray-code world enumeration for the
   exact engines: one atom flip and one weight update per world.
-* :mod:`repro.kernels.shard` — optional multiprocessing fan-out over
-  sample batches with deterministic per-batch seeding.
 
 Everything reports through :mod:`repro.obs` (``kernels.*`` counters)
 and respects the active :class:`repro.runtime.Budget` via

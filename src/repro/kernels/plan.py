@@ -17,8 +17,8 @@ Three plan shapes cover the estimators:
 
 ``compile_*`` functions return ``None`` when the query cannot be
 compiled (non-first-order queries, mixed quantifier prefixes, or a
-grounding the active budget refuses); callers fall back to the scalar
-loops.  Successful compilations are cached in
+grounding the active budget refuses); callers fall back to the
+per-world loops.  Successful compilations are cached in
 :mod:`repro.kernels.cache` keyed on the database fingerprint and the
 query AST.
 """
@@ -209,9 +209,9 @@ def _truth_plan_from_formula(db, formula: Formula) -> Optional[TruthPlan]:
 def compile_truth_plan(db, query, args: Sequence = ()) -> Optional[TruthPlan]:
     """Compile ``Pr[B |= psi(args)]`` into a batched sampling plan.
 
-    Returns ``None`` — telling the caller to use the scalar loop — for
+    Returns ``None`` — telling the caller to use the per-world loop — for
     non-first-order queries, sentences that are neither existential nor
-    universal, and groundings the active budget refuses (the scalar
+    universal, and groundings the active budget refuses (the per-world
     sampler needs no grounding, so a ``CostRefused`` here must not leak
     out of an estimator that would otherwise succeed).
     """
@@ -269,7 +269,7 @@ def compile_hamming_plan(db, query) -> Optional[HammingPlan]:
 
     Every tuple's instantiated sentence must ground (existential or
     universal after instantiation); one refusal falls the whole call
-    back to the scalar loop.
+    back to the per-world loop.
     """
     if not isinstance(query, FOQuery):
         return None

@@ -1,31 +1,39 @@
 """Batched sample loops over bit columns.
 
-Each driver partitions a sample budget into batches of an adaptive
-width (:func:`~repro.kernels.bitops.pick_batch_bits`: at most
-:data:`~repro.kernels.bitops.BATCH_BITS` worlds, narrower for wide
-plans and tiny budgets), draws every batch as
-per-variable Bernoulli columns, and evaluates the compiled clause plan
-with big-int AND/OR/popcount — a few hundred interpreter operations
-per batch instead of a few thousand per *sample*.
+Every sampling estimator runs through one sample loop,
+:func:`run_batches`.  It walks a layout of ``(index, width)`` batches
+and hands each batch's generator ``batch_rng(base, index)`` to a
+worker, which draws per-variable Bernoulli columns and evaluates the
+compiled clause plan with big-int AND/OR/popcount — a few hundred
+interpreter operations per batch instead of a few thousand per
+*sample*.
+
+Two layouts feed the loop, and each seeds its own sample stream:
+
+* fixed-budget runs split the budget with :func:`plan_batches`, whose
+  width adapts to the plan (:func:`~repro.kernels.bitops.pick_batch_bits`:
+  at most :data:`~repro.kernels.bitops.BATCH_BITS` worlds, narrower
+  for wide plans and tiny budgets);
+* adaptive runs (:func:`repro.runtime.adaptive.adaptive_mean`) walk
+  fixed-width blocks and pass a stop rule that the loop calls on a
+  doubling grid of block counts.
 
 Determinism contract: the caller's ``rng`` contributes exactly one
-``getrandbits(64)`` draw, which seeds an independent ``random.Random``
-per *batch index*.  Batch results are combined in index order, so the
-estimate is a pure function of (plan, seed, budget) — identical
-whether batches run sequentially or fanned out over any number of
-:mod:`repro.kernels.shard` workers, and whether or not a recorder is
-on.
+``getrandbits(64)`` draw, the ``base`` of every batch generator.
+Batch results are combined in index order, so the estimate is a pure
+function of (plan, seed, layout), whether or not a recorder is on.
 
-Budgets are charged through ``runtime.checkpoint`` at batch
-granularity (the documented accuracy of ``BudgetExceeded`` is one
-batch); convergence traces keep the same event names and fields as the
-scalar loops (``montecarlo.batch``, ``karp_luby.batch``, ...).
+Budgets are charged through ``runtime.checkpoint(samples=width)``
+*before* each batch is drawn: ``BudgetExceeded`` is accurate to one
+batch, and a cancelled attempt draws nothing.  Convergence traces emit
+one event per batch (``montecarlo.batch``, ``karp_luby.batch``, ...).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernels.bitops import (
@@ -49,9 +57,8 @@ from repro.runtime.budget import checkpoint
 def batch_rng(base: int, index: int) -> random.Random:
     """The deterministic generator of one batch.
 
-    Seeding by *batch index* (not worker id) is what makes sharded runs
-    reproducible: any partition of the batches over workers draws the
-    same columns.
+    Seeding by *batch index* makes a batch's samples independent of
+    how many batches ran before it or how the layout was walked.
     """
     return random.Random(f"{base:x}:batch:{index}")
 
@@ -66,8 +73,17 @@ def draw_columns(
     return [bernoulli_column(rng, width, b, full) for b in bits]
 
 
+def split_layout(total: int, width: int) -> List[Tuple[int, int]]:
+    """``(index, width)`` batches covering ``total`` samples, the last
+    truncated."""
+    return [
+        (index, min(width, total - start))
+        for index, start in enumerate(range(0, total, width))
+    ]
+
+
 def plan_batches(budget: int, lanes: int = 1) -> List[Tuple[int, int]]:
-    """Split a sample budget into ``(index, width)`` batches.
+    """Split a fixed sample budget into ``(index, width)`` batches.
 
     The width is adaptive (:func:`~repro.kernels.bitops.pick_batch_bits`):
     ``lanes`` — the plan's live column count — narrows wide plans for
@@ -77,53 +93,115 @@ def plan_batches(budget: int, lanes: int = 1) -> List[Tuple[int, int]]:
     exactly the samples an untraced one does, and the convergence
     trace gets one event per batch.
     """
-    cap = pick_batch_bits(budget, lanes)
-    batches = []
-    start = 0
-    index = 0
-    while start < budget:
-        width = min(cap, budget - start)
-        batches.append((index, width))
-        start += width
-        index += 1
-    return batches
+    return split_layout(budget, pick_batch_bits(budget, lanes))
 
 
-def _execute(worker, payloads, shards: int, shared: tuple = ()) -> Iterator:
-    """Run batch payloads, fanned out over ``shards`` processes if asked.
+class Tally:
+    """Running sums of one sampling run.
 
-    Sequential execution is lazy (a generator), so the driver's
-    ``checkpoint`` runs *before* each batch is computed; a sharded run
-    computes everything up front and the driver charges the budget as
-    it combines results, still in batch order.
-
-    ``shared`` carries the leading worker arguments common to every
-    batch (the compiled plan): shipped once per worker process in a
-    sharded run instead of pickled into every payload, so workers never
-    recompile and the payloads stay ``(base, index, width)`` triples.
+    ``total`` sums the per-sample values and ``total_sq`` their squares
+    (kept only under a stop rule); ``drawn`` counts samples and
+    ``batches`` the batches done.
     """
-    if shards > 1 and len(payloads) > 1:
-        from repro.kernels.shard import run_jobs
 
-        results = run_jobs(worker, payloads, shards, shared=shared or None)
-        if results is not None:
-            return iter(results)
-    if shared:
-        return (worker(*shared, *payload) for payload in payloads)
-    return (worker(*payload) for payload in payloads)
+    __slots__ = ("total", "total_sq", "drawn", "batches")
+
+    def __init__(self):
+        self.total = 0
+        self.total_sq = 0
+        self.drawn = 0
+        self.batches = 0
+
+
+def run_batches(
+    draw: Callable,
+    rng: random.Random,
+    layout: Sequence[Tuple[int, int]],
+    on_batch: Optional[Callable[[Tally], None]] = None,
+    stop: Optional[Callable[[Tally], bool]] = None,
+    grid: Sequence[int] = (),
+) -> Tally:
+    """The one sample loop of every batched estimator.
+
+    Takes the ``base`` of the batch generators from ``rng``, then for
+    each ``(index, width)`` of ``layout`` charges
+    ``checkpoint(samples=width)`` and calls
+    ``draw(batch_rng(base, index), width)``.  Without a stop rule
+    ``draw`` returns the batch's sum of per-sample values; with one it
+    returns ``(sum, sum of squares)``.  ``on_batch(tally)`` runs after
+    every batch; ``stop(tally)`` runs each time the batch count reaches
+    the next entry of ``grid`` and ends the run by returning true.
+    """
+    base = rng.getrandbits(64)
+    tally = Tally()
+    checks = iter(grid)
+    due = next(checks, None)
+    for index, width in layout:
+        checkpoint(samples=width)
+        batch = batch_rng(base, index)
+        if stop is None:
+            tally.total += draw(batch, width)
+        else:
+            first, second = draw(batch, width)
+            tally.total += first
+            tally.total_sq += second
+        tally.drawn += width
+        tally.batches += 1
+        if on_batch is not None:
+            on_batch(tally)
+        if tally.batches == due:
+            if stop(tally):
+                break
+            due = next(checks, None)
+    return tally
+
+
+def _fixed_run(
+    label: str,
+    draw: Callable,
+    rng: random.Random,
+    budget: int,
+    lanes: int,
+    event: Callable[[Tally], None],
+) -> Tally:
+    """A fixed-budget run: the :func:`plan_batches` layout, no stop rule.
+
+    ``label`` names the kernel on the ``kernels.batched`` span;
+    ``event(tally)`` emits the kernel's convergence-trace record after
+    each batch while a recorder is on.
+    """
+    batches = plan_batches(budget, lanes)
+    trace = obs.enabled()
+
+    def on_batch(tally: Tally) -> None:
+        obs.inc("kernels.batches")
+        if trace:
+            event(tally)
+
+    with obs.span("kernels.batched", kernel=label, batches=len(batches)):
+        tally = run_batches(draw, rng, batches, on_batch=on_batch)
+    obs.inc("kernels.batch_samples", budget)
+    return tally
 
 
 # ---------------------------------------------------------------------- #
-# truth probability
+# truth probability and naive DNF Monte Carlo
 # ---------------------------------------------------------------------- #
 
 
-def truth_batch_hits(plan: TruthPlan, base: int, index: int, width: int) -> int:
-    """Satisfying-lane count of one batch (a shard-safe pure function)."""
-    rng = batch_rng(base, index)
+def dnf_hits(clauses, bits, rng: random.Random, width: int) -> int:
+    """Satisfying-lane count of one batch of a compiled DNF."""
     full = full_mask(width)
-    columns = draw_columns(rng, plan.bits, width, full)
-    return popcount(plan.plan.satisfied_mask(columns, full))
+    columns = draw_columns(rng, bits, width, full)
+    return popcount(satisfied_mask(clauses, columns, full))
+
+
+def truth_moments(
+    plan: TruthPlan, rng: random.Random, width: int
+) -> Tuple[float, float]:
+    """One batch's hits as moments: 0/1 samples square to themselves."""
+    hits = float(dnf_hits(plan.plan.clauses, plan.bits, rng, width))
+    return hits, hits
 
 
 def sample_truth_batches(
@@ -131,15 +209,13 @@ def sample_truth_batches(
     rng: random.Random,
     budget: int,
     delta: float,
-    shards: int = 1,
 ) -> float:
     """Batched ``estimate_truth_probability`` inner loop."""
     from repro.reliability.montecarlo import _half_width
 
-    trace = obs.enabled()
     if plan.constant is not None:
         checkpoint(samples=budget)
-        if trace:
+        if obs.enabled():
             obs.event(
                 "montecarlo.batch",
                 samples=budget,
@@ -148,30 +224,42 @@ def sample_truth_batches(
             )
         obs.inc("montecarlo.samples", budget)
         return plan.constant
-    base = rng.getrandbits(64)
-    batches = plan_batches(budget, lanes=len(plan.bits))
-    payloads = [(base, index, width) for index, width in batches]
-    results = _execute(truth_batch_hits, payloads, shards, shared=(plan,))
-    hits = 0
-    drawn = 0
-    with obs.span("kernels.batched", kernel="truth", batches=len(batches)):
-        for (_, width), batch_hits in zip(batches, results):
-            checkpoint(samples=width)
-            hits += batch_hits
-            drawn += width
-            obs.inc("kernels.batches")
-            if trace:
-                estimate = hits / drawn
-                obs.event(
-                    "montecarlo.batch",
-                    samples=drawn,
-                    estimate=1.0 - estimate if plan.negate else estimate,
-                    half_width=_half_width(drawn, delta),
-                )
-    obs.inc("kernels.batch_samples", budget)
+
+    def event(tally: Tally) -> None:
+        estimate = tally.total / tally.drawn
+        obs.event(
+            "montecarlo.batch",
+            samples=tally.drawn,
+            estimate=1.0 - estimate if plan.negate else estimate,
+            half_width=_half_width(tally.drawn, delta),
+        )
+
+    draw = partial(dnf_hits, plan.plan.clauses, plan.bits)
+    tally = _fixed_run("truth", draw, rng, budget, len(plan.bits), event)
     obs.inc("montecarlo.samples", budget)
-    estimate = hits / budget
+    estimate = tally.total / budget
     return 1.0 - estimate if plan.negate else estimate
+
+
+def sample_naive_batches(
+    clauses,
+    bits,
+    rng: random.Random,
+    samples: int,
+) -> float:
+    """Batched naive Monte-Carlo estimate of ``Pr[dnf]``."""
+
+    def event(tally: Tally) -> None:
+        obs.event(
+            "naive_mc.batch",
+            samples=tally.drawn,
+            estimate=tally.total / tally.drawn,
+        )
+
+    draw = partial(dnf_hits, clauses, bits)
+    tally = _fixed_run("naive_mc", draw, rng, samples, len(bits), event)
+    obs.inc("naive_mc.samples", samples)
+    return tally.total / samples
 
 
 # ---------------------------------------------------------------------- #
@@ -180,7 +268,7 @@ def sample_truth_batches(
 
 
 def _hamming_diffs(
-    plan: HammingPlan, base: int, index: int, width: int
+    plan: HammingPlan, rng: random.Random, width: int
 ) -> Tuple[int, int, List[int]]:
     """One batch's disagreement with the observed answer table.
 
@@ -190,7 +278,6 @@ def _hamming_diffs(
     distance), and one lane mask per sampled cell of the lanes where
     the cell's truth value disagrees.
     """
-    rng = batch_rng(base, index)
     full = full_mask(width)
     columns = draw_columns(rng, plan.bits, width, full)
     constant = 0
@@ -210,15 +297,15 @@ def _hamming_diffs(
 
 
 def hamming_batch_distance(
-    plan: HammingPlan, base: int, index: int, width: int
+    plan: HammingPlan, rng: random.Random, width: int
 ) -> int:
     """Total Hamming distance over one batch of sampled worlds."""
-    _, constant, diffs = _hamming_diffs(plan, base, index, width)
+    _, constant, diffs = _hamming_diffs(plan, rng, width)
     return constant * width + sum(popcount(diff) for diff in diffs)
 
 
 def hamming_block_moments(
-    plan: HammingPlan, base: int, index: int, width: int
+    plan: HammingPlan, rng: random.Random, width: int
 ) -> Tuple[int, int]:
     """Per-lane Hamming distance first and second moments of one block.
 
@@ -227,9 +314,9 @@ def hamming_block_moments(
     total cannot provide — so this worker counts, per lane, the cells
     that disagree in a vertical counter and reads the lanes of each
     distance off its tally.  The lane total matches
-    ``hamming_batch_distance(plan, base, index, width)`` exactly.
+    ``hamming_batch_distance`` on the same generator exactly.
     """
-    full, constant, diffs = _hamming_diffs(plan, base, index, width)
+    full, constant, diffs = _hamming_diffs(plan, rng, width)
     planes: List[int] = []
     for diff in diffs:
         add_to_counter(planes, diff)
@@ -242,40 +329,41 @@ def hamming_block_moments(
     return total, total_sq
 
 
+def hamming_moments(
+    plan: HammingPlan, rng: random.Random, width: int
+) -> Tuple[float, float]:
+    """:func:`hamming_block_moments` of the per-world normalised distance
+    ``distance / cells``, a value in [0, 1]."""
+    total, total_sq = hamming_block_moments(plan, rng, width)
+    cells = float(plan.cells)
+    return total / cells, total_sq / (cells * cells)
+
+
 def sample_hamming_batches(
     plan: HammingPlan,
     rng: random.Random,
     budget: int,
     delta: float,
-    shards: int = 1,
 ) -> float:
     """Batched ``estimate_reliability_hamming`` inner loop."""
     from repro.reliability.montecarlo import _half_width
 
-    trace = obs.enabled()
-    base = rng.getrandbits(64)
-    batches = plan_batches(budget, lanes=len(plan.bits))
-    payloads = [(base, index, width) for index, width in batches]
-    results = _execute(hamming_batch_distance, payloads, shards, shared=(plan,))
-    total = 0.0
-    drawn = 0
     cells = plan.cells
-    with obs.span("kernels.batched", kernel="hamming", batches=len(batches)):
-        for (_, width), distance in zip(batches, results):
-            checkpoint(samples=width)
-            total += distance / cells
-            drawn += width
-            obs.inc("kernels.batches")
-            if trace:
-                obs.event(
-                    "montecarlo.hamming_batch",
-                    samples=drawn,
-                    estimate=1.0 - total / drawn,
-                    half_width=_half_width(drawn, delta),
-                )
-    obs.inc("kernels.batch_samples", budget)
+
+    def draw(batch: random.Random, width: int) -> float:
+        return hamming_batch_distance(plan, batch, width) / cells
+
+    def event(tally: Tally) -> None:
+        obs.event(
+            "montecarlo.hamming_batch",
+            samples=tally.drawn,
+            estimate=1.0 - tally.total / tally.drawn,
+            half_width=_half_width(tally.drawn, delta),
+        )
+
+    tally = _fixed_run("hamming", draw, rng, budget, len(plan.bits), event)
     obs.inc("montecarlo.samples", budget)
-    return 1.0 - total / budget
+    return 1.0 - tally.total / budget
 
 
 # ---------------------------------------------------------------------- #
@@ -284,7 +372,7 @@ def sample_hamming_batches(
 
 
 class KlPlan:
-    """The picklable state of a batched Karp–Luby run.
+    """The state of a batched Karp–Luby run.
 
     ``clauses``/``bits`` come from the compiled DNF plan; ``weights``
     are the per-clause weights ``W_i`` (their sum is ``total_weight``)
@@ -351,7 +439,7 @@ def clause_counts(tree, rng: random.Random, width: int) -> List[Tuple[int, int]]
 
 
 def kl_block_moments(
-    plan: KlPlan, base: int, index: int, width: int
+    plan: KlPlan, rng: random.Random, width: int
 ) -> Tuple[float, float]:
     """One Karp–Luby block's per-sample sum and sum of squares.
 
@@ -363,7 +451,6 @@ def kl_block_moments(
     reads the lanes per cover count off a vertical counter; canonical
     samples are 0/1, so their sum of squares is the sum.
     """
-    rng = batch_rng(base, index)
     full = full_mask(width)
     chosen = [0] * len(plan.clauses)
     offset = 0
@@ -403,88 +490,23 @@ def kl_block_moments(
     return acc, acc_sq
 
 
-def kl_batch(plan: KlPlan, base: int, index: int, width: int) -> float:
-    """One batch of the Karp–Luby estimator; returns its accumulator sum.
-
-    The first moment of :func:`kl_block_moments`, so fixed-budget and
-    adaptive runs share one worker.
-    """
-    return kl_block_moments(plan, base, index, width)[0]
-
-
 def sample_kl_batches(
     plan: KlPlan,
     rng: random.Random,
     samples: int,
-    shards: int = 1,
 ) -> float:
     """Batched Karp–Luby accumulator over the full sample budget."""
-    trace = obs.enabled()
-    base = rng.getrandbits(64)
-    batches = plan_batches(samples, lanes=len(plan.bits))
-    payloads = [(base, index, width) for index, width in batches]
-    results = _execute(kl_batch, payloads, shards, shared=(plan,))
-    accumulator = 0.0
-    drawn = 0
-    with obs.span("kernels.batched", kernel="karp_luby", batches=len(batches)):
-        for (_, width), batch_acc in zip(batches, results):
-            checkpoint(samples=width)
-            accumulator += batch_acc
-            drawn += width
-            obs.inc("kernels.batches")
-            if trace:
-                obs.event(
-                    "karp_luby.batch",
-                    samples=drawn,
-                    estimate=min(
-                        plan.total_weight * accumulator / drawn, 1.0
-                    ),
-                    cover_weight=plan.total_weight,
-                )
-    obs.inc("kernels.batch_samples", samples)
-    return accumulator
 
+    def draw(batch: random.Random, width: int) -> float:
+        return kl_block_moments(plan, batch, width)[0]
 
-# ---------------------------------------------------------------------- #
-# naive DNF Monte Carlo
-# ---------------------------------------------------------------------- #
+    def event(tally: Tally) -> None:
+        obs.event(
+            "karp_luby.batch",
+            samples=tally.drawn,
+            estimate=min(plan.total_weight * tally.total / tally.drawn, 1.0),
+            cover_weight=plan.total_weight,
+        )
 
-
-def naive_batch_hits(
-    clauses, bits, base: int, index: int, width: int
-) -> int:
-    """Satisfying-lane count for the naive DNF sampler's batch."""
-    rng = batch_rng(base, index)
-    full = full_mask(width)
-    columns = draw_columns(rng, bits, width, full)
-    return popcount(satisfied_mask(clauses, columns, full))
-
-
-def sample_naive_batches(
-    clauses,
-    bits,
-    rng: random.Random,
-    samples: int,
-    shards: int = 1,
-) -> float:
-    """Batched naive Monte-Carlo estimate of ``Pr[dnf]``."""
-    trace = obs.enabled()
-    base = rng.getrandbits(64)
-    batches = plan_batches(samples, lanes=len(bits))
-    payloads = [(base, index, width) for index, width in batches]
-    results = _execute(naive_batch_hits, payloads, shards, shared=(clauses, bits))
-    hits = 0
-    drawn = 0
-    with obs.span("kernels.batched", kernel="naive_mc", batches=len(batches)):
-        for (_, width), batch_hits in zip(batches, results):
-            checkpoint(samples=width)
-            hits += batch_hits
-            drawn += width
-            obs.inc("kernels.batches")
-            if trace:
-                obs.event(
-                    "naive_mc.batch", samples=drawn, estimate=hits / drawn
-                )
-    obs.inc("kernels.batch_samples", samples)
-    obs.inc("naive_mc.samples", samples)
-    return hits / samples
+    tally = _fixed_run("karp_luby", draw, rng, samples, len(plan.bits), event)
+    return tally.total

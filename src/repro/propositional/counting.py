@@ -33,7 +33,7 @@ def _check_probs(dnf: DNF, probs: ProbMap) -> None:
         if variable not in probs:
             raise ProbabilityError(f"no probability given for {variable!r}")
         p = probs[variable]
-        if p < 0 or p > 1:
+        if not 0 <= p <= 1:
             raise ProbabilityError(f"probability {p} for {variable!r} not in [0,1]")
 
 

@@ -28,32 +28,26 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Mapping, Optional, Union
 
 from repro import obs
 from repro.kernels.bitops import column_bits
 from repro.kernels.plan import compile_dnf_plan
 from repro.kernels.sampling import (
     KlPlan,
+    kl_block_moments,
     sample_kl_batches,
     sample_naive_batches,
 )
+from repro.propositional.counting import _check_probs
 from repro.propositional.formula import DNF, Variable
-from repro.runtime.budget import checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rng import Seed, as_rng
 
 ProbLike = Union[float, Fraction]
 RngLike = Union[random.Random, Seed]
-
-# Convergence traces partition the sample budget into at most this many
-# running-estimate events (see docs/OBSERVABILITY.md).
-TRACE_BATCHES = 64
-
-# The scalar fallback loops charge the runtime budget in chunks of this
-# many samples; BudgetExceeded is accurate to within one chunk.
-CHECKPOINT_CHUNK = 64
 
 
 def _clause_weights(dnf: DNF, probs: Mapping[Variable, ProbLike]) -> List[float]:
@@ -140,52 +134,37 @@ def karp_luby_samples(
     samples: int,
     rng: RngLike,
     method: str = "coverage",
-    kernel: str = "batched",
-    shards: int = 1,
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
     adaptive: bool = False,
 ) -> KarpLubyEstimate:
     """Karp–Luby with an explicit sample budget (for benchmark sweeps).
 
-    ``kernel="batched"`` (the default) draws and evaluates samples in
-    bit-parallel column batches (see docs/PERFORMANCE.md);
-    ``kernel="scalar"`` keeps the per-sample loop for comparison.
-    ``shards`` fans batches out over worker processes; results are
-    identical for a fixed seed regardless of shard count.  A one-clause
-    DNF is answered exactly (``Pr = W``) with no samples drawn, after
-    the same argument and budget checks as a sampled run.
+    Samples are drawn and evaluated in bit-parallel column batches
+    (see docs/PERFORMANCE.md).  A one-clause DNF is answered exactly
+    (``Pr = W``) with no samples drawn, after the same argument and
+    budget checks as a sampled run.
 
     ``adaptive`` treats ``samples`` as the worst case and stops at the
     first canonical checkpoint where the empirical-Bernstein interval
     certifies a relative ``epsilon`` at confidence ``delta`` (both then
-    required); it needs the batched kernel and runs its own fixed
-    block schedule sequentially (``shards`` is ignored).
+    required), drawing its own fixed block schedule.
     """
     if method not in ("coverage", "canonical"):
         raise QueryError(f"unknown Karp-Luby method {method!r}")
-    if kernel not in ("batched", "scalar"):
-        raise QueryError(f"unknown Karp-Luby kernel {kernel!r}")
     if samples <= 0:
         raise ProbabilityError(f"sample budget must be positive, got {samples}")
-    if adaptive:
-        if kernel != "batched":
-            raise QueryError(
-                "adaptive Karp-Luby requires the batched kernel"
-            )
-        if epsilon is None or delta is None:
-            raise ProbabilityError(
-                "adaptive Karp-Luby needs epsilon and delta to stop on"
-            )
+    if adaptive and (epsilon is None or delta is None):
+        raise ProbabilityError(
+            "adaptive Karp-Luby needs epsilon and delta to stop on"
+        )
     if dnf.is_true():
         return KarpLubyEstimate(1.0, 0, 1.0, method)
     if dnf.is_false():
         return KarpLubyEstimate(0.0, 0, 0.0, method)
     # Refuse up front when the active budget cannot fit the run.
     preflight_samples(samples)
-    for variable in dnf.variables:
-        if variable not in probs:
-            raise ProbabilityError(f"no probability given for {variable!r}")
+    _check_probs(dnf, probs)
     rng = as_rng(rng)
 
     weights = _clause_weights(dnf, probs)
@@ -196,100 +175,39 @@ def karp_luby_samples(
         # One clause: Pr[dnf] = W exactly (every estimator sample is 1).
         return KarpLubyEstimate(total_weight, 0, total_weight, method)
 
-    variables = sorted(dnf.variables, key=repr)
-    float_probs = {v: float(probs[v]) for v in variables}
-
     obs.inc("karp_luby.runs")
     obs.gauge("karp_luby.cover_weight", total_weight)
     obs.gauge("karp_luby.clauses", len(dnf.clauses))
 
-    if kernel == "batched":
-        plan = compile_dnf_plan(dnf)
-        kl_plan = KlPlan(
-            plan.clauses,
-            tuple(column_bits(float_probs[v]) for v in plan.variables),
-            weights,
-            total_weight,
-            method,
-        )
-        if adaptive:
-            from repro.runtime.adaptive import adaptive_kl_accumulate
+    plan = compile_dnf_plan(dnf)
+    kl_plan = KlPlan(
+        plan.clauses,
+        tuple(column_bits(float(probs[v])) for v in plan.variables),
+        weights,
+        total_weight,
+        method,
+    )
+    if adaptive:
+        from repro.runtime.adaptive import adaptive_mean
 
-            run = adaptive_kl_accumulate(
-                kl_plan, rng, samples, epsilon, delta
-            )
-            obs.inc("karp_luby.samples", run.drawn)
-            estimate = total_weight * run.mean
-            return KarpLubyEstimate(
-                min(estimate, 1.0), run.drawn, total_weight, method
-            )
-        accumulator = sample_kl_batches(kl_plan, rng, samples, shards=shards)
-        obs.inc("karp_luby.samples", samples)
-        estimate = total_weight * accumulator / samples
+        run = adaptive_mean(
+            partial(kl_block_moments, kl_plan),
+            rng,
+            samples,
+            epsilon,
+            delta,
+            mode="relative",
+            kind="karp_luby",
+        )
+        obs.inc("karp_luby.samples", run.drawn)
+        estimate = total_weight * run.mean
         return KarpLubyEstimate(
-            min(estimate, 1.0), samples, total_weight, method
+            min(estimate, 1.0), run.drawn, total_weight, method
         )
-
-    trace = obs.enabled()
-    stride = max(1, samples // TRACE_BATCHES)
-    cumulative: List[float] = []
-    running = 0.0
-    for weight in weights:
-        running += weight
-        cumulative.append(running)
-    accumulator = 0.0
-    pending = 0
-    for drawn in range(1, samples + 1):
-        pending += 1
-        if pending >= CHECKPOINT_CHUNK or drawn == samples:
-            checkpoint(samples=pending)
-            pending = 0
-        # Pick a clause proportionally to its weight.
-        target = rng.random() * total_weight
-        index = _bisect(cumulative, target)
-        clause = dnf.clauses[index]
-        # Sample an assignment conditioned on that clause being true.
-        assignment: Dict[Variable, bool] = {}
-        for variable in variables:
-            if variable in clause:
-                assignment[variable] = clause.polarity(variable)
-            else:
-                assignment[variable] = rng.random() < float_probs[variable]
-        if method == "coverage":
-            covered = dnf.satisfied_count(assignment)
-            accumulator += 1.0 / covered
-        else:
-            first = _first_satisfied(dnf, assignment)
-            accumulator += 1.0 if first == index else 0.0
-        if trace and (drawn % stride == 0 or drawn == samples):
-            obs.event(
-                "karp_luby.batch",
-                samples=drawn,
-                estimate=min(total_weight * accumulator / drawn, 1.0),
-                cover_weight=total_weight,
-            )
-
+    accumulator = sample_kl_batches(kl_plan, rng, samples)
     obs.inc("karp_luby.samples", samples)
     estimate = total_weight * accumulator / samples
     return KarpLubyEstimate(min(estimate, 1.0), samples, total_weight, method)
-
-
-def _bisect(cumulative: Sequence[float], target: float) -> int:
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cumulative[mid] <= target:
-            low = mid + 1
-        else:
-            high = mid
-    return low
-
-
-def _first_satisfied(dnf: DNF, assignment: Mapping[Variable, bool]) -> int:
-    for index, clause in enumerate(dnf.clauses):
-        if clause.satisfied_by(assignment):
-            return index
-    raise AssertionError("sampled assignment satisfies no clause")
 
 
 def naive_probability_estimate(
@@ -297,8 +215,6 @@ def naive_probability_estimate(
     probs: Mapping[Variable, ProbLike],
     samples: int,
     rng: RngLike,
-    kernel: str = "batched",
-    shards: int = 1,
 ) -> float:
     """Plain Monte Carlo baseline: sample assignments, count hits.
 
@@ -306,35 +222,12 @@ def naive_probability_estimate(
     small-probability formulas blows up — the failure mode Karp–Luby was
     invented to avoid and the contrast measured in experiment E9.
     """
-    if kernel not in ("batched", "scalar"):
-        raise QueryError(f"unknown sampling kernel {kernel!r}")
     if samples <= 0:
         raise ProbabilityError(f"sample budget must be positive, got {samples}")
+    # Refuse up front when the active budget cannot fit the run.
+    preflight_samples(samples)
+    _check_probs(dnf, probs)
     rng = as_rng(rng)
-    variables = sorted(dnf.variables, key=repr)
-    float_probs = {v: float(probs[v]) for v in variables}
-    if kernel == "batched":
-        plan = compile_dnf_plan(dnf)
-        bits = tuple(column_bits(float_probs[v]) for v in plan.variables)
-        return sample_naive_batches(
-            plan.clauses, bits, rng, samples, shards=shards
-        )
-    trace = obs.enabled()
-    stride = max(1, samples // TRACE_BATCHES)
-    hits = 0
-    pending = 0
-    for drawn in range(1, samples + 1):
-        pending += 1
-        if pending >= CHECKPOINT_CHUNK or drawn == samples:
-            checkpoint(samples=pending)
-            pending = 0
-        assignment = {
-            variable: rng.random() < float_probs[variable]
-            for variable in variables
-        }
-        if dnf.satisfied_by(assignment):
-            hits += 1
-        if trace and (drawn % stride == 0 or drawn == samples):
-            obs.event("naive_mc.batch", samples=drawn, estimate=hits / drawn)
-    obs.inc("naive_mc.samples", samples)
-    return hits / samples
+    plan = compile_dnf_plan(dnf)
+    bits = tuple(column_bits(float(probs[v])) for v in plan.variables)
+    return sample_naive_batches(plan.clauses, bits, rng, samples)

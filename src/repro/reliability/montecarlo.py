@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Any, Sequence, Union
 
 from repro import obs
 from repro.kernels.plan import compile_hamming_plan, compile_truth_plan
 from repro.kernels.sampling import (
+    hamming_moments,
     sample_hamming_batches,
     sample_truth_batches,
+    truth_moments,
 )
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
@@ -43,17 +46,9 @@ RngLike = Union[random.Random, Seed]
 # running-estimate events (see docs/OBSERVABILITY.md).
 TRACE_BATCHES = 64
 
-# The scalar fallback loops charge the runtime budget in chunks of this
-# many samples; BudgetExceeded is accurate to within one chunk.
+# The per-world loops charge the runtime budget in chunks of this many
+# samples; BudgetExceeded is accurate to within one chunk.
 CHECKPOINT_CHUNK = 64
-
-_KERNELS = ("auto", "batched", "scalar")
-
-
-def _kernel_choice(kernel: str) -> str:
-    if kernel not in _KERNELS:
-        raise QueryError(f"unknown sampling kernel {kernel!r}")
-    return kernel
 
 
 def _half_width(count: int, delta: float) -> float:
@@ -98,8 +93,6 @@ def estimate_truth_probability(
     delta: float = 0.05,
     samples: int = 0,
     args: Sequence[Any] = (),
-    kernel: str = "auto",
-    shards: int = 1,
     adaptive: bool = False,
 ) -> float:
     """Estimate ``Pr[B |= psi(args)]`` by direct world sampling.
@@ -108,13 +101,9 @@ def estimate_truth_probability(
     sweeps fix budgets explicitly).  ``rng`` may be a ``random.Random``
     or a bare seed.
 
-    ``kernel`` selects the sampling loop: ``"auto"`` compiles
-    first-order queries to a bit-parallel batched kernel (see
-    docs/PERFORMANCE.md) and falls back to the scalar per-world loop
-    for everything else; ``"scalar"`` forces the fallback;
-    ``"batched"`` raises if the query does not compile.  ``shards``
-    fans batched sample batches out over worker processes
-    (deterministic for a fixed seed regardless of shard count).
+    First-order queries compile to the bit-parallel batched kernel
+    (see docs/PERFORMANCE.md); queries that do not compile (Datalog,
+    second-order, opaque query objects) run the per-world loop.
 
     ``adaptive`` switches the batched kernel to the sequential
     empirical-Bernstein stopper (:mod:`repro.runtime.adaptive`): same
@@ -124,7 +113,6 @@ def estimate_truth_probability(
     value differs from (while agreeing within guarantee with) the
     fixed-budget value of the same seed.
     """
-    kernel = _kernel_choice(kernel)
     query = as_query(query)
     args = tuple(args)
     if len(args) != query.arity:
@@ -136,24 +124,15 @@ def estimate_truth_probability(
     trace = obs.enabled()
     stride = max(1, budget // TRACE_BATCHES)
     with obs.span("montecarlo.truth_probability", budget=budget):
-        if kernel != "scalar":
-            plan = compile_truth_plan(db, query, args)
-            if plan is not None:
-                if adaptive and plan.constant is None:
-                    from repro.runtime.adaptive import (
-                        adaptive_truth_estimate,
-                    )
+        plan = compile_truth_plan(db, query, args)
+        if plan is not None:
+            if adaptive and plan.constant is None:
+                from repro.runtime.adaptive import adaptive_mean
 
-                    return adaptive_truth_estimate(
-                        plan, rng, budget, epsilon, delta
-                    )
-                return sample_truth_batches(
-                    plan, rng, budget, delta, shards=shards
-                )
-            if kernel == "batched":
-                raise QueryError(
-                    "query does not compile to a batched sampling kernel"
-                )
+                draw = partial(truth_moments, plan)
+                mean = adaptive_mean(draw, rng, budget, epsilon, delta).mean
+                return 1.0 - mean if plan.negate else mean
+            return sample_truth_batches(plan, rng, budget, delta)
         hits = 0
         pending = 0
         for drawn in range(1, budget + 1):
@@ -182,8 +161,6 @@ def estimate_reliability_hamming(
     epsilon: float = 0.05,
     delta: float = 0.05,
     samples: int = 0,
-    kernel: str = "auto",
-    shards: int = 1,
     adaptive: bool = False,
 ) -> float:
     """Estimate ``R_psi`` by sampling worlds and averaging Hamming distance.
@@ -192,13 +169,11 @@ def estimate_reliability_hamming(
     so Hoeffding's bound applies to the mean and the returned value is
     within ``epsilon`` of ``R_psi`` with probability at least
     ``1 - delta``.  ``rng`` may be a ``random.Random`` or a bare seed.
-    ``kernel`` and ``shards`` select the batched bit-parallel loop as in
+    First-order queries run the batched bit-parallel loop, as in
     :func:`estimate_truth_probability` (all ``n ** k`` per-tuple plans
     share each sampled column batch); ``adaptive`` selects the
-    sequential empirical-Bernstein stopper on the batched path, as in
-    :func:`estimate_truth_probability`.
+    sequential empirical-Bernstein stopper on the batched path.
     """
-    kernel = _kernel_choice(kernel)
     query = as_query(query)
     n = db.universe_size
     cells = n**query.arity
@@ -209,24 +184,14 @@ def estimate_reliability_hamming(
     trace = obs.enabled()
     stride = max(1, budget // TRACE_BATCHES)
     with obs.span("montecarlo.hamming", budget=budget, cells=cells):
-        if kernel != "scalar":
-            plan = compile_hamming_plan(db, query)
-            if plan is not None:
-                if adaptive:
-                    from repro.runtime.adaptive import (
-                        adaptive_hamming_estimate,
-                    )
+        plan = compile_hamming_plan(db, query)
+        if plan is not None:
+            if adaptive:
+                from repro.runtime.adaptive import adaptive_mean
 
-                    return adaptive_hamming_estimate(
-                        plan, rng, budget, epsilon, delta
-                    )
-                return sample_hamming_batches(
-                    plan, rng, budget, delta, shards=shards
-                )
-            if kernel == "batched":
-                raise QueryError(
-                    "query does not compile to a batched sampling kernel"
-                )
+                draw = partial(hamming_moments, plan)
+                return 1.0 - adaptive_mean(draw, rng, budget, epsilon, delta).mean
+            return sample_hamming_batches(plan, rng, budget, delta)
         observed_answers = query.answers(db.structure)
         total = 0.0
         pending = 0

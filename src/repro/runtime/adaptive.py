@@ -20,9 +20,8 @@ guarantee long before.  This module adds the sequential alternative:
   wide (the last block truncates to the worst-case budget) and is
   seeded by ``batch_rng(base, j)``; the stopping grid is a pure
   function of the worst-case budget.  The answer is therefore a pure
-  function of (plan, seed, worst-case budget, epsilon, delta, mode) —
-  bit-identical no matter how the driver groups block evaluation,
-  whether tracing is on, or where the run is resumed.
+  function of (plan, seed, worst-case budget, epsilon, delta, mode),
+  bit-identical whether tracing is on or off.
 
 * :class:`CostSurrogate` — the online feedback half.  Every stopped
   run records ``drawn / worst`` for its engine kind; the surrogate
@@ -41,19 +40,19 @@ guarantee long before.  This module adds the sequential alternative:
 from __future__ import annotations
 
 import math
+import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro import obs
-from repro.runtime.budget import checkpoint
+from repro.kernels.sampling import run_batches, split_layout
 from repro.runtime.costmodel import CostModel
 
 #: Fixed width of one adaptive sampling block.  Every block except the
 #: last is exactly this many samples; the block index alone determines
-#: its stream (``batch_rng(base, index)``), which is what makes the
-#: stopped answer independent of how blocks are grouped.
+#: its stream (``batch_rng(base, index)``).
 ADAPTIVE_BLOCK_BITS = 256
 
 #: Stopping modes: ``additive`` certifies ``|estimate - mean| <=
@@ -96,15 +95,7 @@ def block_layout(worst: int) -> Tuple[Tuple[int, int], ...]:
     """The fixed ``(index, width)`` blocks covering ``worst`` samples."""
     if worst <= 0:
         raise ValueError("worst-case budget must be positive")
-    blocks = []
-    start = 0
-    index = 0
-    while start < worst:
-        width = min(ADAPTIVE_BLOCK_BITS, worst - start)
-        blocks.append((index, width))
-        start += width
-        index += 1
-    return tuple(blocks)
+    return tuple(split_layout(worst, ADAPTIVE_BLOCK_BITS))
 
 
 def check_grid(total_blocks: int) -> Tuple[int, ...]:
@@ -159,27 +150,26 @@ def _sample_variance(total: float, total_sq: float, drawn: int) -> float:
 
 
 def adaptive_mean(
-    draw_block: Callable[[int, int], Tuple[float, float]],
+    draw: Callable[[random.Random, int], Tuple[float, float]],
+    rng: random.Random,
     worst: int,
     epsilon: float,
     delta: float,
     mode: str = "additive",
     kind: str = "montecarlo",
-    chunk_blocks: int = 1,
 ) -> AdaptiveRun:
     """Sequentially estimate a [0, 1]-valued mean to (epsilon, delta).
 
-    ``draw_block(index, width)`` returns the block's ``(sum, sum of
-    squares)`` of per-sample values in [0, 1]; it must be a pure
-    function of its arguments (the kernel workers are, via
-    ``batch_rng``).  ``worst`` is the fixed-budget worst case — the
+    ``draw(batch_rng, width)`` returns one block's ``(sum, sum of
+    squares)`` of per-sample values in [0, 1], drawn from the block's
+    own generator (the kernel workers do).  ``rng`` contributes one
+    ``getrandbits(64)``, the base of every block generator, as in a
+    fixed-budget run.  ``worst`` is the fixed-budget worst case — the
     controller never draws more, so an adaptive run is never more
-    expensive than the run it replaces.
-
-    ``chunk_blocks`` bounds how many blocks are evaluated between
-    budget checkpoints.  It is a *schedule* knob only: stopping
-    decisions happen exactly at the canonical grid regardless, so the
-    returned run is bit-identical for every value.
+    expensive than the run it replaces.  The blocks run through the
+    kernels' one sample loop (:func:`~repro.kernels.sampling.
+    run_batches`), which charges each block to the budget before
+    drawing it.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -187,82 +177,58 @@ def adaptive_mean(
         raise ValueError("delta must be in (0, 1)")
     if mode not in MODES:
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    if chunk_blocks < 1:
-        raise ValueError("chunk_blocks must be >= 1")
 
     layout = block_layout(worst)
-    grid = check_grid(len(layout))
     trace = obs.enabled()
-
-    total = 0.0
-    total_sq = 0.0
-    drawn = 0
-    blocks_done = 0
     checks = 0
     reason = "exhausted"
     half_width = math.inf
-    stopped = False
 
-    grid_index = 0
-    position = 0
-    with obs.span(
-        "adaptive.run", kind=kind, mode=mode, worst=worst
-    ):
-        while position < len(layout) and not stopped:
-            # Never evaluate past the next grid point: checks must land
-            # exactly on the canonical grid for schedule independence.
-            limit = min(
-                position + chunk_blocks, grid[grid_index], len(layout)
+    def stop(tally) -> bool:
+        nonlocal checks, reason, half_width
+        checks += 1
+        delta_t = sequential_delta(delta, checks)
+        drawn = tally.drawn
+        mean = tally.total / drawn
+        variance = _sample_variance(tally.total, tally.total_sq, drawn)
+        hoeffding = hoeffding_half_width(drawn, delta_t)
+        bernstein = bernstein_half_width(drawn, variance, delta_t)
+        half_width = min(hoeffding, bernstein)
+        if trace:
+            obs.event(
+                "adaptive.batch",
+                kind=kind,
+                samples=drawn,
+                estimate=mean,
+                half_width=half_width,
             )
-            chunk = layout[position:limit]
-            checkpoint(samples=sum(width for _, width in chunk))
-            for index, width in chunk:
-                block_total, block_sq = draw_block(index, width)
-                total += block_total
-                total_sq += block_sq
-                drawn += width
-                blocks_done += 1
-            position = limit
-            if position != grid[grid_index]:
-                continue
-            grid_index += 1
-            checks += 1
-            delta_t = sequential_delta(delta, checks)
-            mean = total / drawn
-            variance = _sample_variance(total, total_sq, drawn)
-            hoeffding = hoeffding_half_width(drawn, delta_t)
-            bernstein = bernstein_half_width(drawn, variance, delta_t)
-            half_width = min(hoeffding, bernstein)
-            if trace:
-                obs.event(
-                    "adaptive.batch",
-                    kind=kind,
-                    samples=drawn,
-                    estimate=mean,
-                    half_width=half_width,
-                )
-            if mode == "additive":
-                stopped = half_width <= epsilon
-            else:
-                lower = mean - half_width
-                stopped = lower > 0.0 and half_width <= epsilon * lower
-            if stopped:
-                reason = (
-                    "eb" if bernstein <= hoeffding else "hoeffding"
-                )
+        if mode == "additive":
+            stopped = half_width <= epsilon
+        else:
+            lower = mean - half_width
+            stopped = lower > 0.0 and half_width <= epsilon * lower
+        if stopped:
+            reason = "eb" if bernstein <= hoeffding else "hoeffding"
+        return stopped
 
-    mean = total / drawn
+    with obs.span("adaptive.run", kind=kind, mode=mode, worst=worst):
+        tally = run_batches(
+            draw, rng, layout, stop=stop, grid=check_grid(len(layout))
+        )
+
+    drawn = tally.drawn
+    mean = tally.total / drawn
     run = AdaptiveRun(
         mean=mean,
         drawn=drawn,
         worst=worst,
-        blocks=blocks_done,
+        blocks=tally.batches,
         checks=checks,
         reason=reason,
         half_width=half_width,
     )
     obs.inc("adaptive.runs")
-    obs.inc("adaptive.batches", blocks_done)
+    obs.inc("adaptive.batches", tally.batches)
     obs.inc("adaptive.samples_drawn", drawn)
     obs.inc("adaptive.samples_saved", run.saved)
     if run.saved > 0:
@@ -274,113 +240,12 @@ def adaptive_mean(
             reason=run.reason,
             samples=drawn,
             saved=run.saved,
-            batches=blocks_done,
+            batches=tally.batches,
             half_width=half_width,
             estimate=mean,
         )
     active_surrogate().observe(kind, drawn, worst)
     return run
-
-
-# ---------------------------------------------------------------------------
-# Estimator adapters: the glue between the engines' compiled kernel
-# plans and the generic controller.  Each consumes exactly one
-# ``getrandbits(64)`` from the caller's rng — the same determinism
-# contract as the fixed-budget drivers.
-# ---------------------------------------------------------------------------
-
-
-def adaptive_truth_estimate(
-    plan,
-    rng,
-    worst: int,
-    epsilon: float,
-    delta: float,
-    chunk_blocks: int = 1,
-) -> float:
-    """Adaptive additive estimate of a compiled truth-probability plan."""
-    from repro.kernels.sampling import truth_batch_hits
-
-    base = rng.getrandbits(64)
-
-    def draw(index: int, width: int) -> Tuple[float, float]:
-        hits = float(truth_batch_hits(plan, base, index, width))
-        # Bernoulli values: the sum of squares is the sum itself.
-        return hits, hits
-
-    run = adaptive_mean(
-        draw,
-        worst,
-        epsilon,
-        delta,
-        mode="additive",
-        kind="montecarlo",
-        chunk_blocks=chunk_blocks,
-    )
-    estimate = run.mean
-    return 1.0 - estimate if plan.negate else estimate
-
-
-def adaptive_hamming_estimate(
-    plan,
-    rng,
-    worst: int,
-    epsilon: float,
-    delta: float,
-    chunk_blocks: int = 1,
-) -> float:
-    """Adaptive additive estimate of a compiled Hamming-reliability plan."""
-    from repro.kernels.sampling import hamming_block_moments
-
-    base = rng.getrandbits(64)
-    cells = float(plan.cells)
-
-    def draw(index: int, width: int) -> Tuple[float, float]:
-        total, total_sq = hamming_block_moments(plan, base, index, width)
-        return total / cells, total_sq / (cells * cells)
-
-    run = adaptive_mean(
-        draw,
-        worst,
-        epsilon,
-        delta,
-        mode="additive",
-        kind="montecarlo",
-        chunk_blocks=chunk_blocks,
-    )
-    return 1.0 - run.mean
-
-
-def adaptive_kl_accumulate(
-    kl_plan,
-    rng,
-    worst: int,
-    epsilon: float,
-    delta: float,
-    chunk_blocks: int = 1,
-) -> AdaptiveRun:
-    """Adaptive relative estimate of the Karp-Luby coverage mean.
-
-    Returns the raw :class:`AdaptiveRun`; the caller rescales ``mean``
-    by the total clause weight.  The relative stop is taken on the
-    coverage mean itself — the clause-weight factor cancels.
-    """
-    from repro.kernels.sampling import kl_block_moments
-
-    base = rng.getrandbits(64)
-
-    def draw(index: int, width: int) -> Tuple[float, float]:
-        return kl_block_moments(kl_plan, base, index, width)
-
-    return adaptive_mean(
-        draw,
-        worst,
-        epsilon,
-        delta,
-        mode="relative",
-        kind="karp_luby",
-        chunk_blocks=chunk_blocks,
-    )
 
 
 # ---------------------------------------------------------------------------

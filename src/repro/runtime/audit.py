@@ -44,40 +44,28 @@ ENGINE_MODULES: Tuple[str, ...] = (
 
 #: Looping functions that deliberately do not checkpoint, with the
 #: reason.  Loops here must be bounded by the *query or formula* size
-#: (a constant of the problem statement), or be per-batch workers whose
-#: driver charges the budget as results are combined.
+#: (a constant of the problem statement), or be per-batch workers of
+#: ``kernels.sampling.run_batches``, which charges each batch to the
+#: budget before drawing it.
 EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.kernels.sampling", "draw_columns"): (
-        "one column per plan variable; the driver checkpoints per batch"
-    ),
-    ("repro.kernels.sampling", "plan_batches"): (
-        "partitions an already-preflighted budget into batch bounds"
-    ),
-    ("repro.kernels.sampling", "truth_batch_hits"): (
-        "per-batch worker; the driver charges checkpoint(samples=width)"
+        "one column per plan variable; run_batches checkpoints per batch"
     ),
     ("repro.kernels.sampling", "_hamming_diffs"): (
-        "per-batch worker; the driver charges checkpoint(samples=width)"
+        "per-batch worker; run_batches charges checkpoint(samples=width)"
     ),
     ("repro.kernels.sampling", "clause_counts"): (
         "per-batch worker over the clause split tree, bounded by the "
-        "formula; the driver charges checkpoint(samples=width)"
+        "formula; run_batches charges checkpoint(samples=width)"
     ),
     ("repro.kernels.sampling", "hamming_block_moments"): (
-        "per-block worker; the adaptive controller checkpoints per chunk"
+        "per-batch worker; run_batches charges checkpoint(samples=width)"
     ),
     ("repro.kernels.sampling", "kl_block_moments"): (
-        "per-batch worker (kl_batch's too); the fixed driver charges "
-        "checkpoint(samples=width), the adaptive controller per chunk"
-    ),
-    ("repro.runtime.adaptive", "block_layout"): (
-        "partitions an already-preflighted budget into fixed blocks"
+        "per-batch worker; run_batches charges checkpoint(samples=width)"
     ),
     ("repro.runtime.adaptive", "check_grid"): (
         "O(log blocks) doubling grid over an already-bounded budget"
-    ),
-    ("repro.kernels.sampling", "naive_batch_hits"): (
-        "per-batch worker; the driver charges checkpoint(samples=width)"
     ),
     ("repro.kernels.gray", "_dnf_state"): (
         "one pass over the grounded clauses, bounded by the formula"
@@ -85,10 +73,10 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"
     ),
-    ("repro.propositional.karp_luby", "_bisect"): (
+    ("repro.delta.sampling", "_bisect"): (
         "binary search over the clause list, O(log clauses)"
     ),
-    ("repro.propositional.karp_luby", "_first_satisfied"): (
+    ("repro.delta.sampling", "_first_satisfied"): (
         "one pass over the DNF clauses, bounded by the formula"
     ),
     ("repro.reliability.exact", "_formula_atoms.walk"): (

@@ -256,6 +256,49 @@ class TestActivation:
         assert cache_persist.configure_from_env() is None
 
 
+class TestPlanPickling:
+    def test_compiled_plan_is_picklable(self, tier, triangle_db):
+        """Every persistable plan kind survives the disk tier: a loaded
+        plan samples exactly what the compiled one does."""
+        from repro.kernels.plan import (
+            compile_dnf_plan,
+            compile_hamming_plan,
+            compile_truth_plan,
+        )
+        from repro.kernels.sampling import (
+            sample_hamming_batches,
+            sample_truth_batches,
+        )
+        from repro.reliability.exact import as_query
+        from repro.reliability.grounding import ground_existential_to_dnf
+        from repro.util.rng import make_rng
+
+        query = as_query("exists x. exists y. E(x, y) & S(y)")
+        grounded = ground_existential_to_dnf(triangle_db, query.formula).dnf
+        plans = {
+            "truth_plan": (
+                compile_truth_plan(triangle_db, query),
+                lambda plan: sample_truth_batches(plan, make_rng(1), 2000, 0.05),
+            ),
+            "hamming_plan": (
+                compile_hamming_plan(triangle_db, as_query("E(x, y) & S(y)")),
+                lambda plan: sample_hamming_batches(
+                    plan, make_rng(1), 2000, 0.05
+                ),
+            ),
+            "dnf_plan": (
+                compile_dnf_plan(grounded),
+                lambda plan: (plan.variables, plan.clauses),
+            ),
+        }
+        for kind, (plan, fingerprint) in plans.items():
+            assert kind in PERSISTABLE_KINDS
+            assert tier.store((kind, "k"), plan) is True
+            clone = tier.load((kind, "k"))
+            assert clone is not plan
+            assert fingerprint(clone) == fingerprint(plan), kind
+
+
 class TestMemoryTierIntegration:
     """get_or_create consults the disk tier on memory misses."""
 

@@ -4,7 +4,8 @@
   sum to the width, never pick a zero-weight clause, and match the
   weights within a Hoeffding tolerance;
 * a one-clause DNF is answered exactly, with no samples drawn, but is
-  still refused up front by a budget that cannot fit the run;
+  still refused up front by a budget that cannot fit the run — as is
+  a naive Monte-Carlo run;
 * probability-1 variables are sampled as always true on the bare-DNF
   batched paths (they used to be drawn as always false).
 """
@@ -75,8 +76,7 @@ def _one_clause():
 
 
 @pytest.mark.parametrize("method", ["coverage", "canonical"])
-@pytest.mark.parametrize("kernel", ["batched", "scalar"])
-def test_one_clause_dnf_is_answered_exactly(method, kernel):
+def test_one_clause_dnf_is_answered_exactly(method):
     dnf, probs = _one_clause()
     product = 1.0
     for literal in dnf.clauses[0]:
@@ -85,7 +85,7 @@ def test_one_clause_dnf_is_answered_exactly(method, kernel):
     budget = Budget()
     with apply(budget):
         result = karp_luby_samples(
-            dnf, probs, 5000, make_rng(1), method=method, kernel=kernel
+            dnf, probs, 5000, make_rng(1), method=method
         )
     assert result.estimate == product
     assert result.clause_weight_total == product
@@ -106,6 +106,15 @@ def test_one_clause_dnf_is_still_refused_by_the_sample_cap(adaptive):
     with apply(Budget(max_samples=needed)):
         result = karp_luby(dnf, probs, 0.1, 0.1, make_rng(1), adaptive=adaptive)
     assert result.samples == 0
+
+
+def test_naive_estimate_is_refused_by_the_sample_cap():
+    dnf, probs = _one_clause()
+    budget = Budget(max_samples=10)
+    with pytest.raises(CostRefused):
+        with apply(budget):
+            naive_probability_estimate(dnf, probs, 10**6, make_rng(1))
+    assert budget.samples == 0
 
 
 def _certain_variable_dnf():

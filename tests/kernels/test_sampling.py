@@ -1,10 +1,9 @@
-"""Batched sampling kernels: agreement with scalar loops and exactness.
+"""Batched sampling kernels: exactness, determinism and budget charging.
 
-Batched and scalar paths consume the RNG differently, so estimates are
-not stream-identical — the contract is distributional: both must land
-within a Hoeffding-style tolerance of the exact value.  Shard fan-out,
-by contrast, must be *bit-identical* across shard counts for a fixed
-seed (deterministic per-batch seeding).
+A query object that does not compile runs the per-world loop instead
+of the batched kernel.  The two consume the RNG differently, so their
+estimates are not stream-identical — the contract is distributional:
+both must land within a Hoeffding-style tolerance of the exact value.
 """
 
 import math
@@ -13,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from repro import obs
+from repro.kernels import sampling
 from repro.kernels.plan import compile_hamming_plan, compile_truth_plan
 from repro.propositional.formula import DNF, Clause, Literal
 from repro.propositional.karp_luby import (
@@ -20,12 +20,14 @@ from repro.propositional.karp_luby import (
     naive_probability_estimate,
 )
 from repro.relational.atoms import Atom
-from repro.reliability.exact import reliability, truth_probability
+from repro.reliability.exact import as_query, reliability, truth_probability
 from repro.reliability.montecarlo import (
     estimate_reliability_hamming,
     estimate_truth_probability,
 )
-from repro.util.errors import QueryError
+from repro.runtime.adaptive import CostSurrogate, use_surrogate
+from repro.runtime.budget import Budget, CancelToken, apply
+from repro.util.errors import BudgetExceeded
 from repro.util.rng import make_rng
 
 QUERY = "exists x. exists y. E(x, y) & S(y)"
@@ -34,13 +36,28 @@ SAMPLES = 20000
 TOLERANCE = 2 * math.sqrt(math.log(2.0 / 1e-6) / (2.0 * SAMPLES))
 
 
+class Opaque:
+    """A query behind an object that does not compile, as Datalog and
+    second-order queries are: the estimators run the per-world loop."""
+
+    def __init__(self, query):
+        self.query = as_query(query)
+        self.arity = self.query.arity
+
+    def evaluate(self, structure, args=()):
+        return self.query.evaluate(structure, args)
+
+    def answers(self, structure):
+        return self.query.answers(structure)
+
+
 def test_truth_batched_and_scalar_agree_with_exact(triangle_db):
     exact = float(truth_probability(triangle_db, QUERY))
     batched = estimate_truth_probability(
         triangle_db, QUERY, make_rng(1), samples=SAMPLES
     )
     scalar = estimate_truth_probability(
-        triangle_db, QUERY, make_rng(1), samples=SAMPLES, kernel="scalar"
+        triangle_db, Opaque(QUERY), make_rng(1), samples=SAMPLES
     )
     assert abs(batched - exact) < TOLERANCE
     assert abs(scalar - exact) < TOLERANCE
@@ -56,17 +73,6 @@ def test_truth_batched_deterministic_for_seed(triangle_db):
     assert first == second
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_truth_sharded_matches_single_shard(triangle_db, shards):
-    baseline = estimate_truth_probability(
-        triangle_db, QUERY, make_rng(5), samples=SAMPLES
-    )
-    sharded = estimate_truth_probability(
-        triangle_db, QUERY, make_rng(5), samples=SAMPLES, shards=shards
-    )
-    assert sharded == baseline
-
-
 def test_truth_certain_db_short_circuits(certain_db):
     assert (
         estimate_truth_probability(
@@ -77,28 +83,17 @@ def test_truth_certain_db_short_circuits(certain_db):
 
 
 def test_truth_batched_kernel_requires_compilable_query(triangle_db):
-    class Opaque:
+    class Constant:
         arity = 0
 
         def evaluate(self, structure, args=()):
             return True
 
-    with pytest.raises(QueryError):
-        estimate_truth_probability(
-            triangle_db, Opaque(), make_rng(1), samples=10, kernel="batched"
-        )
-    # "auto" falls back to the scalar loop instead.
+    # A query that does not compile runs the per-world loop.
     value = estimate_truth_probability(
-        triangle_db, Opaque(), make_rng(1), samples=10
+        triangle_db, Constant(), make_rng(1), samples=10
     )
     assert value == 1.0
-
-
-def test_unknown_kernel_rejected(triangle_db):
-    with pytest.raises(QueryError):
-        estimate_truth_probability(
-            triangle_db, QUERY, make_rng(1), samples=10, kernel="simd"
-        )
 
 
 def test_hamming_batched_and_scalar_agree_with_exact(triangle_db):
@@ -108,44 +103,36 @@ def test_hamming_batched_and_scalar_agree_with_exact(triangle_db):
         triangle_db, query, make_rng(2), samples=SAMPLES
     )
     scalar = estimate_reliability_hamming(
-        triangle_db, query, make_rng(2), samples=SAMPLES, kernel="scalar"
+        triangle_db, Opaque(query), make_rng(2), samples=SAMPLES
     )
     assert abs(batched - exact) < TOLERANCE
     assert abs(scalar - exact) < TOLERANCE
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_hamming_sharded_matches_single_shard(triangle_db, shards):
-    query = "E(x, y) & S(y)"
-    baseline = estimate_reliability_hamming(
-        triangle_db, query, make_rng(3), samples=SAMPLES
-    )
-    sharded = estimate_reliability_hamming(
-        triangle_db, query, make_rng(3), samples=SAMPLES, shards=shards
-    )
-    assert sharded == baseline
 
 
 def test_hamming_block_moments_match_per_lane_distances(triangle_db):
     """The counter-based moments equal a per-lane reference count."""
     from repro.kernels.sampling import (
         _hamming_diffs,
+        batch_rng,
         hamming_batch_distance,
         hamming_block_moments,
     )
-    from repro.reliability.exact import as_query
 
     plan = compile_hamming_plan(triangle_db, as_query("E(x, y) & ~S(y)"))
     for index, width in ((0, 1), (1, 64), (2, 1000)):
-        _, constant, diffs = _hamming_diffs(plan, 99, index, width)
+        _, constant, diffs = _hamming_diffs(plan, batch_rng(99, index), width)
         distances = [
             constant + sum(diff >> lane & 1 for diff in diffs)
             for lane in range(width)
         ]
-        total, total_sq = hamming_block_moments(plan, 99, index, width)
+        total, total_sq = hamming_block_moments(
+            plan, batch_rng(99, index), width
+        )
         assert total == sum(distances)
         assert total_sq == sum(d * d for d in distances)
-        assert total == hamming_batch_distance(plan, 99, index, width)
+        assert total == hamming_batch_distance(
+            plan, batch_rng(99, index), width
+        )
 
 
 def _small_dnf():
@@ -164,7 +151,7 @@ def _small_dnf():
     return dnf, probs
 
 
-def test_karp_luby_batched_matches_scalar_distributionally():
+def test_karp_luby_agrees_with_exact():
     from repro.propositional.counting import probability_enumerate
 
     dnf, probs = _small_dnf()
@@ -173,34 +160,16 @@ def test_karp_luby_batched_matches_scalar_distributionally():
         batched = karp_luby_samples(
             dnf, probs, SAMPLES, make_rng(4), method=method
         )
-        scalar = karp_luby_samples(
-            dnf, probs, SAMPLES, make_rng(4), method=method, kernel="scalar"
-        )
         assert abs(batched.estimate - exact) < TOLERANCE
-        assert abs(scalar.estimate - exact) < TOLERANCE
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_karp_luby_sharded_matches_single_shard(shards):
-    dnf, probs = _small_dnf()
-    baseline = karp_luby_samples(dnf, probs, SAMPLES, make_rng(4))
-    sharded = karp_luby_samples(
-        dnf, probs, SAMPLES, make_rng(4), shards=shards
-    )
-    assert sharded.estimate == baseline.estimate
-
-
-def test_naive_batched_matches_scalar_distributionally():
+def test_naive_agrees_with_exact():
     from repro.propositional.counting import probability_enumerate
 
     dnf, probs = _small_dnf()
     exact = float(probability_enumerate(dnf, probs))
     batched = naive_probability_estimate(dnf, probs, SAMPLES, make_rng(6))
-    scalar = naive_probability_estimate(
-        dnf, probs, SAMPLES, make_rng(6), kernel="scalar"
-    )
     assert abs(batched - exact) < TOLERANCE
-    assert abs(scalar - exact) < TOLERANCE
 
 
 def test_plans_compile_for_fo_queries(triangle_db):
@@ -259,3 +228,63 @@ def test_tracing_does_not_change_sampled_answers():
         traced = answers()
     assert traced == untraced
     assert recorder.summary()["counters"]["kernels.batches"] > 0
+
+
+def _estimators(db):
+    """Every batched sample loop, by name: four fixed, two adaptive."""
+    dnf, probs = _small_dnf()
+    hamming = "E(x, y) & S(y)"
+    return {
+        "truth": lambda: estimate_truth_probability(
+            db, QUERY, make_rng(1), samples=SAMPLES
+        ),
+        "hamming": lambda: estimate_reliability_hamming(
+            db, hamming, make_rng(1), samples=SAMPLES
+        ),
+        "karp_luby": lambda: karp_luby_samples(
+            dnf, probs, SAMPLES, make_rng(1)
+        ),
+        "naive": lambda: naive_probability_estimate(
+            dnf, probs, SAMPLES, make_rng(1)
+        ),
+        "truth_adaptive": lambda: estimate_truth_probability(
+            db, QUERY, make_rng(1), 0.05, 0.05, adaptive=True
+        ),
+        "karp_luby_adaptive": lambda: karp_luby_samples(
+            dnf, probs, SAMPLES, make_rng(1), epsilon=0.1, delta=0.1,
+            adaptive=True,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "truth",
+        "hamming",
+        "karp_luby",
+        "naive",
+        "truth_adaptive",
+        "karp_luby_adaptive",
+    ],
+)
+def test_cancelled_attempt_draws_no_batch(triangle_db, monkeypatch, name):
+    """The budget is charged before a batch is drawn, not after."""
+    run = _estimators(triangle_db)[name]
+    with use_surrogate(CostSurrogate()):
+        # Warm the compilation cache: below, only the sample loop runs.
+        run()
+        drawn = []
+        draw_columns = sampling.draw_columns
+
+        def counting(*args):
+            drawn.append(args[2])
+            return draw_columns(*args)
+
+        monkeypatch.setattr(sampling, "draw_columns", counting)
+        token = CancelToken()
+        token.cancel("cancelled before the call")
+        with pytest.raises(BudgetExceeded):
+            with apply(Budget().child(token=token)):
+                run()
+    assert drawn == []

@@ -100,3 +100,39 @@ class TestCountModels:
             if dnf.satisfied_by(dict(zip(variables, values))):
                 brute += 1
         assert count_models(dnf) == brute
+
+
+def _entry_points():
+    from repro.delta.sampling import ReweightableKarpLuby
+    from repro.propositional.karp_luby import (
+        karp_luby_samples,
+        naive_probability_estimate,
+    )
+
+    return {
+        "enumerate": probability_enumerate,
+        "exact": probability_exact,
+        "karp_luby": lambda dnf, probs: karp_luby_samples(dnf, probs, 100, 1),
+        "naive": lambda dnf, probs: naive_probability_estimate(
+            dnf, probs, 100, 1
+        ),
+        "reweightable": lambda dnf, probs: ReweightableKarpLuby(
+            dnf, probs, 100, 1
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", ["missing", -0.2, 1.5, float("nan")])
+@pytest.mark.parametrize(
+    "entry", ["enumerate", "exact", "karp_luby", "naive", "reweightable"]
+)
+def test_every_dnf_engine_checks_probabilities(entry, bad):
+    """One check guards the exact and the sampling DNF engines alike."""
+    dnf = DNF.of([pos("a"), pos("b")], [neg_lit("a"), pos("c")])
+    probs = {"a": 0.3, "b": 0.6, "c": 0.5}
+    if bad == "missing":
+        del probs["c"]
+    else:
+        probs["c"] = bad
+    with pytest.raises(ProbabilityError):
+        _entry_points()[entry](dnf, probs)

@@ -1,31 +1,25 @@
 """Differential tests for adaptive sampling against the fixed budget.
 
-Three claims, each tested by running two independent code paths and
+Two claims, each tested by running two independent code paths and
 demanding agreement:
 
 * *answers* — for pinned fuzzed instances, the adaptive estimate and
   the fixed worst-case estimate both land within the guarantee band of
   the exact value (they may differ from each other: the adaptive run
   consumes its own fixed block schedule);
-* *schedules* — the adaptive answer is bit-identical for every value
-  of the ``chunk_blocks`` driver knob, on all three estimator
-  adapters: grouping block evaluation is a budget-accounting schedule,
-  never a semantic one;
 * *forecasts* — with adaptivity (and a deliberately warmed surrogate)
   enabled, ``plan_chain`` still selects exactly the engine
   ``run_with_fallback`` ends up answering with, because both wrap the
   cost model in the same :class:`SurrogateAdjustedModel`.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.kernels.bitops import column_bits
-from repro.kernels.plan import (
-    compile_dnf_plan,
-    compile_hamming_plan,
-    compile_truth_plan,
-)
-from repro.kernels.sampling import KlPlan
+from repro.kernels.plan import compile_dnf_plan
+from repro.kernels.sampling import KlPlan, kl_block_moments
 from repro.logic.evaluator import FOQuery
 from repro.propositional.counting import probability_exact
 from repro.propositional.karp_luby import (
@@ -36,13 +30,7 @@ from repro.propositional.karp_luby import (
 )
 from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.montecarlo import estimate_truth_probability
-from repro.runtime.adaptive import (
-    CostSurrogate,
-    adaptive_hamming_estimate,
-    adaptive_kl_accumulate,
-    adaptive_truth_estimate,
-    use_surrogate,
-)
+from repro.runtime.adaptive import CostSurrogate, adaptive_mean, use_surrogate
 from repro.runtime.budget import Budget
 from repro.runtime.costmodel import calibrate, plan_chain
 from repro.runtime.executor import run_with_fallback
@@ -53,7 +41,6 @@ from repro.workloads.random_dnf import random_kdnf, random_probabilities
 
 EPSILON = 0.1
 DELTA = 0.05
-CHUNK_SCHEDULES = (1, 2, 3, 7, 64)
 
 
 def _db(seed, size=4):
@@ -82,8 +69,9 @@ def test_kl_plan_helper_builds_the_library_plan():
     dnf = random_kdnf(rng, variables=8, clauses=4, width=3)
     probs = random_probabilities(rng, dnf)
     with use_surrogate(CostSurrogate()):
-        run = adaptive_kl_accumulate(
-            _kl_plan(dnf, probs), make_rng(4), 2000, 0.2, 0.1
+        run = adaptive_mean(
+            partial(kl_block_moments, _kl_plan(dnf, probs)),
+            make_rng(4), 2000, 0.2, 0.1, mode="relative", kind="karp_luby",
         )
         library = karp_luby_samples(
             dnf, probs, 2000, make_rng(4), epsilon=0.2, delta=0.1,
@@ -133,78 +121,6 @@ def test_karp_luby_adaptive_and_fixed_agree_within_guarantee(seed):
     assert adaptive.samples <= fixed.samples
     assert abs(fixed.estimate - exact) <= 0.2 * exact
     assert abs(adaptive.estimate - exact) <= 0.2 * exact
-
-
-# --------------------------------------------------------------------- #
-# Bit-identical answers across every chunk_blocks schedule
-# --------------------------------------------------------------------- #
-
-
-def test_truth_answers_identical_across_chunk_schedules():
-    query = FOQuery("exists x. exists y. E(x, y) & S(y)")
-    db = _db(7)
-    plan = compile_truth_plan(db, query, ())
-    assert plan is not None and plan.constant is None
-    with use_surrogate(CostSurrogate()):
-        values = {
-            chunk: adaptive_truth_estimate(
-                plan, make_rng(1), 2000, EPSILON, DELTA,
-                chunk_blocks=chunk,
-            )
-            for chunk in CHUNK_SCHEDULES
-        }
-    assert len(set(values.values())) == 1, values
-
-
-def test_hamming_answers_identical_across_chunk_schedules():
-    query = FOQuery("E(x, y) & ~S(x) | S(y)", ("x", "y"))
-    db = _db(8, size=5)
-    plan = compile_hamming_plan(db, query)
-    assert plan is not None
-    with use_surrogate(CostSurrogate()):
-        values = {
-            chunk: adaptive_hamming_estimate(
-                plan, make_rng(2), 2000, EPSILON, DELTA,
-                chunk_blocks=chunk,
-            )
-            for chunk in CHUNK_SCHEDULES
-        }
-    assert len(set(values.values())) == 1, values
-
-
-def test_karp_luby_runs_identical_across_chunk_schedules():
-    rng = make_rng(3)
-    dnf = random_kdnf(rng, variables=8, clauses=4, width=3)
-    probs = random_probabilities(rng, dnf)
-    kl_plan = _kl_plan(dnf, probs)
-    with use_surrogate(CostSurrogate()):
-        runs = {
-            chunk: adaptive_kl_accumulate(
-                kl_plan, make_rng(4), 2000, 0.2, 0.1,
-                chunk_blocks=chunk,
-            )
-            for chunk in CHUNK_SCHEDULES
-        }
-    baseline = runs[1]
-    for chunk, run in runs.items():
-        assert run == baseline, chunk
-
-
-def test_chunk_schedule_never_changes_sample_accounting():
-    """Every schedule draws the same blocks, so the same sample count."""
-    rng = make_rng(3)
-    dnf = random_kdnf(rng, variables=8, clauses=4, width=3)
-    probs = random_probabilities(rng, dnf)
-    kl_plan = _kl_plan(dnf, probs)
-    with use_surrogate(CostSurrogate()):
-        drawn = {
-            chunk: adaptive_kl_accumulate(
-                kl_plan, make_rng(9), 3000, 0.15, 0.1,
-                chunk_blocks=chunk,
-            ).drawn
-            for chunk in CHUNK_SCHEDULES
-        }
-    assert len(set(drawn.values())) == 1, drawn
 
 
 # --------------------------------------------------------------------- #

@@ -35,26 +35,25 @@ from repro.runtime.adaptive import (
 SETTINGS = settings(max_examples=25, deadline=None)
 
 
-def bernoulli_draw(seed, p):
-    """A pure (index, width) -> (sum, sum of squares) Bernoulli block."""
+def bernoulli_draw(p):
+    """A (block rng, width) -> (sum, sum of squares) Bernoulli block."""
 
-    def draw(index, width):
-        rng = random.Random(f"{seed}:{index}")
+    def draw(rng, width):
         hits = float(sum(rng.random() < p for _ in range(width)))
         return hits, hits
 
     return draw
 
 
-def run(seed, p, worst, epsilon, delta, mode="additive", chunk_blocks=1):
+def run(seed, p, worst, epsilon, delta, mode="additive"):
     with use_surrogate(CostSurrogate()):
         return adaptive_mean(
-            bernoulli_draw(seed, p),
+            bernoulli_draw(p),
+            random.Random(seed),
             worst,
             epsilon,
             delta,
             mode=mode,
-            chunk_blocks=chunk_blocks,
         )
 
 
@@ -111,14 +110,11 @@ def test_stopping_time_monotone_in_delta(
     worst=st.integers(1, 2048),
     epsilon=st.floats(0.02, 0.5),
     delta=st.floats(0.01, 0.5),
-    chunk_blocks=st.integers(1, 16),
 )
 def test_never_stops_before_first_block_never_exceeds_worst(
-    seed, p, worst, epsilon, delta, chunk_blocks
+    seed, p, worst, epsilon, delta
 ):
-    result = run(
-        seed, p, worst, epsilon, delta, chunk_blocks=chunk_blocks
-    )
+    result = run(seed, p, worst, epsilon, delta)
     assert result.drawn >= min(worst, ADAPTIVE_BLOCK_BITS)
     assert result.drawn <= worst
     assert result.checks >= 1
@@ -138,7 +134,7 @@ def test_refund_never_negative_and_accounts_exactly(
     with use_surrogate(CostSurrogate()):
         with obs.recording() as rec:
             result = adaptive_mean(
-                bernoulli_draw(seed, p), worst, epsilon, delta
+                bernoulli_draw(p), random.Random(seed), worst, epsilon, delta
             )
         counters = rec.summary()["counters"]
     assert result.saved >= 0
