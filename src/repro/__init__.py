@@ -62,13 +62,6 @@ from repro.reliability import (
     wrong_probability,
 )
 from repro.propositional import DNF, Clause, Literal, karp_luby
-from repro.metafinite import (
-    FunctionalDatabase,
-    MetafiniteQuery,
-    UnreliableFunctionalDatabase,
-    ValueDistribution,
-    metafinite_reliability,
-)
 from repro.util import as_rng, make_rng
 from repro.util.errors import (
     BudgetExceeded,
@@ -81,6 +74,27 @@ from repro import runtime
 from repro.runtime import Budget, Deadline, RuntimeResult, run_with_fallback
 
 __version__ = "1.0.0"
+
+#: Exports loaded on first access (PEP 562), so ``import repro.cli`` does
+#: not pay for subsystems a command may never touch.
+_LAZY_EXPORTS = {
+    "FunctionalDatabase": "repro.metafinite",
+    "MetafiniteQuery": "repro.metafinite",
+    "UnreliableFunctionalDatabase": "repro.metafinite",
+    "ValueDistribution": "repro.metafinite",
+    "metafinite_reliability": "repro.metafinite",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     # relational substrate

@@ -43,6 +43,7 @@ The ``bench`` subcommand family drives the unified benchmark harness
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -1014,9 +1015,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building every subparser costs more
+    than a small query takes to answer, and parsing leaves no state on
+    it (each call gets a fresh namespace)."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     stats = getattr(args, "stats", False) or args.stats_global
     trace = getattr(args, "trace", None) or args.trace_global
     profile = getattr(args, "profile", False) or args.profile_global

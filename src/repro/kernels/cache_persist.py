@@ -65,6 +65,7 @@ PERSIST_VERSION = 1
 PERSISTABLE_KINDS = frozenset(
     {
         "grounding",
+        "lineage",
         "relevant_atoms",
         "truth_plan",
         "hamming_plan",

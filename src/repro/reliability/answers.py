@@ -23,7 +23,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Dict, Tuple, Union
 
-from repro.reliability.exact import as_query, truth_probability, _instantiated
+from repro.reliability.exact import (
+    _boolean_truth_probability,
+    _instantiated,
+    answer_cells,
+    answer_lineage,
+    as_query,
+)
 from repro.reliability.montecarlo import hoeffding_samples
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
@@ -38,13 +44,20 @@ def answer_probabilities(
 
     Covers all ``n ** k`` candidate tuples (tuples absent from the table
     in spirit have probability 0 and do appear with their exact value —
-    callers filter as they wish).
+    callers filter as they wish).  Tuples whose lineage is constant
+    (see :func:`~repro.reliability.exact.answer_lineage`) get 0 or 1
+    without an engine.
     """
     query = as_query(query)
+    lineage = answer_lineage(db, query, method)
     table: Dict[TupleOf, Fraction] = {}
-    for args in product(db.structure.universe, repeat=query.arity):
-        boolean = _instantiated(query, args)
-        table[args] = truth_probability(db, boolean, method=method)
+    for args, _, target in answer_cells(db, query, lineage):
+        if isinstance(target, bool):
+            # The target is psi(a), or ~psi(a) when the lineage is negated.
+            table[args] = Fraction(int(target != lineage.negated))
+        else:
+            boolean = _instantiated(query, args)
+            table[args] = _boolean_truth_probability(db, boolean, method, target)
     return table
 
 

@@ -9,6 +9,9 @@
   query, Boolean or k-ary.  For k-ary queries, each of the ``n ** k``
   per-tuple errors is approximated to ``epsilon / n**k`` with failure
   budget ``delta / n**k``, exactly as the corollary's proof prescribes.
+  The tuples' targets are grounded in one pass
+  (:func:`~repro.reliability.grounding.ground_answers`); a tuple whose
+  lineage is constant has a known error and draws no samples.
 
 The FPTRAS gives *relative* error on probabilities; since probabilities
 are at most one, the same run also gives absolute error — which is why
@@ -21,20 +24,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Any, Iterator, Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
-from repro.logic.classify import is_existential, is_universal
+from repro.logic.classify import is_existential
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import Formula, neg
+from repro.logic.fo import Formula
 from repro.propositional.karp_luby import karp_luby
 from repro.reliability.exact import as_query
 from repro.reliability.grounding import (
+    ground_answers,
     ground_existential_to_dnf,
     grounding_probabilities,
+    wrong_target,
 )
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import checkpoint
 from repro.util.errors import ProbabilityError, QueryError
 
 QueryLike = Union[str, Formula, FOQuery]
@@ -74,8 +77,8 @@ def existential_probability(
         raise QueryError(
             "existential_probability expects a Boolean first-order sentence"
         )
-    _, targets = karp_luby_targets(db, query, "probability")
-    grounding = ground_existential_to_dnf(db, next(targets))
+    _, target = karp_luby_target(db, query, "probability")
+    grounding = ground_existential_to_dnf(db, target)
     if grounding.dnf.is_true():
         return AdditiveEstimate(1.0, epsilon, delta, 0)
     if grounding.dnf.is_false():
@@ -87,64 +90,26 @@ def existential_probability(
     return AdditiveEstimate(run.estimate, epsilon, delta, run.samples)
 
 
-def wrong_target(formula: Formula) -> Formula:
-    """The existential sentence Corollary 5.5 estimates for ``formula``.
-
-    A universal sentence is handled through its existential negation:
-    ``Wrong(psi) = Wrong(~psi)`` (the truth values differ on exactly the
-    same worlds).
-    """
-    if is_existential(formula):
-        return formula
-    if is_universal(formula):
-        return neg(formula)
-    raise QueryError(
-        "Corollary 5.5 applies to existential or universal queries only"
-    )
-
-
-def karp_luby_targets(
+def karp_luby_target(
     db: UnreliableDatabase, query: FOQuery, quantity: str = "reliability"
-) -> Tuple[int, Iterator[Formula]]:
-    """``(cells, targets)``: the existential sentences Karp–Luby
-    estimates for ``quantity``, one per answer cell, lazily, each at
-    failure probability ``delta / cells``.
+) -> Tuple[int, Formula]:
+    """``(cells, target)``: the existential sentence Karp–Luby
+    estimates for ``quantity``, and the number of answer cells, each
+    estimated at failure probability ``delta / cells``.
 
     That is a Boolean query itself for ``probability`` (Theorem 5.4),
-    and for reliability its :func:`wrong_target`, or one instantiated
-    ``wrong_target`` per answer tuple of a k-ary query (Corollary 5.5).
+    and its :func:`wrong_target` for reliability.  A k-ary target keeps
+    the query's free variables; :func:`ground_answers` grounds one
+    instantiation per answer tuple (Corollary 5.5).
     """
     if quantity == "probability":
         if not is_existential(query.formula):
             raise QueryError("sentence is not existential")
-        return 1, iter((query.formula,))
-    if query.arity == 0:
-        return 1, iter((wrong_target(query.formula),))
+        return 1, query.formula
     cells = db.universe_size**query.arity
     if cells == 0:
         raise QueryError("reliability undefined on an empty universe")
-    return cells, (
-        wrong_target(query.instantiated(args))
-        for args in product(db.structure.universe, repeat=query.arity)
-    )
-
-
-def _wrong_estimate(
-    db: UnreliableDatabase,
-    target: Formula,
-    epsilon: float,
-    delta: float,
-    rng: random.Random,
-    method: str,
-    adaptive: bool = False,
-) -> AdditiveEstimate:
-    """Additive estimate of ``Pr[Wrong(psi)]`` from psi's wrong target."""
-    observed = FOQuery(target).evaluate(db.structure, ())
-    probability = existential_probability(
-        db, target, epsilon, delta, rng, method, adaptive=adaptive
-    )
-    wrong = 1.0 - probability.value if observed else probability.value
-    return AdditiveEstimate(wrong, epsilon, delta, probability.samples)
+    return cells, wrong_target(query.formula)
 
 
 def reliability_additive(
@@ -173,19 +138,23 @@ def reliability_additive(
             "reliability_additive expects a first-order query; use "
             "padded_reliability for general polynomial-time queries"
         )
-    cells, targets = karp_luby_targets(db, fo_query)
+    cells, _ = karp_luby_target(db, fo_query)
     per_epsilon = epsilon  # relative eps per cell; see note below
     per_delta = delta / cells
     total_wrong = 0.0
     total_samples = 0
-    for target in targets:
-        if cells > 1:  # per answer tuple; a Boolean query has one target
-            checkpoint()
-        estimate = _wrong_estimate(
-            db, target, per_epsilon, per_delta, rng, method, adaptive
+    # Constant tuples add their 0/1 error in tuple order, so the float
+    # sum rounds exactly as a per-tuple loop would.
+    for _, observed, target in ground_answers(db, fo_query).cells():
+        if isinstance(target, bool):
+            total_wrong += float(observed != target)
+            continue
+        run = karp_luby(
+            target, grounding_probabilities(db, target), per_epsilon,
+            per_delta, rng, method, adaptive=adaptive,
         )
-        total_wrong += estimate.value
-        total_samples += estimate.samples
+        total_wrong += 1.0 - run.estimate if observed else run.estimate
+        total_samples += run.samples
     # Each per-tuple estimate is within epsilon (relative, hence absolute
     # since wrong-probabilities are <= 1) of its target with probability
     # 1 - delta / n^k; summing and dividing by n^k keeps the absolute

@@ -21,20 +21,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.kernels.gray import (
     gray_dnf_probability,
     gray_enumeration_probability,
 )
-from repro.logic.classify import is_existential, is_quantifier_free, is_universal
+from repro.logic.classify import (
+    is_conjunctive,
+    is_existential,
+    is_quantifier_free,
+    is_universal,
+)
 from repro.logic.evaluator import FOQuery, evaluate
 from repro.logic.fo import Formula, instantiate, neg
 from repro.logic.parser import parse
 from repro.propositional.counting import probability_exact
+from repro.propositional.formula import DNF
 from repro.relational.atoms import Atom
 from repro.reliability.grounding import (
+    Cell,
+    Lineage,
+    ground_answers,
     ground_existential_to_dnf,
     grounding_probabilities,
     relevant_atoms,
@@ -42,7 +51,7 @@ from repro.reliability.grounding import (
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.runtime.budget import checkpoint
 from repro.runtime.preflight import preflight_worlds
-from repro.util.errors import QueryError
+from repro.util.errors import CostRefused, QueryError
 
 QueryLike = Union[str, Formula, FOQuery, Any]
 
@@ -81,48 +90,66 @@ def truth_probability(
 
 
 def _boolean_truth_probability(
-    db: UnreliableDatabase, query: Any, method: str
+    db: UnreliableDatabase, query: Any, method: str, grounded: Optional[DNF] = None
 ) -> Fraction:
+    """The dispatch.  ``grounded``, when given, is the grounding of the
+    query's wrong target (from :func:`ground_answers`); the grounding
+    routes use it instead of grounding again."""
     if method not in _METHODS:
         raise QueryError(f"unknown exact method {method!r}")
     formula = query.formula if isinstance(query, FOQuery) else None
-
-    if formula is not None:
-        if method == "qf" or (method == "auto" and is_quantifier_free(formula)):
-            obs.inc("exact.dispatch.qf")
-            return _qf_truth_probability(db, formula)
-        if method == "auto":
-            lifted = _try_lifted(db, formula)
-            if lifted is not None:
-                obs.inc("exact.dispatch.lifted")
-                return lifted
-        if method == "dnf" or (method == "auto" and is_existential(formula)):
-            obs.inc("exact.dispatch.dnf")
-            return _dnf_truth_probability(db, formula)
-        if method == "auto" and is_universal(formula):
-            obs.inc("exact.dispatch.dnf")
-            return 1 - _dnf_truth_probability(db, neg(formula))
-        if method == "dnf":
-            raise QueryError(
-                "dnf method requires an existential or universal sentence"
-            )
-    elif method in ("qf", "dnf"):
-        raise QueryError(f"method {method!r} requires a first-order formula")
+    if formula is None:
+        if method in ("qf", "dnf"):
+            raise QueryError(f"method {method!r} requires a first-order formula")
+        route = "worlds"
+    else:
+        route = _route(formula, method)
+    if route == "lifted":
+        lifted = _try_lifted(db, formula)
+        if lifted is not None:
+            obs.inc("exact.dispatch.lifted")
+            return lifted
+        route = "dnf"
+    if route == "qf":
+        obs.inc("exact.dispatch.qf")
+        return _qf_truth_probability(db, formula, grounded)
+    if route == "dnf":
+        obs.inc("exact.dispatch.dnf")
+        return _dnf_truth_probability(db, formula, grounded)
+    if route == "dnf-negated":
+        obs.inc("exact.dispatch.dnf")
+        return 1 - _dnf_truth_probability(db, neg(formula), grounded)
     obs.inc("exact.dispatch.worlds")
     return _worlds_truth_probability(db, query)
+
+
+def _route(formula: Formula, method: str) -> str:
+    """The engine the dispatch sends a first-order sentence to.
+
+    ``qf``; ``lifted`` (a conjunctive query under ``auto``: the lifted
+    engine is tried first, and an unsafe one is grounded as ``dnf``);
+    ``dnf``; ``dnf-negated`` (a universal sentence, through its
+    existential negation); or ``worlds``.  The route is syntactic, so
+    every instantiation of a k-ary query takes the query's route.
+    """
+    if method == "qf" or (method == "auto" and is_quantifier_free(formula)):
+        return "qf"
+    if method == "auto" and is_conjunctive(formula):
+        return "lifted"
+    if method == "dnf" or (method == "auto" and is_existential(formula)):
+        return "dnf"
+    if method == "auto" and is_universal(formula):
+        return "dnf-negated"
+    return "worlds"
 
 
 def _try_lifted(db: UnreliableDatabase, formula: Formula):
     """Fast path: safe conjunctive queries go through the lifted engine.
 
-    Returns ``None`` when the formula is not a safe Boolean CQ, in which
-    case the caller falls through to grounding (the #P-hard route that
-    Proposition 3.2 makes unavoidable in general).
+    Returns ``None`` when the conjunctive query is not a safe Boolean
+    CQ, in which case the caller falls through to grounding (the
+    #P-hard route that Proposition 3.2 makes unavoidable in general).
     """
-    from repro.logic.classify import is_conjunctive
-
-    if not is_conjunctive(formula):
-        return None
     from repro.logic.conjunctive import ConjunctiveQuery
     from repro.reliability.lifted import UnsafeQueryError, lifted_probability
 
@@ -135,7 +162,9 @@ def _try_lifted(db: UnreliableDatabase, formula: Formula):
         return None
 
 
-def _qf_truth_probability(db: UnreliableDatabase, formula: Formula) -> Fraction:
+def _qf_truth_probability(
+    db: UnreliableDatabase, formula: Formula, grounded: Optional[DNF] = None
+) -> Fraction:
     """Proposition 3.1's engine for one quantifier-free sentence.
 
     Only the (constantly many) atoms occurring in the sentence matter;
@@ -146,13 +175,15 @@ def _qf_truth_probability(db: UnreliableDatabase, formula: Formula) -> Fraction:
     state incrementally instead of re-evaluating the formula per world.
     Formulas whose grounding is refused fall back to the generic walk.
     """
-    from repro.util.errors import CostRefused
-
     atoms = _formula_atoms(db, formula)
     with obs.span("exact.qf", atoms=len(atoms)):
         obs.observe("exact.relevant_atoms", len(atoms))
         try:
-            dnf = ground_existential_to_dnf(db, formula).dnf
+            dnf = (
+                grounded
+                if grounded is not None
+                else ground_existential_to_dnf(db, formula).dnf
+            )
         except (CostRefused, QueryError):
             return _atom_enumeration_probability(
                 db, atoms, lambda world: evaluate(world, formula)
@@ -229,10 +260,15 @@ def _atom_enumeration_probability(
     return gray_enumeration_probability(db, atoms, predicate)
 
 
-def _dnf_truth_probability(db: UnreliableDatabase, formula: Formula) -> Fraction:
+def _dnf_truth_probability(
+    db: UnreliableDatabase, formula: Formula, grounded: Optional[DNF] = None
+) -> Fraction:
     with obs.span("exact.dnf"):
-        grounding = ground_existential_to_dnf(db, formula)
-        dnf = grounding.dnf
+        dnf = (
+            grounded
+            if grounded is not None
+            else ground_existential_to_dnf(db, formula).dnf
+        )
         obs.gauge(
             "exact.grounded_formula_size",
             sum(len(clause) for clause in dnf.clauses),
@@ -270,11 +306,64 @@ def wrong_probability(
     Equals ``1 - p`` when the observed database satisfies ``psi(args)``
     and ``p`` otherwise, where ``p = Pr[B |= psi(args)]``.
     """
-    query = as_query(query)
+    return _wrong_probability(db, as_query(query), args, method)
+
+
+def _wrong_probability(
+    db: UnreliableDatabase,
+    query: Any,
+    args: Sequence[Any],
+    method: str,
+    grounded: Optional[DNF] = None,
+) -> Fraction:
     boolean = _instantiated(query, args)
     observed = boolean.evaluate(db.structure, ())
-    p = _boolean_truth_probability(db, boolean, method)
+    p = _boolean_truth_probability(db, boolean, method, grounded)
     return 1 - p if observed else p
+
+
+def answer_lineage(
+    db: UnreliableDatabase, query: Any, method: str
+) -> Optional[Lineage]:
+    """The query's lineage table, or ``None``.
+
+    ``None`` where the dispatch's route under ``method`` (see
+    :func:`_route`) does not ground each tuple's wrong target: queries
+    that are not first-order, ``worlds`` (Theorem 4.2's enumeration),
+    formulas a forced method rejects, and conjunctive queries under
+    ``auto``, whose tuples the lifted engine answers without grounding
+    wherever it can.  A refused pass is ``None`` too, leaving the
+    dispatch to refuse or fall back tuple by tuple as it always has.
+    """
+    if not isinstance(query, FOQuery):
+        return None
+    formula = query.formula
+    route = _route(formula, method)
+    # The route grounds the sentence itself (its wrong target when it is
+    # existential), or its negation on ``dnf-negated``.
+    if not (
+        route == "dnf-negated"
+        or (route in ("qf", "dnf") and is_existential(formula))
+    ):
+        return None
+    try:
+        return ground_answers(db, query)
+    except CostRefused:
+        return None
+
+
+def answer_cells(
+    db: UnreliableDatabase, query: Any, lineage: Optional[Lineage]
+) -> Iterator[Cell]:
+    """The lineage's :meth:`~Lineage.cells`; without a lineage every
+    tuple is visited with target ``None`` (the dispatch grounds it, or
+    not), each after a budget checkpoint."""
+    if lineage is not None:
+        yield from lineage.cells()
+        return
+    for args in product(db.structure.universe, repeat=query.arity):
+        checkpoint()
+        yield args, False, None
 
 
 class _InstantiatedQuery:
@@ -315,13 +404,18 @@ def expected_error(
 
     By linearity of expectation this is the sum over all ``n ** k`` tuples
     of the per-tuple wrong probabilities — the decomposition used in both
-    Proposition 3.1 and Theorem 4.2.
+    Proposition 3.1 and Theorem 4.2.  A tuple whose lineage is constant
+    (see :func:`answer_lineage`) contributes 0 or 1 without an engine;
+    the others go through the dispatch.
     """
     query = as_query(query)
     total = Fraction(0)
-    for args in product(db.structure.universe, repeat=query.arity):
-        checkpoint()
-        total += wrong_probability(db, query, args, method)
+    lineage = answer_lineage(db, query, method)
+    for args, observed, target in answer_cells(db, query, lineage):
+        if isinstance(target, bool):
+            total += observed != target
+        else:
+            total += _wrong_probability(db, query, args, method, target)
     return total
 
 

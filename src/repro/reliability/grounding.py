@@ -9,16 +9,22 @@ deterministic atoms (``mu`` 0 or 1) are *folded to constants*, so the
 resulting DNF mentions only uncertain atoms.  Without folding, the
 2-CNF-reduction databases of Proposition 3.2 would drag thousands of
 fixed ``L``/``R`` atoms into every clause.
+
+:func:`ground_answers` grounds a k-ary query's wrong targets for every
+answer tuple in one pass (Corollary 5.5's per-tuple decomposition, the
+lineage of each tuple in the probabilistic-database sense).  Tuples
+whose lineage folds to a constant need no engine at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.kernels.cache import compilation_cache
+from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import (
     AtomF,
@@ -27,6 +33,7 @@ from repro.logic.fo import (
     Formula,
     Not,
     Top,
+    neg,
 )
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.logic.terms import Const, Term, Var
@@ -84,37 +91,189 @@ def _ground_uncached(
     db: UnreliableDatabase, sentence: Formula
 ) -> GroundingResult:
     with obs.span("grounding.ground"):
-        variables, matrix = existential_parts(sentence)
-        clause_templates = dnf_clauses(matrix)
-        width = max((len(c) for c in clause_templates), default=0)
-        universe = db.structure.universe
-        # Refuse a grounding the active budget predicts to be hopeless:
-        # |templates| * n ** |variables| clauses (Theorem 5.4's bound).
-        preflight_grounding(len(universe), len(variables), len(clause_templates))
-        grounded: List[Clause] = []
-        raw_count = 0
-        for template in clause_templates:
-            for values in product(universe, repeat=len(variables)):
-                env = dict(zip(variables, values))
-                raw_count += 1
-                checkpoint(clauses=1)
-                clause = ground_clause(db, template, env)
-                if clause is None:
-                    continue
-                grounded.append(clause)
-                if len(clause) == 0:
-                    # The sentence is certainly true; short-circuit.
-                    return _recorded(GroundingResult(DNF.true(), width, raw_count))
-        return _recorded(GroundingResult(DNF(grounded), width, raw_count))
+        width, raw_count, certain, dnfs = _ground_pass(db, sentence, ())
+        dnf = DNF.true() if certain else dnfs.get((), DNF([]))
+        return GroundingResult(dnf, width, raw_count)
 
 
-def _recorded(result: GroundingResult) -> GroundingResult:
-    """Report a grounding's shape to the observability layer."""
-    obs.inc("grounding.clauses_raw", result.clauses_before_folding)
-    obs.inc("grounding.clauses_kept", len(result.dnf.clauses))
-    obs.inc("grounding.variables", len(result.dnf.variables))
-    obs.gauge("grounding.width", result.width)
-    return result
+TupleOf = Tuple[Any, ...]
+
+
+def _ground_pass(
+    db: UnreliableDatabase, formula: Formula, free: Tuple[Var, ...]
+) -> Tuple[int, int, List[TupleOf], Dict[TupleOf, DNF]]:
+    """Ground ``formula`` once per valuation of its free variables ``free``.
+
+    Theorem 5.4's transformation, prenexing once: for every valuation of
+    ``free`` (one, the empty tuple, for a sentence), every clause
+    template and every valuation of the existential variables, emit a
+    propositional clause.  The budget sees what grounding each
+    instantiation on its own would charge: one preflight (every
+    instantiation has the same shape), ``checkpoint(clauses=1)`` per raw
+    clause, and an empty clause ends its tuple.
+
+    Returns ``(width, raw clause count, certain, dnfs)``: the tuples
+    whose instantiation is certainly true, and the others' DNFs where
+    they are not constant.  A tuple in neither is certainly false.
+    """
+    variables, matrix = existential_parts(formula)
+    clause_templates = dnf_clauses(matrix)
+    width = max((len(c) for c in clause_templates), default=0)
+    universe = db.structure.universe
+    # Refuse a grounding the active budget predicts to be hopeless:
+    # |templates| * n ** |variables| clauses per tuple (Theorem 5.4).
+    preflight_grounding(len(universe), len(variables), len(clause_templates))
+    certain: List[TupleOf] = []
+    dnfs: Dict[TupleOf, DNF] = {}
+    raw_count = kept_count = variable_count = 0
+    for args in product(universe, repeat=len(free)):
+        grounded, raw = _ground_templates(
+            db, clause_templates, variables, dict(zip(free, args))
+        )
+        raw_count += raw
+        if grounded is None:
+            certain.append(args)
+            kept_count += 1  # DNF.true(): one empty clause
+            continue
+        dnf = DNF(grounded)
+        if dnf.clauses:
+            kept_count += len(dnf.clauses)
+            variable_count += len(dnf.variables)
+            dnfs[args] = dnf
+    obs.inc("grounding.clauses_raw", raw_count)
+    obs.inc("grounding.clauses_kept", kept_count)
+    obs.inc("grounding.variables", variable_count)
+    obs.gauge("grounding.width", width)
+    return width, raw_count, certain, dnfs
+
+
+def _ground_templates(
+    db: UnreliableDatabase,
+    clause_templates: Tuple[Tuple[Formula, ...], ...],
+    variables: Tuple[Var, ...],
+    env: Dict[Var, object],
+) -> Tuple[Optional[List[Clause]], int]:
+    """Ground each template under every valuation of ``variables``.
+
+    ``env`` binds any other (free) variables.  Returns the surviving
+    clauses, or ``None`` once an empty clause makes the sentence
+    certainly true, with the raw clause count up to that point.
+    """
+    grounded: List[Clause] = []
+    raw_count = 0
+    for template in clause_templates:
+        for values in product(db.structure.universe, repeat=len(variables)):
+            env.update(zip(variables, values))
+            raw_count += 1
+            checkpoint(clauses=1)
+            clause = ground_clause(db, template, env)
+            if clause is None:
+                continue
+            if len(clause) == 0:
+                return None, raw_count
+            grounded.append(clause)
+    return grounded, raw_count
+
+
+def wrong_target(formula: Formula) -> Formula:
+    """The existential sentence Corollary 5.5 estimates for ``formula``.
+
+    A universal sentence is handled through its existential negation:
+    ``Wrong(psi) = Wrong(~psi)`` (the truth values differ on exactly the
+    same worlds).  For a k-ary query the target keeps the free variables;
+    instantiating it gives each answer tuple's target.
+    """
+    if is_existential(formula):
+        return formula
+    if is_universal(formula):
+        return neg(formula)
+    raise QueryError(
+        "Corollary 5.5 applies to existential or universal queries only"
+    )
+
+
+#: One answer tuple of a :class:`Lineage`: its observed target value,
+#: and the target's DNF, or ``True`` / ``False`` when the target holds in
+#: every world / in none.
+Cell = Tuple[TupleOf, bool, Union[DNF, bool]]
+
+
+@dataclass(frozen=True)
+class Lineage:
+    """A query's wrong targets, grounded for every answer tuple.
+
+    Attributes:
+        universe, arity: the answer tuples are
+            ``product(universe, repeat=arity)``; a Boolean query has the
+            one tuple ``()``;
+        negated: the query is universal, so each target is the negation
+            of the query's instantiation (see :func:`wrong_target`);
+        answers: the query's answer relation on the observed structure;
+        certain: tuples whose target holds in every world;
+        dnfs: the remaining tuples with a non-constant target, each with
+            its DNF over uncertain atoms.  A tuple in neither ``certain``
+            nor ``dnfs`` has a target that holds in no world.
+    """
+
+    universe: Tuple[Any, ...]
+    arity: int
+    negated: bool
+    answers: FrozenSet[TupleOf]
+    certain: FrozenSet[TupleOf]
+    dnfs: Dict[TupleOf, DNF]
+
+    def observed(self, args: TupleOf) -> bool:
+        """Whether the tuple's target holds on the observed structure."""
+        return (args in self.answers) != self.negated
+
+    def cells(self) -> Iterator[Cell]:
+        """``(args, observed, target)`` for every answer tuple, in order.
+
+        A constant cell is wrong in every world when ``observed !=
+        target``, and right in every world otherwise.  Each cell with a
+        DNF is a visited tuple: it passes a budget checkpoint and counts
+        in ``reliability.tuples_visited`` before it is yielded.
+        """
+        for args in product(self.universe, repeat=self.arity):
+            observed = self.observed(args)
+            dnf = self.dnfs.get(args)
+            if dnf is None:
+                yield args, observed, args in self.certain
+                continue
+            checkpoint()
+            obs.inc("reliability.tuples_visited")
+            yield args, observed, dnf
+
+
+def ground_answers(db: UnreliableDatabase, query: FOQuery) -> Lineage:
+    """Ground every answer tuple's wrong target of a query at once.
+
+    Each tuple's DNF equals ``ground_existential_to_dnf(db,
+    wrong_target(query.instantiated(args))).dnf`` clause for clause: the
+    open target goes through the grounding pass once, over the free
+    values, then the bound values.  Memoised in the compilation cache;
+    an aborted pass caches nothing.
+    """
+    key = ("lineage", db.fingerprint(), query.formula, query.free_order)
+    return compilation_cache.get_or_create(
+        key, lambda: _ground_answers_uncached(db, query)
+    )
+
+
+def _ground_answers_uncached(
+    db: UnreliableDatabase, query: FOQuery
+) -> Lineage:
+    with obs.span("grounding.ground", arity=query.arity):
+        target = wrong_target(query.formula)
+        _, _, certain, dnfs = _ground_pass(db, target, query.free_order)
+        return Lineage(
+            universe=tuple(db.structure.universe),
+            arity=query.arity,
+            negated=target is not query.formula,
+            answers=frozenset(query.answers(db.structure)),
+            certain=frozenset(certain),
+            dnfs=dnfs,
+        )
 
 
 def ground_clause(

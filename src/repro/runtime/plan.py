@@ -33,9 +33,13 @@ from repro.logic import safety
 from repro.logic.evaluator import FOQuery
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.propositional.karp_luby import sample_count
-from repro.reliability.approx import karp_luby_targets
+from repro.reliability.approx import karp_luby_target
 from repro.reliability.exact import as_query
-from repro.reliability.grounding import ground_existential_to_dnf, relevant_atoms
+from repro.reliability.grounding import (
+    ground_answers,
+    ground_existential_to_dnf,
+    relevant_atoms,
+)
 from repro.reliability.montecarlo import hoeffding_samples
 from repro.runtime import costmodel, executor, racing
 from repro.runtime.budget import Budget, active_budget, apply, checkpoint
@@ -199,33 +203,38 @@ def _forecast_lifted(plan: Plan, budget, samples_used: int) -> Forecast:
 
 
 def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
-    """Per target: the grounding preflight, then the sample preflight.
+    """The grounding preflight, then the sample preflight per target.
 
     Grounding done to predict a run runs under an uncapped budget, so
     the caller's clause allowance is untouched; the compiled grounding
-    is cached, and the real run reuses it rather than paying twice.
+    (a k-ary query's lineage table) is cached, and the real run reuses
+    it rather than paying twice.
     """
     db = plan.db
     consumed = 0
     try:
         if not isinstance(plan.query, FOQuery):
             raise QueryError("karp_luby engine requires a first-order query")
-        cells, targets = karp_luby_targets(db, plan.query, plan.quantity)
+        cells, target = karp_luby_target(db, plan.query, plan.quantity)
         per_delta = plan.delta / cells
-        for target in targets:
-            if budget.max_ground_clauses is not None:
-                variables, matrix = existential_parts(target)
-                refusal = grounding_refusal(
-                    db.universe_size, len(variables), len(dnf_clauses(matrix)),
-                    budget,
-                )
-                if refusal is not None:
-                    return _refused(refusal, consumed)
-            with apply(Budget(max_atoms=None)):
-                grounding = ground_existential_to_dnf(db, target)
-            if grounding.dnf.is_true() or grounding.dnf.is_false():
+        if budget.max_ground_clauses is not None:
+            # Every answer tuple's target has the open target's shape.
+            variables, matrix = existential_parts(target)
+            refusal = grounding_refusal(
+                db.universe_size, len(variables), len(dnf_clauses(matrix)),
+                budget,
+            )
+            if refusal is not None:
+                return _refused(refusal)
+        with apply(Budget(max_atoms=None)):
+            if plan.quantity == "reliability":
+                dnfs = ground_answers(db, plan.query).dnfs.values()
+            else:
+                dnfs = (ground_existential_to_dnf(db, target).dnf,)
+        for dnf in dnfs:
+            if dnf.is_true() or dnf.is_false():
                 continue
-            needed = sample_count(len(grounding.dnf.clauses), plan.epsilon, per_delta)
+            needed = sample_count(len(dnf.clauses), plan.epsilon, per_delta)
             refusal = samples_refusal(
                 needed, _left(budget, samples_used + consumed)
             )

@@ -503,3 +503,73 @@ class TestServeCommands:
         out = capsys.readouterr().out
         assert "serve.submitted" in out
         assert "serve.completed" in out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and parsing leaves
+    nothing behind on it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_parser(self):
+        from repro import cli
+
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_parser_built_once(self, db_file, monkeypatch, capsys):
+        from repro import cli
+
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        assert main(["compute", db_file, "exists x. S(x)"]) == 0
+        assert main(["compute", db_file, "exists x y. E(x, y)"]) == 0
+        assert len(builds) == 1
+
+    def test_flags_do_not_leak_between_calls(self, db_file, capsys):
+        code = main(
+            ["compute", db_file, "E(x, y)", "--free", "x", "y", "--stats"]
+        )
+        assert code == 0
+        first = capsys.readouterr().out
+        assert "-- engine stats --" in first
+        assert main(["compute", db_file, "exists x. S(x)"]) == 0
+        second = capsys.readouterr().out
+        assert "-- engine stats --" not in second
+        assert second.startswith("reliability = ")
+        # A leaked ``--free x y`` would make this sentence's free order
+        # invalid; the Boolean answer equals a fresh process's.
+        from repro.cli import _load
+        from repro.reliability.exact import reliability
+
+        expected = reliability(_load(db_file), "exists x. S(x)")
+        assert second.splitlines()[0].startswith(f"reliability = {expected} ")
+
+
+def test_cli_import_leaves_subsystems_unloaded():
+    """``import repro.cli`` loads none of the subsystems a command
+    imports on demand (cold start)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, repro.cli; "
+        "print(' '.join(m for m in ('repro.serve', 'repro.bench', "
+        "'repro.delta', 'repro.metafinite') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == ""
