@@ -19,7 +19,7 @@ grounding.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.logic.fo import AtomF, Formula, Not
@@ -96,9 +96,13 @@ class DeltaGrounding:
 
     def reground(
         self, db: UnreliableDatabase, keys: Iterable[ClauseKey]
-    ) -> bool:
-        """Re-derive the given clauses against ``db``; True if any changed."""
-        changed = False
+    ) -> Dict[ClauseKey, Optional[Clause]]:
+        """Re-derive the given clauses against ``db``: the ones that changed.
+
+        Nothing is stored; :meth:`commit` applies the result, so an
+        update aborted before its commit leaves the clause map intact.
+        """
+        changes: Dict[ClauseKey, Optional[Clause]] = {}
         for key in keys:
             checkpoint(clauses=1)
             index, values = key
@@ -106,15 +110,20 @@ class DeltaGrounding:
             clause = ground_clause(db, self.templates[index], env)
             obs.inc("delta.regrounds")
             if clause != self._clauses[key]:
-                self._clauses[key] = clause
-                changed = True
-        return changed
+                changes[key] = clause
+        return changes
 
-    def dnf(self) -> DNF:
-        """The current grounded DNF (folded clauses omitted)."""
-        return DNF(
-            clause for clause in self._clauses.values() if clause is not None
-        )
+    def commit(self, changes: Mapping[ClauseKey, Optional[Clause]]) -> None:
+        """Store the clauses :meth:`reground` returned."""
+        self._clauses.update(changes)
+
+    def dnf(
+        self, changes: Optional[Mapping[ClauseKey, Optional[Clause]]] = None
+    ) -> DNF:
+        """The grounded DNF (folded clauses omitted), with ``changes``
+        applied if given."""
+        clauses = {**self._clauses, **changes} if changes else self._clauses
+        return DNF(clause for clause in clauses.values() if clause is not None)
 
 
 def _unify(

@@ -151,7 +151,11 @@ class ReweightableKarpLuby:
     # ------------------------------------------------------------------ #
 
     def set_prob(self, variable: Variable, probability: float) -> None:
-        """Move one variable's probability; O(samples + clauses-of-v)."""
+        """Move one variable's probability; O(samples + clauses-of-v).
+
+        The new ratios and weights are built aside and committed last,
+        so a checkpoint that raises leaves the sample set as it was.
+        """
         if variable not in self._clauses_of:
             return  # not a DNF variable: samples don't mention it
         if self.stale:
@@ -160,20 +164,9 @@ class ReweightableKarpLuby:
         new = float(probability)
         if new == old:
             return
-        self._probs[variable] = new
-        # Clause weights: only clauses containing v change.
-        for index in self._clauses_of[variable]:
-            clause = self.dnf.clauses[index]
-            factor_old = old if clause.polarity(variable) else 1.0 - old
-            factor_new = new if clause.polarity(variable) else 1.0 - new
-            if factor_old == 0.0:
-                self._weights[index] = _clause_weight(
-                    clause, self._probs
-                )
-            else:
-                self._weights[index] *= factor_new / factor_old
         # Sample ratios: every sample whose clause leaves v free.
-        for s in range(len(self._ratio)):
+        ratios = list(self._ratio)
+        for s in range(len(ratios)):
             if s % CHECKPOINT_CHUNK == 0:
                 checkpoint()
             clause = self.dnf.clauses[self._clause[s]]
@@ -188,9 +181,23 @@ class ReweightableKarpLuby:
                 self.stale = True
                 obs.inc("delta.kl.degenerate")
                 return
-            self._ratio[s] *= num / den
+            ratios[s] *= num / den
+        probs = dict(self._probs)
+        probs[variable] = new
+        # Clause weights: only clauses containing v change.
+        weights = list(self._weights)
+        for index in self._clauses_of[variable]:
+            clause = self.dnf.clauses[index]
+            factor_old = old if clause.polarity(variable) else 1.0 - old
+            factor_new = new if clause.polarity(variable) else 1.0 - new
+            if factor_old == 0.0:
+                weights[index] = _clause_weight(clause, probs)
+            else:
+                weights[index] *= factor_new / factor_old
+        ess = _kish(self._sample_weights(weights, ratios))
+        self._probs, self._weights, self._ratio = probs, weights, ratios
         obs.inc("delta.kl.reweights")
-        obs.gauge("delta.kl.ess", self.effective_sample_size())
+        obs.gauge("delta.kl.ess", ess)
 
     def mark_stale(self) -> None:
         """Structural change: stored X values no longer apply."""
@@ -200,15 +207,17 @@ class ReweightableKarpLuby:
     # estimates
     # ------------------------------------------------------------------ #
 
-    def _sample_weights(self) -> List[float]:
+    def _sample_weights(
+        self, clause_weights: Sequence[float], ratios: Sequence[float]
+    ) -> List[float]:
         weights = []
-        for s in range(len(self._ratio)):
+        for s in range(len(ratios)):
             if s % CHECKPOINT_CHUNK == 0:
                 checkpoint()
             index = self._clause[s]
             orig = self._orig_weights[index]
-            shift = self._weights[index] / orig if orig > 0.0 else 0.0
-            weights.append(shift * self._ratio[s])
+            shift = clause_weights[index] / orig if orig > 0.0 else 0.0
+            weights.append(shift * ratios[s])
         return weights
 
     def estimate(self) -> float:
@@ -219,7 +228,7 @@ class ReweightableKarpLuby:
                 "DeltaSession.attach_karp_luby"
             )
         total = 0.0
-        weights = self._sample_weights()
+        weights = self._sample_weights(self._weights, self._ratio)
         for s, weight in enumerate(weights):
             total += self._x[s] * weight
         p = min(self._orig_total * total / self.samples, 1.0)
@@ -227,12 +236,15 @@ class ReweightableKarpLuby:
 
     def effective_sample_size(self) -> float:
         """Kish ESS of the current importance weights, in ``[0, t]``."""
-        weights = self._sample_weights()
-        total = sum(weights)
-        square = sum(w * w for w in weights)
-        if square <= 0.0:
-            return 0.0
-        return (total * total) / square
+        return _kish(self._sample_weights(self._weights, self._ratio))
+
+
+def _kish(weights: Sequence[float]) -> float:
+    total = sum(weights)
+    square = sum(w * w for w in weights)
+    if square <= 0.0:
+        return 0.0
+    return (total * total) / square
 
 
 def _clause_weight(clause, probs: Mapping[Variable, float]) -> float:

@@ -19,14 +19,23 @@ unreliable database and keeps ``Pr[B |= psi]`` current through
   diagram only when a clause actually changed (``delta.recompiles``).
 
 Every answer is an exact :class:`~fractions.Fraction`, bit-identical
-to ``truth_probability`` on the current database; updates are exact
-algebra on the same values, never floating approximations.
+to ``truth_probability`` on the current database.  The value table
+holds integers: numerators over one common denominator, the product of
+the per-level denominators of ``nu`` (:meth:`BDD.value_table`).  A weight
+update whose level denominator changes rescales the stored numerators
+once, multiplying by the new denominator and dividing exactly by the
+old; the one :class:`~fractions.Fraction` is built when an answer is
+read.
+
+Updates are atomic: each builds the new database, clause changes and
+value table aside and commits them last, so an update aborted at any
+budget checkpoint leaves the session exactly as it was.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Set
 
 from repro import obs
 from repro.delta.reground import DeltaGrounding
@@ -35,12 +44,28 @@ from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula, neg
 from repro.runtime.budget import checkpoint
-from repro.propositional.bdd import BDD, ONE, ZERO, compile_dnf
+from repro.propositional.bdd import BDD, ONE, compile_dnf
+from repro.propositional.formula import DNF
 from repro.relational.atoms import Atom
 from repro.reliability.exact import as_query
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
 from repro.util.rationals import RationalLike, parse_probability
+
+
+class _Table(NamedTuple):
+    """A compiled diagram and its integer value table.
+
+    ``value`` maps the terminals and every reachable node to a
+    numerator over ``value[ONE]``, the product of ``denominators``.
+    """
+
+    diagram: BDD
+    root: int
+    levels: List[List[int]]
+    numerators: List[int]
+    denominators: List[int]
+    value: Dict[int, int]
 
 
 class DeltaSession:
@@ -74,12 +99,7 @@ class DeltaSession:
         self._db = db
         self._grounding = DeltaGrounding(db, self._base)
         self._sampler = None
-        self._diagram: Optional[BDD] = None
-        self._root = ZERO
-        self._levels: List[List[int]] = []
-        self._value: Dict[int, Fraction] = {}
-        self._probs: Dict[Atom, Fraction] = {}
-        self._compile()
+        self._table = self._compile(db, self._grounding.dnf())
 
     # ------------------------------------------------------------------ #
     # answers
@@ -93,12 +113,13 @@ class DeltaSession:
     @property
     def diagram_size(self) -> int:
         """Reachable diagram nodes — the per-update work bound."""
-        return sum(len(level) for level in self._levels)
+        return sum(len(level) for level in self._table.levels)
 
     def probability(self) -> Fraction:
         """Exact ``Pr[B |= psi]`` for the current database."""
-        p = self._value[self._root]
-        return 1 - p if self._negate else p
+        value = self._table.value
+        p, scale = value[self._table.root], value[ONE]
+        return Fraction(scale - p if self._negate else p, scale)
 
     def wrong_probability(self) -> Fraction:
         """``Pr[Wrong(psi)]`` against the current observed structure."""
@@ -121,13 +142,13 @@ class DeltaSession:
         if new == old:
             return
         obs.inc("delta.updates")
-        self._db = self._db.with_errors({atom: new})
+        db = self._db.with_errors({atom: new})
         if 0 < old < 1 and 0 < new < 1:
             # Folding status unchanged: every clause keeps its shape,
             # only the atom's nu moves.
-            self._reweight(atom)
+            self._reweight(db, atom)
         else:
-            self._structural(atom)
+            self._structural(db, atom)
 
     def insert(self, atom: Atom) -> None:
         """Add a tuple to the observed structure."""
@@ -141,16 +162,13 @@ class DeltaSession:
         if self._db.structure.holds(atom) == value:
             return
         obs.inc("delta.updates")
-        mu = self._db.mu(atom)
-        self._db = self._db.with_structure(
-            self._db.structure.with_atom(atom, value)
-        )
-        if 0 < mu < 1:
+        db = self._db.with_structure(self._db.structure.with_atom(atom, value))
+        if 0 < db.mu(atom) < 1:
             # nu flips between mu and 1-mu; clause shapes are untouched
             # (folding only inspects deterministic atoms).
-            self._reweight(atom)
+            self._reweight(db, atom)
         else:
-            self._structural(atom)
+            self._structural(db, atom)
 
     def recompute(self) -> Fraction:
         """Rebuild everything from the current database (the cold path).
@@ -160,8 +178,9 @@ class DeltaSession:
         construction (and by the property suite).
         """
         obs.inc("delta.recomputes")
-        self._grounding = DeltaGrounding(self._db, self._base)
-        self._compile()
+        grounding = DeltaGrounding(self._db, self._base)
+        table = self._compile(self._db, grounding.dnf())
+        self._grounding, self._table = grounding, table
         if self._sampler is not None:
             self._sampler.mark_stale()
         return self.probability()
@@ -179,9 +198,10 @@ class DeltaSession:
         """
         from repro.delta.sampling import ReweightableKarpLuby
 
+        order = self._table.diagram.order
         self._sampler = ReweightableKarpLuby(
             self._grounding.dnf(),
-            {a: float(p) for a, p in self._probs.items()},
+            {atom: float(self._db.nu(atom)) for atom in order},
             samples,
             rng,
             method=method,
@@ -193,91 +213,103 @@ class DeltaSession:
     # machinery
     # ------------------------------------------------------------------ #
 
-    def _compile(self) -> None:
-        """(Re)compile the current DNF and evaluate the full value table."""
-        dnf = self._grounding.dnf()
-        key = ("delta_bdd", self._db.fingerprint(), self._base)
+    def _compile(self, db: UnreliableDatabase, dnf: DNF) -> _Table:
+        """Compile ``dnf`` and evaluate its full value table under ``db``."""
+        key = ("delta_bdd", db.fingerprint(), self._base)
         diagram, root = compilation_cache.get_or_create(
             key, lambda: compile_dnf(dnf)
         )
-        self._diagram = diagram
-        self._root = root
-        self._levels = diagram.reachable_by_level(root)
-        self._probs = {atom: self._db.nu(atom) for atom in diagram.order}
-        self._value = {ZERO: Fraction(0), ONE: Fraction(1)}
-        for level in range(len(diagram.order) - 1, -1, -1):
-            self._evaluate_level(level)
+        value, levels, numerators, denominators = diagram.value_table(
+            root,
+            {atom: db.nu(atom) for atom in diagram.order},
+            charge=lambda nodes: checkpoint(worlds=nodes),
+        )
+        return _Table(diagram, root, levels, numerators, denominators, value)
 
-    def _evaluate_level(self, level: int) -> int:
-        """Recompute the value of every reachable node at one level."""
-        checkpoint(worlds=len(self._levels[level]))
-        diagram = self._diagram
-        value = self._value
-        p = self._probs[diagram.order[level]]
-        touched = 0
-        for node in self._levels[level]:
-            _node_level, low, high = diagram.node(node)
-            lo = value[low]
-            value[node] = lo + p * (value[high] - lo)
-            touched += 1
-        return touched
-
-    def _reweight(self, atom: Atom) -> None:
-        """Weight-only path: dirty values propagate bottom-up.
-
-        Nodes at the atom's level recompute; a node above recomputes
-        only when a child's value actually moved.  Untouched branches
-        of the diagram cost one set lookup each, no exact arithmetic —
-        the per-update bill is the Δ, not the reachable node count.
-        """
+    def _reweight(self, db: UnreliableDatabase, atom: Atom) -> None:
+        """Weight-only path: re-evaluate the table, then commit."""
         obs.inc("delta.reweights")
-        nu = self._db.nu(atom)
+        nu = db.nu(atom)
+        table = self._reweighted(self._table, atom, nu)
         if self._sampler is not None:
             self._sampler.set_prob(atom, float(nu))
-        level = (
-            self._diagram.level_of(atom)
-            if self._diagram is not None
-            else None
-        )
+        self._db, self._table = db, table
+
+    def _reweighted(self, table: _Table, atom: Atom, nu: Fraction) -> _Table:
+        """A copy of ``table`` with ``atom`` at probability ``nu``.
+
+        Dirty values propagate bottom-up: nodes at the atom's level
+        recompute; a node above recomputes only when a child's value
+        actually moved.  Untouched branches of the diagram cost one set
+        lookup each (and one exact rescale when the level's denominator
+        changed) — the per-update bill is the Δ, not the reachable node
+        count.  ``table`` itself is left as it was.
+        """
+        diagram = table.diagram
+        level = diagram.level_of(atom)
         if level is None:
             # The atom never made it into the grounded DNF (relation
             # not mentioned, or clause folded by other literals): the
             # answer cannot depend on it.
-            return
-        self._probs[atom] = nu
-        diagram = self._diagram
-        order = diagram.order
-        value = self._value
+            return table
+        levels = table.levels
+        numerators = list(table.numerators)
+        denominators = list(table.denominators)
+        value = dict(table.value)
+        old_den = denominators[level]
+        numerators[level], denominators[level] = nu.numerator, nu.denominator
+        new_den = nu.denominator
+        rescale = new_den != old_den
+        if rescale:
+            # The common denominator trades old_den for new_den.  Values
+            # below the level do not depend on it, so they are multiples
+            # of old_den and rescale exactly.  Rescaling is not
+            # re-evaluation: it leaves delta.nodes_reevaluated alone.
+            value[ONE] = value[ONE] // old_den * new_den
+            for nodes in levels[level + 1:]:
+                for node in nodes:
+                    value[node] = value[node] * new_den // old_den
+        node_of = diagram.node
         dirty: Set[int] = set()
         touched = 0
         for current in range(level, -1, -1):
-            checkpoint(worlds=len(self._levels[current]))
-            p = self._probs[order[current]]
+            checkpoint(worlds=len(levels[current]))
+            num, den = numerators[current], denominators[current]
             at_source = current == level
-            for node in self._levels[current]:
-                _node_level, low, high = diagram.node(node)
+            for node in levels[current]:
+                _node_level, low, high = node_of(node)
+                old = value[node]
                 if not at_source and low not in dirty and high not in dirty:
+                    # Unchanged value: exact under the new denominator.
+                    if rescale:
+                        value[node] = old * new_den // old_den
                     continue
                 lo = value[low]
-                new = lo + p * (value[high] - lo)
+                new = lo + num * (value[high] - lo) // den
                 touched += 1
-                if new != value[node]:
-                    value[node] = new
+                # ``old`` is still over the old common denominator.
+                if (new * old_den != old * new_den) if rescale else new != old:
                     dirty.add(node)
+                value[node] = new
         obs.inc("delta.nodes_reevaluated", touched)
+        return table._replace(
+            numerators=numerators, denominators=denominators, value=value
+        )
 
-    def _structural(self, atom: Atom) -> None:
+    def _structural(self, db: UnreliableDatabase, atom: Atom) -> None:
         """Structural path: targeted reground, recompile only if needed."""
-        keys = self._grounding.affected_keys(atom)
-        changed = self._grounding.reground(self._db, keys)
+        changes = self._grounding.reground(
+            db, self._grounding.affected_keys(atom)
+        )
+        if changes:
+            obs.inc("delta.recompiles")
+            table = self._compile(db, self._grounding.dnf(changes))
+        else:
+            # A live variable's nu cannot move without refolding one of
+            # its clauses, so this leaves the table as it is; it keeps
+            # the table right regardless.
+            table = self._reweighted(self._table, atom, db.nu(atom))
+        self._grounding.commit(changes)
         if self._sampler is not None:
             self._sampler.mark_stale()
-        if changed:
-            obs.inc("delta.recompiles")
-            self._compile()
-        elif self._diagram is not None and atom in self._probs:
-            # Defensive: a structural update that changed no clause but
-            # still touches a live variable's nu (should be unreachable
-            # — live variables are uncertain, and an uncertain atom
-            # turning deterministic always refolds a clause).
-            self._reweight(atom)
+        self._db, self._table = db, table

@@ -17,15 +17,23 @@ made clear that per-query exact inference must exploit structure.
 
 The implementation is a classic hash-consed ``ite``-style builder with
 an apply-cache; variable order is the sorted order of the variables
-(callers may pass their own).
+(callers may pass their own).  :func:`compile_dnf` builds each clause
+as a chain of nodes and ORs the clauses pairwise, as a balanced tree.
+
+Probabilities are evaluated on integers: every node's value is a
+numerator over one common denominator, the product of the per-level
+denominators (:meth:`BDD.value_table`), so one node costs a multiply and an
+exact floor division instead of three normalising
+:class:`~fractions.Fraction` operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from math import prod
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.propositional.formula import DNF, Variable
+from repro.propositional.formula import DNF, Clause, Variable
 from repro.util.errors import ProbabilityError, QueryError
 
 # Terminal node ids.
@@ -70,18 +78,39 @@ class BDD:
             self._unique[key] = node
         return node
 
-    def var(self, variable: Variable) -> int:
-        """The BDD of a single positive literal."""
+    def _level_in_order(self, variable: Variable) -> int:
         try:
-            level = self._level[variable]
+            return self._level[variable]
         except KeyError:
             raise QueryError(f"variable {variable!r} not in the order") from None
-        return self._make(level, ZERO, ONE)
+
+    def var(self, variable: Variable) -> int:
+        """The BDD of a single positive literal."""
+        return self._make(self._level_in_order(variable), ZERO, ONE)
 
     def nvar(self, variable: Variable) -> int:
         """The BDD of a single negative literal."""
-        level = self._level[variable]
-        return self._make(level, ONE, ZERO)
+        return self._make(self._level_in_order(variable), ONE, ZERO)
+
+    def cube(self, clause: Clause) -> int:
+        """The BDD of one conjunctive clause, built bottom-up as a chain.
+
+        A contradictory clause (``x`` and ``~x``) is ``ZERO``.
+        """
+        if clause.contradictory:
+            return ZERO
+        literals = sorted(
+            (self._level_in_order(literal.variable), literal.positive)
+            for literal in clause
+        )
+        node = ONE
+        for level, positive in reversed(literals):
+            node = (
+                self._make(level, ZERO, node)
+                if positive
+                else self._make(level, node, ZERO)
+            )
+        return node
 
     def _apply(self, op: str, left: int, right: int) -> int:
         if op == "and":
@@ -100,6 +129,8 @@ class BDD:
                 return left
         else:
             raise QueryError(f"unknown BDD operation {op!r}")
+        if left == right:
+            return left  # both operations are idempotent
         if left > right:
             left, right = right, left
         key = (op, left, right)
@@ -178,26 +209,49 @@ class BDD:
             node = high if assignment[self.order[level]] else low
         return node == ONE
 
+    def value_table(
+        self,
+        node: int,
+        probs: Mapping[Variable, Fraction],
+        charge: Optional[Callable[[int], None]] = None,
+    ) -> Tuple[Dict[int, int], List[List[int]], List[int], List[int]]:
+        """``(value, levels, numerators, denominators)`` of ``node``.
+
+        The integer value table, evaluated bottom-up: ``value`` maps the
+        terminals and every node reachable from ``node`` to an ``int``
+        numerator over ``value[ONE]``, the product of the per-level
+        ``denominators`` of ``probs``, so the terminals are ``0`` and
+        that product.  A node's value depends only on the levels at or
+        below its own, so its numerator is a multiple of every
+        denominator above it and each division below is exact.
+        ``levels`` is :meth:`reachable_by_level`.  ``charge``, if given,
+        is called with each level's node count before the level is
+        evaluated (the delta engine charges it to the budget).
+        """
+        for variable in self.order:
+            if variable not in probs:
+                raise ProbabilityError(f"no probability for {variable!r}")
+        numerators = [probs[variable].numerator for variable in self.order]
+        denominators = [probs[variable].denominator for variable in self.order]
+        levels = self.reachable_by_level(node)
+        value = {ZERO: 0, ONE: prod(denominators)}
+        table = self._nodes
+        for level in range(len(levels) - 1, -1, -1):
+            if charge is not None:
+                charge(len(levels[level]))
+            numerator, denominator = numerators[level], denominators[level]
+            for current in levels[level]:
+                _level, low, high = table[current]
+                lo = value[low]
+                value[current] = lo + numerator * (value[high] - lo) // denominator
+        return value, levels, numerators, denominators
+
     def probability(
         self, node: int, probs: Mapping[Variable, Fraction]
     ) -> Fraction:
         """Weighted probability of the function at ``node`` (exact)."""
-        for variable in self.order:
-            if variable not in probs:
-                raise ProbabilityError(f"no probability for {variable!r}")
-        cache: Dict[int, Fraction] = {ZERO: Fraction(0), ONE: Fraction(1)}
-
-        def walk(current: int) -> Fraction:
-            cached = cache.get(current)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[current]
-            p = probs[self.order[level]]
-            value = (1 - p) * walk(low) + p * walk(high)
-            cache[current] = value
-            return value
-
-        return walk(node)
+        value = self.value_table(node, probs)[0]
+        return Fraction(value[node], value[ONE])
 
     def count_models(self, node: int) -> int:
         """Number of satisfying assignments over the full variable order."""
@@ -217,71 +271,54 @@ class BDD:
         probability" (probability of reaching it); then
         ``I(x) = sum over x-nodes of reach(node) * (P(high) - P(low))``.
         """
-        up: Dict[int, Fraction] = {ZERO: Fraction(0), ONE: Fraction(1)}
-
-        def walk(current: int) -> Fraction:
-            cached = up.get(current)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[current]
-            p = probs[self.order[level]]
-            value = (1 - p) * walk(low) + p * walk(high)
-            up[current] = value
-            return value
-
-        walk(node)
-
-        reach: Dict[int, Fraction] = {node: Fraction(1)}
-        # Topological (by node id is NOT sorted by level; do BFS by level).
-        pending = [node]
-        ordered: List[int] = []
-        seen = set()
-        while pending:
-            current = pending.pop()
-            if current in seen or current in (ZERO, ONE):
-                continue
-            seen.add(current)
-            ordered.append(current)
-            _level, low, high = self._nodes[current]
-            pending.append(low)
-            pending.append(high)
-        ordered.sort(key=lambda n: self._nodes[n][0])
-
-        influences: Dict[Variable, Fraction] = {
-            variable: Fraction(0) for variable in self.order
+        up, levels, numerators, denominators = self.value_table(node, probs)
+        scale = up[ONE]
+        # Reach values are numerators over ``scale`` too: a node's reach
+        # depends only on the levels above it, so it is a multiple of
+        # its own level's denominator and the split below is exact.
+        reach: Dict[int, int] = {node: scale}
+        totals = [0] * len(self.order)
+        for level, nodes in enumerate(levels):
+            numerator, denominator = numerators[level], denominators[level]
+            for current in nodes:
+                r = reach.get(current, 0)
+                if r == 0:
+                    continue
+                _level, low, high = self._nodes[current]
+                totals[level] += r * (up[high] - up[low])
+                share = r // denominator
+                reach[low] = reach.get(low, 0) + share * (denominator - numerator)
+                reach[high] = reach.get(high, 0) + share * numerator
+        return {
+            variable: Fraction(total, scale * scale)
+            for variable, total in zip(self.order, totals)
         }
-        for current in ordered:
-            level, low, high = self._nodes[current]
-            variable = self.order[level]
-            r = reach.get(current, Fraction(0))
-            if r == 0:
-                continue
-            p = probs[variable]
-            influences[variable] += r * (up[high] - up[low])
-            reach[low] = reach.get(low, Fraction(0)) + r * (1 - p)
-            reach[high] = reach.get(high, Fraction(0)) + r * p
-        return influences
 
 
 def compile_dnf(
     dnf: DNF, order: Optional[Sequence[Variable]] = None
 ) -> Tuple[BDD, int]:
-    """Compile a DNF into a ROBDD; returns ``(diagram, root_node)``."""
+    """Compile a DNF into a ROBDD; returns ``(diagram, root_node)``.
+
+    Each clause is built directly as a chain (:meth:`BDD.cube`), then
+    the clause diagrams are ORed pairwise, as a balanced tree, rather
+    than folded one by one into a growing root.  The ROBDD is canonical,
+    so the reachable diagram is the same either way.
+    """
     variables = (
         tuple(order) if order is not None else tuple(sorted(dnf.variables, key=repr))
     )
     diagram = BDD(variables)
-    root = ZERO
-    for clause in dnf.clauses:
-        node = ONE
-        for literal in sorted(clause, key=lambda l: repr(l.variable)):
-            leaf = (
-                diagram.var(literal.variable)
-                if literal.positive
-                else diagram.nvar(literal.variable)
-            )
-            node = diagram.conj(node, leaf)
-        root = diagram.disj(root, node)
+    nodes = [diagram.cube(clause) for clause in dnf.clauses]
+    while len(nodes) > 1:
+        paired = [
+            diagram.disj(left, right)
+            for left, right in zip(nodes[::2], nodes[1::2])
+        ]
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    root = nodes[0] if nodes else ZERO
     diagram.root = root
     return diagram, root
 

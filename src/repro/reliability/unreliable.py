@@ -167,8 +167,22 @@ class UnreliableDatabase:
     # ------------------------------------------------------------------ #
 
     def with_structure(self, structure: Structure) -> "UnreliableDatabase":
-        """Same error function, different observed structure."""
-        return UnreliableDatabase(structure, self._mu, self._default)
+        """Same error function, different observed structure.
+
+        Over the same universe and vocabulary the trusted error table
+        stays valid, and unless the default error is uncertain (then
+        the index covers ``structure.atoms()``) so does the sorted
+        uncertain-atom index: both are reused, as in
+        :meth:`with_errors`, instead of re-parsing every entry.
+        """
+        old = self._structure
+        if (
+            0 < self._default < 1
+            or structure.universe != old.universe
+            or structure.vocabulary != old.vocabulary
+        ):
+            return UnreliableDatabase(structure, self._mu, self._default)
+        return self._derived(structure, self._mu, self._uncertain)
 
     def with_errors(
         self, extra: Mapping[Atom, RationalLike]
@@ -211,17 +225,26 @@ class UnreliableDatabase:
                 removed.add(atom)
             elif now and not was:
                 added.append(atom)
+        uncertain = self._uncertain
+        if removed or added:
+            patched = [a for a in uncertain if a not in removed]
+            for atom in added:
+                insort(patched, atom, key=repr)
+            uncertain = tuple(patched)
+        return self._derived(structure, table, uncertain)
+
+    def _derived(
+        self,
+        structure: Structure,
+        table: Dict[Atom, Fraction],
+        uncertain: Tuple[Atom, ...],
+    ) -> "UnreliableDatabase":
+        """A database from trusted parts: nothing is re-validated."""
         clone = UnreliableDatabase.__new__(UnreliableDatabase)
         clone._structure = structure
         clone._default = self._default
         clone._mu = table
-        if removed or added:
-            uncertain = [a for a in self._uncertain if a not in removed]
-            for atom in added:
-                insort(uncertain, atom, key=repr)
-            clone._uncertain = tuple(uncertain)
-        else:
-            clone._uncertain = self._uncertain
+        clone._uncertain = uncertain
         clone._fingerprint = None
         return clone
 

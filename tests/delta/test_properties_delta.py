@@ -34,8 +34,12 @@ QUERIES = (
     "forall x. S(x)",
 )
 
-probabilities = st.builds(
-    Fraction, st.integers(min_value=0, max_value=8), st.just(8)
+# Mixed denominators 1..12: most weight moves change their level's
+# denominator, which exercises the value table's rescale path.
+probabilities = st.integers(min_value=1, max_value=12).flatmap(
+    lambda den: st.builds(
+        Fraction, st.integers(min_value=0, max_value=den), st.just(den)
+    )
 )
 
 

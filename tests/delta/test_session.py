@@ -6,6 +6,7 @@ current database — equality is exact (``==`` on Fractions), never
 approximate.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
 from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.unreliable import UnreliableDatabase
+from repro.runtime.budget import Budget, apply
 from repro.util.errors import QueryError
+
+from tests.delta.streams import QUERY_SHAPES, apply_op, random_db, random_stream
 
 SELF_JOIN = "exists x y. E(x, y) & E(y, x)"
 
@@ -163,6 +167,41 @@ class TestCounters:
             session.set_mu(Atom("E", (2, 1)), Fraction(1, 3))
         touched = recorder.summary()["counters"]["delta.nodes_reevaluated"]
         assert 0 < touched <= session.diagram_size
+
+
+#: Counters and budget ledger of seed 3's 40-step stream per query
+#: shape, recorded from the Fraction value table the integer one
+#: replaced: (nodes_reevaluated, regrounds, recompiles, worlds,
+#: ground_clauses).  The integer table must not change any of them.
+PINNED = {
+    "existential": (162, 12, 7, 299, 21),
+    "universal": (185, 10, 7, 349, 19),
+    "self-join": (295, 17, 4, 458, 26),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED))
+def test_counters_and_ledger_are_pinned(shape):
+    rng = random.Random(3)
+    db = random_db(rng)
+    ops = random_stream(rng, db, 40)
+    recorder = obs.StatsRecorder()
+    budget = Budget(max_worlds=10**9, max_ground_clauses=10**9)
+    with obs.use(recorder), apply(budget):
+        session = DeltaSession(db, QUERY_SHAPES[shape])
+        for op in ops:
+            apply_op(session, op)
+    counters = recorder.summary()["counters"]
+    assert (
+        counters.get("delta.nodes_reevaluated", 0),
+        counters.get("delta.regrounds", 0),
+        counters.get("delta.recompiles", 0),
+        budget.worlds,
+        budget.ground_clauses,
+    ) == PINNED[shape]
+    assert session.probability() == truth_probability(
+        session.db, QUERY_SHAPES[shape]
+    )
 
 
 class TestPersistRoundTrip:

@@ -108,6 +108,35 @@ class TestDerivedDatabases:
         assert moved.mu(Atom("E", ("a", "b"))) == Fraction(1, 4)
         assert moved.structure == flipped
 
+    @pytest.mark.parametrize("default", [0, 1, Fraction(1, 6)])
+    def test_with_structure_equals_constructor(self, triangle, default):
+        # The same universe and vocabulary reuse the trusted table (an
+        # uncertain default rebuilds the index): either way the result
+        # must equal a database built from scratch.
+        mu = {
+            Atom("E", ("a", "c")): Fraction(1, 10),
+            Atom("S", ("b",)): Fraction(1, 5),
+            Atom("S", ("c",)): 0,
+        }
+        db = UnreliableDatabase(triangle, mu, default_error=default)
+        for atom in (Atom("S", ("c",)), Atom("E", ("b", "a"))):
+            structure = db.structure.flip(atom)
+            moved = db.with_structure(structure)
+            built = UnreliableDatabase(structure, mu, default_error=default)
+            assert moved.structure == structure
+            for each in structure.atoms():
+                assert moved.mu(each) == built.mu(each)
+                assert moved.nu(each) == built.nu(each)
+            assert moved.uncertain_atoms() == built.uncertain_atoms()
+            assert moved.fingerprint() == built.fingerprint()
+            db = moved
+
+    def test_with_structure_over_a_new_universe_revalidates(self, triangle_db):
+        builder = StructureBuilder(["a", "b"])
+        builder.relation("E", 2).relation("S", 1)
+        with pytest.raises(VocabularyError):
+            triangle_db.with_structure(builder.build())
+
     def test_error_table_is_copy(self, triangle_db):
         table = triangle_db.error_table()
         table[Atom("S", ("c",))] = Fraction(1, 2)
