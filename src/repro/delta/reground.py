@@ -44,7 +44,9 @@ class DeltaGrounding:
     can resurrect a folded clause, so absence cannot mean "dropped".
     """
 
-    __slots__ = ("variables", "templates", "universe", "_clauses", "_literals")
+    __slots__ = (
+        "variables", "templates", "universe", "index", "_clauses", "_literals"
+    )
 
     def __init__(self, db: UnreliableDatabase, sentence: Formula):
         with obs.span("delta.ground"):
@@ -64,6 +66,11 @@ class DeltaGrounding:
                     self._clauses[(index, values)] = ground_clause(
                         db, template, env
                     )
+            #: Clause-map key -> its slot: the key's position in the
+            #: map, fixed here for the grounding's lifetime.
+            self.index: Dict[ClauseKey, int] = {
+                key: slot for slot, key in enumerate(self._clauses)
+            }
             # relation name -> [(template index, literal argument terms)];
             # the unification index behind affected_keys.
             literals: Dict[str, List[Tuple[int, Tuple]]] = {}
@@ -117,13 +124,13 @@ class DeltaGrounding:
         """Store the clauses :meth:`reground` returned."""
         self._clauses.update(changes)
 
-    def dnf(
-        self, changes: Optional[Mapping[ClauseKey, Optional[Clause]]] = None
-    ) -> DNF:
-        """The grounded DNF (folded clauses omitted), with ``changes``
-        applied if given."""
-        clauses = {**self._clauses, **changes} if changes else self._clauses
-        return DNF(clause for clause in clauses.values() if clause is not None)
+    def slots(self) -> List[Optional[Clause]]:
+        """Every key's clause (``None`` if folded), in slot order."""
+        return list(self._clauses.values())
+
+    def dnf(self) -> DNF:
+        """The grounded DNF (folded clauses omitted)."""
+        return DNF(c for c in self._clauses.values() if c is not None)
 
 
 def _unify(

@@ -57,8 +57,10 @@ __all__ = [
 ]
 
 #: Envelope schema version.  Files with any other version are *stale*
-#: and ignored (cold-compile fallback), never reinterpreted.
-PERSIST_VERSION = 1
+#: and ignored (cold-compile fallback), never reinterpreted.  Version 2:
+#: ``delta_bdd`` values are one diagram with its OR tree, not a
+#: ``(diagram, root)`` pair.
+PERSIST_VERSION = 2
 
 #: Key kinds worth persisting: whole compiled artefacts that are pure
 #: functions of the key.  Everything else stays memory-only.

@@ -17,8 +17,12 @@ made clear that per-query exact inference must exploit structure.
 
 The implementation is a classic hash-consed ``ite``-style builder with
 an apply-cache; variable order is the sorted order of the variables
-(callers may pass their own).  :func:`compile_dnf` builds each clause
-as a chain of nodes and ORs the clauses pairwise, as a balanced tree.
+(callers may pass their own, and :meth:`BDD.add_variable` appends new
+bottom levels).  :func:`compile_dnf` builds each clause as a chain of
+nodes and ORs the clauses pairwise, as a balanced tree that the diagram
+keeps (:attr:`BDD.tree`): :meth:`BDD.patch` redoes only the ORs on the
+paths of changed clauses, and :meth:`BDD.compacted` copies out the
+nodes the tree still reaches.
 
 Probabilities are evaluated on integers: every node's value is a
 numerator over one common denominator, the product of the per-level
@@ -31,7 +35,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Container,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.propositional.formula import DNF, Clause, Variable
 from repro.util.errors import ProbabilityError, QueryError
@@ -46,9 +59,15 @@ class BDD:
 
     Nodes are integers; ``0``/``1`` are the terminals, every other node
     is a triple ``(level, low, high)`` interned in :attr:`_unique`.
+    :attr:`tree` is the OR tree :func:`compile_dnf` built over the
+    clauses, heap-ordered: ``tree[1]`` is the root, entry ``i`` is the
+    OR of entries ``2 * i`` and ``2 * i + 1``, and the leaves (one
+    clause each) fill the second half.
     """
 
-    __slots__ = ("order", "_level", "_nodes", "_unique", "_apply_cache", "root")
+    __slots__ = (
+        "order", "_level", "_nodes", "_unique", "_apply_cache", "tree"
+    )
 
     def __init__(self, order: Sequence[Variable]):
         if len(set(order)) != len(order):
@@ -61,7 +80,46 @@ class BDD:
         self._nodes: List[Tuple[int, int, int]] = [(-1, -1, -1), (-1, -1, -1)]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._apply_cache: Dict[Tuple[str, int, int], int] = {}
-        self.root = ZERO
+        self.tree: List[int] = [ZERO, ZERO]
+
+    def __getstate__(self):
+        # The unique table and level map are derived from the nodes;
+        # the apply cache is scratch.
+        return self.order, self._nodes, self.tree
+
+    def __setstate__(self, state):
+        order, nodes, tree = state
+        self.order = order
+        self._level = {variable: index for index, variable in enumerate(order)}
+        self._nodes = nodes
+        self._unique = {
+            key: node for node, key in enumerate(nodes) if node > ONE
+        }
+        self._apply_cache = {}
+        self.tree = tree
+
+    def copy(self) -> "BDD":
+        """An independent copy: same order, nodes and tree, no apply cache."""
+        copy = BDD.__new__(BDD)
+        copy.order = self.order
+        copy._level = dict(self._level)
+        copy._nodes = list(self._nodes)
+        copy._unique = dict(self._unique)
+        copy._apply_cache = {}
+        copy.tree = list(self.tree)
+        return copy
+
+    def add_variable(self, variable: Variable) -> int:
+        """The level of ``variable``, appended as a new bottom level if new.
+
+        Existing levels, and so every existing node id, keep their
+        meaning.
+        """
+        level = self._level.get(variable)
+        if level is None:
+            level = self._level[variable] = len(self.order)
+            self.order += (variable,)
+        return level
 
     # ------------------------------------------------------------------ #
     # construction
@@ -113,52 +171,149 @@ class BDD:
         return node
 
     def _apply(self, op: str, left: int, right: int) -> int:
+        """``left op right``, evaluated on an explicit stack.
+
+        The recursion of the textbook ``apply`` is unrolled: ``pending``
+        holds operand pairs still to combine and, below each pair's
+        halves, a build step ``(level, 0, cache key)`` that pops the two
+        results and makes the node (:meth:`_make`, inlined in this hot
+        loop).  Halves run low before high.  The depth of a diagram is
+        bounded by memory, not by the interpreter's stack.
+        """
         if op == "and":
-            if left == ZERO or right == ZERO:
-                return ZERO
-            if left == ONE:
-                return right
-            if right == ONE:
-                return left
+            absorbing, neutral = ZERO, ONE
         elif op == "or":
-            if left == ONE or right == ONE:
-                return ONE
-            if left == ZERO:
-                return right
-            if right == ZERO:
-                return left
+            absorbing, neutral = ONE, ZERO
         else:
             raise QueryError(f"unknown BDD operation {op!r}")
-        if left == right:
-            return left  # both operations are idempotent
-        if left > right:
-            left, right = right, left
-        key = (op, left, right)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
-        l_level, l_low, l_high = self._nodes[left]
-        r_level, r_low, r_high = self._nodes[right]
-        if l_level == r_level:
-            low = self._apply(op, l_low, r_low)
-            high = self._apply(op, l_high, r_high)
-            result = self._make(l_level, low, high)
-        elif l_level < r_level:
-            low = self._apply(op, l_low, right)
-            high = self._apply(op, l_high, right)
-            result = self._make(l_level, low, high)
-        else:
-            low = self._apply(op, left, r_low)
-            high = self._apply(op, left, r_high)
-            result = self._make(r_level, low, high)
-        self._apply_cache[key] = result
-        return result
+        cache = self._apply_cache
+        table = self._nodes
+        unique = self._unique
+        pending = [(left, right, None)]
+        push, pop = pending.append, pending.pop
+        results: List[int] = []
+        emit = results.append
+        while pending:
+            f, g, key = pop()
+            if key is not None:
+                high = results.pop()
+                low = results.pop()
+                if low == high:
+                    node = low
+                else:
+                    triple = (f, low, high)
+                    node = unique.get(triple)
+                    if node is None:
+                        node = len(table)
+                        table.append(triple)
+                        unique[triple] = node
+                cache[key] = node
+                emit(node)
+                continue
+            if f == absorbing or g == absorbing:
+                emit(absorbing)
+                continue
+            if f == neutral:
+                emit(g)
+                continue
+            if g == neutral or f == g:
+                emit(f)  # both operations are idempotent
+                continue
+            if f > g:
+                f, g = g, f
+            key = (op, f, g)
+            node = cache.get(key)
+            if node is not None:
+                emit(node)
+                continue
+            f_level, f_low, f_high = table[f]
+            g_level, g_low, g_high = table[g]
+            if f_level == g_level:
+                push((f_level, 0, key))
+                push((f_high, g_high, None))
+                push((f_low, g_low, None))
+            elif f_level < g_level:
+                push((f_level, 0, key))
+                push((f_high, g, None))
+                push((f_low, g, None))
+            else:
+                push((g_level, 0, key))
+                push((f, g_high, None))
+                push((f, g_low, None))
+        return results[0]
 
     def conj(self, left: int, right: int) -> int:
         return self._apply("and", left, right)
 
     def disj(self, left: int, right: int) -> int:
         return self._apply("or", left, right)
+
+    def or_tree(self, leaves: Sequence[int]) -> List[int]:
+        """The heap-ordered OR tree (see :attr:`tree`) over ``leaves``.
+
+        The leaf row is padded with ``ZERO`` to a power of two.
+        """
+        size = 1 << max(len(leaves) - 1, 0).bit_length()
+        tree = [ZERO] * size + list(leaves) + [ZERO] * (size - len(leaves))
+        apply = self._apply
+        for index in range(size - 1, 0, -1):
+            left, right = tree[2 * index], tree[2 * index + 1]
+            # Most slots of a grounding are folded: no call for those.
+            tree[index] = (
+                left if right == ZERO
+                else right if left == ZERO
+                else apply("or", left, right)
+            )
+        return tree
+
+    def patch(
+        self, tree: Sequence[int], leaves: Mapping[int, int]
+    ) -> Dict[int, int]:
+        """The entries of OR tree ``tree`` that change when leaf ``slot``
+        becomes ``leaves[slot]``, as ``{entry index: node}``.
+
+        Each changed leaf redoes the ORs on its path to the root, one
+        per tree level, and a path stops at the first entry that comes
+        out unchanged; the apply cache and hash-consing share everything
+        else with the old entries.  ``tree`` itself is left as it was.
+        """
+        size = len(tree) // 2
+        changed: Dict[int, int] = {}
+        for slot, node in leaves.items():
+            if tree[size + slot] != node:
+                changed[size + slot] = node
+        frontier = sorted(changed)
+        while frontier:
+            parents = sorted({index >> 1 for index in frontier if index > 1})
+            frontier = []
+            for index in parents:
+                left = changed.get(2 * index, tree[2 * index])
+                right = changed.get(2 * index + 1, tree[2 * index + 1])
+                node = self.disj(left, right)
+                if node != tree[index]:
+                    changed[index] = node
+                    frontier.append(index)
+        return changed
+
+    def compacted(self) -> Tuple["BDD", Dict[int, int]]:
+        """``(copy, renumber)``: only the nodes :attr:`tree` reaches.
+
+        The copy keeps the order and the tree, has no apply cache, and
+        numbers its nodes bottom-up; ``renumber`` maps each kept node
+        id, terminals included, to its id in the copy.
+        """
+        copy = BDD(self.order)
+        renumber = {ZERO: ZERO, ONE: ONE}
+        table = copy._nodes
+        unique = copy._unique
+        for bucket in reversed(self.reachable_by_level(*self.tree)):
+            for node in bucket:
+                level, low, high = self._nodes[node]
+                key = (level, renumber[low], renumber[high])
+                renumber[node] = unique[key] = len(table)
+                table.append(key)
+        copy.tree = [renumber[node] for node in self.tree]
+        return copy, renumber
 
     # ------------------------------------------------------------------ #
     # queries
@@ -177,21 +332,28 @@ class BDD:
         """
         return self._level.get(variable)
 
-    def node(self, node_id: int) -> Tuple[int, int, int]:
-        """The ``(level, low, high)`` triple of an internal node."""
-        return self._nodes[node_id]
+    @property
+    def nodes(self) -> Sequence[Tuple[int, int, int]]:
+        """The node table, read-only: entry ``i`` is internal node
+        ``i``'s ``(level, low, high)`` triple (entries ``0`` and ``1``
+        stand for the terminals)."""
+        return self._nodes
 
-    def reachable_by_level(self, node: int) -> List[List[int]]:
-        """Internal nodes reachable from ``node``, grouped by level.
+    def reachable_by_level(
+        self, *roots: int, known: Container[int] = ()
+    ) -> List[List[int]]:
+        """Internal nodes reachable from ``roots``, grouped by level.
 
         Index ``l`` of the result lists the reachable nodes at level
         ``l`` (possibly empty).  Terminals are excluded.  This is the
         delta engine's working set: a bottom-up value table over these
-        nodes supports O(levels-above-the-change) re-evaluation.
+        nodes supports O(levels-above-the-change) re-evaluation.  The
+        walk does not enter the nodes in ``known``, so a patched
+        session walks only the nodes its table has no value for.
         """
         levels: List[List[int]] = [[] for _ in self.order]
         seen = {ZERO, ONE}
-        pending = [node]
+        pending = [root for root in roots if root not in known]
         while pending:
             current = pending.pop()
             if current in seen:
@@ -199,8 +361,10 @@ class BDD:
             seen.add(current)
             level, low, high = self._nodes[current]
             levels[level].append(current)
-            pending.append(low)
-            pending.append(high)
+            if low not in seen and low not in known:
+                pending.append(low)
+            if high not in seen and high not in known:
+                pending.append(high)
         return levels
 
     def evaluate(self, node: int, assignment: Mapping[Variable, bool]) -> bool:
@@ -210,10 +374,7 @@ class BDD:
         return node == ONE
 
     def value_table(
-        self,
-        node: int,
-        probs: Mapping[Variable, Fraction],
-        charge: Optional[Callable[[int], None]] = None,
+        self, node: int, probs: Mapping[Variable, Fraction]
     ) -> Tuple[Dict[int, int], List[List[int]], List[int], List[int]]:
         """``(value, levels, numerators, denominators)`` of ``node``.
 
@@ -224,9 +385,7 @@ class BDD:
         that product.  A node's value depends only on the levels at or
         below its own, so its numerator is a multiple of every
         denominator above it and each division below is exact.
-        ``levels`` is :meth:`reachable_by_level`.  ``charge``, if given,
-        is called with each level's node count before the level is
-        evaluated (the delta engine charges it to the budget).
+        ``levels`` is :meth:`reachable_by_level`.
         """
         for variable in self.order:
             if variable not in probs:
@@ -237,8 +396,6 @@ class BDD:
         value = {ZERO: 0, ONE: prod(denominators)}
         table = self._nodes
         for level in range(len(levels) - 1, -1, -1):
-            if charge is not None:
-                charge(len(levels[level]))
             numerator, denominator = numerators[level], denominators[level]
             for current in levels[level]:
                 _level, low, high = table[current]
@@ -296,31 +453,41 @@ class BDD:
 
 
 def compile_dnf(
-    dnf: DNF, order: Optional[Sequence[Variable]] = None
+    dnf: Union[DNF, Sequence[Optional[Clause]]],
+    order: Optional[Sequence[Variable]] = None,
 ) -> Tuple[BDD, int]:
     """Compile a DNF into a ROBDD; returns ``(diagram, root_node)``.
 
-    Each clause is built directly as a chain (:meth:`BDD.cube`), then
-    the clause diagrams are ORed pairwise, as a balanced tree, rather
-    than folded one by one into a growing root.  The ROBDD is canonical,
-    so the reachable diagram is the same either way.
+    ``dnf`` is a :class:`DNF` or a sequence of clause slots, ``None``
+    standing for a false clause.  Each clause is built directly as a
+    chain (:meth:`BDD.cube`), then the clause diagrams are ORed
+    pairwise, as a balanced tree kept as :attr:`BDD.tree`, rather than
+    folded one by one into a growing root.  The ROBDD is canonical, so
+    the reachable diagram is the same either way.
+
+    Every node a compile creates is reachable from the tree entry it
+    was created for, so the diagram holds only live nodes; its apply
+    cache, scratch of the compile, is dropped.
     """
-    variables = (
-        tuple(order) if order is not None else tuple(sorted(dnf.variables, key=repr))
+    if isinstance(dnf, DNF):
+        clauses: Sequence[Optional[Clause]] = dnf.clauses
+        variables = dnf.variables
+    else:
+        clauses = dnf
+        variables = {
+            variable
+            for clause in clauses
+            if clause is not None and not clause.contradictory
+            for variable in clause.variables
+        }
+    diagram = BDD(
+        tuple(order) if order is not None else sorted(variables, key=repr)
     )
-    diagram = BDD(variables)
-    nodes = [diagram.cube(clause) for clause in dnf.clauses]
-    while len(nodes) > 1:
-        paired = [
-            diagram.disj(left, right)
-            for left, right in zip(nodes[::2], nodes[1::2])
-        ]
-        if len(nodes) % 2:
-            paired.append(nodes[-1])
-        nodes = paired
-    root = nodes[0] if nodes else ZERO
-    diagram.root = root
-    return diagram, root
+    diagram.tree = diagram.or_tree(
+        [ZERO if c is None else diagram.cube(c) for c in clauses]
+    )
+    diagram._apply_cache = {}
+    return diagram, diagram.tree[1]
 
 
 def probability_via_bdd(

@@ -91,6 +91,20 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.delta.sampling", "_clause_weight"): (
         "one clause's literals, bounded by the formula's clause width"
     ),
+    ("repro.delta.session", "_counted"): (
+        "reference counting over the nodes a patch added, run when the "
+        "update commits (a checkpoint there would half-commit it) or once "
+        "over the nodes a build evaluated under checkpoint"
+    ),
+    ("repro.delta.session", "_release"): (
+        "reference counting over the nodes a patch dropped, run when "
+        "the update commits: a checkpoint there would half-commit it"
+    ),
+    ("repro.delta.session", "_rooted"): (
+        "commits a patch's value table: its fresh nodes were charged by "
+        "_grown, and a checkpoint here would half-commit the update"
+    ),
+
     ("repro.propositional.counting", "_check_probs"): (
         "one validation pass over the formula's variables"
     ),

@@ -87,3 +87,36 @@ def random_stream(
 
 def apply_op(session, op: Op) -> None:
     getattr(session, op[0])(*op[1:])
+
+
+def structural_stream(
+    rng: random.Random, db: UnreliableDatabase, steps: int
+) -> List[Op]:
+    """A structural-heavy stream: about two thirds of its operations
+    are freezes, thaws, inserts and deletes.
+
+    Thaws pick any deterministic atom, so they also reach atoms that
+    were never uncertain (new to a session's variable order), and so do
+    inserts that revive folded clauses.  The uncertain count never
+    exceeds :data:`MAX_UNCERTAIN`.
+    """
+    live = set(db.uncertain_atoms())
+    ops: List[Op] = []
+    for _ in range(steps):
+        kind = rng.random()
+        certain = sorted(set(ATOMS) - live, key=repr)
+        if kind < 0.3 and live:
+            atom = rng.choice(sorted(live, key=repr))
+            ops.append(("set_mu", atom, uncertain(rng)))
+        elif kind < 0.5 and live:
+            atom = rng.choice(sorted(live, key=repr))
+            live.discard(atom)
+            ops.append(("set_mu", atom, Fraction(rng.randint(0, 1))))
+        elif kind < 0.7 and certain and len(live) < MAX_UNCERTAIN:
+            atom = rng.choice(certain)
+            live.add(atom)
+            ops.append(("set_mu", atom, uncertain(rng)))
+        else:
+            op = "insert" if rng.random() < 0.5 else "delete"
+            ops.append((op, rng.choice(ATOMS)))
+    return ops

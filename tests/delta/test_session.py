@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.delta import DeltaSession
 from repro.kernels import cache_persist
-from repro.kernels.cache import clear_caches
+from repro.kernels.cache import clear_caches, compilation_cache
 from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
 from repro.reliability.exact import reliability, truth_probability
@@ -170,13 +170,17 @@ class TestCounters:
 
 
 #: Counters and budget ledger of seed 3's 40-step stream per query
-#: shape, recorded from the Fraction value table the integer one
-#: replaced: (nodes_reevaluated, regrounds, recompiles, worlds,
-#: ground_clauses).  The integer table must not change any of them.
+#: shape: (nodes_reevaluated, regrounds, recompiles, worlds,
+#: ground_clauses).  ``regrounds`` and ``ground_clauses`` are the
+#: grounding's and do not depend on how the diagram is maintained.
+#: The others count the patched diagram: ``recompiles`` is the number
+#: of structural updates that patched it, ``nodes_reevaluated`` adds
+#: the new nodes a patch evaluated to the weight path's dirty nodes,
+#: and ``worlds`` charges only the nodes an update or build evaluates.
 PINNED = {
-    "existential": (162, 12, 7, 299, 21),
-    "universal": (185, 10, 7, 349, 19),
-    "self-join": (295, 17, 4, 458, 26),
+    "existential": (212, 12, 7, 250, 21),
+    "universal": (217, 10, 7, 260, 19),
+    "self-join": (342, 17, 4, 420, 26),
 }
 
 
@@ -202,6 +206,77 @@ def test_counters_and_ledger_are_pinned(shape):
     assert session.probability() == truth_probability(
         session.db, QUERY_SHAPES[shape]
     )
+
+
+#: Freezes, thaws, inserts and deletes on the square graph, each of
+#: which patches the diagram.
+STRUCTURAL_OPS = [
+    ("set_mu", Atom("E", (0, 1)), 0),
+    ("insert", Atom("E", (3, 2))),
+    ("set_mu", Atom("E", (0, 1)), Fraction(1, 4)),
+    ("delete", Atom("E", (3, 2))),
+    ("set_mu", Atom("E", (1, 2)), 1),
+    ("set_mu", Atom("E", (3, 3)), Fraction(1, 5)),
+    ("set_mu", Atom("E", (3, 3)), 0),
+]
+
+
+def _entry(session, db):
+    """The compilation-cache entry a session on ``db`` was built from."""
+    key = ("delta_bdd", db.fingerprint(), session._base)
+    assert key in compilation_cache
+
+    def missing():
+        raise AssertionError("no cached diagram")
+
+    return compilation_cache.get_or_create(key, missing)
+
+
+class TestCachedDiagram:
+    def test_entry_holds_live_nodes_only(self):
+        db = _square_db()
+        entry = _entry(DeltaSession(db, SELF_JOIN), db)
+        assert not entry._apply_cache
+        assert len(entry) == sum(map(len, entry.reachable_by_level(*entry.tree)))
+
+    def test_structural_updates_leave_the_entry_alone(self, tmp_path):
+        cache_persist.configure(str(tmp_path / "c"))
+        db = _square_db()
+        session = DeltaSession(db, SELF_JOIN)
+        entry = _entry(session, db)
+        snapshot = (entry.order, list(entry.nodes), list(entry.tree))
+        recorder = obs.StatsRecorder()
+        with obs.use(recorder):
+            for op in STRUCTURAL_OPS:
+                apply_op(session, op)
+                _assert_current(session, SELF_JOIN)
+        assert recorder.summary()["counters"]["delta.recompiles"] == len(
+            STRUCTURAL_OPS
+        )
+        assert _entry(session, db) is entry
+        assert (entry.order, list(entry.nodes), list(entry.tree)) == snapshot
+        assert not entry._apply_cache
+        # Per-update diagrams enter neither tier.
+        key = ("delta_bdd", session.db.fingerprint(), session._base)
+        assert key not in compilation_cache
+        stored = [p.name for p in (tmp_path / "c").iterdir()]
+        assert sum(name.startswith("delta_bdd-") for name in stored) == 1
+
+    def test_sessions_from_one_entry_are_independent(self):
+        db = _square_db()
+        first = DeltaSession(db, SELF_JOIN)
+        second = DeltaSession(db, SELF_JOIN)
+        assert _entry(first, db) is _entry(second, db)
+        before, size = second.probability(), second.diagram_size
+        for op in STRUCTURAL_OPS:
+            apply_op(first, op)
+        assert second.db is db
+        assert second.probability() == before
+        assert second.diagram_size == size
+        for op in STRUCTURAL_OPS:
+            apply_op(second, op)
+            _assert_current(second, SELF_JOIN)
+        assert second.probability() == first.probability()
 
 
 class TestPersistRoundTrip:
