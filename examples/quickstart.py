@@ -60,7 +60,7 @@ def main() -> None:
     print(f"R[Follows(x, y)]          = {reliability(db, table)}")
 
     # 3b. A conjunctive (existential) query: some verified user follows
-    #     another verified user.  Exact via grounded-DNF Shannon expansion.
+    #     another verified user.  Exact via the grounded DNF's ROBDD.
     pair = FOQuery("exists x y. Verified(x) & Follows(x, y) & Verified(y)")
     print(f"nu[verified pair exists]  = {truth_probability(db, pair)}")
     print(f"R[verified pair exists]   = {reliability(db, pair)}")

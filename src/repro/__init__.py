@@ -42,6 +42,7 @@ from repro.logic import (
     parse,
 )
 from repro.logic.so import SOQuery, SOExists, SOForall
+from repro.propositional import DNF, Clause, Literal, karp_luby
 from repro.reliability import (
     UnreliableDatabase,
     analyze,
@@ -61,7 +62,6 @@ from repro.reliability import (
     uniform_error,
     wrong_probability,
 )
-from repro.propositional import DNF, Clause, Literal, karp_luby
 from repro.util import as_rng, make_rng
 from repro.util.errors import (
     BudgetExceeded,

@@ -33,12 +33,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from repro import obs
 from repro.propositional.counting import _check_probs
 from repro.propositional.formula import DNF, Variable
-from repro.runtime.budget import checkpoint
+from repro.runtime.budget import CHECKPOINT_CHUNK, checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rng import as_rng
-
-CHECKPOINT_CHUNK = 64
 
 
 def _bisect(cumulative: Sequence[float], target: float) -> int:

@@ -26,7 +26,6 @@ and respects the active :class:`repro.runtime.Budget` via
 from repro.kernels.bitops import BATCH_BITS, popcount
 from repro.kernels.cache import clear_caches, compilation_cache
 from repro.kernels.gray import (
-    gray_dnf_probability,
     gray_enumeration_probability,
     product_enumeration_probability,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "popcount",
     "clear_caches",
     "compilation_cache",
-    "gray_dnf_probability",
     "gray_enumeration_probability",
     "product_enumeration_probability",
     "DnfPlan",

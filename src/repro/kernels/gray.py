@@ -9,13 +9,11 @@ exact :class:`~fractions.Fraction` values, the incrementally-maintained
 weight never drifts and the summed probability is bit-identical to the
 ``itertools.product`` sweep regardless of visiting order.
 
-Two walkers:
-
-* :func:`gray_enumeration_probability` — generic, calls an opaque
-  ``predicate(world)`` per step (any query-protocol object);
-* :func:`gray_dnf_probability` — for queries compiled to a grounded
-  DNF, maintains per-clause falsified-literal counts so a step costs
-  ``O(occurrences of the flipped atom)`` instead of a full evaluation.
+The walker, :func:`gray_enumeration_probability`, calls an opaque
+``predicate(world)`` per step, so it serves any query-protocol object:
+it is Theorem 4.2's ``worlds`` algorithm.  Formulas that ground to a
+DNF are evaluated by the ROBDD engine instead
+(:func:`repro.propositional.counting.probability_exact`).
 
 :func:`product_enumeration_probability` keeps the original sweep as the
 reference implementation (benchmarks, property tests, and the fallback
@@ -26,10 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import List, Sequence, Tuple
 
 from repro import obs
-from repro.propositional.formula import DNF
 from repro.runtime.budget import checkpoint
 
 
@@ -98,91 +94,6 @@ def gray_enumeration_probability(db, atoms, predicate) -> Fraction:
         weight *= down[slot] if flipped & mask else up[slot]
         flipped ^= mask
         if predicate(world):
-            total += weight
-    obs.inc("exact.worlds_enumerated", 1 << count)
-    obs.inc("kernels.gray.steps", (1 << count) - 1)
-    return total
-
-
-def _dnf_state(
-    dnf: DNF, variables: Sequence
-) -> Tuple[List[int], List[List[Tuple[int, bool]]], int]:
-    """Initial clause state under the all-false assignment.
-
-    Returns per-clause falsified-literal counts, the occurrence list
-    (variable slot → ``(clause, polarity)`` pairs), and the number of
-    satisfied clauses.  Contradictory clauses are excluded up front —
-    they are never satisfiable.
-    """
-    index = {variable: i for i, variable in enumerate(variables)}
-    counts: List[int] = []
-    occurrences: List[List[Tuple[int, bool]]] = [[] for _ in variables]
-    satisfied = 0
-    clause_number = 0
-    for clause in dnf.clauses:
-        if clause.contradictory:
-            continue
-        falsified = 0
-        for literal in clause:
-            slot = index[literal.variable]
-            occurrences[slot].append((clause_number, literal.positive))
-            if literal.positive:  # all-false assignment falsifies positives
-                falsified += 1
-        counts.append(falsified)
-        if falsified == 0:
-            satisfied += 1
-        clause_number += 1
-    return counts, occurrences, satisfied
-
-
-def gray_dnf_probability(db, dnf: DNF) -> Fraction:
-    """Exact ``Pr[dnf]`` under ``nu``, with incremental clause state.
-
-    The Gray walk enumerates assignments to the DNF's variables; each
-    flip updates only the clauses mentioning the flipped atom, making
-    the per-world cost proportional to that atom's occurrence count —
-    the "formula state updates incrementally" half of the Gray kernel.
-    Used by the quantifier-free engine on formulas that ground cleanly.
-    """
-    variables = tuple(sorted(dnf.variables, key=repr))
-    count = len(variables)
-    chances = [db.nu(variable) for variable in variables]
-    if any(chance == 0 or chance == 1 for chance in chances):
-        # Deterministic variables only reach here through hand-built
-        # DNFs; the enumeration oracle handles them exactly.
-        from repro.propositional.counting import probability_enumerate
-
-        return probability_enumerate(
-            dnf, {variable: db.nu(variable) for variable in variables}
-        )
-    up = [chance / (1 - chance) for chance in chances]
-    down = [(1 - chance) / chance for chance in chances]
-    weight = Fraction(1)
-    for chance in chances:
-        weight *= 1 - chance
-    counts, occurrences, satisfied = _dnf_state(dnf, variables)
-    checkpoint(worlds=1)
-    total = Fraction(0)
-    if satisfied:
-        total = weight
-    assignment = 0
-    for step in range(1, 1 << count):
-        checkpoint(worlds=1)
-        slot = (step & -step).bit_length() - 1
-        mask = 1 << slot
-        turning_true = not assignment & mask
-        weight *= up[slot] if turning_true else down[slot]
-        assignment ^= mask
-        for clause_number, positive in occurrences[slot]:
-            if positive == turning_true:
-                counts[clause_number] -= 1
-                if counts[clause_number] == 0:
-                    satisfied += 1
-            else:
-                if counts[clause_number] == 0:
-                    satisfied -= 1
-                counts[clause_number] += 1
-        if satisfied:
             total += weight
     obs.inc("exact.worlds_enumerated", 1 << count)
     obs.inc("kernels.gray.steps", (1 << count) - 1)

@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency instrumentation for the reliability engines.
 
-The engines (exact world enumeration, grounded-DNF Shannon expansion,
+The engines (exact world enumeration, the grounded-DNF ROBDD,
 Karp–Luby, Monte-Carlo baselines, lifted inference) report what they do
 through this module: named counters and gauges, span timers, and
 structured per-batch events that make estimator convergence plottable.

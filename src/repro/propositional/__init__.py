@@ -9,15 +9,17 @@ variable probabilities).  This subpackage supplies:
   containers over arbitrary hashable variable labels (the reliability
   layer uses ground :class:`~repro.relational.atoms.Atom` objects as
   variables);
-* :mod:`~repro.propositional.counting` — exact weighted model counting by
-  Shannon expansion with memoisation and independent-component factoring,
-  plus brute-force enumeration as the test oracle;
+* :mod:`~repro.propositional.counting` — exact weighted model counting
+  through the ROBDD engine, plus brute-force enumeration as the test
+  oracle;
 * :mod:`~repro.propositional.karp_luby` — the Karp–Luby fully
   polynomial-time randomized approximation scheme for weighted DNF
   probability (Theorem 5.2 / 5.3), in both the coverage ("self-adjusting")
   and canonical-clause variants;
 * :mod:`~repro.propositional.bitvector` — the paper's Theorem 5.3
-  reduction from Prob-kDNF to #DNF via binary counters.
+  reduction from Prob-kDNF to #DNF via binary counters;
+* :mod:`~repro.propositional.bdd` — reduced ordered BDDs, the one exact
+  DNF engine: probability, model counts and all influences.
 """
 
 from repro.propositional.formula import Literal, Clause, DNF, CNF, pos, neg_lit
@@ -43,7 +45,6 @@ from repro.propositional.bitvector import (
 from repro.propositional.bdd import (
     BDD,
     compile_dnf,
-    probability_via_bdd,
     influences_via_bdd,
 )
 
@@ -69,6 +70,5 @@ __all__ = [
     "probability_via_bitvector",
     "BDD",
     "compile_dnf",
-    "probability_via_bdd",
     "influences_via_bdd",
 ]

@@ -1,28 +1,43 @@
-"""Reduced ordered binary decision diagrams (ROBDDs) for DNF compilation.
+"""Reduced ordered binary decision diagrams (ROBDDs): the exact DNF engine.
 
-A second exact engine beside the Shannon-expansion counter: compile the
-(grounded) DNF once into a canonical ROBDD, then answer many questions
-in time linear in the diagram —
+Exact ``Pr[dnf]`` is #P-hard (Proposition 3.2), so every exact DNF
+engine is exponential in the worst case; this is the one the library
+uses (:func:`repro.propositional.counting.probability_exact`, the
+grounded routes of :mod:`repro.reliability.exact`, influences and the
+delta engine).  Compile the (grounded) DNF once into a canonical ROBDD,
+then answer many questions in time linear in the diagram —
 
 * weighted probability (one bottom-up pass),
 * model counting,
 * *all* atom influences simultaneously (one upward + one downward pass,
-  the classic Birnbaum-importance-on-BDD algorithm), where the
-  conditioning-based approach costs two probability computations per
-  atom.
+  the classic Birnbaum-importance-on-BDD algorithm), where conditioning
+  costs two probability computations per atom.
 
 This is the knowledge-compilation route modern probabilistic database
 systems took after the complexity landscape of Grädel–Gurevich–Hirsch
 made clear that per-query exact inference must exploit structure.
 
 The implementation is a classic hash-consed ``ite``-style builder with
-an apply-cache; variable order is the sorted order of the variables
-(callers may pass their own, and :meth:`BDD.add_variable` appends new
-bottom levels).  :func:`compile_dnf` builds each clause as a chain of
-nodes and ORs the clauses pairwise, as a balanced tree that the diagram
-keeps (:attr:`BDD.tree`): :meth:`BDD.patch` redoes only the ORs on the
-paths of changed clauses, and :meth:`BDD.compacted` copies out the
-nodes the tree still reaches.
+an apply-cache.  The diagram's size depends on the variable order:
+:func:`compile_dnf` defaults to the sorted order of the variables, and
+the exact engine compiles in :func:`clause_order` (:func:`compile_exact`):
+one connected component of the formula after another, each by first
+occurrence in clause order.  That keeps the variables of one clause, and
+of clauses that share atoms, on neighbouring levels — on grounded
+lineages such as the non-hierarchical ``R(x) & S(x, y) & T(y)`` that is
+an order of magnitude fewer nodes — and puts variable-disjoint
+components on disjoint runs of levels, so the diagram of their OR is
+the sum of theirs (``E(x, y) & S(y)`` grounds to one component per
+``y``, interleaved in clause order).  :meth:`BDD.add_variable` appends
+new bottom levels.
+:func:`compile_dnf` builds each clause as a chain of nodes and ORs the
+clauses pairwise, as a balanced tree that the diagram keeps
+(:attr:`BDD.tree`): :meth:`BDD.patch` redoes only the ORs on the paths
+of changed clauses, and :meth:`BDD.compacted` copies out the nodes the
+tree still reaches.  Building checkpoints the active budget once every
+:data:`~repro.runtime.budget.CHECKPOINT_CHUNK` build steps, so a compile
+can be cancelled or run out of time; the passes over a built diagram
+are linear in it and do not.
 
 Probabilities are evaluated on integers: every node's value is a
 numerator over one common denominator, the product of the per-level
@@ -38,6 +53,7 @@ from math import prod
 from typing import (
     Container,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -47,6 +63,7 @@ from typing import (
 )
 
 from repro.propositional.formula import DNF, Clause, Variable
+from repro.runtime.budget import CHECKPOINT_CHUNK, checkpoint
 from repro.util.errors import ProbabilityError, QueryError
 
 # Terminal node ids.
@@ -178,7 +195,10 @@ class BDD:
         halves, a build step ``(level, 0, cache key)`` that pops the two
         results and makes the node (:meth:`_make`, inlined in this hot
         loop).  Halves run low before high.  The depth of a diagram is
-        bounded by memory, not by the interpreter's stack.
+        bounded by memory, not by the interpreter's stack.  Every
+        :data:`CHECKPOINT_CHUNK` build steps run a :func:`checkpoint`
+        that charges nothing: deadlines and cancellation reach a long
+        compile.
         """
         if op == "and":
             absorbing, neutral = ZERO, ONE
@@ -193,9 +213,14 @@ class BDD:
         push, pop = pending.append, pending.pop
         results: List[int] = []
         emit = results.append
+        countdown = CHECKPOINT_CHUNK
         while pending:
             f, g, key = pop()
             if key is not None:
+                countdown -= 1
+                if not countdown:
+                    checkpoint()
+                    countdown = CHECKPOINT_CHUNK
                 high = results.pop()
                 low = results.pop()
                 if low == high:
@@ -255,14 +280,13 @@ class BDD:
         """
         size = 1 << max(len(leaves) - 1, 0).bit_length()
         tree = [ZERO] * size + list(leaves) + [ZERO] * (size - len(leaves))
-        apply = self._apply
         for index in range(size - 1, 0, -1):
             left, right = tree[2 * index], tree[2 * index + 1]
             # Most slots of a grounding are folded: no call for those.
             tree[index] = (
                 left if right == ZERO
                 else right if left == ZERO
-                else apply("or", left, right)
+                else self._apply("or", left, right)
             )
         return tree
 
@@ -490,16 +514,38 @@ def compile_dnf(
     return diagram, diagram.tree[1]
 
 
-def probability_via_bdd(
-    dnf: DNF, probs: Mapping[Variable, Fraction]
-) -> Fraction:
-    """Exact ``Pr[dnf]`` through BDD compilation (alternative engine)."""
-    if dnf.is_true():
-        return Fraction(1)
-    if dnf.is_false():
-        return Fraction(0)
-    diagram, root = compile_dnf(dnf)
-    return diagram.probability(root, probs)
+def clause_order(clauses: Iterable[Clause]) -> List[Variable]:
+    """The variables of ``clauses``, one connected component at a time.
+
+    Two variables are connected when a clause mentions both.  Components
+    come in the order of their first clause; within one, variables come
+    by first occurrence in clause order, and within a clause in ``repr``
+    order.  This is the order the exact engine compiles in (see the
+    module docstring).
+    """
+    parent: Dict[Variable, Variable] = {}
+
+    def find(variable: Variable) -> Variable:
+        while parent[variable] != variable:
+            parent[variable] = parent[parent[variable]]
+            variable = parent[variable]
+        return variable
+
+    for clause in clauses:
+        variables = sorted(clause.variables, key=repr)
+        for variable in variables:
+            parent.setdefault(variable, variable)
+        for variable in variables[1:]:
+            parent[find(variable)] = find(variables[0])
+    components: Dict[Variable, List[Variable]] = {}
+    for variable in parent:
+        components.setdefault(find(variable), []).append(variable)
+    return [v for component in components.values() for v in component]
+
+
+def compile_exact(dnf: DNF) -> Tuple[BDD, int]:
+    """Compile ``dnf`` as the exact engine does: in :func:`clause_order`."""
+    return compile_dnf(dnf, order=clause_order(dnf.clauses))
 
 
 def influences_via_bdd(
@@ -508,5 +554,5 @@ def influences_via_bdd(
     """All Birnbaum influences of a DNF in one compilation + two passes."""
     if dnf.is_true() or dnf.is_false():
         return {v: Fraction(0) for v in dnf.variables}
-    diagram, root = compile_dnf(dnf)
+    diagram, root = compile_exact(dnf)
     return diagram.influences(root, probs)

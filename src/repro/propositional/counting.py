@@ -1,14 +1,15 @@
 """Exact weighted model counting for DNF formulas.
 
-Two engines:
+Two evaluators:
 
 * :func:`probability_enumerate` — brute-force enumeration over all
   assignments; exponential, used as the oracle in tests;
-* :func:`probability_exact` — Shannon expansion with memoisation and
-  independent-component factoring.  Still worst-case exponential (the
-  problem is #P-hard), but handles the grounded query formulas of the
-  paper's experiments at practical sizes, and is the exact baseline the
-  FPTRAS benchmarks compare against.
+* :func:`probability_exact` — the library's exact DNF engine: compile a
+  reduced ordered BDD, component by component in clause order, and
+  evaluate it in one bottom-up pass (:mod:`repro.propositional.bdd`).  Still worst-case exponential
+  (the problem is #P-hard), but handles the grounded query formulas of
+  the paper's experiments at practical sizes, and is the exact baseline
+  the FPTRAS benchmarks compare against.
 
 Both take the variable probabilities as exact fractions and return exact
 fractions, so test assertions are equalities, not tolerances.
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional
 
-from repro import obs
-from repro.propositional.formula import DNF, Clause, Variable
+from repro.propositional.bdd import compile_exact
+from repro.propositional.formula import DNF, Variable
 from repro.runtime.budget import checkpoint
 from repro.util.errors import ProbabilityError
 
@@ -55,105 +56,15 @@ def probability_enumerate(dnf: DNF, probs: ProbMap) -> Fraction:
 
 
 def probability_exact(dnf: DNF, probs: ProbMap) -> Fraction:
-    """Exact Pr[dnf] by Shannon expansion with memo and factoring.
-
-    Strategy:
-
-    1. split the clause set into connected components (clauses sharing no
-       variable are independent events only if their *variable sets* are
-       disjoint — then Pr[union] factorises as
-       ``1 - prod(1 - Pr[component])``);
-    2. within a component, pick the most frequent variable, condition on
-       both values, and recurse, memoising on the canonical clause set.
-    """
+    """Exact Pr[dnf]: one bottom-up pass over its ROBDD
+    (:func:`~repro.propositional.bdd.compile_exact`)."""
     _check_probs(dnf, probs)
-    with obs.span(
-        "shannon.expand",
-        variables=len(dnf.variables),
-        clauses=len(dnf.clauses),
-    ):
-        memo: Dict[FrozenSet, Fraction] = {}
-        stats = {"nodes": 0, "memo_hits": 0, "component_splits": 0}
-        result = _prob(dnf, probs, memo, stats)
-        obs.inc("shannon.nodes", stats["nodes"])
-        obs.inc("shannon.memo_hits", stats["memo_hits"])
-        obs.inc("shannon.component_splits", stats["component_splits"])
-        return result
-
-
-def _prob(
-    dnf: DNF,
-    probs: ProbMap,
-    memo: Dict[FrozenSet, Fraction],
-    stats: Dict[str, int],
-) -> Fraction:
-    checkpoint()
-    if dnf.is_false():
-        return Fraction(0)
     if dnf.is_true():
         return Fraction(1)
-    key = dnf.key()
-    cached = memo.get(key)
-    if cached is not None:
-        stats["memo_hits"] += 1
-        return cached
-
-    stats["nodes"] += 1
-    components = _components(dnf)
-    if len(components) > 1:
-        stats["component_splits"] += 1
-        miss = Fraction(1)
-        for component in components:
-            miss *= 1 - _prob(component, probs, memo, stats)
-        result = 1 - miss
-    else:
-        variable = _pivot(dnf)
-        p = probs[variable]
-        result = p * _prob(dnf.restrict(variable, True), probs, memo, stats) + (
-            1 - p
-        ) * _prob(dnf.restrict(variable, False), probs, memo, stats)
-    memo[key] = result
-    return result
-
-
-def _components(dnf: DNF) -> List[DNF]:
-    """Partition clauses into variable-connected components."""
-    parent: Dict[Variable, Variable] = {}
-
-    def find(x: Variable) -> Variable:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: Variable, b: Variable) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for clause in dnf.clauses:
-        variables = list(clause.variables)
-        for variable in variables:
-            parent.setdefault(variable, variable)
-        for first, second in zip(variables, variables[1:]):
-            union(first, second)
-
-    groups: Dict[Variable, List[Clause]] = {}
-    for clause in dnf.clauses:
-        root = find(next(iter(clause.variables)))
-        groups.setdefault(root, []).append(clause)
-    return [DNF(clauses) for clauses in groups.values()]
-
-
-def _pivot(dnf: DNF) -> Variable:
-    """Most frequent variable — a standard branching heuristic."""
-    counts: Dict[Variable, int] = {}
-    for clause in dnf.clauses:
-        for variable in clause.variables:
-            counts[variable] = counts.get(variable, 0) + 1
-    return max(counts, key=lambda v: (counts[v], repr(v)))
+    if dnf.is_false():
+        return Fraction(0)
+    diagram, root = compile_exact(dnf)
+    return diagram.probability(root, probs)
 
 
 def count_models(dnf: DNF, variables: Optional[int] = None) -> int:

@@ -27,11 +27,10 @@ from typing import Any, Optional, Sequence, Union
 from repro.logic.classify import is_existential, is_quantifier_free, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula, neg
-from repro.propositional.counting import probability_exact
+from repro.propositional.bdd import ONE, compile_exact
 from repro.reliability.exact import _instantiated, as_query, wrong_probability
 from repro.reliability.grounding import (
     ground_existential_to_dnf,
-    grounding_probabilities,
     relevant_atoms,
 )
 from repro.reliability.unreliable import UnreliableDatabase
@@ -87,11 +86,11 @@ def _tuple_absolutely_reliable(
         )
         if target_observed:
             # Disagreement iff some positive-probability world falsifies
-            # the DNF, i.e. the DNF is not a tautology over its atoms.
+            # the DNF.  Every grounded atom has 0 < nu < 1, so that is
+            # iff the DNF is not a tautology: its ROBDD is not ONE.
             if dnf.is_true():
                 return True
-            probs = grounding_probabilities(db, dnf)
-            return probability_exact(dnf, probs) == 1
+            return compile_exact(dnf)[1] == ONE
         # Disagreement iff some positive-probability world satisfies it;
         # every surviving grounded clause has positive probability, so
         # any clause at all is a witness.

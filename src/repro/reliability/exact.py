@@ -8,8 +8,9 @@ Three exact engines, dispatched by query shape:
   polynomial time overall.
 * **Grounded-DNF path** (existential/universal sentences): ground via
   Theorem 5.4's construction and evaluate the exact weighted probability
-  with Shannon expansion.  Worst-case exponential — the problem is
-  #P-hard by Proposition 3.2 — but exact and often fast.
+  with the ROBDD engine (:func:`probability_exact`).  Worst-case
+  exponential — the problem is #P-hard by Proposition 3.2 — but exact
+  and often fast.
 * **World-enumeration path** (any query implementing the query protocol):
   the literal FP^#P algorithm of Theorem 4.2, enumerating the worlds that
   differ on *relevant* atoms.
@@ -24,10 +25,7 @@ from itertools import product
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.kernels.gray import (
-    gray_dnf_probability,
-    gray_enumeration_probability,
-)
+from repro.kernels.gray import gray_enumeration_probability
 from repro.logic.classify import (
     is_conjunctive,
     is_existential,
@@ -167,13 +165,12 @@ def _qf_truth_probability(
 ) -> Fraction:
     """Proposition 3.1's engine for one quantifier-free sentence.
 
-    Only the (constantly many) atoms occurring in the sentence matter;
-    enumerate their joint values, weight by ``nu``, and evaluate.  A
-    ground quantifier-free sentence is vacuously existential, so it
-    grounds to a (cached) DNF whose marginal probability equals the
-    enumeration sum exactly — letting the Gray-code walk update clause
-    state incrementally instead of re-evaluating the formula per world.
-    Formulas whose grounding is refused fall back to the generic walk.
+    Only the (constantly many) atoms occurring in the sentence matter:
+    the probability is a sum over their joint values weighted by ``nu``.
+    A ground quantifier-free sentence is vacuously existential, so it
+    grounds to a (cached) DNF over those atoms, whose exact probability
+    (:func:`probability_exact`) is that sum.  Formulas whose grounding
+    is refused fall back to walking the joint values.
     """
     atoms = _formula_atoms(db, formula)
     with obs.span("exact.qf", atoms=len(atoms)):
@@ -188,11 +185,7 @@ def _qf_truth_probability(
             return _atom_enumeration_probability(
                 db, atoms, lambda world: evaluate(world, formula)
             )
-        if dnf.is_true():
-            return Fraction(1)
-        if dnf.is_false():
-            return Fraction(0)
-        return gray_dnf_probability(db, dnf)
+        return probability_exact(dnf, grounding_probabilities(db, dnf))
 
 
 def _formula_atoms(db: UnreliableDatabase, formula: Formula) -> Tuple[Atom, ...]:

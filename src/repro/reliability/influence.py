@@ -12,11 +12,13 @@ a monotone query all influences are nonnegative; atoms with the largest
 the actionable output a user of an unreliable database wants next to the
 reliability number.
 
-Computation rides the Theorem 5.4 grounding: condition the grounded DNF
-on each atom and evaluate both branches exactly (or via Karp–Luby when
-asked).  :func:`wrong_probability_sensitivity` converts influence into
-the derivative of the *expected error*, flipping sign when the observed
-database satisfies the query.
+Computation rides the Theorem 5.4 grounding.  Exact influences of every
+atom come from one ROBDD of the grounded DNF in two linear passes
+(:func:`~repro.propositional.bdd.influences_via_bdd`); sampled ones
+condition the DNF on each atom and estimate both branches with
+Karp–Luby.  :func:`wrong_probability_sensitivity` converts influence
+into the derivative of the *expected error*, flipping sign when the
+observed database satisfies the query.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro import obs
 from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula, neg
-from repro.propositional.counting import probability_exact
+from repro.propositional.bdd import influences_via_bdd
 from repro.propositional.karp_luby import karp_luby
 from repro.relational.atoms import Atom
 from repro.reliability.exact import as_query
@@ -47,15 +49,15 @@ def atom_influence(
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
     rng: Optional[random.Random] = None,
-    engine: str = "conditioning",
 ) -> Dict[Atom, Fraction]:
     """Influence ``I(a)`` of every relevant uncertain atom on a sentence.
 
-    Exact by default (grounded DNF + Shannon expansion per branch); pass
-    ``epsilon``/``delta``/``rng`` to estimate each branch with Karp–Luby
-    instead.  The sentence must be existential or universal (universal
-    sentences are negated, flipping the sign of every influence back at
-    the end — conditioning commutes with complement).
+    Exact by default (one ROBDD of the grounded DNF); pass
+    ``epsilon``/``delta``/``rng`` to condition on each atom and estimate
+    both branches with Karp–Luby instead.  The sentence must be
+    existential or universal (universal sentences are negated, flipping
+    the sign of every influence back at the end — conditioning commutes
+    with complement).
     """
     query = as_query(sentence)
     if not isinstance(query, FOQuery) or query.arity != 0:
@@ -69,31 +71,23 @@ def atom_influence(
         raise QueryError(
             "atom_influence supports existential or universal sentences"
         )
-    if engine not in ("conditioning", "bdd"):
-        raise QueryError(f"unknown influence engine {engine!r}")
     grounding = ground_existential_to_dnf(db, formula)
     dnf = grounding.dnf
     if dnf.is_true() or dnf.is_false():
         return {}
     probs = grounding_probabilities(db, dnf)
 
-    if engine == "bdd":
-        if epsilon is not None:
-            raise QueryError("the bdd engine is exact; drop epsilon/delta")
-        from repro.propositional.bdd import influences_via_bdd
-
+    if epsilon is None:
         raw = influences_via_bdd(dnf, probs)
-        return {atom: sign * value for atom, value in sorted(
-            raw.items(), key=lambda kv: repr(kv[0])
-        )}
+        return {
+            atom: sign * raw[atom] for atom in sorted(raw, key=repr)
+        }
+    if delta is None or rng is None:
+        raise QueryError(
+            "sampled influence needs epsilon, delta and rng together"
+        )
 
     def branch_probability(conditioned) -> Fraction:
-        if epsilon is None:
-            return probability_exact(conditioned, probs)
-        if delta is None or rng is None:
-            raise QueryError(
-                "sampled influence needs epsilon, delta and rng together"
-            )
         run = karp_luby(conditioned, probs, epsilon, delta, rng)
         return Fraction(run.estimate).limit_denominator(10**9)
 

@@ -34,7 +34,7 @@ from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
 from repro.reliability.exact import as_query
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import checkpoint
+from repro.runtime.budget import CHECKPOINT_CHUNK, checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rng import Seed, as_rng
@@ -45,10 +45,6 @@ RngLike = Union[random.Random, Seed]
 # Convergence traces partition the sample budget into at most this many
 # running-estimate events (see docs/OBSERVABILITY.md).
 TRACE_BATCHES = 64
-
-# The per-world loops charge the runtime budget in chunks of this many
-# samples; BudgetExceeded is accurate to within one chunk.
-CHECKPOINT_CHUNK = 64
 
 
 def _half_width(count: int, delta: float) -> float:

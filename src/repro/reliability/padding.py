@@ -34,14 +34,10 @@ from repro.relational.schema import RelationSymbol, Vocabulary
 from repro.reliability.approx import AdditiveEstimate
 from repro.reliability.exact import as_query, _instantiated
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import checkpoint
+from repro.runtime.budget import CHECKPOINT_CHUNK, checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rationals import RationalLike, parse_probability
-
-# The sampling loop charges the runtime budget in chunks of this many
-# samples; BudgetExceeded is accurate to within one chunk.
-CHECKPOINT_CHUNK = 64
 
 # Fresh names for the padding gadget.  They only clash if the user's
 # vocabulary already uses them; pad_database validates and lets the caller

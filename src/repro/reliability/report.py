@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 # Above this many relevant uncertain atoms, exact world enumeration is
 # off the table and we switch to estimators.
 EXACT_WORLD_LIMIT = 18
-# Above this many relevant uncertain atoms, grounded Shannon expansion
+# Above this many relevant uncertain atoms, the grounded DNF's ROBDD
 # is considered risky for interactive use.
 EXACT_DNF_LIMIT = 48
 

@@ -34,6 +34,7 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.reliability.padding",
     "repro.propositional.karp_luby",
     "repro.propositional.counting",
+    "repro.propositional.bdd",
     "repro.kernels.sampling",
     "repro.kernels.gray",
     "repro.runtime.adaptive",
@@ -66,9 +67,6 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.runtime.adaptive", "check_grid"): (
         "O(log blocks) doubling grid over an already-bounded budget"
-    ),
-    ("repro.kernels.gray", "_dnf_state"): (
-        "one pass over the grounded clauses, bounded by the formula"
     ),
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"
@@ -108,14 +106,29 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.propositional.counting", "_check_probs"): (
         "one validation pass over the formula's variables"
     ),
-    ("repro.propositional.counting", "_components"): (
-        "union-find over clause variables, bounded by the formula"
+    ("repro.propositional.bdd", "clause_order"): (
+        "union-find over the clauses' variables, bounded by the formula"
     ),
-    ("repro.propositional.counting", "_components.find"): (
-        "path-compressed find, bounded by the formula's variables"
+    ("repro.propositional.bdd", "clause_order.find"): (
+        "path-halving find, bounded by the formula's variables"
     ),
-    ("repro.propositional.counting", "_pivot"): (
-        "one counting pass over the formula's literals"
+    ("repro.propositional.bdd", "BDD.cube"): (
+        "one clause's literals, bounded by the formula's clause width"
+    ),
+    ("repro.propositional.bdd", "BDD.reachable_by_level"): (
+        "one pass over a built diagram; building it checkpointed"
+    ),
+    ("repro.propositional.bdd", "BDD.evaluate"): (
+        "one root-to-terminal path, bounded by the variable order"
+    ),
+    ("repro.propositional.bdd", "BDD.value_table"): (
+        "one bottom-up pass over a built diagram; building it checkpointed"
+    ),
+    ("repro.propositional.bdd", "BDD.influences"): (
+        "one top-down pass over a built diagram; building it checkpointed"
+    ),
+    ("repro.propositional.bdd", "BDD.compacted"): (
+        "one copy of a built diagram's live nodes; building it checkpointed"
     ),
     ("repro.reliability.padding", "pad_database"): (
         "constant-size loop over the two padding constants"

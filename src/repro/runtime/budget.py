@@ -40,6 +40,12 @@ from repro.util.errors import BudgetExceeded, ResourceError
 #: :func:`repro.runtime.preflight.preflight_worlds`).
 DEFAULT_MAX_ATOMS = 20
 
+#: Loops whose steps are too cheap to checkpoint one by one (sampled
+#: worlds, diagram nodes built) call :func:`checkpoint` once per this
+#: many steps, so :class:`~repro.util.errors.BudgetExceeded` is accurate
+#: to within one chunk.
+CHECKPOINT_CHUNK = 64
+
 Clock = Callable[[], float]
 
 

@@ -10,16 +10,12 @@ from fractions import Fraction
 
 from repro import obs
 from repro.kernels.gray import (
-    gray_dnf_probability,
     gray_enumeration_probability,
     product_enumeration_probability,
 )
-from repro.propositional.counting import probability_enumerate
 from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
-from repro.reliability.grounding import ground_existential_to_dnf
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.logic.parser import parse
 
 
 def _random_db(rng, size):
@@ -76,39 +72,3 @@ def test_gray_counts_all_worlds():
     assert counters["exact.worlds_enumerated"] == 2 ** len(atoms)
     if len(atoms) > 1:
         assert counters["kernels.gray.steps"] == 2 ** len(atoms) - 1
-
-
-def test_gray_dnf_matches_enumeration_oracle():
-    rng = random.Random(9)
-    for _ in range(10):
-        db = _random_db(rng, rng.randint(2, 3))
-        sentence = parse("exists x. exists y. E(x, y) & S(x) & S(y)")
-        try:
-            dnf = ground_existential_to_dnf(db, sentence).dnf
-        except Exception:
-            continue
-        if dnf.is_true() or dnf.is_false():
-            continue
-        probs = {v: db.nu(v) for v in dnf.variables}
-        assert gray_dnf_probability(db, dnf) == probability_enumerate(
-            dnf, probs
-        )
-
-
-def test_gray_dnf_handles_degenerate_probabilities():
-    """nu == 0 or 1 falls back to plain enumeration, same answer."""
-    from repro.propositional.formula import DNF, Clause, Literal
-
-    builder = StructureBuilder(["a", "b"])
-    builder.relation("S", 1)
-    builder.add("S", ("a",))
-    structure = builder.build()
-    # S(a) is certain (nu = 1); S(b) is uncertain with nu = 1/4.
-    db = UnreliableDatabase(structure, {Atom("S", ("b",)): Fraction(1, 4)})
-    certain, uncertain = Atom("S", ("a",)), Atom("S", ("b",))
-    assert db.nu(certain) == 1
-    dnf = DNF(
-        [Clause([Literal(certain, True), Literal(uncertain, False)])]
-    )
-    probs = {v: db.nu(v) for v in dnf.variables}
-    assert gray_dnf_probability(db, dnf) == probability_enumerate(dnf, probs)

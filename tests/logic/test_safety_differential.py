@@ -50,8 +50,8 @@ from repro.workloads.random_db import random_unreliable_database
 RELATION_POOL = (("R", 1), ("S", 2), ("T", 1), ("U", 2), ("V", 3), ("W", 1))
 VARIABLES = ("x", "y", "z", "w")
 CONSTANTS = ("a", "b")
-# Above this many uncertain atoms, cross-check against grounded Shannon
-# expansion instead of full world enumeration (both are exact).
+# Above this many uncertain atoms, cross-check against the grounded DNF's
+# ROBDD instead of full world enumeration (both are exact).
 WORLDS_LIMIT = 12
 
 

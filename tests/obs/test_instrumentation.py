@@ -51,7 +51,6 @@ class TestExactDispatchCounters:
         # other 4 are answered from the lineage table without an engine).
         assert counters["exact.dispatch.qf"] == 5
         assert counters["reliability.tuples_visited"] == 5
-        assert counters["exact.worlds_enumerated"] > 0
         assert "exact.relevant_atoms" in recorder.summary()["histograms"]
 
     def test_dnf_path(self, triangle_db, recorder):
@@ -61,7 +60,6 @@ class TestExactDispatchCounters:
         assert counters["grounding.clauses_raw"] >= counters[
             "grounding.clauses_kept"
         ]
-        assert "shannon.nodes" in counters
         assert recorder.summary()["gauges"]["grounding.width"] == 2
 
     def test_worlds_path(self, triangle_db, recorder):

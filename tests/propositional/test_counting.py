@@ -65,8 +65,15 @@ class TestProbabilityExact:
         probs = random_probabilities(rng, dnf)
         assert probability_exact(dnf, probs) == probability_enumerate(dnf, probs)
 
+    def test_degenerate_probabilities(self):
+        # Certain (1) and impossible (0) variables, as hand-built DNFs have.
+        dnf = DNF.of([pos("a"), neg_lit("b")], [pos("c")])
+        probs = {"a": Fraction(1), "b": Fraction(1, 4), "c": Fraction(0)}
+        assert probability_exact(dnf, probs) == Fraction(3, 4)
+        assert probability_enumerate(dnf, probs) == Fraction(3, 4)
+
     def test_component_factoring_path(self):
-        # Two variable-disjoint blocks force the component branch.
+        # Two variable-disjoint blocks: independent events.
         dnf = DNF.of([pos("a"), pos("b")], [pos("c"), pos("d")])
         probs = {v: HALF for v in "abcd"}
         expected = 1 - (1 - Fraction(1, 4)) ** 2

@@ -5,9 +5,16 @@ from fractions import Fraction
 import pytest
 
 from repro.logic.evaluator import FOQuery
+from repro.logic.fo import neg
+from repro.logic.parser import parse
+from repro.propositional.counting import probability_enumerate
 from repro.relational.atoms import Atom
 from repro.relational.builder import StructureBuilder
 from repro.reliability.exact import truth_probability
+from repro.reliability.grounding import (
+    ground_existential_to_dnf,
+    grounding_probabilities,
+)
 from repro.reliability.influence import (
     atom_influence,
     most_fragile_atoms,
@@ -15,6 +22,7 @@ from repro.reliability.influence import (
 )
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
+from repro.util.rng import make_rng
 
 
 @pytest.fixture
@@ -113,26 +121,49 @@ class TestSensitivityAndRanking:
 
 
 class TestBDDEngine:
+    """The exact influences (one ROBDD) equal the conditioning definition
+    evaluated by the enumeration oracle on the grounded DNF."""
+
+    @staticmethod
+    def _conditioning(db, sentence, sign=1):
+        formula = parse(sentence)
+        if sign < 0:
+            formula = neg(formula)
+        dnf = ground_existential_to_dnf(db, formula).dnf
+        probs = grounding_probabilities(db, dnf)
+        return {
+            atom: sign * (
+                probability_enumerate(dnf.restrict(atom, True), probs)
+                - probability_enumerate(dnf.restrict(atom, False), probs)
+            )
+            for atom in dnf.variables
+        }
+
     def test_bdd_matches_conditioning(self, triangle_db):
         sentence = "exists x y. E(x, y) & S(y)"
-        conditioning = atom_influence(triangle_db, sentence)
-        bdd = atom_influence(triangle_db, sentence, engine="bdd")
-        assert conditioning == bdd
+        assert atom_influence(triangle_db, sentence) == self._conditioning(
+            triangle_db, sentence
+        )
 
     def test_bdd_universal_sign(self, two_flag_db):
-        conditioning = atom_influence(two_flag_db, "forall x. P(x)")
-        bdd = atom_influence(two_flag_db, "forall x. P(x)", engine="bdd")
-        assert conditioning == bdd
+        sentence = "forall x. P(x)"
+        assert atom_influence(two_flag_db, sentence) == self._conditioning(
+            two_flag_db, sentence, sign=-1
+        )
 
-    def test_bdd_rejects_epsilon(self, triangle_db):
-        with pytest.raises(QueryError):
-            atom_influence(
-                triangle_db,
-                "exists x. S(x)",
-                epsilon=0.1,
-                engine="bdd",
-            )
 
-    def test_unknown_engine_rejected(self, triangle_db):
+class TestSampledInfluence:
+    def test_tracks_exact_influences(self, triangle_db):
+        sentence = "exists x y. E(x, y) & S(y)"
+        exact = atom_influence(triangle_db, sentence)
+        sampled = atom_influence(
+            triangle_db, sentence, epsilon=0.05, delta=0.05, rng=make_rng(3)
+        )
+        assert sampled.keys() == exact.keys()
+        for atom, value in exact.items():
+            assert abs(sampled[atom] - value) <= 0.1, atom
+
+    def test_needs_delta_and_rng(self, triangle_db):
         with pytest.raises(QueryError):
-            atom_influence(triangle_db, "exists x. S(x)", engine="qm")
+            atom_influence(triangle_db, "exists x. S(x)", epsilon=0.1)
+

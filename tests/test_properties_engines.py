@@ -118,12 +118,11 @@ def test_lifted_inference_matches_world_enumeration(text, db):
 # BDD engine properties
 # ---------------------------------------------------------------------- #
 
-from repro.propositional.bdd import (
-    compile_dnf,
-    influences_via_bdd,
-    probability_via_bdd,
+from repro.propositional.bdd import compile_dnf, influences_via_bdd
+from repro.propositional.counting import (
+    probability_enumerate,
+    probability_exact,
 )
-from repro.propositional.counting import probability_exact
 from repro.propositional.formula import DNF, Clause, Literal
 
 _bdd_variables = st.sampled_from(["p", "q", "r", "s", "t"])
@@ -145,8 +144,9 @@ def _weighted_bdd_dnfs(draw):
 @given(_weighted_bdd_dnfs())
 @settings(max_examples=60, deadline=None)
 def test_bdd_probability_matches_shannon(case):
+    """The engine that replaced Shannon expansion equals enumeration."""
     dnf, probs = case
-    assert probability_via_bdd(dnf, probs) == probability_exact(dnf, probs)
+    assert probability_exact(dnf, probs) == probability_enumerate(dnf, probs)
 
 
 @given(_weighted_bdd_dnfs())
@@ -157,8 +157,8 @@ def test_bdd_influences_match_conditioning(case):
         return
     influences = influences_via_bdd(dnf, probs)
     for variable in dnf.variables:
-        high = probability_exact(dnf.restrict(variable, True), probs)
-        low = probability_exact(dnf.restrict(variable, False), probs)
+        high = probability_enumerate(dnf.restrict(variable, True), probs)
+        low = probability_enumerate(dnf.restrict(variable, False), probs)
         assert influences[variable] == high - low
 
 
