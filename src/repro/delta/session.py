@@ -24,10 +24,11 @@ unreliable database and keeps ``Pr[B |= psi]`` current through
   (:meth:`BDD.patch`), hash-consing and the apply cache share the rest,
   and only the nodes the table holds no value for are evaluated.
 
-The variable order starts sorted and is append-only: an atom new to
-the DNF becomes a new bottom level, so existing node ids, levels and
-values keep their meaning; the common denominator grows by the new
-levels' denominators, one exact multiply of every stored value.
+The variable order starts as :func:`~repro.propositional.bdd.clause_order`
+of the slots and is append-only: an atom new to the DNF becomes a new
+bottom level, so existing node ids, levels and values keep their
+meaning; the common denominator grows by the new levels' denominators,
+one exact multiply of every stored value.
 Reference counts keep the reachable set current without a walk, and
 once the diagram has created more than :data:`COMPACT_RATIO` times the
 nodes its tree still reaches, it is copied down to those
@@ -73,7 +74,7 @@ from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula, neg
 from repro.runtime.budget import checkpoint
-from repro.propositional.bdd import BDD, ONE, ZERO, compile_dnf
+from repro.propositional.bdd import BDD, ONE, ZERO, clause_order, compile_dnf
 from repro.relational.atoms import Atom
 from repro.reliability.exact import as_query
 from repro.reliability.unreliable import UnreliableDatabase
@@ -85,8 +86,8 @@ from repro.util.rationals import RationalLike, parse_probability
 #: created more than this many times the nodes its OR tree still
 #: reaches.  Compaction also drops the apply cache that keeps later
 #: patches cheap: over the first 2,000 operations of the update-stream
-#: benchmark (seed 1), 16 compacts 12 times in 1,080 session patches,
-#: 4 compacts 62 times.
+#: benchmark (seed 1), 16 compacts 6 times in 1,080 session patches,
+#: 4 compacts 51 times.
 COMPACT_RATIO = 16
 
 
@@ -377,14 +378,14 @@ class DeltaSession:
                 # a freeze, the nodes that did are all dropped): its new
                 # nu and an exact rescale serve every node that stays.
                 table = _relevelled(table, level, db.nu(atom))
-            new = {
-                variable
-                for clause in changes.values()
-                if clause is not None
-                for variable in clause.variables
-                if diagram.level_of(variable) is None
-            }
-            for variable in sorted(new, key=repr):
+            # New variables go below the order in the clause order of
+            # the changed slots, taken by slot (the affected keys are a
+            # set), so a new component takes contiguous levels.
+            for variable in clause_order(
+                changes[key]
+                for key in sorted(changes, key=grounding.index.__getitem__)
+                if changes[key] is not None
+            ):
                 diagram.add_variable(variable)
             entries = diagram.patch(
                 diagram.tree,

@@ -59,8 +59,10 @@ __all__ = [
 #: Envelope schema version.  Files with any other version are *stale*
 #: and ignored (cold-compile fallback), never reinterpreted.  Version 2:
 #: ``delta_bdd`` values are one diagram with its OR tree, not a
-#: ``(diagram, root)`` pair.
-PERSIST_VERSION = 2
+#: ``(diagram, root)`` pair.  Version 3: ``delta_bdd`` diagrams are
+#: compiled in clause order; a ``repr``-ordered one is still correct but
+#: can be ~100x larger, and sessions would warm-start on it.
+PERSIST_VERSION = 3
 
 #: Key kinds worth persisting: whole compiled artefacts that are pure
 #: functions of the key.  Everything else stays memory-only.

@@ -19,8 +19,7 @@ made clear that per-query exact inference must exploit structure.
 
 The implementation is a classic hash-consed ``ite``-style builder with
 an apply-cache.  The diagram's size depends on the variable order:
-:func:`compile_dnf` defaults to the sorted order of the variables, and
-the exact engine compiles in :func:`clause_order` (:func:`compile_exact`):
+unless given one, :func:`compile_dnf` compiles in :func:`clause_order`,
 one connected component of the formula after another, each by first
 occurrence in clause order.  That keeps the variables of one clause, and
 of clauses that share atoms, on neighbouring levels — on grounded
@@ -483,30 +482,23 @@ def compile_dnf(
     """Compile a DNF into a ROBDD; returns ``(diagram, root_node)``.
 
     ``dnf`` is a :class:`DNF` or a sequence of clause slots, ``None``
-    standing for a false clause.  Each clause is built directly as a
-    chain (:meth:`BDD.cube`), then the clause diagrams are ORed
-    pairwise, as a balanced tree kept as :attr:`BDD.tree`, rather than
-    folded one by one into a growing root.  The ROBDD is canonical, so
+    standing for a false clause.  ``order`` defaults to the
+    :func:`clause_order` of the clauses that are not false.  Each clause
+    is built directly as a chain (:meth:`BDD.cube`), then the clause
+    diagrams are ORed pairwise, as a balanced tree kept as
+    :attr:`BDD.tree`, rather than folded one by one into a growing root.  The ROBDD is canonical, so
     the reachable diagram is the same either way.
 
     Every node a compile creates is reachable from the tree entry it
     was created for, so the diagram holds only live nodes; its apply
     cache, scratch of the compile, is dropped.
     """
-    if isinstance(dnf, DNF):
-        clauses: Sequence[Optional[Clause]] = dnf.clauses
-        variables = dnf.variables
-    else:
-        clauses = dnf
-        variables = {
-            variable
-            for clause in clauses
-            if clause is not None and not clause.contradictory
-            for variable in clause.variables
-        }
-    diagram = BDD(
-        tuple(order) if order is not None else sorted(variables, key=repr)
-    )
+    clauses = dnf.clauses if isinstance(dnf, DNF) else dnf
+    if order is None:
+        order = clause_order(
+            c for c in clauses if c is not None and not c.contradictory
+        )
+    diagram = BDD(order)
     diagram.tree = diagram.or_tree(
         [ZERO if c is None else diagram.cube(c) for c in clauses]
     )
@@ -520,8 +512,8 @@ def clause_order(clauses: Iterable[Clause]) -> List[Variable]:
     Two variables are connected when a clause mentions both.  Components
     come in the order of their first clause; within one, variables come
     by first occurrence in clause order, and within a clause in ``repr``
-    order.  This is the order the exact engine compiles in (see the
-    module docstring).
+    order.  This is the order :func:`compile_dnf` compiles in unless
+    given one (see the module docstring).
     """
     parent: Dict[Variable, Variable] = {}
 
@@ -543,16 +535,11 @@ def clause_order(clauses: Iterable[Clause]) -> List[Variable]:
     return [v for component in components.values() for v in component]
 
 
-def compile_exact(dnf: DNF) -> Tuple[BDD, int]:
-    """Compile ``dnf`` as the exact engine does: in :func:`clause_order`."""
-    return compile_dnf(dnf, order=clause_order(dnf.clauses))
-
-
 def influences_via_bdd(
     dnf: DNF, probs: Mapping[Variable, Fraction]
 ) -> Dict[Variable, Fraction]:
     """All Birnbaum influences of a DNF in one compilation + two passes."""
     if dnf.is_true() or dnf.is_false():
         return {v: Fraction(0) for v in dnf.variables}
-    diagram, root = compile_exact(dnf)
+    diagram, root = compile_dnf(dnf)
     return diagram.influences(root, probs)

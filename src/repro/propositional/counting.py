@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional
 
-from repro.propositional.bdd import compile_exact
+from repro.propositional.bdd import compile_dnf
 from repro.propositional.formula import DNF, Variable
 from repro.runtime.budget import checkpoint
 from repro.util.errors import ProbabilityError
@@ -57,13 +57,13 @@ def probability_enumerate(dnf: DNF, probs: ProbMap) -> Fraction:
 
 def probability_exact(dnf: DNF, probs: ProbMap) -> Fraction:
     """Exact Pr[dnf]: one bottom-up pass over its ROBDD
-    (:func:`~repro.propositional.bdd.compile_exact`)."""
+    (:func:`~repro.propositional.bdd.compile_dnf`)."""
     _check_probs(dnf, probs)
     if dnf.is_true():
         return Fraction(1)
     if dnf.is_false():
         return Fraction(0)
-    diagram, root = compile_exact(dnf)
+    diagram, root = compile_dnf(dnf)
     return diagram.probability(root, probs)
 
 

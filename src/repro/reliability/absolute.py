@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence, Union
 from repro.logic.classify import is_existential, is_quantifier_free, is_universal
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula, neg
-from repro.propositional.bdd import ONE, compile_exact
+from repro.propositional.bdd import ONE, compile_dnf
 from repro.reliability.exact import _instantiated, as_query, wrong_probability
 from repro.reliability.grounding import (
     ground_existential_to_dnf,
@@ -90,7 +90,7 @@ def _tuple_absolutely_reliable(
             # iff the DNF is not a tautology: its ROBDD is not ONE.
             if dnf.is_true():
                 return True
-            return compile_exact(dnf)[1] == ONE
+            return compile_dnf(dnf)[1] == ONE
         # Disagreement iff some positive-probability world satisfies it;
         # every surviving grounded clause has positive probability, so
         # any clause at all is a witness.

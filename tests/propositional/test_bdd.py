@@ -12,7 +12,6 @@ from repro.propositional.bdd import (
     BDD,
     clause_order,
     compile_dnf,
-    compile_exact,
     influences_via_bdd,
 )
 from repro.propositional.counting import (
@@ -192,7 +191,7 @@ class TestClauseOrder:
             db, parse(f"exists x y. E(x, y) & {literal}")
         ).dnf
         assert len(dnf.variables) == size * size + size
-        diagram, root = compile_exact(dnf)
+        diagram, root = compile_dnf(dnf)
         reachable = sum(map(len, diagram.reachable_by_level(root)))
         assert reachable <= 2 * len(dnf.variables)
         # Measured 2,244 nodes created, the balanced OR tree's partial
@@ -214,25 +213,32 @@ class TestClauseOrder:
         dnf = _h0_lineage(3, 11, 0.5)
         assert len(dnf.variables) == 47
         clause_ordered, _ = compile_dnf(dnf, order=clause_order(dnf.clauses))
-        sorted_order, _ = compile_dnf(dnf)
+        sorted_order, _ = compile_dnf(dnf, order=sorted(dnf.variables, key=repr))
         assert len(clause_ordered) <= 3000
         assert 10 * len(clause_ordered) <= len(sorted_order)
 
 
 class TestBudget:
-    """A compile checkpoints, so it can be cancelled or time out."""
+    """A compile checkpoints, so it can be cancelled or time out.
+
+    Both compile in the sorted order, whose ~30,000 nodes take many
+    checkpoint chunks: the clause-ordered compile of this lineage makes
+    too few clock reads to reach the deadline.
+    """
 
     def test_cancelled_compile_raises(self):
         token = CancelToken()
         token.cancel("lost the race")
+        dnf = _h0_lineage(3, 11, 0.5)
         with apply(Budget().child(token=token)):
             with pytest.raises(BudgetExceeded):
-                compile_dnf(_h0_lineage(3, 11, 0.5))
+                compile_dnf(dnf, order=sorted(dnf.variables, key=repr))
 
     def test_deadline_stops_compile(self):
         ticks = count()
         budget = Budget(deadline=1.0, clock=lambda: next(ticks) / 100)
+        dnf = _h0_lineage(3, 11, 0.5)
         with apply(budget):
             with pytest.raises(BudgetExceeded):
-                compile_dnf(_h0_lineage(3, 11, 0.5))
+                compile_dnf(dnf, order=sorted(dnf.variables, key=repr))
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from repro.propositional.bdd import ONE, ZERO, BDD, compile_dnf
+from repro.propositional.bdd import ONE, ZERO, BDD, clause_order, compile_dnf
 from repro.propositional.formula import DNF, Clause, Literal, neg_lit, pos
 from repro.util.errors import QueryError
 from repro.util.rng import make_rng
@@ -19,10 +19,7 @@ from repro.util.rng import make_rng
 
 def _linear_fold(dnf, order=None):
     """Reference compile: fold each clause into one growing root."""
-    variables = (
-        tuple(order) if order is not None else tuple(sorted(dnf.variables, key=repr))
-    )
-    diagram = BDD(variables)
+    diagram = BDD(order if order is not None else clause_order(dnf.clauses))
     root = ZERO
     for clause in dnf.clauses:
         node = ONE
@@ -185,7 +182,9 @@ class TestSlotTree:
             _same_function(diagram, node, copy, renumber[node])
 
     def test_appended_variable_is_a_new_bottom_level(self):
-        diagram, root = compile_dnf(DNF.of([pos("b")], [pos("a"), neg_lit("b")]))
+        diagram, root = compile_dnf(
+            DNF.of([pos("b")], [pos("a"), neg_lit("b")]), order=["a", "b"]
+        )
         nodes = list(diagram.nodes)
         assert diagram.add_variable("a") == 0
         assert diagram.add_variable("c") == 2
