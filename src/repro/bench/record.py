@@ -8,7 +8,7 @@ one record with the same shape, identified by :data:`SCHEMA_VERSION`:
     :func:`migrate` upgrades older shapes as the schema evolves.
 ``bench``
     Dotted benchmark id, ``<group>.<name>`` (e.g.
-    ``kernels.mc_truth``, ``experiments.e1_qf_reliability``).
+    ``experiments.e1_qf_reliability``).
 ``workload``
     The declared workload parameters (sizes, sample counts, epsilons
     ...).  ``workload_key`` is a stable digest of this dict — trend

@@ -1,9 +1,9 @@
 """The declarative benchmark registry.
 
 A :class:`BenchCase` is a named, parameterised workload: a callable
-plus the declared parameter dict it runs with.  Every benchmark of the
-repo is a registered case (see :mod:`repro.bench.cases`), so one
-runner executes them all and every run is recorded in the same schema.
+plus the declared parameter dict it runs with.  Every ``repro bench``
+case is registered here (see :mod:`repro.bench.cases`), so one runner
+executes them all and every run is recorded in the same schema.
 
 Each case declares two parameter profiles:
 
@@ -21,7 +21,7 @@ change automatically starts a fresh trajectory.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.util.errors import ReproError
 
@@ -32,18 +32,26 @@ class UnknownBenchmark(ReproError):
 
 @dataclasses.dataclass(frozen=True)
 class BenchCase:
-    """One registered benchmark: id, workload declaration, runner."""
+    """One registered benchmark: id, workload declaration, runner.
+
+    ``bench_id`` is the dotted ``<group>.<name>`` form; the group is its
+    prefix and the description the first line of ``fn``'s docstring.
+    """
 
     bench_id: str
-    group: str
     fn: Callable[[Dict[str, Any]], Optional[Dict[str, Any]]]
     params: Dict[str, Any]
     quick: Dict[str, Any]
     repeats: int = 3
-    quick_repeats: int = 1
-    warmup: int = 1
-    description: str = ""
-    tags: Tuple[str, ...] = ()
+
+    @property
+    def group(self) -> str:
+        return self.bench_id.split(".", 1)[0]
+
+    @property
+    def description(self) -> str:
+        lines = (self.fn.__doc__ or "").strip().splitlines()
+        return lines[0] if lines else ""
 
     def merged_params(self, quick: bool = False) -> Dict[str, Any]:
         """The effective workload parameters for a run."""
@@ -53,9 +61,6 @@ class BenchCase:
             merged["quick"] = True
         return merged
 
-    def effective_repeats(self, quick: bool = False) -> int:
-        return self.quick_repeats if quick else self.repeats
-
 
 _REGISTRY: Dict[str, BenchCase] = {}
 _CASES_LOADED = False
@@ -64,14 +69,9 @@ _CASES_LOADED = False
 def register(
     bench_id: str,
     *,
-    group: str,
     params: Dict[str, Any],
     quick: Optional[Dict[str, Any]] = None,
     repeats: int = 3,
-    quick_repeats: int = 1,
-    warmup: int = 1,
-    description: str = "",
-    tags: Sequence[str] = (),
 ) -> Callable:
     """Decorator: register ``fn`` as the runner of benchmark ``bench_id``.
 
@@ -83,29 +83,16 @@ def register(
         raise ValueError(
             f"bench id must be dotted '<group>.<name>', got {bench_id!r}"
         )
-    if not bench_id.startswith(group + "."):
-        raise ValueError(
-            f"bench id {bench_id!r} must start with its group {group!r}"
-        )
 
     def decorator(fn: Callable) -> Callable:
-        if bench_id in _REGISTRY:
-            raise ValueError(f"benchmark {bench_id!r} registered twice")
-        doc = description
-        if not doc and fn.__doc__:
-            lines = fn.__doc__.strip().splitlines()
-            doc = lines[0] if lines else ""
-        _REGISTRY[bench_id] = BenchCase(
-            bench_id=bench_id,
-            group=group,
-            fn=fn,
-            params=dict(params),
-            quick=dict(quick or {}),
-            repeats=repeats,
-            quick_repeats=quick_repeats,
-            warmup=warmup,
-            description=doc,
-            tags=tuple(tags),
+        register_case(
+            BenchCase(
+                bench_id=bench_id,
+                fn=fn,
+                params=dict(params),
+                quick=dict(quick or {}),
+                repeats=repeats,
+            )
         )
         return fn
 
@@ -144,9 +131,6 @@ def get_case(bench_id: str) -> BenchCase:
     return case
 
 
-def all_cases(group: Optional[str] = None) -> List[BenchCase]:
+def all_cases() -> List[BenchCase]:
     load_cases()
-    cases = sorted(_REGISTRY.values(), key=lambda case: case.bench_id)
-    if group is not None:
-        cases = [case for case in cases if case.group == group]
-    return cases
+    return sorted(_REGISTRY.values(), key=lambda case: case.bench_id)

@@ -2,12 +2,12 @@
 
 Methodology, identical for every case:
 
-1. ``warmup`` untimed runs (JIT-free Python still benefits: imports,
+1. One untimed warmup run (JIT-free Python still benefits: imports,
    memo caches, compiled kernel caches, branch warm-up).
-2. ``repeats`` timed runs.  Each timed run executes under a fresh
-   :class:`~repro.obs.recorder.StatsRecorder` with an in-memory sink,
-   so every repeat yields the engine-internal metrics *and* the span
-   stream of exactly that run.
+2. ``repeats`` timed runs (one in quick mode).  Each timed run
+   executes under a fresh :class:`~repro.obs.recorder.StatsRecorder`
+   with an in-memory sink, so every repeat yields the engine-internal
+   metrics *and* the span stream of exactly that run.
 3. The headline number is the **median** of the repeat wall-clocks
    (robust to a stray scheduler hiccup; min/max/mean/stdev and the raw
    samples are kept in the record).
@@ -32,6 +32,11 @@ from repro.bench.record import (
 )
 from repro.bench.registry import BenchCase, all_cases, get_case
 
+#: Untimed runs before the timed repeats.
+WARMUP = 1
+#: Timed runs per case in quick mode.
+QUICK_REPEATS = 1
+
 
 def _median_index(samples: List[float]) -> int:
     """The index of the sample the median headline describes.
@@ -48,7 +53,6 @@ def run_case(
     *,
     quick: bool = False,
     repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
     source: str = "runner",
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchResult:
@@ -57,18 +61,20 @@ def run_case(
         case_or_id if isinstance(case_or_id, BenchCase) else get_case(case_or_id)
     )
     params = case.merged_params(quick)
-    n_repeats = repeats if repeats is not None else case.effective_repeats(quick)
-    n_warmup = warmup if warmup is not None else case.warmup
+    if repeats is not None:
+        n_repeats = repeats
+    else:
+        n_repeats = QUICK_REPEATS if quick else case.repeats
     if n_repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {n_repeats}")
 
     if progress:
         progress(
-            f"{case.bench_id}: warmup={n_warmup} repeats={n_repeats}"
+            f"{case.bench_id}: warmup={WARMUP} repeats={n_repeats}"
             + (" quick" if quick else "")
         )
 
-    for _ in range(n_warmup):
+    for _ in range(WARMUP):
         case.fn(dict(params))
 
     samples: List[float] = []
@@ -97,7 +103,7 @@ def run_case(
         environment=environment_fingerprint(),
         methodology={
             "repeats": n_repeats,
-            "warmup": n_warmup,
+            "warmup": WARMUP,
             "timer": "perf_counter",
             "reduce": "median",
             "quick": bool(quick),
@@ -113,24 +119,16 @@ def run_case(
 def run_many(
     bench_ids: Optional[Iterable[str]] = None,
     *,
-    group: Optional[str] = None,
     quick: bool = False,
     repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[BenchResult]:
     """Run a set of cases (all registered ones by default), in id order."""
     if bench_ids is not None:
         cases = [get_case(bench_id) for bench_id in bench_ids]
     else:
-        cases = all_cases(group=group)
+        cases = all_cases()
     return [
-        run_case(
-            case,
-            quick=quick,
-            repeats=repeats,
-            warmup=warmup,
-            progress=progress,
-        )
+        run_case(case, quick=quick, repeats=repeats, progress=progress)
         for case in cases
     ]

@@ -35,7 +35,7 @@ The ``bench`` subcommand family drives the unified benchmark harness
 
     python -m repro bench list
     python -m repro bench run --all --quick
-    python -m repro bench run kernels.mc_truth --out fresh.jsonl --no-append
+    python -m repro bench run experiments.e4_fptras --out fresh.jsonl --no-append
     python -m repro bench compare --fresh fresh.jsonl
     python -m repro bench report experiments.e1_qf_reliability
 """
@@ -393,15 +393,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_bench_list(args: argparse.Namespace) -> int:
     from repro import bench
 
-    cases = bench.all_cases(group=args.group)
+    cases = bench.all_cases()
     if not cases:
         print("(no registered benchmarks)")
         return 0
     width = max(len(case.bench_id) for case in cases)
     for case in cases:
         print(
-            f"{case.bench_id:<{width}}  repeats={case.effective_repeats()} "
-            f"quick_repeats={case.effective_repeats(True)}  "
+            f"{case.bench_id:<{width}}  repeats={case.repeats}  "
             f"{case.description}"
         )
     return 0
@@ -410,16 +409,12 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro import bench
 
-    if not args.benchmarks and not args.all and not args.group:
-        print(
-            "error: name benchmarks, or pass --all / --group",
-            file=sys.stderr,
-        )
+    if not args.benchmarks and not args.all:
+        print("error: name benchmarks, or pass --all", file=sys.stderr)
         return 2
     bench_ids = args.benchmarks or None
     results = bench.run_many(
         bench_ids,
-        group=args.group,
         quick=args.quick,
         repeats=args.repeats,
         progress=lambda line: print(f"  running {line}"),
@@ -878,7 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_list = bench_sub.add_parser(
         "list", help="list the registered benchmark cases"
     )
-    bench_list.add_argument("--group", help="restrict to one group")
     bench_list.set_defaults(handler=_cmd_bench_list)
 
     bench_run = bench_sub.add_parser(
@@ -891,7 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument(
         "--all", action="store_true", help="run every registered case"
     )
-    bench_run.add_argument("--group", help="run one group")
     bench_run.add_argument(
         "--quick",
         action="store_true",

@@ -10,7 +10,8 @@ Design:
 * One module-level *active recorder*.  The default is a
   :class:`NullRecorder` whose methods are all no-ops, so instrumented
   code costs roughly one function call per site when observability is
-  off (the ``obs.overhead`` bench case measures it on the E1 workload).
+  off (perfbench's ``obs.tracing_overhead_share`` measures tracing's
+  cost end to end).
 * Engines call the module-level helpers (:func:`inc`, :func:`gauge`,
   :func:`observe`, :func:`event`, :func:`span`) which delegate to the
   active recorder.  They never hold a recorder reference, so recorder

@@ -131,7 +131,8 @@ class StatsRecorder:
         self._span_pool: list = []
         # Span-duration histograms, memoised per span name: hot loops
         # close thousands of spans and the f-string + registry lookup
-        # per close is measurable (the ``obs.overhead`` bench case).
+        # per close is measurable (perfbench's
+        # ``obs.tracing_overhead_share``).
         self._span_seconds: Dict[str, Any] = {}
         # Sink capabilities, resolved once: ``emit_span`` is the
         # dict-free span fast path, ``flush`` the buffered-sink drain.

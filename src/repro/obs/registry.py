@@ -15,8 +15,8 @@ the registry guards instrument creation with a registry-level lock.
 Gauges are last-value-wins single stores, which are atomic under the
 GIL, so they stay lock-free.  The uncontended-lock cost is a few tens
 of nanoseconds per update — negligible next to the f-string and dict
-lookups already on the path (tracked by the ``obs.overhead`` benchmark
-in ``BENCH_history.jsonl``).
+lookups already on the path (perfbench's ``obs.tracing_overhead_share``
+tracks the whole cost of tracing).
 
 Naming convention (documented in ``docs/OBSERVABILITY.md``): dotted
 lower-case paths rooted at the engine, e.g. ``exact.worlds_enumerated``,

@@ -50,9 +50,9 @@ class JsonlSink:
     Events are *buffered*: ``emit`` serialises the record and appends it
     to an in-memory list, and the file sees one joined write per
     :data:`FLUSH_EVERY` events — one syscall per batch instead of one
-    per record, which keeps hot-loop tracing overhead low (the
-    ``obs.overhead`` bench case).  The recorder flushes explicitly whenever
-    a top-level span closes, so a trace file is complete after every
+    per record, which keeps hot-loop tracing overhead low (perfbench's
+    ``obs.tracing_overhead_share``).  The recorder flushes explicitly
+    whenever a top-level span closes, so a trace file is complete after every
     engine call, not just at ``close``.
     """
 

@@ -20,13 +20,10 @@ def tiny_case():
 
     case = BenchCase(
         bench_id="testcli.tiny",
-        group="testcli",
         fn=fn,
         params={"n": 3},
         quick={"n": 1},
         repeats=2,
-        quick_repeats=1,
-        warmup=0,
     )
     register_case(case)
     try:
@@ -195,12 +192,10 @@ def test_bench_report_detail_prints_latest_results(tmp_path, capsys):
 
     case = BenchCase(
         bench_id="testcli.results",
-        group="testcli",
         fn=fn,
         params={"speedup": 2.5},
         quick={"speedup": 7.25},
         repeats=1,
-        warmup=0,
     )
     register_case(case)
     history = str(tmp_path / "h.jsonl")

@@ -39,8 +39,9 @@ from repro.propositional.counting import (
     probability_exact,
 )
 from repro.propositional.karp_luby import karp_luby, sample_count
-from repro.reliability.exact import truth_probability
+from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.montecarlo import (
+    estimate_reliability_hamming,
     estimate_truth_probability,
     hoeffding_samples,
 )
@@ -197,6 +198,61 @@ def test_adaptive_saves_samples_on_the_window():
     seeds = _seeds()
     drawn = sum(_kl_estimate(seed).samples for seed in seeds)
     assert drawn < worst * len(seeds)
+
+
+def test_adaptive_saves_half_the_budget_on_hamming_reliability():
+    """The headline claim on the additive path, on one pinned instance:
+    E1's k-ary reliability over 12 elements (156 uncertain atoms) comes
+    back with at least half the Hoeffding budget unspent, and both the
+    fixed and the adaptive answers lie within epsilon of the exact
+    Proposition 3.1 value, so a stopping bug cannot read as a saving."""
+    epsilon, delta = 0.02, 0.05
+    query = FOQuery("E(x, y) & ~S(x) | S(y)", ("x", "y"))
+    db = random_unreliable_database(
+        make_rng(12), size=12, relations={"E": 2, "S": 1},
+        density=0.3, error="1/16",
+    )
+    exact = float(reliability(db, query, method="qf"))
+    with use_surrogate(CostSurrogate()):
+        fixed = estimate_reliability_hamming(
+            db, query, make_rng(7), epsilon, delta,
+        )
+        with obs.recording() as rec:
+            adaptive = estimate_reliability_hamming(
+                db, query, make_rng(7), epsilon, delta, adaptive=True,
+            )
+    counters = rec.summary()["counters"]
+    saved = counters["adaptive.samples_saved"]
+    worst = counters["adaptive.samples_drawn"] + saved
+    assert worst == hoeffding_samples(epsilon, delta)
+    assert saved / worst >= 0.5, (saved, worst)
+    assert abs(fixed - exact) <= epsilon
+    assert abs(adaptive - exact) <= epsilon
+
+
+def test_adaptive_saves_half_the_budget_on_karp_luby():
+    """The headline claim on the relative path, on one pinned E4-style
+    DNF (12 variables, 8 clauses of width 3): the coverage estimator
+    stops with at least half its worst-case budget unspent, and both
+    answers lie within twice the relative epsilon of the exact value."""
+    epsilon, delta = 0.1, 0.05
+    rng = make_rng(1)
+    dnf = random_kdnf(rng, variables=12, clauses=8, width=3)
+    probs = random_probabilities(rng, dnf)
+    exact = float(probability_exact(dnf, probs))
+    worst = sample_count(len(dnf.clauses), epsilon, delta)
+    with use_surrogate(CostSurrogate()):
+        fixed = karp_luby(
+            dnf, probs, epsilon, delta, make_rng(2), method="coverage",
+        )
+        adaptive = karp_luby(
+            dnf, probs, epsilon, delta, make_rng(2),
+            method="coverage", adaptive=True,
+        )
+    assert fixed.samples == worst
+    assert (worst - adaptive.samples) / worst >= 0.5, (adaptive.samples, worst)
+    assert abs(fixed.estimate - exact) <= 2 * epsilon * exact
+    assert abs(adaptive.estimate - exact) <= 2 * epsilon * exact
 
 
 def test_adaptive_path_actually_engages():
