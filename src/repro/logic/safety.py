@@ -14,11 +14,11 @@ CQs exactly in two:
 
 :func:`classify_dichotomy` decides this *before* any engine runs and
 returns a verdict object carrying a checkable witness: the hierarchy
-tree (the safe plan itself) for safe queries, the offending variable
-pair or self-join for unsafe ones.  Queries outside the self-join-free
-Boolean-CQ fragment get an out-of-fragment verdict naming the reason —
-the dichotomy simply does not speak about them and the runtime falls
-through to the general chain.
+tree for safe queries (the safe plan itself, which the lifted engine
+runs), the offending variable pair or self-join for unsafe ones.
+Queries outside the self-join-free Boolean-CQ fragment get an
+out-of-fragment verdict naming the reason — the dichotomy simply does
+not speak about them and the runtime falls through to the general chain.
 
 The classifier is load-bearing: the executor's ``safe_lifted`` tier and
 the racing/serve routers trust a ``safe`` verdict to mean "the lifted
@@ -68,19 +68,19 @@ UNSAFE_REASONS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One node of the hierarchy tree — the safe plan as a witness.
+    """One node of the hierarchy tree — the safe plan itself.
 
-    ``kind`` is ``"atom"`` (a leaf: one relational atom), ``"join"``
+    ``kind`` is ``"atom"`` (a leaf: the relational ``atom``, whose
+    variables are all bound by the projects above it), ``"join"``
     (independent product of components and ground atoms) or
     ``"project"`` (independent project over the root ``variable``).
-    The tree mirrors the recursion of
-    :func:`repro.reliability.lifted.lifted_probability` exactly, so a
-    safe verdict *is* the plan the engine will execute.
+    :func:`repro.reliability.lifted.lifted_probability` runs this tree:
+    a safe verdict *is* the plan the engine executes.
     """
 
     kind: str
-    variable: Optional[str] = None
-    atom: Optional[str] = None
+    variable: Optional[Var] = None
+    atom: Optional[AtomF] = None
     children: Tuple["PlanNode", ...] = ()
 
     def render(self, indent: int = 0) -> str:
@@ -231,12 +231,13 @@ def _atom_vars(atom: AtomF) -> FrozenSet[Var]:
     return frozenset(t for t in atom.args if isinstance(t, Var))
 
 
-def _components(
-    items: List[Tuple[str, FrozenSet[Var]]]
-) -> List[List[Tuple[str, FrozenSet[Var]]]]:
-    """Variable-connected components of ``(label, vars)`` pairs."""
+_Item = Tuple[AtomF, FrozenSet[Var]]
+
+
+def _components(items: List[_Item]) -> List[List[_Item]]:
+    """Variable-connected components of ``(atom, unbound vars)`` pairs."""
     remaining = list(items)
-    components: List[List[Tuple[str, FrozenSet[Var]]]] = []
+    components: List[List[_Item]] = []
     while remaining:
         seed = remaining.pop()
         component = [seed]
@@ -257,32 +258,34 @@ def _components(
     return components
 
 
-def _build_tree(items: List[Tuple[str, FrozenSet[Var]]]) -> PlanNode:
+def _build_tree(items: List[_Item]) -> PlanNode:
     """The hierarchy tree of a hierarchical atom set.
 
-    Mirrors the lifted recursion symbolically: ground-at-this-level
-    atoms become leaves, variable-connected components become
-    independent-project nodes over their root variable (the variable in
-    *every* atom of the component — guaranteed to exist because the
-    caller verified hierarchy).
+    Atoms with no unbound variable become leaves, variable-connected
+    components become independent-project nodes over their root variable
+    (the variable in *every* atom of the component — guaranteed to
+    exist because the caller verified hierarchy), in the order of their
+    first atom's text.
     """
     ground = [item for item in items if not item[1]]
     open_items = [item for item in items if item[1]]
     nodes: List[PlanNode] = [
-        PlanNode("atom", atom=label) for label, _ in ground
+        PlanNode("atom", atom=atom) for atom, _ in ground
     ]
-    for component in sorted(_components(open_items), key=lambda c: c[0][0]):
+    for component in sorted(
+        _components(open_items), key=lambda c: str(c[0][0])
+    ):
         shared = set(component[0][1])
         for _, variables in component[1:]:
             shared &= variables
         root = sorted(shared)[0]  # non-empty: the hierarchy check passed
         child_items = [
-            (label, variables - {root}) for label, variables in component
+            (atom, variables - {root}) for atom, variables in component
         ]
         nodes.append(
             PlanNode(
                 "project",
-                variable=root.name,
+                variable=root,
                 children=(_build_tree(child_items),),
             )
         )
@@ -353,7 +356,7 @@ def classify_dichotomy(query) -> Verdict:
                     ),
                 )
 
-    items = [(str(atom), _atom_vars(atom)) for atom in atoms]
+    items = [(atom, _atom_vars(atom)) for atom in atoms]
     return SafeVerdict(
         plan=_build_tree(items), atoms=tuple(str(a) for a in atoms)
     )

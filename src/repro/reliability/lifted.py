@@ -9,13 +9,18 @@ disjoint.  For those, the probability factorises and is computable in
 polynomial time over tuple-independent databases — which is exactly what
 an unreliable database's ``nu`` is.
 
-This module implements that extension:
+The plan is decided once, by the static classifier
+(:func:`repro.logic.safety.classify_dichotomy`): a safe verdict carries
+the query's hierarchy tree, and this module executes that tree.
 
-* :func:`is_hierarchical` / :func:`is_safe` — syntactic safety test;
-* :func:`lifted_probability` — exact ``Pr[B |= q]`` by the safe-plan
-  recursion (independent-component product, independent-project over a
-  root variable, ground-atom factoring);
-* :func:`lifted_reliability` — the reliability of a safe Boolean CQ.
+* :func:`lifted_probability` — exact ``Pr[B |= q]``: a leaf is the
+  ``nu`` of its atom under the variable binding, a join multiplies its
+  independent children, a project multiplies the miss probabilities of
+  its ``n`` branches, one per domain element;
+* :func:`lifted_reliability` — the reliability of a safe Boolean CQ;
+* :func:`is_safe` — the verdict's flag; :func:`is_hierarchical` and
+  :func:`has_self_join` are independent syntactic oracles that the
+  tests compare the classifier against.
 
 Unsafe queries raise :class:`UnsafeQueryError`; callers fall back to the
 grounded-DNF engine (whose worst case is the Proposition 3.2 hardness).
@@ -26,12 +31,14 @@ benchmark E11 measures the polynomial-vs-exponential gap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Set, Union
 
 from repro import obs
+from repro.logic import safety
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.evaluator import FOQuery
 from repro.logic.fo import AtomF, Eq, Formula
-from repro.logic.terms import Const, Term, Var
+from repro.logic.terms import Var
 from repro.relational.atoms import Atom
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.runtime.budget import checkpoint
@@ -54,6 +61,8 @@ class UnsafeQueryError(QueryError):
 
 
 QueryLike = Union[ConjunctiveQuery, Formula, str]
+
+_HALF = Fraction(1, 2)
 
 
 def _as_boolean_cq(query: QueryLike) -> ConjunctiveQuery:
@@ -122,13 +131,11 @@ def is_safe(query: QueryLike) -> bool:
     :func:`has_self_join`, which keep their independent implementations
     as oracles.
     """
-    from repro.logic.safety import classify_dichotomy
-
     try:
         cq = _as_boolean_cq(query)
     except QueryError:
         return False
-    return classify_dichotomy(cq).safe
+    return safety.classify_dichotomy(cq).safe
 
 
 def lifted_probability(
@@ -136,125 +143,68 @@ def lifted_probability(
 ) -> Fraction:
     """Exact ``Pr[B |= q]`` for a safe Boolean conjunctive query.
 
-    Polynomial time: the recursion instantiates one root variable per
-    level (``n`` branches each), multiplies independent components and
-    ``nu``-values of ground atoms.  Raises :class:`UnsafeQueryError` if
-    the recursion gets stuck, which for self-join-free CQs happens
-    exactly on the non-hierarchical ones.  ``verdict`` is the query's
-    dichotomy verdict when the caller already holds it (the executor's
-    plan); otherwise it is classified here.
+    Runs the hierarchy tree of the query's dichotomy verdict in
+    polynomial time.  ``verdict`` is that verdict when the caller
+    already holds it (the executor's plan, which also passes its
+    :class:`~repro.logic.evaluator.FOQuery`); only without one is the
+    query classified here.  Raises :class:`UnsafeQueryError` on an
+    unsafe verdict.
     """
-    from repro.logic.safety import classify_dichotomy
-
-    cq = _as_boolean_cq(query)
-    atoms = _atom_parts(cq)
     if verdict is None:
-        verdict = classify_dichotomy(cq)
+        verdict = safety.classify_dichotomy(_as_boolean_cq(query))
     if not verdict.safe:
         raise UnsafeQueryError(verdict.summary(), verdict=verdict)
-    with obs.span("lifted.probability", atoms=len(atoms)):
-        unique = list(dict.fromkeys(atoms))
-        if is_uniform_half(db):
+    with obs.span("lifted.probability", atoms=len(verdict.atoms)):
+        uniform = is_uniform_half(db)
+        if uniform:
             obs.inc("lifted.uniform_fast_path")
-            return _uniform_probability(unique, db.universe_size)
-        return _probability(db, unique)
+        return _evaluate(verdict.plan, db, {}, uniform)
 
 
-def _probability(db: UnreliableDatabase, atoms: List[AtomF]) -> Fraction:
+def _evaluate(
+    node: safety.PlanNode, db: UnreliableDatabase, binding: Dict[Var, Any],
+    uniform: bool,
+) -> Fraction:
+    """``Pr`` of the sub-plan at ``node`` with its outer variables bound.
+
+    Children of a join touch disjoint relations (no self-joins) and the
+    branches of a project touch disjoint tuples (the root variable is
+    in every atom below it), so both are independent products.  On an
+    all-1/2 database (``uniform``) every atom has ``nu`` 1/2 whatever
+    the binding, so a project's ``n`` branches are identical and one
+    stands in for all of them — the Amarilli–Kimelfeld speedup: the
+    work depends on the query alone.
+    """
     obs.inc("lifted.recursive_calls")
     checkpoint()
-    if not atoms:
-        return Fraction(1)
-
-    # 1. Factor out ground atoms: independent of everything else because
-    #    their relations occur nowhere else (no self-joins).
-    ground: List[AtomF] = []
-    open_atoms: List[AtomF] = []
-    for atom in atoms:
-        (ground if not _variables_of(atom) else open_atoms).append(atom)
-    probability = Fraction(1)
-    for atom in ground:
-        args = tuple(t.value for t in atom.args)  # all Consts
-        probability *= db.nu(Atom(atom.relation, args))
-        if probability == 0:
-            return Fraction(0)
-    if not open_atoms:
-        return probability
-
-    # 2. Split into variable-connected components: touch disjoint
-    #    relations, hence independent events.
-    components = _components(open_atoms)
-    if len(components) > 1:
-        for component in components:
-            probability *= _probability(db, component)
-        return probability
-
-    # 3. Independent project on a root variable.
-    component = components[0]
-    root = _root_variable(component)
-    if root is None:
-        raise UnsafeQueryError(
-            "no root variable: the query is not hierarchical "
-            f"(stuck on {[str(a) for a in component]})"
+    if node.kind == "atom":
+        if uniform:
+            return _HALF
+        args = tuple(
+            binding[t] if isinstance(t, Var) else t.value
+            for t in node.atom.args
         )
+        return db.nu(Atom(node.atom.relation, args))
+    if node.kind == "join":
+        probability = Fraction(1)
+        for child in node.children:
+            probability *= _evaluate(child, db, binding, uniform)
+            if probability == 0:
+                break
+        return probability
     obs.inc("lifted.projections")
+    (child,) = node.children
+    if uniform:
+        branch = _evaluate(child, db, binding, uniform)
+        return 1 - (1 - branch) ** db.universe_size
     miss = Fraction(1)
     for element in db.structure.universe:
-        instantiated = [
-            _substitute_atom(atom, root, element) for atom in component
-        ]
-        miss *= 1 - _probability(db, instantiated)
+        binding[node.variable] = element
+        miss *= 1 - _evaluate(child, db, binding, uniform)
         if miss == 0:
             break
-    return probability * (1 - miss)
-
-
-def _components(atoms: List[AtomF]) -> List[List[AtomF]]:
-    remaining = list(atoms)
-    components: List[List[AtomF]] = []
-    while remaining:
-        seed = remaining.pop()
-        component = [seed]
-        variables = set(_variables_of(seed))
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for atom in remaining:
-                if _variables_of(atom) & variables:
-                    component.append(atom)
-                    variables |= _variables_of(atom)
-                    changed = True
-                else:
-                    still.append(atom)
-            remaining = still
-        components.append(component)
-    return components
-
-
-def _root_variable(atoms: List[AtomF]):
-    candidates = set(_variables_of(atoms[0]))
-    for atom in atoms[1:]:
-        candidates &= _variables_of(atom)
-        if not candidates:
-            return None
-    return sorted(candidates)[0]
-
-
-def _substitute_atom(atom: AtomF, variable: Var, value) -> AtomF:
-    return AtomF(
-        atom.relation,
-        tuple(
-            Const(value) if term == variable else term for term in atom.args
-        ),
-    )
-
-
-#: Marker constant used when the uniform recursion instantiates a root
-#: variable: with every ``nu`` equal to 1/2 the branches of an
-#: independent project are *symmetric*, so one symbolic branch stands
-#: in for all ``n`` of them.
-_UNIFORM_MARKER = "★"
+    binding.pop(node.variable, None)
+    return 1 - miss
 
 
 def is_uniform_half(db: UnreliableDatabase) -> bool:
@@ -268,63 +218,21 @@ def is_uniform_half(db: UnreliableDatabase) -> bool:
     structure* — the answer depends only on the query and the domain
     size.
     """
-    half = Fraction(1, 2)
     table = db.error_table()
-    if any(value != half for value in table.values()):
+    if any(value != _HALF for value in table.values()):
         return False
-    if db.default_error == half:
+    if db.default_error == _HALF:
         return True
     # The default is only reachable through atoms absent from the
     # table; a table covering the whole atom space is still uniform.
     return all(atom in table for atom in db.structure.atoms())
 
 
-def _uniform_probability(atoms: List[AtomF], n: int) -> Fraction:
-    """``Pr[B |= q]`` on an all-1/2 database, by structural recursion.
-
-    The safe-plan recursion collapses: every ground atom contributes a
-    factor 1/2 (its ``nu`` is 1/2 whether or not it is observed), and
-    an independent project's ``n`` branches are identical up to the
-    constant chosen, so the per-element miss probability is computed
-    once and raised to the ``n``-th power.  The recursion therefore
-    runs in time polynomial in the *query* size (plus big-integer
-    exponentiation) — no factor of ``n`` branches at all, the
-    Amarilli–Kimelfeld speedup over the general lifted plan.
-    """
-    obs.inc("lifted.recursive_calls")
-    checkpoint()
-    if not atoms:
-        return Fraction(1)
-    ground = [a for a in atoms if not _variables_of(a)]
-    open_atoms = [a for a in atoms if _variables_of(a)]
-    probability = Fraction(1, 2 ** len(ground))
-    if not open_atoms:
-        return probability
-    components = _components(open_atoms)
-    if len(components) > 1:
-        for component in components:
-            probability *= _uniform_probability(component, n)
-        return probability
-    component = components[0]
-    root = _root_variable(component)
-    if root is None:
-        raise UnsafeQueryError(
-            "no root variable: the query is not hierarchical "
-            f"(stuck on {[str(a) for a in component]})"
-        )
-    obs.inc("lifted.projections")
-    branch = _uniform_probability(
-        [_substitute_atom(atom, root, _UNIFORM_MARKER) for atom in component],
-        n,
-    )
-    return probability * (1 - (1 - branch) ** n)
-
-
 def uniform_reliability(db: UnreliableDatabase, query: QueryLike) -> Fraction:
     """``Pr[B |= q]`` of a safe CQ on an all-1/2 database, directly.
 
     A convenience entry point for the Amarilli–Kimelfeld fast path
-    (:func:`lifted_probability` dispatches to it automatically whenever
+    (:func:`lifted_probability` takes it automatically whenever
     :func:`is_uniform_half` holds); raises :class:`UnsafeQueryError`
     outside the safe fragment and :class:`QueryError` when the database
     is not uniform.
@@ -341,9 +249,10 @@ def lifted_wrong_probability(
     db: UnreliableDatabase, query: QueryLike, verdict=None
 ) -> Fraction:
     """``Pr[Wrong(q)]`` through the lifted engine."""
-    cq = _as_boolean_cq(query)
-    observed = cq.evaluate(db.structure, ())
-    p = lifted_probability(db, cq, verdict)
+    if not isinstance(query, FOQuery):
+        query = _as_boolean_cq(query)
+    observed = query.evaluate(db.structure, ())
+    p = lifted_probability(db, query, verdict)
     return 1 - p if observed else p
 
 

@@ -32,6 +32,7 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.reliability.grounding",
     "repro.reliability.approx",
     "repro.reliability.padding",
+    "repro.reliability.lifted",
     "repro.propositional.karp_luby",
     "repro.propositional.counting",
     "repro.propositional.bdd",
@@ -132,6 +133,12 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.reliability.padding", "pad_database"): (
         "constant-size loop over the two padding constants"
+    ),
+    ("repro.reliability.lifted", "is_hierarchical"): (
+        "pairwise test over the query's variables, bounded by the query"
+    ),
+    ("repro.reliability.lifted", "_atom_parts"): (
+        "one pass over the query body, bounded by the query"
     ),
 }
 

@@ -52,8 +52,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.logic.classify import is_conjunctive
-from repro.logic.conjunctive import ConjunctiveQuery
 from repro.logic.evaluator import FOQuery
 from repro.reliability.approx import existential_probability, reliability_additive
 from repro.reliability.exact import as_query, reliability, truth_probability
@@ -226,31 +224,18 @@ def _engine_exact(db, query, req: _Request) -> _Answer:
     return _Answer(float(value), "exact", None, None, fraction=value)
 
 
-def lifted_fragment(query) -> ConjunctiveQuery:
-    """The Boolean CQ the lifted engines evaluate; raises
-    :class:`QueryError` outside that fragment (forecasts read it too)."""
-    if not isinstance(query, FOQuery):
-        raise QueryError("lifted engine requires a first-order query")
-    if query.arity != 0:
-        raise QueryError("lifted engine handles Boolean queries only")
-    if not is_conjunctive(query.formula):
-        raise QueryError("lifted engine requires a conjunctive query")
-    return ConjunctiveQuery.from_formula(query.formula)
-
-
 def _engine_lifted(db, query, req: _Request) -> _Answer:
     """Safe-plan lifted inference: exact and polynomial, narrow fragment.
 
     Serves both ``lifted`` and the dichotomy-routed ``safe_lifted``:
-    the plan classified the query once, the static router skips both
-    on an unsafe verdict, and the lifted plan reuses the verdict
-    instead of classifying again.
+    the plan classified the query once and the static router skips both
+    on an unsafe verdict, so a safe verdict (a first-order Boolean CQ)
+    reaches the engine, which runs its hierarchy tree.
     """
-    cq = lifted_fragment(query)
     if req.quantity == "probability":
-        value = lifted_probability(db, cq, req.verdict)
+        value = lifted_probability(db, query, req.verdict)
     else:
-        value = lifted_reliability(db, cq, req.verdict)
+        value = lifted_reliability(db, query, req.verdict)
     return _Answer(float(value), "exact", None, None, fraction=value)
 
 

@@ -189,19 +189,6 @@ def _forecast_exact(plan: Plan, budget, samples_used: int) -> Forecast:
     return _refused(worlds_refusal(atoms, budget)) or _OK
 
 
-def _forecast_lifted(plan: Plan, budget, samples_used: int) -> Forecast:
-    """Both lifted engines: a safe verdict is the admissibility proof.
-
-    The static router skips them on unsafe verdicts before any forecast
-    runs, so only the engines' own fragment check can still refuse.
-    """
-    try:
-        executor.lifted_fragment(plan.query)
-    except QueryError as exc:
-        return "fragment_mismatch", str(exc), 0
-    return _OK
-
-
 def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
     """The grounding preflight, then the sample preflight per target.
 
@@ -260,10 +247,16 @@ def _forecast_montecarlo(plan: Plan, budget, samples_used: int) -> Forecast:
     return _refused(refusal) or ("ok", "", needed)
 
 
+def _forecast_ok(plan: Plan, budget, samples_used: int) -> Forecast:
+    """The lifted engines: the static router skips them on an unsafe
+    verdict before any forecast runs, and a safe verdict admits them."""
+    return _OK
+
+
 _FORECASTS = {
-    "safe_lifted": _forecast_lifted,
+    "safe_lifted": _forecast_ok,
     "exact": _forecast_exact,
-    "lifted": _forecast_lifted,
+    "lifted": _forecast_ok,
     "karp_luby": _forecast_karp_luby,
     "montecarlo": _forecast_montecarlo,
 }

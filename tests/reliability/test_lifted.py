@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.safety import classify_dichotomy
 from repro.obs.recorder import StatsRecorder
 from repro.obs.sink import ListSink
 from repro.reliability.exact import reliability, truth_probability
@@ -223,3 +224,45 @@ class TestVerdictOnError:
         atoms_x, atoms_y = (set(s) for s in verdict.occurrences)
         assert atoms_x & atoms_y
         assert not (atoms_x <= atoms_y or atoms_y <= atoms_x)
+
+
+def _projections(db, query):
+    with obs.use(StatsRecorder(sink=ListSink())) as recorder:
+        value = lifted_probability(db, query)
+        counters = recorder.summary()["counters"]
+    return value, counters["lifted.projections"]
+
+
+def _project_nodes(node):
+    own = 1 if node.kind == "project" else 0
+    return own + sum(_project_nodes(child) for child in node.children)
+
+
+class TestPlanWork:
+    """The engine's work is the verdict's hierarchy tree, run once."""
+
+    QUERY = "exists x y. R(x) & S(x, y)"
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_general_plan_projects_once_per_outer_element(self, n):
+        # mu = 1/3 everywhere: no nu is 0 or 1, so no branch exits early
+        # and the inner project runs once per value of x.
+        db = random_unreliable_database(
+            make_rng(n), size=n, relations={"R": 1, "S": 2}, error="1/3"
+        )
+        value, projections = _projections(db, cq(self.QUERY))
+        assert projections == 1 + n
+        assert value == truth_probability(
+            db, cq(self.QUERY).to_formula(), method="dnf"
+        )
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_uniform_plan_evaluates_one_branch_per_project(self, n):
+        db = uniform_db(n, n, {"R": 1, "S": 2})
+        plan = classify_dichotomy(cq(self.QUERY)).plan
+        assert _project_nodes(plan) == 2
+        value, projections = _projections(db, cq(self.QUERY))
+        assert projections == _project_nodes(plan)
+        assert value == truth_probability(
+            db, cq(self.QUERY).to_formula(), method="dnf"
+        )

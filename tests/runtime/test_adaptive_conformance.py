@@ -27,6 +27,7 @@ the CI ``adaptive-guarantee`` lane pins a fixed window while letting
 developers widen the sweep locally, mirroring ``SAFETY_DIFF_SEEDS``.
 """
 
+import math
 import os
 from functools import lru_cache
 
@@ -34,10 +35,13 @@ import pytest
 
 from repro import obs
 from repro.logic.evaluator import FOQuery
+from repro.obs.recorder import StatsRecorder
+from repro.obs.sink import ListSink
 from repro.propositional.counting import (
     probability_enumerate,
     probability_exact,
 )
+from repro.propositional.formula import DNF, Clause, pos
 from repro.propositional.karp_luby import karp_luby, sample_count
 from repro.reliability.exact import reliability, truth_probability
 from repro.reliability.montecarlo import (
@@ -45,6 +49,7 @@ from repro.reliability.montecarlo import (
     estimate_truth_probability,
     hoeffding_samples,
 )
+from repro.runtime import adaptive as adaptive_module
 from repro.runtime.adaptive import CostSurrogate, use_surrogate
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
@@ -253,6 +258,36 @@ def test_adaptive_saves_half_the_budget_on_karp_luby():
     assert (worst - adaptive.samples) / worst >= 0.5, (adaptive.samples, worst)
     assert abs(fixed.estimate - exact) <= 2 * epsilon * exact
     assert abs(adaptive.estimate - exact) <= 2 * epsilon * exact
+
+
+def _kl_stop(dnf, probs):
+    """One adaptive coverage run: ``(samples drawn, stop reason)``."""
+    sink = ListSink()
+    with use_surrogate(CostSurrogate()):
+        with obs.use(StatsRecorder(sink=sink)):
+            run = karp_luby(
+                dnf, probs, 0.1, 0.05, make_rng(2), adaptive=True,
+            )
+    (stop,) = sink.by_name("adaptive.stop")
+    return run.samples, stop["fields"]["reason"]
+
+
+def test_relative_stopper_uses_the_bernstein_bound(monkeypatch):
+    """The relative path stops on the empirical-Bernstein half-width:
+    on 8 variable-disjoint width-3 clauses with every ``p = 0.1`` the
+    coverage estimator's variance is small, so the Bernstein bound
+    certifies the estimate before the sequential Hoeffding bound can,
+    and the Hoeffding-only run draws more."""
+    dnf = DNF(Clause(pos(f"v{c}_{i}") for i in range(3)) for c in range(8))
+    probs = {variable: 0.1 for variable in dnf.variables}
+    samples, reason = _kl_stop(dnf, probs)
+    assert reason == "eb"
+    monkeypatch.setattr(
+        adaptive_module, "bernstein_half_width", lambda *args: math.inf
+    )
+    hoeffding_samples_drawn, hoeffding_reason = _kl_stop(dnf, probs)
+    assert hoeffding_reason == "hoeffding"
+    assert samples < hoeffding_samples_drawn, (samples, hoeffding_samples_drawn)
 
 
 def test_adaptive_path_actually_engages():

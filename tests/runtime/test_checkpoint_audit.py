@@ -38,6 +38,11 @@ def test_engine_module_list_covers_sampling_engines():
         assert module in ENGINE_MODULES
 
 
+def test_engine_module_list_covers_the_lifted_engine():
+    # The lifted plan's projects loop over the domain.
+    assert "repro.reliability.lifted" in ENGINE_MODULES
+
+
 def _violations_of(source: str) -> list:
     functions = _collect("synthetic", ast.parse(source))
     compliant = {
