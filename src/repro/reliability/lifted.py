@@ -31,7 +31,7 @@ benchmark E11 measures the polynomial-vs-exponential gap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, List, Set, Union
+from typing import Any, Dict, FrozenSet, List, Set, Tuple, Union
 
 from repro import obs
 from repro.logic import safety
@@ -60,12 +60,15 @@ class UnsafeQueryError(QueryError):
         self.verdict = verdict
 
 
-QueryLike = Union[ConjunctiveQuery, Formula, str]
+QueryLike = Union[ConjunctiveQuery, FOQuery, Formula, str]
 
 _HALF = Fraction(1, 2)
 
 
 def _as_boolean_cq(query: QueryLike) -> ConjunctiveQuery:
+    if isinstance(query, FOQuery):
+        # Its free variables are its formula's: arity is checked below.
+        query = query.formula
     if isinstance(query, str):
         query = ConjunctiveQuery.from_text(query)
     elif isinstance(query, Formula):
@@ -158,15 +161,20 @@ def lifted_probability(
         uniform = is_uniform_half(db)
         if uniform:
             obs.inc("lifted.uniform_fast_path")
-        return _evaluate(verdict.plan, db, {}, uniform)
+        numerator, denominator = _evaluate(verdict.plan, db, {}, uniform)
+        return Fraction(numerator, denominator)
 
 
 def _evaluate(
     node: safety.PlanNode, db: UnreliableDatabase, binding: Dict[Var, Any],
     uniform: bool,
-) -> Fraction:
+) -> Tuple[int, int]:
     """``Pr`` of the sub-plan at ``node`` with its outer variables bound.
 
+    The probability comes back as an unreduced ``(numerator,
+    denominator)`` pair of integers — Theorem 4.2's granularity idea:
+    denominators multiply and no gcd is taken until
+    :func:`lifted_probability` builds the one :class:`Fraction`.
     Children of a join touch disjoint relations (no self-joins) and the
     branches of a project touch disjoint tuples (the root variable is
     in every atom below it), so both are independent products.  On an
@@ -179,32 +187,38 @@ def _evaluate(
     checkpoint()
     if node.kind == "atom":
         if uniform:
-            return _HALF
+            return 1, 2
         args = tuple(
             binding[t] if isinstance(t, Var) else t.value
             for t in node.atom.args
         )
-        return db.nu(Atom(node.atom.relation, args))
+        nu = db.nu(Atom(node.atom.relation, args))
+        return nu.numerator, nu.denominator
     if node.kind == "join":
-        probability = Fraction(1)
+        numerator = denominator = 1
         for child in node.children:
-            probability *= _evaluate(child, db, binding, uniform)
-            if probability == 0:
+            num, den = _evaluate(child, db, binding, uniform)
+            numerator *= num
+            denominator *= den
+            if numerator == 0:
                 break
-        return probability
+        return numerator, denominator
     obs.inc("lifted.projections")
     (child,) = node.children
     if uniform:
-        branch = _evaluate(child, db, binding, uniform)
-        return 1 - (1 - branch) ** db.universe_size
-    miss = Fraction(1)
+        num, den = _evaluate(child, db, binding, uniform)
+        size = db.universe_size
+        return den**size - (den - num) ** size, den**size
+    miss = denominator = 1
     for element in db.structure.universe:
         binding[node.variable] = element
-        miss *= 1 - _evaluate(child, db, binding, uniform)
+        num, den = _evaluate(child, db, binding, uniform)
+        miss *= den - num
+        denominator *= den
         if miss == 0:
             break
     binding.pop(node.variable, None)
-    return 1 - miss
+    return denominator - miss, denominator
 
 
 def is_uniform_half(db: UnreliableDatabase) -> bool:

@@ -59,6 +59,7 @@ from repro.util.errors import (
 __all__ = [
     "Plan",
     "make_plan",
+    "race_overlap",
     "forecast",
     "EngineForecast",
     "RaceForecast",
@@ -113,11 +114,18 @@ def make_plan(
     race=None,
     adaptive=None,
     forecast: bool = False,
+    features: Optional[Mapping[str, float]] = None,
+    verdict: Any = None,
 ) -> Plan:
     """Validate one call's inputs and make its static decisions.
 
     ``forecast`` marks a plan built to be forecast: it always carries
-    features and a verdict.
+    features and a verdict.  ``features`` and ``verdict`` are the
+    static half of an earlier plan of the same ``(db, query, quantity,
+    epsilon, delta)``, which a caller that keeps them (a serve
+    :class:`~repro.serve.admission.PlanCache`) passes back instead of
+    having them recomputed; the model and the chain order are still
+    decided here, per call.
     """
     executor.check_quantity(quantity)
     if not chain:
@@ -134,26 +142,18 @@ def make_plan(
             "quantity='probability' needs a Boolean (0-ary) query; "
             "use quantity='reliability' for k-ary queries"
         )
-    overlap: Optional[float] = None
-    if race is not None and race is not False:
-        overlap = racing.DEFAULT_OVERLAP if race is True else float(race)
-        if not (overlap >= 0.0 and math.isfinite(overlap)):
-            raise ResourceError(
-                f"race overlap must be a finite fraction >= 0, got {race!r}"
-            )
+    overlap = race_overlap(race)
     model = costmodel.resolve_model(cost_model)
     adaptive = bool(adaptive)
     if adaptive and model is not None:
         from repro.runtime.adaptive import surrogate_adjusted
 
         model = surrogate_adjusted(model)
-    features = None
-    if forecast or model is not None or obs.enabled():
+    if features is None and (forecast or model is not None or obs.enabled()):
         features = costmodel.plan_features(db, query, quantity, epsilon, delta)
     if model is not None:
         chain = model.order_chain(chain, features, quantity)
-    verdict = None
-    if (
+    if verdict is None and (
         forecast
         or overlap is not None
         or any(name in executor.STATIC_SAFE_ENGINES for name in chain)
@@ -163,6 +163,18 @@ def make_plan(
         db, query, quantity, epsilon, delta, chain, model, features,
         verdict, overlap, adaptive,
     )
+
+
+def race_overlap(race) -> Optional[float]:
+    """The stagger fraction a ``race`` argument asks for (``None``: walk)."""
+    if race is None or race is False:
+        return None
+    overlap = racing.DEFAULT_OVERLAP if race is True else float(race)
+    if not (overlap >= 0.0 and math.isfinite(overlap)):
+        raise ResourceError(
+            f"race overlap must be a finite fraction >= 0, got {race!r}"
+        )
+    return overlap
 
 
 # ---------------------------------------------------------------------- #

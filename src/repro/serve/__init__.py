@@ -6,11 +6,13 @@ process; this package is the layer that stops assuming.  A
 :class:`~repro.runtime.budget.Budget`/deadline, and schedules them over
 one shared worker pool with:
 
-* **admission control** by forecasting the plan the executor would run
-  (:func:`repro.runtime.costmodel.plan_chain`, the same forecast
+* **admission control** that plans each request once and forecasts
+  that plan (:func:`repro.runtime.plan.forecast`, the forecast
   ``repro analyze`` prints) — hopeless or deadline-unmeetable work is
-  refused with a structured response before it queues
-  (:mod:`repro.serve.admission`);
+  refused with a structured response before it queues, and a worker
+  runs the admitted plan itself; a per-server plan cache keeps the
+  static half (parsed query, dichotomy verdict, cost features) of hot
+  queries (:mod:`repro.serve.admission`);
 * a **load-shedding guarantee ladder** that degrades admission tiers
   (exact → relative → additive, the paper's Corollary 5.5 axis) as the
   backlog grows and restores them as it drains;

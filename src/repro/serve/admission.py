@@ -1,11 +1,15 @@
 """Admission control: forecasts, deadlines, and the degradation ladder.
 
-Every request is assessed *before* it may queue, by forecasting the
-same plan the executor would run (:func:`repro.runtime.costmodel.
-plan_chain`, the forecast ``repro analyze`` prints) — admission and
-execution share one validation, one cost model and one dichotomy
-verdict, so a request the forecast refuses is a request the executor
-would have refused.
+Every request is planned once, here, *before* it may queue: admission
+builds its :class:`~repro.runtime.plan.Plan` and forecasts it with
+:func:`repro.runtime.plan.forecast` (the forecast ``repro analyze``
+prints), and the worker runs that same plan, narrowed to the admitted
+chain — so a request the forecast refuses is a request the executor
+would have refused, by construction.  A server's :class:`PlanCache`
+keeps the static half of its hot plans (the parsed query, its
+dichotomy verdict and its cost features); the cost model, the chain
+order and the forecast against the request's own budget are decided
+per request.
 
 The :class:`DegradationLadder` is the overload policy the paper's
 guarantee tiers make principled: under pressure the server does not
@@ -20,14 +24,16 @@ admissions recover stronger tiers automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, NamedTuple, Optional, Tuple
 
-from repro.runtime import costmodel
+from repro.runtime import plan as planner
 from repro.runtime.budget import Budget
 from repro.runtime.executor import GUARANTEE_RANK, engine_guarantee
 from repro.util.errors import QueryError, ResourceError
 
+from repro.serve import metrics
 from repro.serve import request as rq
 
 
@@ -90,7 +96,9 @@ class AdmissionDecision:
     ``code`` is ``"admitted"`` or a rejection code from
     :mod:`repro.serve.request`; ``tier`` the admitted guarantee tier;
     ``chain`` the tier-filtered engine chain the run will walk;
-    ``predicted_seconds`` the forecast cost of the selected engine.
+    ``predicted_seconds`` the forecast cost of the selected engine;
+    ``plan`` the plan the worker runs (an admitted request's only one),
+    its chain narrowed to ``chain``.
     """
 
     code: str
@@ -98,9 +106,73 @@ class AdmissionDecision:
     chain: Tuple[str, ...]
     detail: str = ""
     predicted_seconds: float = 0.0
+    plan: Optional[planner.Plan] = None
 
 
 ADMITTED = "admitted"
+
+#: Static plan halves one :class:`PlanCache` holds at most.
+PLAN_CACHE_SIZE = 256
+
+
+class _StaticHalf(NamedTuple):
+    query: Any
+    verdict: Any
+    features: Mapping[str, float]
+
+
+class PlanCache:
+    """The static half of a server's hot plans, least recently used out.
+
+    Keyed by ``(query text, free, quantity, epsilon, delta, chain,
+    adaptive)`` over the server's fixed database; holds the parsed
+    query, its dichotomy verdict and its cost features — never a cost
+    model or surrogate, so the model active at each request still
+    orders that request's chain.  At most :data:`PLAN_CACHE_SIZE`
+    entries; a request whose query is not text is planned uncached.
+    """
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple, _StaticHalf]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def plan(self, db, request, chain, cost_model, adaptive) -> planner.Plan:
+        """The forecast-ready plan of ``request`` over ``chain``."""
+        if not isinstance(request.query, str):
+            return _plan(db, request, chain, cost_model, adaptive)
+        free = tuple(request.free) if request.free else None
+        key = (
+            request.query, free, request.quantity, request.epsilon,
+            request.delta, chain, adaptive,
+        )
+        static = self._entries.get(key)
+        if static is not None:
+            metrics.count(metrics.PLAN_CACHE_HITS)
+            self._entries.move_to_end(key)
+            return _plan(db, request, chain, cost_model, adaptive, static)
+        metrics.count(metrics.PLAN_CACHE_MISSES)
+        plan = _plan(db, request, chain, cost_model, adaptive)
+        self._entries[key] = _StaticHalf(
+            plan.query, plan.verdict, plan.features
+        )
+        while len(self._entries) > PLAN_CACHE_SIZE:
+            self._entries.popitem(last=False)
+        return plan
+
+
+def _plan(
+    db, request, chain, cost_model, adaptive,
+    static: Optional[_StaticHalf] = None,
+) -> planner.Plan:
+    if static is None:
+        static = _StaticHalf(request.resolved_query(), None, None)
+    return planner.make_plan(
+        db, static.query, chain, request.quantity, request.epsilon,
+        request.delta, cost_model, adaptive=adaptive, forecast=True,
+        features=static.features, verdict=static.verdict,
+    )
 
 
 def assess(
@@ -112,22 +184,25 @@ def assess(
     budget: Budget,
     cost_model=None,
     adaptive: bool = False,
+    plans: Optional[PlanCache] = None,
 ) -> AdmissionDecision:
     """Decide one request's admission against the current backlog depth.
 
-    Order of checks: ladder tier for the depth, then the ``plan_chain``
-    forecast of the tier-filtered chain under the request's own budget
+    Order of checks: ladder tier for the depth, then the forecast of
+    the tier-filtered chain's plan under the request's own budget
     (no engine forecast ``ok`` → ``cost_refused``), then the selected
     engine's predicted seconds against the deadline, falling forward to
     the ``not_tried`` engines that fit (``deadline_unmeetable`` when
     none does).  Malformed queries surface as ``invalid``.  The
     caller's budget is never consumed — the forecast is read-only,
-    exactly as ``repro analyze`` is.
+    exactly as ``repro analyze`` is.  An admitted decision carries the
+    plan to run; ``plans`` supplies its static half when the server
+    keeps one.
 
-    ``adaptive`` forwards to the ``plan_chain`` forecast: predicted
-    seconds for the sampling engines then price the surrogate's
-    expected early stopping, so a warm surrogate admits requests a
-    worst-case forecast would refuse under the same deadline.
+    ``adaptive`` plans the surrogate's expected early stopping:
+    predicted seconds for the sampling engines then price it, so a warm
+    surrogate admits requests a worst-case forecast would refuse under
+    the same deadline.
     """
     tier = ladder.tier_for_depth(depth)
     filtered = tier_filter(chain, request.quantity, tier)
@@ -136,27 +211,22 @@ def assess(
     # samplers a degraded tier falls back to.  The static tier is
     # planned along, and kept only when the plan's verdict is safe.
     keep_static = "safe_lifted" in chain and "safe_lifted" not in filtered
+    planned_chain = ("safe_lifted",) + filtered if keep_static else filtered
     try:
-        plan = costmodel.plan_chain(
-            db,
-            request.resolved_query(),
-            chain=("safe_lifted",) + filtered if keep_static else filtered,
-            budget=budget,
-            quantity=request.quantity,
-            epsilon=request.epsilon,
-            delta=request.delta,
-            cost_model=cost_model,
-            adaptive=adaptive,
-        )
+        if plans is None:
+            plan = _plan(db, request, planned_chain, cost_model, adaptive)
+        else:
+            plan = plans.plan(db, request, planned_chain, cost_model, adaptive)
     except QueryError as exc:
         return AdmissionDecision(rq.INVALID, tier, filtered, str(exc))
-    forecasts = plan.forecasts
-    if keep_static and plan.dichotomy.safe:
+    walk = planner.forecast(plan, budget)
+    forecasts = walk.forecasts
+    if keep_static and plan.verdict.safe:
         filtered = ("safe_lifted",) + filtered
     elif keep_static:
         forecasts = tuple(f for f in forecasts if f.engine != "safe_lifted")
     planned = tuple(f.engine for f in forecasts)
-    if plan.selected is None:
+    if walk.selected is None:
         reasons = "; ".join(
             f"{f.engine}: {f.detail or f.outcome}" for f in forecasts
         )
@@ -164,10 +234,13 @@ def assess(
             rq.COST_REFUSED, tier, filtered, f"no engine admissible ({reasons})"
         )
     forecast = {f.engine: f.predicted_seconds for f in forecasts}
-    predicted = forecast[plan.selected]
+    predicted = forecast[walk.selected]
     remaining = budget.remaining_time()
     if remaining is None or predicted <= remaining:
-        return AdmissionDecision(ADMITTED, tier, planned, "", predicted)
+        return AdmissionDecision(
+            ADMITTED, tier, planned, "", predicted,
+            replace(plan, chain=planned),
+        )
     # The preferred engine cannot finish in time.  Before refusing,
     # fall forward through the plan: admit on the engines the forecast
     # leaves runnable (``not_tried``) whose own forecasts fit the
@@ -179,13 +252,14 @@ def assess(
     )
     if fitting:
         return AdmissionDecision(
-            ADMITTED, tier, fitting, "", forecast[fitting[0]]
+            ADMITTED, tier, fitting, "", forecast[fitting[0]],
+            replace(plan, chain=fitting),
         )
     return AdmissionDecision(
         rq.DEADLINE_UNMEETABLE,
         tier,
         filtered,
-        f"engine {plan.selected!r} forecast {predicted:.3g}s exceeds "
+        f"engine {walk.selected!r} forecast {predicted:.3g}s exceeds "
         f"the {remaining:.3g}s deadline, and no cheaper engine fits",
         predicted,
     )

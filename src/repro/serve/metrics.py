@@ -5,9 +5,10 @@ Counters obey two accounting invariants the tests enforce::
     serve.submitted == serve.admitted + serve.rejected + serve.shed
     serve.admitted  == serve.completed + serve.failed
 
-Every counter has a per-tenant mirror ``serve.tenant.<tenant>.<name>``
-(the suffix after ``serve.``), so multi-tenant dashboards read straight
-off :func:`repro.obs.summary` with ``prefix="serve.tenant."``.
+Every request counter has a per-tenant mirror
+``serve.tenant.<tenant>.<name>`` (the suffix after ``serve.``), so
+multi-tenant dashboards read straight off :func:`repro.obs.summary`
+with ``prefix="serve.tenant."``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ FAILED = "serve.failed"
 EXPIRED = "serve.expired"
 RETRIES = "serve.retries"
 DEGRADED = "serve.degraded"   # admissions below the exact tier
+# Server-wide, no per-tenant mirror: admission's plan cache lookups.
+PLAN_CACHE_HITS = "serve.plan_cache.hits"
+PLAN_CACHE_MISSES = "serve.plan_cache.misses"
 
 QUEUE_DEPTH = "serve.queue.depth"          # gauge
 QUEUE_WAIT = "serve.queue.wait_seconds"    # histogram

@@ -2,11 +2,12 @@
 
 :class:`Server` is the long-lived multi-query scheduler the ROADMAP's
 millions-of-users story needs: requests arrive with per-query budgets
-and deadlines, are assessed by the same cost-model dry run ``analyze``
-uses, queue in a bounded deadline-aware backlog, and are launched over
-a fixed-size worker pool with fair-share arbitration *between* queries
-— the between-engines fair share of one ``run_with_fallback`` chain
-nests inside it unchanged.
+and deadlines, are planned once and assessed by the same cost-model dry
+run ``analyze`` uses, queue in a bounded deadline-aware backlog, and
+are launched over a fixed-size worker pool with fair-share arbitration
+*between* queries — each worker runs the admitted plan through
+:func:`repro.runtime.executor.execute`, whose between-engines fair
+share nests inside it unchanged.
 
 The driver is the same event loop shape as the racing executor
 (:func:`repro.runtime.racing.run_race`), built on the same scheduler
@@ -39,11 +40,13 @@ from __future__ import annotations
 
 import random
 import threading
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.runtime.budget import Budget, CancelToken
+from repro.runtime.budget import Budget, CancelToken, apply
 from repro.runtime.executor import DEFAULT_CHAIN
+from repro.runtime.plan import race_overlap
 from repro.runtime.racing import ThreadScheduler, racer_scope
 from repro.util.errors import (
     BudgetExceeded,
@@ -69,7 +72,7 @@ class _Ticket:
         "request",
         "seq",
         "tier",
-        "chain",
+        "plan",
         "budget",
         "token",
         "worker_budget",
@@ -93,7 +96,7 @@ class _Ticket:
         self.request = request
         self.seq = seq
         self.tier = "exact"
-        self.chain: Tuple[str, ...] = ()
+        self.plan = None  # admission's Plan: the one this request runs
         self.budget = None
         self.token: Optional[CancelToken] = None
         self.worker_budget: Optional[Budget] = None
@@ -172,6 +175,7 @@ class Server:
         self.adaptive = bool(adaptive)
         self.scheduler = scheduler if scheduler is not None else ThreadScheduler()
         self._backlog = Backlog(queue_capacity)
+        self._plans = adm.PlanCache()
         self._running: Dict[int, _Ticket] = {}
         self._inbox: List["rq.ServeRequest"] = []
         self._inbox_lock = threading.Lock()
@@ -292,9 +296,10 @@ class Server:
             budget,
             self.cost_model,
             adaptive=self.adaptive,
+            plans=self._plans,
         )
         ticket.tier = decision.tier
-        ticket.chain = decision.chain
+        ticket.plan = decision.plan
         if decision.code != adm.ADMITTED:
             self._reject(ticket, decision.code, decision.detail)
             return
@@ -370,15 +375,12 @@ class Server:
 
     def _launch(self, ticket: _Ticket, now: float) -> None:
         request = ticket.request
+        chain = ticket.plan.chain
         allowed = tuple(
-            engine
-            for engine in ticket.chain
-            if self.breaker.allow(engine, now)
+            engine for engine in chain if self.breaker.allow(engine, now)
         )
         if not allowed:
-            reopens = [
-                self.breaker.reopen_at(engine) for engine in ticket.chain
-            ]
+            reopens = [self.breaker.reopen_at(engine) for engine in chain]
             reopens = [at for at in reopens if at is not None]
             wake = min(reopens) if reopens else None
             remaining = ticket.budget.remaining_time()
@@ -422,34 +424,26 @@ class Server:
         from repro.runtime import executor
 
         request = ticket.request
-        db = self.db
         scheduler = self.scheduler
         worker_budget = ticket.worker_budget
-        cost_model = self.cost_model
-        adaptive = self.adaptive
+        # Admission's plan, narrowed to the engines the breakers allow:
+        # no try — first or retry — parses, classifies or plans again.
+        plan = replace(ticket.plan, chain=chain)
         # Each try gets its own derived generator: a retry re-samples
         # instead of deterministically replaying the failed draw, while
         # the derivation itself stays replayable from the request seed.
-        rng = random.Random(f"{request.seed}:{request.id}:try:{ticket.retries}")
+        rng_base = random.Random(
+            f"{request.seed}:{request.id}:try:{ticket.retries}"
+        ).getrandbits(64)
         race = False if scheduler.is_virtual else request.race
 
         def body():
             with racer_scope(scheduler, ticket.token):
                 t0 = scheduler.now()
                 try:
-                    result = executor.run_with_fallback(
-                        db,
-                        request.resolved_query(),
-                        chain=chain,
-                        budget=worker_budget,
-                        quantity=request.quantity,
-                        epsilon=request.epsilon,
-                        delta=request.delta,
-                        rng=rng,
-                        cost_model=cost_model,
-                        race=race,
-                        adaptive=adaptive,
-                    )
+                    run = replace(plan, overlap=race_overlap(race))
+                    with apply(worker_budget):
+                        result = executor.execute(run, worker_budget, rng_base)
                     ticket.result = result
                     ticket.outcome = "ok"
                     ticket.last_attempts = tuple(result.attempts)

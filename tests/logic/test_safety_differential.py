@@ -32,6 +32,7 @@ from fractions import Fraction
 import pytest
 
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.evaluator import FOQuery
 from repro.logic.fo import atom
 from repro.logic.safety import (
     SafeVerdict,
@@ -41,7 +42,11 @@ from repro.logic.safety import (
 )
 from repro.logic.terms import Const, Var
 from repro.reliability.exact import truth_probability
-from repro.reliability.lifted import is_hierarchical, lifted_probability
+from repro.reliability.lifted import (
+    is_hierarchical,
+    is_safe,
+    lifted_probability,
+)
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
 
@@ -118,6 +123,12 @@ class TestThreeWayAgreement:
             # reason inside the fragment is the hard one.
             assert verdict.reason == "non_hierarchical"
             assert verdict.hard
+
+    @pytest.mark.parametrize("seed", _seeds())
+    def test_is_safe_agrees_on_text_and_foquery_forms(self, seed):
+        text = str(random_sjf_cq(random.Random(seed)).to_formula())
+        for query in (text, FOQuery(text)):
+            assert is_safe(query) == classify_dichotomy(query).safe, text
 
     def test_generator_covers_both_sides_of_the_dichotomy(self):
         # Always over the default window: this pins a property of the

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.logic.conjunctive import ConjunctiveQuery
+from repro.logic.evaluator import FOQuery
 from repro.logic.safety import classify_dichotomy
 from repro.obs.recorder import StatsRecorder
 from repro.obs.sink import ListSink
@@ -47,6 +48,20 @@ class TestSafetyTests:
         assert is_safe(cq("exists x y. R(x) & S(x, y)"))
         assert not is_safe(cq("exists x y. R(x) & S(x, y) & T(y)"))
         assert not is_safe(cq("exists x y. R(x) & R(y)"))
+
+    def test_boolean_foquery_is_accepted(self):
+        assert is_safe(FOQuery("exists x. R(x)"))
+        assert is_hierarchical(FOQuery("exists x y. R(x) & S(x, y)"))
+        assert has_self_join(FOQuery("exists x y. R(x) & R(y)"))
+        assert not is_safe(FOQuery("exists x y. R(x) & S(x, y) & T(y)"))
+
+    def test_k_ary_foquery_is_refused(self):
+        query = FOQuery("exists y. S(x, y)", ["x"])
+        with pytest.raises(QueryError):
+            is_hierarchical(query)
+        with pytest.raises(QueryError):
+            has_self_join(query)
+        assert not is_safe(query)
 
     def test_duplicate_atom_is_not_a_self_join(self):
         # Identical atoms are deduplicated, not a true self-join.

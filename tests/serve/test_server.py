@@ -422,3 +422,209 @@ class TestBudgetLedger:
         ]
         assert budgets["q-False"].samples > 0
         assert budgets["q-True"].samples == budgets["q-False"].samples
+
+
+def count_planning(monkeypatch):
+    """Count parses, plans and classifications from here on."""
+    from collections import Counter
+
+    from repro.logic import safety
+    from repro.logic.evaluator import FOQuery
+    from repro.runtime import plan
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(FOQuery, "__init__", counting("parse", FOQuery.__init__))
+    monkeypatch.setattr(plan, "make_plan", counting("plan", plan.make_plan))
+    monkeypatch.setattr(
+        safety,
+        "classify_dichotomy",
+        counting("classify", safety.classify_dichotomy),
+    )
+    return counts
+
+
+class TestPlannedOnce:
+    def test_cold_request_plans_once_and_hot_request_reuses_it(
+        self, db, monkeypatch
+    ):
+        server = Server(db, scheduler=faults.VirtualScheduler(default_tick=0.001))
+        counts = count_planning(monkeypatch)
+        recorder = obs.StatsRecorder()
+        with obs.use(recorder):
+            (cold,) = server.run([ServeRequest(id="cold", query=QUERY)])
+            assert dict(counts) == {"parse": 1, "plan": 1, "classify": 1}
+            counts.clear()
+            (hot,) = server.run([ServeRequest(id="hot", query=QUERY, seed=1)])
+        assert counts["parse"] == 0 and counts["classify"] == 0
+        assert cold.ok and hot.ok and hot.value == cold.value
+        counters = recorder.summary()["counters"]
+        assert counters["serve.plan_cache.misses"] == 1
+        assert counters["serve.plan_cache.hits"] == 1
+
+    def test_retry_plans_nothing(self, db, monkeypatch):
+        # karp_luby, unlike exact's lifted fast path, classifies nothing
+        # itself: every count below is the server's own.
+        counts = count_planning(monkeypatch)
+        request = ServeRequest(
+            id="r1", query=QUERY, chain=("karp_luby",), deadline=10.0,
+            epsilon=0.3, delta=0.3,
+        )
+        timeout = faults.ScheduledFault(fault=faults.TimeoutFault(), at=(0,))
+        with faults.inject({"karp_luby": timeout}):
+            _, responses, _ = serve(
+                db,
+                [request],
+                pool_size=1,
+                retry=RetryPolicy(max_retries=2, base_delay=0.1),
+            )
+        assert responses[0].ok and responses[0].retries == 1
+        assert dict(counts) == {"parse": 1, "plan": 1, "classify": 1}
+
+    def test_plan_cache_never_grows_past_its_bound(self, db, monkeypatch):
+        from repro.serve import admission
+
+        monkeypatch.setattr(admission, "PLAN_CACHE_SIZE", 2)
+        queries = ["exists x. S(x)", QUERY, "exists x. exists y. E(x, y)"]
+        server, _, counters = serve(
+            db,
+            [
+                ServeRequest(id=f"q{i}", query=text, arrival=float(i))
+                for i, text in enumerate(queries + queries[:1])
+            ],
+        )
+        assert len(server._plans) == 2
+        # The first query was the least recently used: evicted, replanned.
+        assert counters["serve.plan_cache.misses"] == 4
+        assert "serve.plan_cache.hits" not in counters
+
+    def test_model_installed_after_caching_reorders_the_chain(self, db):
+        from repro.runtime import costmodel
+        from repro.runtime.costmodel import (
+            FEATURE_NAMES,
+            CostModel,
+            EngineCalibration,
+        )
+
+        server = Server(
+            db,
+            chain=("karp_luby", "montecarlo"),
+            scheduler=faults.VirtualScheduler(default_tick=0.001),
+        )
+
+        def ask(name):
+            request = ServeRequest(
+                id=name, query=QUERY, epsilon=0.3, delta=0.3, seed=5
+            )
+            (response,) = server.run([request])
+            assert response.ok
+            return response.engine
+
+        with costmodel.use_model(None):
+            assert ask("cold") == "karp_luby"
+            # karp_luby priced far above montecarlo, both additive.
+            width = len(FEATURE_NAMES) + 1
+            slow = CostModel(
+                {"karp_luby": EngineCalibration((50.0,) * width, 9, 0.0)}
+            )
+            with costmodel.use_model(slow):
+                assert ask("hot") == "montecarlo"
+        assert len(server._plans) == 1
+
+    def test_each_ladder_tier_gets_its_own_entry(self, db):
+        # pool 1, two simultaneous arrivals: the first is admitted at
+        # depth 0 (exact tier), the second at depth 1 (relative tier).
+        unsafe = "exists x. exists y. E(x, y) & S(x) & S(y)"
+        server = Server(
+            db,
+            pool_size=1,
+            ladder=DegradationLadder(relative_at=1, additive_at=None),
+            scheduler=faults.VirtualScheduler(default_tick=0.001),
+        )
+        recorder = obs.StatsRecorder()
+        with obs.use(recorder):
+            for batch in range(2):
+                responses = server.run(
+                    [
+                        ServeRequest(
+                            id=f"b{batch}-{i}", query=unsafe, seed=i,
+                            quantity="probability", epsilon=0.3, delta=0.3,
+                        )
+                        for i in range(2)
+                    ]
+                )
+                by_tier = {r.tier: r.engine for r in responses}
+                assert all(r.ok for r in responses)
+                assert by_tier == {"exact": "exact", "relative": "karp_luby"}
+        assert len(server._plans) == 2
+        counters = recorder.summary()["counters"]
+        assert counters["serve.plan_cache.misses"] == 2
+        assert counters["serve.plan_cache.hits"] == 2
+
+    def test_raced_request_runs_admissions_plan_with_the_overlap(
+        self, db, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from repro.runtime import executor, racing
+        from repro.serve import admission
+
+        decisions, executed = [], []
+        assess, execute = admission.assess, executor.execute
+
+        def recording_assess(*args, **kwargs):
+            decisions.append(assess(*args, **kwargs))
+            return decisions[-1]
+
+        def recording_execute(plan, *args, **kwargs):
+            if "engines" not in kwargs:  # not the forecast's stub walk
+                executed.append(plan)
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(admission, "assess", recording_assess)
+        monkeypatch.setattr(executor, "execute", recording_execute)
+        (response,) = Server(db, pool_size=1).run(
+            [ServeRequest(id="r", query=QUERY, race=True)]
+        )
+        assert response.ok and response.engine == "safe_lifted"
+        (decision,) = decisions
+        (plan,) = executed
+        assert plan == replace(decision.plan, overlap=racing.DEFAULT_OVERLAP)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "query, quantity",
+        [
+            (QUERY, "reliability"),
+            ("exists x. exists y. E(x, y) & S(x) & S(y)", "probability"),
+            ("exists x. exists y. E(x, y) & S(x) & S(y)", "reliability"),
+        ],
+    )
+    def test_served_answers_match_run_with_fallback(
+        self, db, seed, query, quantity
+    ):
+        import random
+
+        from repro.logic.evaluator import FOQuery
+        from repro.runtime.executor import run_with_fallback
+
+        chain = ("safe_lifted", "karp_luby", "montecarlo")
+        request = ServeRequest(
+            id="q", query=query, quantity=quantity, epsilon=0.2, delta=0.2,
+            seed=seed,
+        )
+        _, responses, _ = serve(db, [request], chain=chain)
+        expected = run_with_fallback(
+            db, FOQuery(query), chain=chain, quantity=quantity,
+            epsilon=0.2, delta=0.2, rng=random.Random(f"{seed}:q:try:0"),
+        )
+        assert (responses[0].value, responses[0].engine) == (
+            expected.value, expected.engine,
+        )
