@@ -7,9 +7,7 @@ one multiply.  This package lifts the same idea from *worlds* to
 inserted/deleted, :class:`DeltaSession` updates the reliability answer
 in time proportional to the change, not ``2 ** k`` — regrounding only
 the clauses the touched atom can occur in, re-evaluating only the
-compiled-diagram nodes above the atom's level, and re-weighting already
-drawn Karp–Luby samples under an importance correction instead of
-redrawing them.
+compiled-diagram nodes above the atom's level.
 
 Answers are bit-identical :class:`~fractions.Fraction` values: after
 any update stream, ``session.probability()`` equals a from-scratch
@@ -18,7 +16,6 @@ any update stream, ``session.probability()`` equals a from-scratch
 """
 
 from repro.delta.reground import DeltaGrounding
-from repro.delta.sampling import ReweightableKarpLuby
 from repro.delta.session import DeltaSession
 
-__all__ = ["DeltaSession", "DeltaGrounding", "ReweightableKarpLuby"]
+__all__ = ["DeltaSession", "DeltaGrounding"]

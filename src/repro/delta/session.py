@@ -140,7 +140,6 @@ class DeltaSession:
             self._base = formula
             self._negate = False
         self._db = db
-        self._sampler = None
         state = self._build(db)
         self._grounding, self._diagram, self._table = state
 
@@ -223,36 +222,7 @@ class DeltaSession:
         obs.inc("delta.recomputes")
         state = self._build(self._db)
         self._grounding, self._diagram, self._table = state
-        if self._sampler is not None:
-            self._sampler.mark_stale()
         return self.probability()
-
-    # ------------------------------------------------------------------ #
-    # sampling
-    # ------------------------------------------------------------------ #
-
-    def attach_karp_luby(self, samples: int, rng, method: str = "coverage"):
-        """Draw a reusable Karp–Luby sample set for the current state.
-
-        The returned :class:`~repro.delta.sampling.ReweightableKarpLuby`
-        tracks weight-only updates through importance re-weighting; a
-        structural update marks it stale (redraw by calling this again).
-        """
-        from repro.delta.sampling import ReweightableKarpLuby
-
-        dnf = self._grounding.dnf()
-        self._sampler = ReweightableKarpLuby(
-            dnf,
-            {
-                atom: float(self._db.nu(atom))
-                for atom in sorted(dnf.variables, key=repr)
-            },
-            samples,
-            rng,
-            method=method,
-            negate=self._negate,
-        )
-        return self._sampler
 
     # ------------------------------------------------------------------ #
     # machinery
@@ -288,8 +258,6 @@ class DeltaSession:
         obs.inc("delta.reweights")
         nu = db.nu(atom)
         table = self._reweighted(self._table, atom, nu)
-        if self._sampler is not None:
-            self._sampler.set_prob(atom, float(nu))
         self._db, self._table = db, table
 
     def _reweighted(self, table: _Table, atom: Atom, nu: Fraction) -> _Table:
@@ -405,8 +373,6 @@ class DeltaSession:
             for index, node in entries.items():
                 diagram.tree[index] = node
         grounding.commit(changes)
-        if self._sampler is not None:
-            self._sampler.mark_stale()
         self._db, self._table = db, table
         if changes:
             self._compact()

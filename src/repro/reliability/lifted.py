@@ -66,22 +66,11 @@ _HALF = Fraction(1, 2)
 
 
 def _as_boolean_cq(query: QueryLike) -> ConjunctiveQuery:
-    if isinstance(query, FOQuery):
-        # Its free variables are its formula's: arity is checked below.
-        query = query.formula
-    if isinstance(query, str):
-        query = ConjunctiveQuery.from_text(query)
-    elif isinstance(query, Formula):
-        query = ConjunctiveQuery.from_formula(query)
-    if not isinstance(query, ConjunctiveQuery):
-        raise QueryError(
-            f"lifted inference expects a conjunctive query, got "
-            f"{type(query).__name__}"
-        )
-    if query.arity != 0:
-        raise QueryError("lifted inference works on Boolean queries; "
-                         "instantiate free variables first")
-    return query
+    """The Boolean CQ the classifier's normaliser makes of ``query``."""
+    coerced = safety._coerce(query)
+    if isinstance(coerced, safety.UnsafeVerdict):
+        raise QueryError(f"lifted inference: {coerced.detail}")
+    return coerced
 
 
 def _atom_parts(query: ConjunctiveQuery) -> List[AtomF]:
@@ -132,13 +121,9 @@ def is_safe(query: QueryLike) -> bool:
     (:func:`repro.logic.safety.classify_dichotomy`); the differential
     suite pins its agreement with :func:`is_hierarchical` /
     :func:`has_self_join`, which keep their independent implementations
-    as oracles.
+    as oracles and share only its query normaliser.
     """
-    try:
-        cq = _as_boolean_cq(query)
-    except QueryError:
-        return False
-    return safety.classify_dichotomy(cq).safe
+    return safety.classify_dichotomy(query).safe
 
 
 def lifted_probability(

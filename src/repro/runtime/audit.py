@@ -41,7 +41,6 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.runtime.adaptive",
     "repro.delta.session",
     "repro.delta.reground",
-    "repro.delta.sampling",
 )
 
 #: Looping functions that deliberately do not checkpoint, with the
@@ -72,12 +71,6 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"
     ),
-    ("repro.delta.sampling", "_bisect"): (
-        "binary search over the clause list, O(log clauses)"
-    ),
-    ("repro.delta.sampling", "_first_satisfied"): (
-        "one pass over the DNF clauses, bounded by the formula"
-    ),
     ("repro.reliability.exact", "_formula_atoms.walk"): (
         "syntactic walk of the query formula, bounded by the query"
     ),
@@ -86,9 +79,6 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.delta.reground", "_unify"): (
         "one literal against one atom, bounded by the relation arity"
-    ),
-    ("repro.delta.sampling", "_clause_weight"): (
-        "one clause's literals, bounded by the formula's clause width"
     ),
     ("repro.delta.session", "_counted"): (
         "reference counting over the nodes a patch added, run when the "

@@ -653,6 +653,11 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
     raise _exhausted(f"all {len(chain)} engines failed", attempts, emit)
 
 
+#: Update op -> its argument count; each op is the name of the
+#: :class:`~repro.delta.DeltaSession` method that applies it.
+_UPDATE_OPS = {"set_mu": 2, "insert": 1, "delete": 1}
+
+
 def run_update_stream(
     db,
     query: QueryLike,
@@ -664,7 +669,8 @@ def run_update_stream(
 
     ``updates`` is a sequence of operations:
     ``("set_mu", atom, probability)``, ``("insert", atom)``,
-    ``("delete", atom)``.  A :class:`~repro.delta.DeltaSession` is built
+    ``("delete", atom)``; the whole stream is checked against that form
+    before any work starts.  A :class:`~repro.delta.DeltaSession` is built
     once, the stream is preflighted against the budget's work cap via
     :func:`~repro.runtime.preflight.preflight_delta` (worst case
     ``m * |diagram|`` node re-evaluations — O(Δ) per step, never
@@ -678,6 +684,12 @@ def run_update_stream(
     from repro.runtime.preflight import preflight_delta
 
     check_quantity(quantity)
+    for update in updates:
+        if not update or _UPDATE_OPS.get(update[0]) != len(update) - 1:
+            raise QueryError(
+                f"malformed update {update!r}; use ('set_mu', atom, "
+                "probability), ('insert', atom) or ('delete', atom)"
+            )
     scope = apply(budget) if budget is not None else nullcontext()
     with scope:
         with obs.span("runtime.update_stream", updates=len(updates)):
@@ -689,18 +701,8 @@ def run_update_stream(
                 else session.reliability
             )
             answers = []
-            for update in updates:
+            for op, *args in updates:
                 checkpoint()
-                op = update[0]
-                if op == "set_mu":
-                    session.set_mu(update[1], update[2])
-                elif op == "insert":
-                    session.insert(update[1])
-                elif op == "delete":
-                    session.delete(update[1])
-                else:
-                    raise QueryError(
-                        f"unknown update op {op!r}; use set_mu/insert/delete"
-                    )
+                getattr(session, op)(*args)
                 answers.append(answer())
             return session, answers

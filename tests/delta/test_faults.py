@@ -4,8 +4,8 @@ Each update kind (a weight move, and the structural freeze, thaw,
 insert and delete) is aborted at every budget checkpoint it reaches,
 by raising a cap one step at a time until the update completes.  After
 each abort the session must still hold the old database and the old
-answer, and its attached Karp–Luby sampler the old estimate; the next
-update, run without a budget, must then equal a cold recompute.
+answer; the next update, run without a budget, must then equal a cold
+recompute.
 """
 
 import random
@@ -18,7 +18,6 @@ from repro.delta import DeltaSession
 from repro.reliability.exact import truth_probability
 from repro.runtime.budget import Budget, apply
 from repro.util.errors import BudgetExceeded
-from repro.util.rng import make_rng
 
 from tests.delta.streams import ATOMS, QUERY_SHAPES, apply_op, random_db
 
@@ -89,8 +88,6 @@ def test_aborted_update_leaves_the_session_intact(seed, shape, kind, cap):
     for step in range(10_000):
         session = DeltaSession(db, query)
         size = session.diagram_size
-        sampler = session.attach_karp_luby(64, make_rng(seed))
-        estimate = None if sampler.stale else sampler.estimate()
         try:
             with apply(CAPS[cap](step)):
                 apply_op(session, op)
@@ -101,9 +98,6 @@ def test_aborted_update_leaves_the_session_intact(seed, shape, kind, cap):
         assert session.db is db
         assert session.probability() == before
         assert session.diagram_size == size
-        if estimate is not None:
-            assert not sampler.stale
-            assert sampler.estimate() == estimate
         # The session is usable: the update now lands on the cold value.
         apply_op(session, op)
         assert session.probability() == truth_probability(session.db, query)

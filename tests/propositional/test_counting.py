@@ -110,7 +110,6 @@ class TestCountModels:
 
 
 def _entry_points():
-    from repro.delta.sampling import ReweightableKarpLuby
     from repro.propositional.karp_luby import (
         karp_luby_samples,
         naive_probability_estimate,
@@ -123,16 +122,11 @@ def _entry_points():
         "naive": lambda dnf, probs: naive_probability_estimate(
             dnf, probs, 100, 1
         ),
-        "reweightable": lambda dnf, probs: ReweightableKarpLuby(
-            dnf, probs, 100, 1
-        ),
     }
 
 
 @pytest.mark.parametrize("bad", ["missing", -0.2, 1.5, float("nan")])
-@pytest.mark.parametrize(
-    "entry", ["enumerate", "exact", "karp_luby", "naive", "reweightable"]
-)
+@pytest.mark.parametrize("entry", ["enumerate", "exact", "karp_luby", "naive"])
 def test_every_dnf_engine_checks_probabilities(entry, bad):
     """One check guards the exact and the sampling DNF engines alike."""
     dnf = DNF.of([pos("a"), pos("b")], [neg_lit("a"), pos("c")])

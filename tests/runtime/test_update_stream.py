@@ -56,6 +56,49 @@ class TestRunUpdateStream:
         with pytest.raises(QueryError):
             run_update_stream(_db(), QUERY, [("upsert", Atom("E", (0, 1)))])
 
+    def test_malformed_op_refused_before_pricing(self):
+        # The stream's one bad op is a QueryError even under a budget
+        # the well-formed part would exceed: it is never priced as work.
+        size = run_update_stream(_db(), QUERY, [])[0].diagram_size
+        updates = [
+            ("set_mu", Atom("E", (0, 1)), Fraction(i, 8)) for i in range(1, 8)
+        ] + [("upsert", Atom("E", (0, 1)))]
+        with pytest.raises(QueryError):
+            run_update_stream(
+                _db(), QUERY, updates, budget=Budget(max_worlds=size * 3)
+            )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("upsert", Atom("E", (0, 1))),
+            ("set_mu", Atom("E", (0, 1))),
+            ("insert", Atom("E", (0, 2)), Fraction(1, 2)),
+            (),
+        ],
+        ids=["unknown", "short", "long", "empty"],
+    )
+    def test_malformed_stream_builds_no_session(self, monkeypatch, bad):
+        from repro.delta import DeltaSession
+
+        built = []
+        init = DeltaSession.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeltaSession, "__init__", counting)
+        updates = [
+            ("set_mu", Atom("E", (0, 1)), Fraction(1, 3)),
+            ("delete", Atom("E", (1, 2))),
+            ("insert", Atom("E", (1, 2))),
+            bad,
+        ]
+        with pytest.raises(QueryError):
+            run_update_stream(_db(), QUERY, updates)
+        assert built == []
+
     def test_tight_budget_refuses_up_front(self):
         # Room to compile the diagram once, none for the stream: the
         # preflight refuses before any update is applied.
