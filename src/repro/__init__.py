@@ -25,76 +25,45 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 reproduction results of every theorem.
 """
 
-from repro.relational import (
-    Atom,
-    RelationSymbol,
-    Structure,
-    StructureBuilder,
-    Vocabulary,
-)
-from repro.logic import (
-    ConjunctiveQuery,
-    DatalogProgram,
-    DatalogQuery,
-    FixpointQuery,
-    FOQuery,
-    Rule,
-    parse,
-)
-from repro.logic.so import SOQuery, SOExists, SOForall
-from repro.propositional import DNF, Clause, Literal, karp_luby
-from repro.reliability import (
-    UnreliableDatabase,
-    analyze,
-    answer_probabilities,
-    atom_influence,
-    estimate_answer_probabilities,
-    estimate_reliability_hamming,
-    existential_probability,
-    expected_error,
-    is_absolutely_reliable,
-    most_fragile_atoms,
-    padded_reliability,
-    padded_truth_probability,
-    reliability,
-    reliability_additive,
-    truth_probability,
-    uniform_error,
-    wrong_probability,
-)
-from repro.util import as_rng, make_rng
-from repro.util.errors import (
-    BudgetExceeded,
-    CostRefused,
-    FallbackExhausted,
-    ReproError,
-)
-from repro import obs
-from repro import runtime
-from repro.runtime import Budget, Deadline, RuntimeResult, run_with_fallback
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Exports loaded on first access (PEP 562), so ``import repro.cli`` does
-#: not pay for subsystems a command may never touch.
-_LAZY_EXPORTS = {
-    "FunctionalDatabase": "repro.metafinite",
-    "MetafiniteQuery": "repro.metafinite",
-    "UnreliableFunctionalDatabase": "repro.metafinite",
-    "ValueDistribution": "repro.metafinite",
-    "metafinite_reliability": "repro.metafinite",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
+lazy_exports(
+    __name__,
+    {
+        ".relational": (
+            "Atom", "RelationSymbol", "Structure", "StructureBuilder",
+            "Vocabulary",
+        ),
+        ".logic": (
+            "ConjunctiveQuery", "DatalogProgram", "DatalogQuery",
+            "FixpointQuery", "FOQuery", "Rule", "parse",
+        ),
+        ".logic.so": ("SOQuery", "SOExists", "SOForall"),
+        ".propositional": ("DNF", "Clause", "Literal", "karp_luby"),
+        ".reliability": (
+            "UnreliableDatabase", "analyze", "answer_probabilities",
+            "atom_influence", "estimate_answer_probabilities",
+            "estimate_reliability_hamming", "existential_probability",
+            "expected_error", "is_absolutely_reliable", "most_fragile_atoms",
+            "padded_reliability", "padded_truth_probability", "reliability",
+            "reliability_additive", "truth_probability", "uniform_error",
+            "wrong_probability",
+        ),
+        ".metafinite": (
+            "FunctionalDatabase", "MetafiniteQuery",
+            "UnreliableFunctionalDatabase", "ValueDistribution",
+            "metafinite_reliability",
+        ),
+        ".runtime": ("Budget", "Deadline", "RuntimeResult", "run_with_fallback"),
+        ".util": ("as_rng", "make_rng"),
+        ".util.errors": (
+            "BudgetExceeded", "CostRefused", "FallbackExhausted", "ReproError",
+        ),
+    },
+    submodules=("obs", "runtime"),
+)
 
 __all__ = [
     # relational substrate

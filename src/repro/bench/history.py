@@ -30,8 +30,8 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 class History:
     """Append and query the JSONL trajectory store at ``path``."""
 
-    def __init__(self, path: str = DEFAULT_HISTORY):
-        self.path = path
+    def __init__(self, path: Optional[str] = None):
+        self.path = DEFAULT_HISTORY if path is None else path
 
     # -- writing -------------------------------------------------------- #
 

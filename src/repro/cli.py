@@ -51,18 +51,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from repro import obs
-from repro.logic.classify import classify
-from repro.logic.evaluator import FOQuery
 from repro.relational.encoding import decode_unreliable_database
-from repro.reliability.approx import reliability_additive
-from repro.reliability.exact import expected_error, reliability
-from repro.reliability.montecarlo import estimate_reliability_hamming
-from repro.reliability.padding import padded_reliability
-from repro.reliability.report import analyze
-from repro.runtime import Budget
-from repro.runtime import apply as apply_budget
-from repro.runtime import costmodel
-from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
 from repro.util.errors import (
     BudgetExceeded,
     CostRefused,
@@ -78,16 +67,34 @@ EXIT_BUDGET_EXCEEDED = 4
 EXIT_FALLBACK_EXHAUSTED = 5
 
 
+# Each command imports what it runs, so ``import repro.cli`` loads only
+# argparse, ``repro.obs`` and the database decoder.  perfbench wraps
+# ``decode_unreliable_database`` and ``run_with_fallback`` as attributes
+# of this module, so the handlers call both through its globals.
+
+
+def run_with_fallback(*args, **kwargs):
+    """:func:`repro.runtime.executor.run_with_fallback`, imported on the
+    first call."""
+    from repro.runtime import executor
+
+    return executor.run_with_fallback(*args, **kwargs)
+
+
 def _load(path: str):
     with open(path) as handle:
         return decode_unreliable_database(handle.read())
 
 
-def _query(args: argparse.Namespace) -> FOQuery:
+def _query(args: argparse.Namespace):
+    from repro.logic.evaluator import FOQuery
+
     return FOQuery(args.query, args.free or None)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    from repro.reliability.exact import expected_error, reliability
+
     db = _load(args.database)
     query = _query(args)
     value = reliability(db, query, method=args.method)
@@ -99,6 +106,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.reliability.approx import reliability_additive
+    from repro.reliability.montecarlo import estimate_reliability_hamming
+    from repro.reliability.padding import padded_reliability
+
     db = _load(args.database)
     query = _query(args)
     rng = random.Random(args.seed)
@@ -141,6 +152,8 @@ def _calibration_model(args: argparse.Namespace):
     path = getattr(args, "calibration", None)
     if path is None:
         return None
+    from repro.runtime import costmodel
+
     return costmodel.load_or_fallback(path)
 
 
@@ -150,6 +163,8 @@ def _adaptive_flag(args: argparse.Namespace) -> bool:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.reliability.report import analyze
+
     db = _load(args.database)
     query = _query(args)
     rng = random.Random(args.seed) if args.seed is not None else None
@@ -349,6 +364,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro.runtime import costmodel
+
     model = costmodel.calibrate(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -383,7 +400,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"error rates in use: {', '.join(rates)}")
         print(f"possible worlds: 2^{len(uncertain)}")
     if args.query:
-        query = FOQuery(args.query, args.free or None)
+        from repro.logic.classify import classify
+
+        query = _query(args)
         print(f"query fragment: {classify(query.formula)}")
         answers = query.answers(structure)
         print(f"observed answer: {len(answers)} tuples")
@@ -504,6 +523,8 @@ def _print_stats(recorder: obs.StatsRecorder) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.executor import DEFAULT_CHAIN
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -862,8 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--free", nargs="*")
     inspect.set_defaults(handler=_cmd_inspect)
 
-    from repro.bench.history import DEFAULT_HISTORY
-
     bench_cmd = sub.add_parser(
         "bench",
         help="run registered benchmarks, track and gate the trajectory",
@@ -896,9 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_run.add_argument(
         "--history",
-        default=DEFAULT_HISTORY,
         metavar="PATH",
-        help=f"trajectory store to append to (default: {DEFAULT_HISTORY})",
+        help="trajectory store to append to (default: BENCH_history.jsonl)",
     )
     bench_run.add_argument(
         "--no-append",
@@ -924,9 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fresh records to gate (from `bench run --out`); omitted, "
         "each trajectory's newest record is gated against its past",
     )
-    bench_compare.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH"
-    )
+    bench_compare.add_argument("--history", metavar="PATH")
     bench_compare.add_argument(
         "--tolerance",
         type=float,
@@ -951,9 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_report.add_argument(
         "--key", help="restrict the detail view to one workload key"
     )
-    bench_report.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH"
-    )
+    bench_report.add_argument("--history", metavar="PATH")
     bench_report.set_defaults(handler=_cmd_bench_report)
 
     cache_cmd = sub.add_parser(
@@ -1039,13 +1053,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     max_cost = getattr(args, "max_cost", None)
     try:
         if deadline is not None or max_cost is not None:
+            from repro.runtime.budget import Budget, apply
+
             budget = Budget(
                 deadline=deadline,
                 max_worlds=max_cost,
                 max_ground_clauses=max_cost,
                 max_samples=max_cost,
             )
-            with apply_budget(budget):
+            with apply(budget):
                 code = args.handler(args)
         else:
             code = args.handler(args)

@@ -23,26 +23,25 @@ and respects the active :class:`repro.runtime.Budget` via
 ``runtime.checkpoint`` at batch granularity.  See docs/PERFORMANCE.md.
 """
 
-from repro.kernels.bitops import BATCH_BITS, popcount
-from repro.kernels.cache import clear_caches, compilation_cache
-from repro.kernels.gray import (
-    gray_enumeration_probability,
-    product_enumeration_probability,
-)
-from repro.kernels.plan import (
-    DnfPlan,
-    HammingPlan,
-    TruthPlan,
-    compile_dnf_plan,
-    compile_hamming_plan,
-    compile_truth_plan,
-)
-from repro.kernels.sampling import (
-    KlPlan,
-    sample_hamming_batches,
-    sample_kl_batches,
-    sample_naive_batches,
-    sample_truth_batches,
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".bitops": ("BATCH_BITS", "popcount"),
+        ".cache": ("clear_caches", "compilation_cache"),
+        ".gray": (
+            "gray_enumeration_probability", "product_enumeration_probability",
+        ),
+        ".plan": (
+            "DnfPlan", "HammingPlan", "TruthPlan", "compile_dnf_plan",
+            "compile_hamming_plan", "compile_truth_plan",
+        ),
+        ".sampling": (
+            "KlPlan", "sample_hamming_batches", "sample_kl_batches",
+            "sample_naive_batches", "sample_truth_batches",
+        ),
+    },
 )
 
 __all__ = [

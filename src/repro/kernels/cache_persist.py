@@ -36,9 +36,7 @@ Counters (see docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import threading
 from fractions import Fraction
 from typing import Any, Hashable, List, Optional, Tuple
@@ -128,6 +126,10 @@ class PersistentCache:
     # ------------------------------------------------------------------ #
 
     def path_for(self, key: Hashable) -> str:
+        # pickle and hashlib load with the first disk access, not with
+        # every run that merely checks whether a tier is active.
+        import hashlib
+
         kind = key[0] if isinstance(key, tuple) and key else "entry"
         digest = hashlib.sha256(
             _stable_token(key).encode("utf-8", "backslashreplace")
@@ -151,6 +153,8 @@ class PersistentCache:
         ``kernels.cache.persist.invalid`` and report a miss, so the
         caller cold-compiles exactly as if the file were absent.
         """
+        import pickle
+
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
@@ -190,6 +194,8 @@ class PersistentCache:
         reports ``False`` — the memory tier still holds the entry, so
         the current process is unaffected.
         """
+        import pickle
+
         path = self.path_for(key)
         temp = self._temp_path(path)
         try:

@@ -21,40 +21,30 @@ and second-order.  This subpackage implements all of them:
   (the language of Theorem 4.2).
 """
 
-from repro.logic.terms import Var, Const, Term
-from repro.logic.fo import (
-    Formula,
-    AtomF,
-    Eq,
-    Not,
-    And,
-    Or,
-    Implies,
-    Iff,
-    Exists,
-    Forall,
-    Top,
-    Bottom,
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".terms": ("Var", "Const", "Term"),
+        ".fo": (
+            "Formula", "AtomF", "Eq", "Not", "And", "Or", "Implies", "Iff",
+            "Exists", "Forall", "Top", "Bottom",
+        ),
+        ".parser": ("parse",),
+        ".evaluator": ("evaluate", "answers", "FOQuery"),
+        ".classify": (
+            "is_quantifier_free", "is_existential", "is_universal",
+            "is_conjunctive", "classify",
+        ),
+        ".conjunctive": ("ConjunctiveQuery",),
+        ".safety": ("SafeVerdict", "UnsafeVerdict", "classify_dichotomy"),
+        ".datalog": ("DatalogProgram", "DatalogQuery", "Rule"),
+        ".fixpoint": ("FixpointQuery",),
+        ".so": ("SOExists", "SOForall", "evaluate_so"),
+        ".algebra": ("rel", "RAExpression"),
+    },
 )
-from repro.logic.parser import parse
-from repro.logic.evaluator import evaluate, answers, FOQuery
-from repro.logic.classify import (
-    is_quantifier_free,
-    is_existential,
-    is_universal,
-    is_conjunctive,
-    classify,
-)
-from repro.logic.conjunctive import ConjunctiveQuery
-from repro.logic.safety import (
-    SafeVerdict,
-    UnsafeVerdict,
-    classify_dichotomy,
-)
-from repro.logic.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.logic.fixpoint import FixpointQuery
-from repro.logic.so import SOExists, SOForall, evaluate_so
-from repro.logic.algebra import rel, RAExpression
 
 __all__ = [
     "Var",

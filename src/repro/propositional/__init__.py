@@ -22,30 +22,25 @@ variable probabilities).  This subpackage supplies:
   DNF engine: probability, model counts and all influences.
 """
 
-from repro.propositional.formula import Literal, Clause, DNF, CNF, pos, neg_lit
-from repro.propositional.counting import (
-    count_models,
-    probability_exact,
-    probability_enumerate,
-)
-from repro.propositional.karp_luby import (
-    KarpLubyEstimate,
-    karp_luby,
-    karp_luby_samples,
-    sample_count,
-    naive_probability_estimate,
-)
-from repro.propositional.bitvector import (
-    BitvectorInstance,
-    bitvector_reduction,
-    dnf_less_than,
-    dnf_geq,
-    probability_via_bitvector,
-)
-from repro.propositional.bdd import (
-    BDD,
-    compile_dnf,
-    influences_via_bdd,
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".formula": ("Literal", "Clause", "DNF", "CNF", "pos", "neg_lit"),
+        ".counting": (
+            "count_models", "probability_exact", "probability_enumerate",
+        ),
+        ".karp_luby": (
+            "KarpLubyEstimate", "karp_luby", "karp_luby_samples",
+            "sample_count", "naive_probability_estimate",
+        ),
+        ".bitvector": (
+            "BitvectorInstance", "bitvector_reduction", "dnf_less_than",
+            "dnf_geq", "probability_via_bitvector",
+        ),
+        ".bdd": ("BDD", "compile_dnf", "influences_via_bdd"),
+    },
 )
 
 __all__ = [

@@ -14,10 +14,17 @@ interpreted as a set of tuples over the universe.  This subpackage provides:
 * :mod:`~repro.relational.builder` — a fluent builder for structures.
 """
 
-from repro.relational.schema import RelationSymbol, Vocabulary
-from repro.relational.atoms import Atom, all_atoms, atom_count
-from repro.relational.structure import Structure
-from repro.relational.builder import StructureBuilder
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".schema": ("RelationSymbol", "Vocabulary"),
+        ".atoms": ("Atom", "all_atoms", "atom_count"),
+        ".structure": ("Structure",),
+        ".builder": ("StructureBuilder",),
+    },
+)
 
 __all__ = [
     "RelationSymbol",

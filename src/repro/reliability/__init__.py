@@ -24,71 +24,57 @@ Algorithms provided, each mapped to its result in the paper:
 ====================================================  ====================
 """
 
-from repro.reliability.unreliable import UnreliableDatabase, uniform_error
-from repro.reliability.space import (
-    worlds,
-    world_probability,
-    support_size,
-    world_granularity,
-)
-from repro.reliability.grounding import (
-    ground_existential_to_dnf,
-    relevant_atoms,
-    GroundingResult,
-)
-from repro.reliability.exact import (
-    reliability,
-    expected_error,
-    wrong_probability,
-    truth_probability,
-    qf_tuple_wrong_probability,
-)
-from repro.reliability.approx import (
-    existential_probability,
-    reliability_additive,
-    AdditiveEstimate,
-)
-from repro.reliability.montecarlo import (
-    hoeffding_samples,
-    estimate_truth_probability,
-    estimate_reliability_hamming,
-)
-from repro.reliability.padding import (
-    pad_database,
-    padded_truth_probability,
-    padded_reliability,
-    padding_sample_count,
-)
-from repro.reliability.absolute import is_absolutely_reliable
-from repro.reliability.answers import (
-    answer_probabilities,
-    estimate_answer_probabilities,
-    reliability_from_answers,
-)
-from repro.reliability.influence import (
-    atom_influence,
-    most_fragile_atoms,
-    wrong_probability_sensitivity,
-)
-from repro.reliability.lifted import (
-    UnsafeQueryError,
-    is_hierarchical,
-    is_safe,
-    lifted_probability,
-    lifted_reliability,
-)
-from repro.reliability.report import ReliabilityReport, analyze
-from repro.reliability.calibration import (
-    AuditRecord,
-    RelationCalibration,
-    calibrate_error_rates,
-    calibrated_database,
-)
-from repro.reliability.repair import (
-    expected_post_verification_wrong,
-    greedy_verification_plan,
-    verification_gain,
-    verify_and_correct,
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".unreliable": ("UnreliableDatabase", "uniform_error"),
+        ".space": (
+            "worlds", "world_probability", "support_size", "world_granularity",
+        ),
+        ".grounding": (
+            "ground_existential_to_dnf", "relevant_atoms", "GroundingResult",
+        ),
+        ".exact": (
+            "reliability", "expected_error", "wrong_probability",
+            "truth_probability", "qf_tuple_wrong_probability",
+        ),
+        ".approx": (
+            "existential_probability", "reliability_additive",
+            "AdditiveEstimate",
+        ),
+        ".montecarlo": (
+            "hoeffding_samples", "estimate_truth_probability",
+            "estimate_reliability_hamming",
+        ),
+        ".padding": (
+            "pad_database", "padded_truth_probability", "padded_reliability",
+            "padding_sample_count",
+        ),
+        ".absolute": ("is_absolutely_reliable",),
+        ".answers": (
+            "answer_probabilities", "estimate_answer_probabilities",
+            "reliability_from_answers",
+        ),
+        ".influence": (
+            "atom_influence", "most_fragile_atoms",
+            "wrong_probability_sensitivity",
+        ),
+        ".lifted": (
+            "UnsafeQueryError", "is_hierarchical", "is_safe",
+            "lifted_probability", "lifted_reliability",
+        ),
+        ".report": ("ReliabilityReport", "analyze"),
+        ".calibration": (
+            "AuditRecord", "RelationCalibration", "calibrate_error_rates",
+            "calibrated_database",
+        ),
+        ".repair": (
+            "expected_post_verification_wrong", "greedy_verification_plan",
+            "verification_gain", "verify_and_correct",
+        ),
+    },
 )
 
 __all__ = [

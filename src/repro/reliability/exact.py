@@ -78,21 +78,34 @@ def as_query(query: QueryLike) -> Any:
 
 
 def truth_probability(
-    db: UnreliableDatabase, sentence: QueryLike, method: str = "auto"
+    db: UnreliableDatabase,
+    sentence: QueryLike,
+    method: str = "auto",
+    verdict=None,
 ) -> Fraction:
-    """Exact ``Pr[B |= psi]`` for a Boolean query over ``Omega(D)``."""
+    """Exact ``Pr[B |= psi]`` for a Boolean query over ``Omega(D)``.
+
+    ``verdict`` is the sentence's dichotomy verdict when the caller
+    already holds it (the executor's plan); the lifted route then runs
+    it instead of classifying the sentence again.
+    """
     query = as_query(sentence)
     if getattr(query, "arity", 0) != 0:
         raise QueryError("truth_probability expects a Boolean (0-ary) query")
-    return _boolean_truth_probability(db, query, method)
+    return _boolean_truth_probability(db, query, method, verdict=verdict)
 
 
 def _boolean_truth_probability(
-    db: UnreliableDatabase, query: Any, method: str, grounded: Optional[DNF] = None
+    db: UnreliableDatabase,
+    query: Any,
+    method: str,
+    grounded: Optional[DNF] = None,
+    verdict=None,
 ) -> Fraction:
     """The dispatch.  ``grounded``, when given, is the grounding of the
     query's wrong target (from :func:`ground_answers`); the grounding
-    routes use it instead of grounding again."""
+    routes use it instead of grounding again.  ``verdict``, when given,
+    is the query's dichotomy verdict (see :func:`_try_lifted`)."""
     if method not in _METHODS:
         raise QueryError(f"unknown exact method {method!r}")
     formula = query.formula if isinstance(query, FOQuery) else None
@@ -103,7 +116,7 @@ def _boolean_truth_probability(
     else:
         route = _route(formula, method)
     if route == "lifted":
-        lifted = _try_lifted(db, formula)
+        lifted = _try_lifted(db, formula, verdict)
         if lifted is not None:
             obs.inc("exact.dispatch.lifted")
             return lifted
@@ -141,17 +154,20 @@ def _route(formula: Formula, method: str) -> str:
     return "worlds"
 
 
-def _try_lifted(db: UnreliableDatabase, formula: Formula):
+def _try_lifted(db: UnreliableDatabase, formula: Formula, verdict=None):
     """Fast path: safe conjunctive queries go through the lifted engine.
 
     Returns ``None`` when the conjunctive query is not a safe Boolean
     CQ, in which case the caller falls through to grounding (the
     #P-hard route that Proposition 3.2 makes unavoidable in general).
+    ``verdict`` is the formula's dichotomy verdict, if already known.
     """
     from repro.logic.conjunctive import ConjunctiveQuery
     from repro.reliability.lifted import UnsafeQueryError, lifted_probability
 
     try:
+        if verdict is not None:
+            return lifted_probability(db, formula, verdict)
         query = ConjunctiveQuery.from_formula(formula)
         if query.arity != 0:
             return None
@@ -308,10 +324,11 @@ def _wrong_probability(
     args: Sequence[Any],
     method: str,
     grounded: Optional[DNF] = None,
+    verdict=None,
 ) -> Fraction:
     boolean = _instantiated(query, args)
     observed = boolean.evaluate(db.structure, ())
-    p = _boolean_truth_probability(db, boolean, method, grounded)
+    p = _boolean_truth_probability(db, boolean, method, grounded, verdict)
     return 1 - p if observed else p
 
 
@@ -401,28 +418,40 @@ def expected_error(
     (see :func:`answer_lineage`) contributes 0 or 1 without an engine;
     the others go through the dispatch.
     """
-    query = as_query(query)
+    return _expected_error(db, as_query(query), method)
+
+
+def _expected_error(
+    db: UnreliableDatabase, query: Any, method: str, verdict=None
+) -> Fraction:
     total = Fraction(0)
     lineage = answer_lineage(db, query, method)
     for args, observed, target in answer_cells(db, query, lineage):
         if isinstance(target, bool):
             total += observed != target
         else:
-            total += _wrong_probability(db, query, args, method, target)
+            total += _wrong_probability(
+                db, query, args, method, target, verdict
+            )
     return total
 
 
 def reliability(
-    db: UnreliableDatabase, query: QueryLike, method: str = "auto"
+    db: UnreliableDatabase,
+    query: QueryLike,
+    method: str = "auto",
+    verdict=None,
 ) -> Fraction:
     """``R_psi(D) = 1 - H_psi(D) / n ** k`` (Definition 2.2).
 
-    For Boolean queries (``k == 0``) this is ``1 - H_psi``.
+    For Boolean queries (``k == 0``) this is ``1 - H_psi``, and
+    ``verdict`` is used as in :func:`truth_probability`; a k-ary query's
+    tuples are classified one by one, so it ignores ``verdict``.
     """
     query = as_query(query)
     n = db.universe_size
     if query.arity == 0:
-        return 1 - expected_error(db, query, method)
+        return 1 - _expected_error(db, query, method, verdict)
     if n == 0:
         raise QueryError("reliability undefined on an empty universe")
     return 1 - expected_error(db, query, method) / Fraction(n**query.arity)

@@ -31,27 +31,43 @@ that landscape into an execution policy instead of a crash report:
 
 See ``docs/ROBUSTNESS.md`` for the full story.
 
-The executor and fault modules are loaded lazily: the engines import
+Every name loads with its module on first use
+(:mod:`repro.util.lazy`): the engines import
 :mod:`repro.runtime.budget` for their checkpoints, and the executor
 imports the engines — laziness keeps that from being a cycle.
 """
 
-from repro.runtime.budget import (
-    DEFAULT_BUDGET,
-    DEFAULT_MAX_ATOMS,
-    Budget,
-    Deadline,
-    active_budget,
-    apply,
-    checkpoint,
-    set_budget,
-)
-from repro.runtime.preflight import (
-    grounding_cost,
-    preflight_grounding,
-    preflight_samples,
-    preflight_worlds,
-    worlds_cost,
+from repro.util.lazy import lazy_exports
+
+lazy_exports(
+    __name__,
+    {
+        ".budget": (
+            "DEFAULT_BUDGET", "DEFAULT_MAX_ATOMS", "Budget", "Deadline",
+            "active_budget", "apply", "checkpoint", "set_budget",
+        ),
+        ".preflight": (
+            "grounding_cost", "preflight_grounding", "preflight_samples",
+            "preflight_worlds", "worlds_cost",
+        ),
+        ".executor": (
+            "run_with_fallback", "RuntimeResult", "Attempt", "DEFAULT_CHAIN",
+            "GUARANTEE_ORDER", "ENGINES",
+        ),
+        ".faults": (
+            "Fault", "TimeoutFault", "SlowdownFault", "ExceptionFault",
+            "inject", "VirtualScheduler",
+        ),
+        ".costmodel": (
+            "CostModel", "plan_chain", "plan_features", "calibrate",
+            "load_or_fallback",
+        ),
+        ".racing": (
+            "ThreadScheduler", "use_scheduler", "race_sleep",
+            "DEFAULT_OVERLAP",
+        ),
+    },
+    submodules=("executor", "faults", "costmodel", "racing"),
 )
 
 __all__ = [
@@ -68,7 +84,6 @@ __all__ = [
     "grounding_cost",
     "preflight_grounding",
     "preflight_samples",
-    # lazily resolved (see __getattr__):
     "run_with_fallback",
     "RuntimeResult",
     "Attempt",
@@ -94,53 +109,3 @@ __all__ = [
     "race_sleep",
     "DEFAULT_OVERLAP",
 ]
-
-_EXECUTOR_NAMES = {
-    "run_with_fallback",
-    "RuntimeResult",
-    "Attempt",
-    "DEFAULT_CHAIN",
-    "GUARANTEE_ORDER",
-    "ENGINES",
-}
-_FAULT_NAMES = {
-    "Fault",
-    "TimeoutFault",
-    "SlowdownFault",
-    "ExceptionFault",
-    "inject",
-    "VirtualScheduler",
-}
-_COSTMODEL_NAMES = {
-    "CostModel",
-    "plan_chain",
-    "plan_features",
-    "calibrate",
-    "load_or_fallback",
-}
-_RACING_NAMES = {
-    "ThreadScheduler",
-    "use_scheduler",
-    "race_sleep",
-    "DEFAULT_OVERLAP",
-}
-
-
-def __getattr__(name):
-    # importlib (not a from-import) to avoid re-entering this hook while
-    # the submodule attribute is still unset on the package.
-    import importlib
-
-    if name in _EXECUTOR_NAMES or name == "executor":
-        module = importlib.import_module("repro.runtime.executor")
-        return module if name == "executor" else getattr(module, name)
-    if name in _FAULT_NAMES or name == "faults":
-        module = importlib.import_module("repro.runtime.faults")
-        return module if name == "faults" else getattr(module, name)
-    if name in _COSTMODEL_NAMES or name == "costmodel":
-        module = importlib.import_module("repro.runtime.costmodel")
-        return module if name == "costmodel" else getattr(module, name)
-    if name in _RACING_NAMES or name == "racing":
-        module = importlib.import_module("repro.runtime.racing")
-        return module if name == "racing" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

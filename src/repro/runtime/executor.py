@@ -215,12 +215,13 @@ def _engine_exact(db, query, req: _Request) -> _Answer:
     enumeration); the quantifier-free/grounded/lifted fast paths can
     beat it, but their worst cases are of the same order, so the bound
     is the honest conservative preflight for "exact, whatever it takes".
+    The plan's verdict spares the lifted route a second classification.
     """
     preflight_worlds(len(relevant_atoms(db, query)))
     if req.quantity == "probability":
-        value = truth_probability(db, query)
+        value = truth_probability(db, query, verdict=req.verdict)
     else:
-        value = reliability(db, query)
+        value = reliability(db, query, verdict=req.verdict)
     return _Answer(float(value), "exact", None, None, fraction=value)
 
 

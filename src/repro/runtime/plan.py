@@ -43,7 +43,6 @@ from repro.reliability.grounding import (
 from repro.reliability.montecarlo import hoeffding_samples
 from repro.runtime import costmodel, executor, racing
 from repro.runtime.budget import Budget, active_budget, apply, checkpoint
-from repro.runtime.faults import VirtualScheduler
 from repro.runtime.preflight import (
     grounding_refusal,
     samples_refusal,
@@ -416,6 +415,8 @@ def forecast(plan: Plan, budget) -> ChainPlan:
     )
     scheduler = None
     if race:
+        from repro.runtime.faults import VirtualScheduler
+
         scheduler = VirtualScheduler()
         shadow = Budget(budget.deadline_seconds, *caps, clock=scheduler.now)
     else:

@@ -246,3 +246,52 @@ class TestWorldEnumerationGuard:
         with apply(Budget(max_atoms=None)):
             value = truth_probability(triangle_db, query, method="worlds")
         assert value == truth_probability(triangle_db, query)
+
+
+class TestHeldVerdict:
+    """A caller's dichotomy verdict replaces the lifted route's own
+    classification and changes no answer."""
+
+    QUERIES = [
+        "exists x y. E(x, y) & S(y)",  # safe
+        "exists x. S(x)",  # safe, one atom
+        "exists x y. E(x, y) & E(y, x)",  # self-join
+        "exists x y. S(x) & E(x, y) & T(y)",  # non-hierarchical
+        "exists x y. E(x, y) & x = y",  # equality
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_answers_are_identical(self, seed, text):
+        from repro.logic.safety import classify_dichotomy
+
+        db = random_unreliable_database(
+            make_rng(seed), size=3, relations={"E": 2, "S": 1, "T": 1},
+            density=0.5,
+        )
+        query = FOQuery(text)
+        verdict = classify_dichotomy(query)
+        assert truth_probability(db, query, verdict=verdict) == (
+            truth_probability(db, query)
+        )
+        assert reliability(db, query, verdict=verdict) == reliability(
+            db, query
+        )
+
+    def test_no_second_classification(self, triangle_db, monkeypatch):
+        from repro.logic import safety
+
+        query = FOQuery("exists x y. E(x, y) & S(y)")
+        verdict = safety.classify_dichotomy(query)
+        calls = []
+        classify = safety.classify_dichotomy
+
+        def counting(query):
+            calls.append(query)
+            return classify(query)
+
+        monkeypatch.setattr(safety, "classify_dichotomy", counting)
+        held = reliability(triangle_db, query, verdict=verdict)
+        assert calls == []
+        assert reliability(triangle_db, query) == held
+        assert len(calls) == 1

@@ -488,6 +488,20 @@ class TestPlannedOnce:
         assert responses[0].ok and responses[0].retries == 1
         assert dict(counts) == {"parse": 1, "plan": 1, "classify": 1}
 
+    def test_exact_engine_runs_the_plans_verdict(self, db, monkeypatch):
+        # The exact engine's lifted route reads the verdict admission
+        # already holds instead of classifying the query a second time.
+        from repro.reliability.exact import reliability
+
+        expected = float(reliability(db, QUERY))
+        counts = count_planning(monkeypatch)
+        _, responses, _ = serve(
+            db, [ServeRequest(id="e", query=QUERY, chain=("exact",))]
+        )
+        assert responses[0].ok and responses[0].engine == "exact"
+        assert responses[0].value == expected
+        assert dict(counts) == {"parse": 1, "plan": 1, "classify": 1}
+
     def test_plan_cache_never_grows_past_its_bound(self, db, monkeypatch):
         from repro.serve import admission
 

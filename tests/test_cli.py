@@ -552,24 +552,57 @@ class TestParserReuse:
         assert second.splitlines()[0].startswith(f"reliability = {expected} ")
 
 
+def assert_unloaded(setup, modules):
+    """None of ``modules`` is loaded after ``setup`` runs in a new
+    interpreter (what is loaded depends on what was imported first)."""
+    from tests.test_lazy_exports import run_fresh
+
+    run_fresh(
+        f"import sys\n{setup}\n"
+        f"loaded = [m for m in {list(modules)!r} if m in sys.modules]\n"
+        f"assert not loaded, loaded"
+    )
+
+
+#: Loaded by no command that does not run it.
+SUBSYSTEMS = ("repro.bench", "repro.serve", "repro.delta", "repro.metafinite")
+
+#: Modules no ``repro run`` calls.
+UNRUN = (
+    "repro.logic.datalog",
+    "repro.logic.so",
+    "repro.logic.fixpoint",
+    "repro.logic.algebra",
+    "repro.propositional.bitvector",
+    "repro.reliability.absolute",
+    "repro.reliability.influence",
+    "repro.reliability.padding",
+    "repro.reliability.repair",
+    "repro.reliability.calibration",
+    "repro.reliability.space",
+    "repro.reliability.report",
+)
+
+
 def test_cli_import_leaves_subsystems_unloaded():
     """``import repro.cli`` loads none of the subsystems a command
     imports on demand (cold start)."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, repro.cli; "
-        "print(' '.join(m for m in ('repro.serve', 'repro.bench', "
-        "'repro.delta', 'repro.metafinite') if m in sys.modules))"
+    modules = SUBSYSTEMS + UNRUN + (
+        "repro.reliability",
+        "repro.propositional",
+        "repro.kernels",
+        "repro.runtime.executor",
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == ""
+    assert_unloaded("import repro.cli", modules)
+
+
+def test_run_loads_only_what_it_calls(db_file):
+    """A plain ``run`` walk loads neither the unrun modules nor the
+    fault module (only a forecast race uses it) nor ``pickle`` (only a
+    persistent cache tier does)."""
+    modules = SUBSYSTEMS + UNRUN + ("repro.runtime.faults", "pickle")
+    setup = (
+        "from repro.cli import main\n"
+        f"assert main(['run', {db_file!r}, 'exists x. S(x)']) == 0"
+    )
+    assert_unloaded(setup, modules)
