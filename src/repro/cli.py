@@ -523,7 +523,7 @@ def _print_stats(recorder: obs.StatsRecorder) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.runtime.executor import DEFAULT_CHAIN
+    from repro.runtime import DEFAULT_CHAIN
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -70,13 +70,13 @@ from typing import (
 from repro import obs
 from repro.delta.reground import DeltaGrounding
 from repro.kernels.cache import compilation_cache
-from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import Formula, neg
+from repro.logic.fo import Formula
 from repro.runtime.budget import checkpoint
 from repro.propositional.bdd import BDD, ONE, ZERO, clause_order, compile_dnf
 from repro.relational.atoms import Atom
 from repro.reliability.exact import as_query
+from repro.reliability.grounding import wrong_target
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
 from repro.util.rationals import RationalLike, parse_probability
@@ -130,15 +130,10 @@ class DeltaSession:
                 "objects have no clause structure to update incrementally"
             )
         self.query = query
-        formula = query.formula
         # Universal sentences ground through their negation:
         # Pr[forall ...] = 1 - Pr[exists ... not ...].
-        if is_universal(formula) and not is_existential(formula):
-            self._base: Formula = neg(formula)
-            self._negate = True
-        else:
-            self._base = formula
-            self._negate = False
+        self._base: Formula = wrong_target(query.formula)
+        self._negate = self._base is not query.formula
         self._db = db
         state = self._build(db)
         self._grounding, self._diagram, self._table = state

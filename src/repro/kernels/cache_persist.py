@@ -59,8 +59,10 @@ __all__ = [
 #: ``delta_bdd`` values are one diagram with its OR tree, not a
 #: ``(diagram, root)`` pair.  Version 3: ``delta_bdd`` diagrams are
 #: compiled in clause order; a ``repr``-ordered one is still correct but
-#: can be ~100x larger, and sessions would warm-start on it.
-PERSIST_VERSION = 3
+#: can be ~100x larger, and sessions would warm-start on it.  Version 4:
+#: ``hamming_plan`` cells are lineage cells (the wrong target's observed
+#: value, no ``negate`` flag).
+PERSIST_VERSION = 4
 
 #: Key kinds worth persisting: whole compiled artefacts that are pure
 #: functions of the key.  Everything else stays memory-only.

@@ -25,15 +25,13 @@ query AST.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernels.bitops import column_bits
 from repro.kernels.cache import compilation_cache
-from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import Formula, neg
+from repro.logic.fo import Formula
 from repro.propositional.formula import DNF
 from repro.util.errors import CostRefused, QueryError
 
@@ -153,19 +151,20 @@ class TruthPlan:
 
 
 class HammingTuple:
-    """One answer-table cell of a :class:`HammingPlan`.
+    """One lineage cell of a :class:`HammingPlan`.
 
-    ``constant`` is the tuple's world-independent truth value when its
+    The cell is the tuple's wrong target: the query's instantiation, or
+    its negation for a universal query (``Wrong(psi) = Wrong(~psi)``).
+    ``constant`` is the target's world-independent truth value when its
     grounded DNF folded away entirely; otherwise ``clauses`` index the
-    plan's shared column table and ``negate`` flips the satisfaction
-    mask.  ``observed`` is membership in the observed answer ``psi^A``.
+    plan's shared column table.  ``observed`` is the target's value on
+    the observed structure.
     """
 
-    __slots__ = ("clauses", "negate", "observed", "constant")
+    __slots__ = ("clauses", "observed", "constant")
 
-    def __init__(self, clauses, negate, observed, constant):
+    def __init__(self, clauses, observed, constant):
         self.clauses = clauses
-        self.negate = negate
         self.observed = observed
         self.constant = constant
 
@@ -182,21 +181,15 @@ class HammingPlan:
         self.cells = cells
 
 
-def _grounded(db, formula: Formula):
-    """Ground a sentence, negating universal ones; ``None`` if neither."""
-    from repro.reliability.grounding import ground_existential_to_dnf
+def _truth_plan_from_formula(db, formula: Formula) -> TruthPlan:
+    from repro.reliability.grounding import (
+        ground_existential_to_dnf,
+        wrong_target,
+    )
 
-    if is_existential(formula):
-        return ground_existential_to_dnf(db, formula).dnf, False
-    if is_universal(formula):
-        return ground_existential_to_dnf(db, neg(formula)).dnf, True
-    return None, False
-
-
-def _truth_plan_from_formula(db, formula: Formula) -> Optional[TruthPlan]:
-    dnf, negate = _grounded(db, formula)
-    if dnf is None:
-        return None
+    target = wrong_target(formula)
+    negate = target is not formula
+    dnf = ground_existential_to_dnf(db, target).dnf
     if dnf.is_true():
         return TruthPlan(None, (), negate, 0.0 if negate else 1.0)
     if dnf.is_false():
@@ -237,39 +230,33 @@ def compile_dnf_plan(dnf: DNF) -> DnfPlan:
         )
 
 
-def _hamming_plan(db, query: FOQuery) -> Optional[HammingPlan]:
-    universe = db.structure.universe
-    cells = len(universe) ** query.arity
-    observed_answers = query.answers(db.structure)
+def _hamming_plan(db, query: FOQuery) -> HammingPlan:
+    from repro.reliability.grounding import ground_answers
+
     variables: List = []
     index = {}
     tuples = []
-    for args in product(universe, repeat=query.arity):
-        formula = query.instantiated(args) if args else query.formula
-        dnf, negate = _grounded(db, formula)
-        if dnf is None:
-            return None
-        observed = args in observed_answers
-        if dnf.is_true() or dnf.is_false():
-            actual = dnf.is_true() != negate
-            tuples.append(HammingTuple(None, False, observed, actual))
+    for _, observed, target in ground_answers(db, query).cells():
+        if isinstance(target, bool):
+            tuples.append(HammingTuple(None, observed, target))
             continue
-        for variable in sorted(dnf.variables, key=repr):
+        for variable in sorted(target.variables, key=repr):
             if variable not in index:
                 index[variable] = len(variables)
                 variables.append(variable)
-        clauses = _compile_clauses(dnf, index)
-        tuples.append(HammingTuple(clauses, negate, observed, None))
+        clauses = _compile_clauses(target, index)
+        tuples.append(HammingTuple(clauses, observed, None))
     bits = tuple(column_bits(float(db.nu(atom))) for atom in variables)
-    return HammingPlan(tuple(variables), bits, tuple(tuples), cells)
+    return HammingPlan(tuple(variables), bits, tuple(tuples), len(tuples))
 
 
 def compile_hamming_plan(db, query) -> Optional[HammingPlan]:
     """Compile the whole-table Hamming estimator for a k-ary query.
 
-    Every tuple's instantiated sentence must ground (existential or
-    universal after instantiation); one refusal falls the whole call
-    back to the per-world loop.
+    The plan's cells are the query's lineage table
+    (:func:`~repro.reliability.grounding.ground_answers`), so the query
+    must have a wrong target; a query without one, or a grounding the
+    budget refuses, falls the whole call back to the per-world loop.
     """
     if not isinstance(query, FOQuery):
         return None

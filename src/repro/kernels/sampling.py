@@ -288,8 +288,6 @@ def _hamming_diffs(
                 constant += 1
             continue
         sat = satisfied_mask(cell.clauses, columns, full)
-        if cell.negate:
-            sat ^= full
         diff = sat ^ full if cell.observed else sat
         if diff:
             diffs.append(diff)

@@ -4,8 +4,8 @@
 the actual answer.  The paper's complexity landscape (all reproduced
 here as executable procedures):
 
-* Lemma 5.7: quantifier-free ``psi`` — polynomial time (compute
-  ``H_psi`` exactly with the Proposition 3.1 engine, compare with 0);
+* Lemma 5.7: quantifier-free ``psi`` — polynomial time (Proposition
+  3.1: each answer tuple's lineage mentions constantly many atoms);
 * Lemma 5.8: polynomial-time evaluable ``psi`` — coNP (guess a world,
   check disagreement); implemented as a search over the relevant-atom
   world space;
@@ -13,24 +13,25 @@ here as executable procedures):
   4-colourability reduction lives in
   :mod:`repro.reductions.fourcolouring`).
 
-For existential sentences the witness search is organised on the grounded
-DNF: with every uncertain atom strictly between 0 and 1, a disagreeing
-world exists iff the DNF is non-trivial in the relevant direction.
+For quantifier-free, existential and universal queries the search reads
+each answer tuple's lineage cell (its wrong target grounded to a DNF,
+:func:`~repro.reliability.grounding.ground_answers`): with every
+uncertain atom strictly between 0 and 1, a disagreeing world exists iff
+the DNF is non-trivial in the relevant direction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import Any, Optional, Sequence, Union
+from typing import Any
 
-from repro.logic.classify import is_existential, is_quantifier_free, is_universal
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import Formula, neg
 from repro.propositional.bdd import ONE, compile_dnf
-from repro.reliability.exact import _instantiated, as_query, wrong_probability
+from repro.reliability.exact import _wrong_probabilities, as_query
 from repro.reliability.grounding import (
-    ground_existential_to_dnf,
+    Cell,
+    ground_answers,
+    has_wrong_target,
     relevant_atoms,
 )
 from repro.reliability.unreliable import UnreliableDatabase
@@ -44,9 +45,11 @@ def is_absolutely_reliable(
 
     ``method``:
 
-    * ``"auto"`` — dispatch per query fragment (QF exact, existential /
-      universal via grounded DNF, otherwise world search);
-    * ``"exact"`` — compute ``H_psi`` exactly and compare with zero;
+    * ``"auto"`` — read the lineage table of a quantifier-free,
+      existential or universal query; otherwise compute each tuple's
+      wrong probability exactly;
+    * ``"exact"`` — compute ``H_psi`` exactly, tuple by tuple, and
+      compare with zero;
     * ``"witness"`` — explicit coNP-style search for a disagreeing world
       over the relevant uncertain atoms (Lemma 5.8's guess, derandomised
       into enumeration).
@@ -54,48 +57,32 @@ def is_absolutely_reliable(
     if method not in ("auto", "exact", "witness"):
         raise QueryError(f"unknown method {method!r}")
     query = as_query(query)
-    if method == "exact":
-        return all(
-            wrong_probability(db, query, args) == 0
-            for args in product(db.structure.universe, repeat=query.arity)
-        )
     if method == "witness":
         return not _witness_search(db, query)
-    for args in product(db.structure.universe, repeat=query.arity):
-        if not _tuple_absolutely_reliable(db, query, args):
-            return False
-    return True
+    if (
+        method == "auto"
+        and isinstance(query, FOQuery)
+        and has_wrong_target(query.formula)
+    ):
+        return all(map(_cell_reliable, ground_answers(db, query).cells()))
+    return all(wrong == 0 for wrong in _wrong_probabilities(db, query, "auto"))
 
 
-def _tuple_absolutely_reliable(
-    db: UnreliableDatabase, query: Any, args: Sequence[Any]
-) -> bool:
-    boolean = _instantiated(query, args)
-    formula: Optional[Formula] = (
-        boolean.formula if isinstance(boolean, FOQuery) else None
-    )
-    observed = boolean.evaluate(db.structure, ())
-    if formula is not None and (is_existential(formula) or is_universal(formula)):
-        # Reduce the universal case to the existential one by negation:
-        # Wrong(psi) and Wrong(~psi) are the same event.
-        target = formula if is_existential(formula) else neg(formula)
-        grounding = ground_existential_to_dnf(db, target)
-        dnf = grounding.dnf
-        target_observed = (
-            observed if is_existential(formula) else not observed
-        )
-        if target_observed:
-            # Disagreement iff some positive-probability world falsifies
-            # the DNF.  Every grounded atom has 0 < nu < 1, so that is
-            # iff the DNF is not a tautology: its ROBDD is not ONE.
-            if dnf.is_true():
-                return True
-            return compile_dnf(dnf)[1] == ONE
-        # Disagreement iff some positive-probability world satisfies it;
-        # every surviving grounded clause has positive probability, so
-        # any clause at all is a witness.
-        return dnf.is_false()
-    return wrong_probability(db, query, args) == 0
+def _cell_reliable(cell: Cell) -> bool:
+    """Whether the cell's target takes its observed value in every
+    positive-probability world."""
+    _, observed, target = cell
+    if isinstance(target, bool):
+        return observed == target
+    if observed:
+        # Disagreement iff some positive-probability world falsifies
+        # the DNF.  Every grounded atom has 0 < nu < 1, so that is iff
+        # the DNF is not a tautology: its ROBDD is not ONE.
+        return compile_dnf(target)[1] == ONE
+    # Disagreement iff some positive-probability world satisfies it;
+    # every grounded clause has positive probability, so any clause is
+    # a witness.
+    return False
 
 
 def _witness_search(db: UnreliableDatabase, query: Any) -> bool:

@@ -192,6 +192,16 @@ def wrong_target(formula: Formula) -> Formula:
     )
 
 
+def has_wrong_target(formula: Formula) -> bool:
+    """Whether :func:`wrong_target` accepts ``formula``: the grounded
+    routes take exactly these queries."""
+    try:
+        wrong_target(formula)
+    except QueryError:
+        return False
+    return True
+
+
 #: One answer tuple of a :class:`Lineage`: its observed target value,
 #: and the target's DNF, or ``True`` / ``False`` when the target holds in
 #: every world / in none.
@@ -235,14 +245,17 @@ class Lineage:
         in ``reliability.tuples_visited`` before it is yielded.
         """
         for args in product(self.universe, repeat=self.arity):
-            observed = self.observed(args)
-            dnf = self.dnfs.get(args)
-            if dnf is None:
-                yield args, observed, args in self.certain
-                continue
-            checkpoint()
-            obs.inc("reliability.tuples_visited")
-            yield args, observed, dnf
+            yield self.cell(args)
+
+    def cell(self, args: TupleOf) -> Cell:
+        """One tuple's cell, as :meth:`cells` yields it."""
+        observed = self.observed(args)
+        dnf = self.dnfs.get(args)
+        if dnf is None:
+            return args, observed, args in self.certain
+        checkpoint()
+        obs.inc("reliability.tuples_visited")
+        return args, observed, dnf
 
 
 def ground_answers(db: UnreliableDatabase, query: FOQuery) -> Lineage:
@@ -329,10 +342,6 @@ def ground_clause(
     if clause.contradictory:
         return None
     return clause
-
-
-# Backwards-compatible alias (pre-delta name).
-_ground_clause = ground_clause
 
 
 def _value(term: Term, env: Dict[Var, object]) -> object:

@@ -28,9 +28,8 @@ from fractions import Fraction
 from typing import Any, Dict, Optional, Union
 
 from repro import obs
-from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import Formula, neg
+from repro.logic.fo import Formula
 from repro.propositional.bdd import influences_via_bdd
 from repro.propositional.karp_luby import karp_luby
 from repro.relational.atoms import Atom
@@ -38,6 +37,7 @@ from repro.reliability.exact import as_query
 from repro.reliability.grounding import (
     ground_existential_to_dnf,
     grounding_probabilities,
+    wrong_target,
 )
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
@@ -62,16 +62,9 @@ def atom_influence(
     query = as_query(sentence)
     if not isinstance(query, FOQuery) or query.arity != 0:
         raise QueryError("atom_influence expects a Boolean first-order sentence")
-    formula = query.formula
-    sign = 1
-    if is_universal(formula) and not is_existential(formula):
-        formula = neg(formula)
-        sign = -1
-    elif not is_existential(formula):
-        raise QueryError(
-            "atom_influence supports existential or universal sentences"
-        )
-    grounding = ground_existential_to_dnf(db, formula)
+    target = wrong_target(query.formula)
+    sign = 1 if target is query.formula else -1
+    grounding = ground_existential_to_dnf(db, target)
     dnf = grounding.dnf
     if dnf.is_true() or dnf.is_false():
         return {}

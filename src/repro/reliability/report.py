@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, List, Optional, Tuple, Union
 
-from repro.logic.classify import classify, is_existential, is_universal
+from repro.logic.classify import classify
 from repro.logic.evaluator import FOQuery
 from repro.reliability.absolute import is_absolutely_reliable
 from repro.reliability.approx import reliability_additive
 from repro.reliability.exact import as_query, reliability
-from repro.reliability.grounding import relevant_atoms
+from repro.reliability.grounding import has_wrong_target, relevant_atoms
 from repro.reliability.influence import most_fragile_atoms
 from repro.reliability.padding import padded_reliability
 from repro.reliability.unreliable import UnreliableDatabase
@@ -188,9 +188,7 @@ def analyze(
     elif fragment == "conjunctive" and plan.dichotomy.safe:
         engine = "exact/lifted (safe plan)"
         exact_value = reliability(db, query)
-    elif formula is not None and (
-        is_existential(formula) or is_universal(formula)
-    ):
+    elif formula is not None and has_wrong_target(formula):
         if len(relevant) <= EXACT_DNF_LIMIT:
             engine = "exact/grounded-DNF (Thm 5.4 grounding)"
             exact_value = reliability(db, query)
@@ -232,7 +230,7 @@ def analyze(
     if (
         formula is not None
         and query.arity == 0
-        and (is_existential(formula) or is_universal(formula))
+        and has_wrong_target(formula)
         and len(relevant) <= EXACT_DNF_LIMIT
     ):
         try:

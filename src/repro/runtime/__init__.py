@@ -31,13 +31,30 @@ that landscape into an execution policy instead of a crash report:
 
 See ``docs/ROBUSTNESS.md`` for the full story.
 
-Every name loads with its module on first use
+Every name but :data:`DEFAULT_CHAIN` loads with its module on first use
 (:mod:`repro.util.lazy`): the engines import
 :mod:`repro.runtime.budget` for their checkpoints, and the executor
 imports the engines — laziness keeps that from being a cycle.
 """
 
+from typing import Tuple
+
 from repro.util.lazy import lazy_exports
+
+#: The executor's default degradation chain, ordered by guarantee
+#: strength: statically-routed exact-polynomial > exact >
+#: relative/additive FPTRAS > additive MC.  ``safe_lifted`` leads so
+#: that a large safe query bypasses the exact engine's ``2 ** atoms``
+#: preflight refusal entirely; it is statically skipped (at zero cost)
+#: on every other query.  ``lifted`` stays registered for explicit
+#: chains.  It lives in the package, so that the CLI parser can print
+#: it without importing the executor and every engine with it.
+DEFAULT_CHAIN: Tuple[str, ...] = (
+    "safe_lifted",
+    "exact",
+    "karp_luby",
+    "montecarlo",
+)
 
 lazy_exports(
     __name__,
@@ -51,7 +68,7 @@ lazy_exports(
             "preflight_worlds", "worlds_cost",
         ),
         ".executor": (
-            "run_with_fallback", "RuntimeResult", "Attempt", "DEFAULT_CHAIN",
+            "run_with_fallback", "RuntimeResult", "Attempt",
             "GUARANTEE_ORDER", "ENGINES",
         ),
         ".faults": (

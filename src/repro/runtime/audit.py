@@ -71,9 +71,6 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"
     ),
-    ("repro.reliability.exact", "_formula_atoms.walk"): (
-        "syntactic walk of the query formula, bounded by the query"
-    ),
     ("repro.reliability.grounding", "ground_clause"): (
         "one clause template, bounded by the query's clause width"
     ),

@@ -61,13 +61,11 @@ from typing import (
 )
 
 from repro import obs
-from repro.logic.classify import is_existential, is_universal
 from repro.logic.evaluator import FOQuery
-from repro.logic.fo import neg
 from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.propositional.karp_luby import sample_count
 from repro.reliability.exact import as_query
-from repro.reliability.grounding import relevant_atoms
+from repro.reliability.grounding import relevant_atoms, wrong_target
 from repro.reliability.montecarlo import hoeffding_samples
 from repro.runtime.budget import Budget, active_budget
 from repro.runtime.executor import (
@@ -178,18 +176,11 @@ def plan_features(
     formula = query.formula if isinstance(query, FOQuery) else None
     if formula is not None:
         try:
-            if is_existential(formula):
-                target = formula
-            elif is_universal(formula):
-                target = neg(formula)
-            else:
-                target = None
-            if target is not None:
-                variables, matrix = existential_parts(target)
-                templates = dnf_clauses(matrix)
-                clauses = _capped(
-                    grounding_cost(domain, len(variables), len(templates))
-                )
+            variables, matrix = existential_parts(wrong_target(formula))
+            templates = dnf_clauses(matrix)
+            clauses = _capped(
+                grounding_cost(domain, len(variables), len(templates))
+            )
         except QueryError:
             clauses = 0.0
     try:

@@ -61,6 +61,7 @@ from repro.reliability.montecarlo import (
     estimate_reliability_hamming,
     estimate_truth_probability,
 )
+from repro.runtime import DEFAULT_CHAIN
 from repro.runtime.budget import Budget, active_budget, apply
 from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import (
@@ -75,19 +76,6 @@ import random
 
 QueryLike = Any
 RngLike = Union[random.Random, Seed]
-
-#: The default degradation chain, ordered by guarantee strength:
-#: statically-routed exact-polynomial > exact > relative/additive
-#: FPTRAS > additive MC.  ``safe_lifted`` leads so that a large safe
-#: query bypasses the exact engine's ``2 ** atoms`` preflight refusal
-#: entirely; it is statically skipped (at zero cost) on every other
-#: query.  ``lifted`` stays registered for explicit chains.
-DEFAULT_CHAIN: Tuple[str, ...] = (
-    "safe_lifted",
-    "exact",
-    "karp_luby",
-    "montecarlo",
-)
 
 #: Guarantee types, strongest first (see docs/ROBUSTNESS.md).
 GUARANTEE_ORDER: Tuple[str, ...] = ("exact", "relative", "additive")

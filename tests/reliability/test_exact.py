@@ -212,6 +212,20 @@ class TestQFFastPath:
         value = reliability(db, query, method="qf")
         assert 0 < value <= 1
 
+    def test_clause_cap_refuses_like_any_grounding(self, triangle_db):
+        """A quantifier-free sentence is grounded like every other query:
+        a clause cap below its two clause templates refuses it."""
+        from repro.runtime import Budget, apply
+        from repro.util.errors import CostRefused
+
+        sentence = "E('a', 'b') | S('a')"
+        with apply(Budget(max_ground_clauses=1)):
+            with pytest.raises(CostRefused):
+                truth_probability(triangle_db, sentence, method="qf")
+        with apply(Budget(max_ground_clauses=2)):
+            value = truth_probability(triangle_db, sentence, method="qf")
+        assert value == truth_probability(triangle_db, sentence, method="worlds")
+
 
 class TestWorldEnumerationGuard:
     """The worlds engine refuses hopeless enumerations up front."""

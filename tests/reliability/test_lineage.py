@@ -378,3 +378,73 @@ def test_only_uncertain_tuples_are_visited():
         counters = recorder.summary()["counters"]
         assert counters["reliability.tuples_visited"] == 30
         assert counters["grounding.clauses_raw"] == 196
+
+
+#: k-ary quantifier-free and universal queries with the exact methods
+#: each takes: every one reads the lineage table.
+LINEAGE_ROUTED = [
+    ("S(x, y)", ("auto", "qf", "dnf")),
+    ("~S(x, y) | T(x)", ("auto", "qf", "dnf")),
+    ("forall y. S(x, y) | ~T(y)", ("auto", "dnf")),
+    ("forall z. ~S(x, z) | T(z)", ("auto", "dnf")),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_exact_answers_read_cells_without_instantiating(seed, monkeypatch):
+    """The exact quantities take each tuple's target and observed value
+    from the lineage table: no tuple is instantiated, and the observed
+    structure is evaluated once, by the table's answer relation."""
+    db = random_db(seed)
+    calls = {"instantiated": 0, "observed": 0}
+
+    def counting(name, method, counter):
+        def wrapper(self, *args, **kwargs):
+            calls[counter] += 1
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(FOQuery, name, wrapper)
+
+    counting("instantiated", FOQuery.instantiated, "instantiated")
+    counting("evaluate", FOQuery.evaluate, "observed")
+    counting("answers", FOQuery.answers, "observed")
+    for formula, methods in LINEAGE_ROUTED:
+        query = FOQuery(formula)
+        oracle_reliability = reliability(db, query, method="worlds")
+        oracle_table = answer_probabilities(db, query, method="worlds")
+        for method in methods:
+            for run, oracle in (
+                (lambda: reliability(db, query, method=method),
+                 oracle_reliability),
+                (lambda: answer_probabilities(db, query, method=method),
+                 oracle_table),
+            ):
+                clear_caches()
+                calls.update(instantiated=0, observed=0)
+                assert run() == oracle, (formula, method)
+                assert calls == {"instantiated": 0, "observed": 1}, (
+                    formula,
+                    method,
+                )
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_hamming_plan_reads_the_lineage_table(seed, monkeypatch):
+    """The compiled Hamming plan takes its cells from the lineage table:
+    no tuple is grounded on its own."""
+    from repro.kernels.plan import compile_hamming_plan
+    from repro.reliability import grounding
+
+    db = random_db(seed)
+    calls = []
+    ground = grounding.ground_existential_to_dnf
+
+    def counting(*args):
+        calls.append(args)
+        return ground(*args)
+
+    monkeypatch.setattr(grounding, "ground_existential_to_dnf", counting)
+    for query in queries():
+        clear_caches()
+        assert compile_hamming_plan(db, query) is not None, query
+    assert calls == []

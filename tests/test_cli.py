@@ -596,6 +596,28 @@ def test_cli_import_leaves_subsystems_unloaded():
     assert_unloaded("import repro.cli", modules)
 
 
+def test_parser_loads_no_engine():
+    """Building the parser (every ``--help``, ``inspect``, ``submit``,
+    ``cache``) renders ``--engine-chain``'s default without importing
+    the executor, and with it every engine."""
+    modules = SUBSYSTEMS + UNRUN + (
+        "repro.reliability",
+        "repro.propositional",
+        "repro.kernels",
+        "repro.runtime.executor",
+    )
+    assert_unloaded("from repro.cli import build_parser\nbuild_parser()", modules)
+
+
+def test_run_help_prints_the_default_chain(capsys):
+    from repro.runtime.executor import DEFAULT_CHAIN
+
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(default: {','.join(DEFAULT_CHAIN)})" in out
+
+
 def test_run_loads_only_what_it_calls(db_file):
     """A plain ``run`` walk loads neither the unrun modules nor the
     fault module (only a forecast race uses it) nor ``pickle`` (only a
