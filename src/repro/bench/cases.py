@@ -158,10 +158,7 @@ def e4_fptras(params: Dict[str, Any]) -> Dict[str, Any]:
     samples = {}
     for epsilon in params["epsilons"]:
         with obs.span("bench.point", epsilon=epsilon):
-            run = karp_luby(
-                dnf, probs, epsilon, params["delta"], make_rng(2),
-                method="coverage",
-            )
+            run = karp_luby(dnf, probs, epsilon, params["delta"], make_rng(2))
         assert run.samples == sample_count(
             len(dnf.clauses), epsilon, params["delta"]
         )

@@ -375,18 +375,16 @@ class KlPlan:
     ``clauses``/``bits`` come from the compiled DNF plan; ``weights``
     are the per-clause weights ``W_i`` (their sum is ``total_weight``)
     and drive the clause choice through :attr:`tree`, the split tree
-    :func:`clause_split_tree` builds once per plan; ``method`` is
-    ``"coverage"`` or ``"canonical"``.
+    :func:`clause_split_tree` builds once per plan.
     """
 
-    __slots__ = ("clauses", "bits", "tree", "total_weight", "method")
+    __slots__ = ("clauses", "bits", "tree", "total_weight")
 
-    def __init__(self, clauses, bits, weights, total_weight, method):
+    def __init__(self, clauses, bits, weights, total_weight):
         self.clauses = clauses
         self.bits = bits
         self.tree = clause_split_tree(weights)
         self.total_weight = total_weight
-        self.method = method
 
 
 def clause_split_tree(weights: Sequence[float]):
@@ -446,8 +444,7 @@ def kl_block_moments(
     matters: clause ``i``'s lanes are one contiguous block, its
     literals are forced true there, and every clause is then evaluated
     on all lanes at once.  The coverage estimator ``1 / #covered``
-    reads the lanes per cover count off a vertical counter; canonical
-    samples are 0/1, so their sum of squares is the sum.
+    reads the lanes per cover count off a vertical counter.
     """
     full = full_mask(width)
     chosen = [0] * len(plan.clauses)
@@ -466,15 +463,6 @@ def kl_block_moments(
         for slot in negative:
             columns[slot] &= ~mask
     masks = clause_masks(plan.clauses, columns, full)
-    if plan.method == "canonical":
-        assigned = 0
-        hits = 0
-        for clause_index, mask in enumerate(masks):
-            first = mask & ~assigned
-            assigned |= mask
-            if first:
-                hits += popcount(first & chosen[clause_index])
-        return float(hits), float(hits)
     planes: List[int] = []
     for mask in masks:
         if mask:

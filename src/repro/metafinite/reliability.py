@@ -22,7 +22,6 @@ Engines:
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -44,7 +43,8 @@ from repro.metafinite.terms import (
     functions_used,
     is_aggregate_free,
 )
-from repro.util.errors import ProbabilityError, QueryError
+from repro.reliability.montecarlo import _sample_budget, sampled_worlds
+from repro.util.errors import QueryError
 
 
 def _entries_read(term: MTerm, env: Mapping[Var, Any]) -> List[Entry]:
@@ -150,22 +150,17 @@ def estimate_metafinite_reliability(
 
     The normalised Hamming distance is in ``[0, 1]``, so
     ``t = ln(2/delta) / (2 eps^2)`` samples suffice for
-    ``Pr[|est - R_F| > eps] < delta``.
+    ``Pr[|est - R_F| > eps] < delta``; a positive ``samples`` overrides
+    that count.
     """
-    if samples <= 0:
-        if epsilon <= 0 or delta <= 0 or delta >= 1:
-            raise ProbabilityError(
-                f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}"
-            )
-        samples = max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))
     n = db.universe_size
     cells = n**query.arity
     if cells == 0:
         raise QueryError("reliability undefined on an empty universe")
+    samples = _sample_budget(samples, epsilon, delta)
     observed_answers = query.answers(db.observed)
     total = 0.0
-    for _ in range(samples):
-        world = db.sample(rng)
+    for world in sampled_worlds(db, rng, samples):
         actual_answers = query.answers(world)
         distance = sum(
             1

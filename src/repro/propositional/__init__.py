@@ -14,8 +14,8 @@ variable probabilities).  This subpackage supplies:
   oracle;
 * :mod:`~repro.propositional.karp_luby` — the Karp–Luby fully
   polynomial-time randomized approximation scheme for weighted DNF
-  probability (Theorem 5.2 / 5.3), in both the coverage ("self-adjusting")
-  and canonical-clause variants;
+  probability (Theorem 5.2 / 5.3), with the coverage ("self-adjusting")
+  estimator;
 * :mod:`~repro.propositional.bitvector` — the paper's Theorem 5.3
   reduction from Prob-kDNF to #DNF via binary counters;
 * :mod:`~repro.propositional.bdd` — reduced ordered BDDs, the one exact

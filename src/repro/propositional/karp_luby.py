@@ -9,17 +9,12 @@ The estimator works in the *clause cover* space.  Write ``W_i`` for the
 probability that clause ``i``'s literals all hold and ``W = sum(W_i)``.
 Sampling a pair ``(i, sigma)`` with ``i ~ W_i / W`` and ``sigma`` drawn
 from the variable distribution conditioned on clause ``i`` being true
-gives a uniform-over-cover sample.  Two classic unbiased estimators of
-``Pr[dnf] / W`` are implemented:
-
-* ``coverage`` (the "self-adjusting" estimator): ``X = 1 / #covered``,
-  where ``#covered`` is the number of clauses ``sigma`` satisfies.  Always
-  in ``[1/m, 1]``, so relative error concentrates with
-  ``t = O(m log(1/delta) / eps^2)`` samples.
-* ``canonical``: ``X = [i is the lowest-index clause satisfied by sigma]``.
-  Same expectation, slightly higher variance, simpler analysis.
-
-Both yield ``Pr[dnf] = W * E[X]``.
+gives a uniform-over-cover sample.  The estimator is the coverage
+("self-adjusting") one: ``X = 1 / #covered``, where ``#covered`` is the
+number of clauses ``sigma`` satisfies.  ``X`` is an unbiased estimate of
+``Pr[dnf] / W``, so ``Pr[dnf] = W * E[X]``, and it always lies in
+``[1/m, 1]``, so relative error concentrates with
+``t = O(m log(1/delta) / eps^2)`` samples.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from repro.kernels.sampling import (
 from repro.propositional.counting import _check_probs
 from repro.propositional.formula import DNF, Variable
 from repro.runtime.preflight import preflight_samples
-from repro.util.errors import ProbabilityError, QueryError
+from repro.util.errors import ProbabilityError
 from repro.util.rng import Seed, as_rng
 
 ProbLike = Union[float, Fraction]
@@ -61,23 +56,18 @@ def _clause_weights(dnf: DNF, probs: Mapping[Variable, ProbLike]) -> List[float]
     return weights
 
 
-def sample_count(
-    clause_count: int, epsilon: float, delta: float, method: str = "coverage"
-) -> int:
+def sample_count(clause_count: int, epsilon: float, delta: float) -> int:
     """Samples sufficient for a relative (epsilon, delta) guarantee.
 
     For the coverage estimator the per-sample value lies in ``[1/m, 1]``
     with mean ``mu >= 1/m``; the zero–one estimator theorem of Karp–Luby
     (Lemma 5.11 in the paper, applied with values scaled into ``[0, 1]``)
-    gives ``t >= 9 m ln(2/delta) / (2 eps^2)``.  The canonical estimator is
-    a Bernoulli variable with the same mean, so the same bound applies.
+    gives ``t >= 9 m ln(2/delta) / (2 eps^2)``.
     """
     if epsilon <= 0 or delta <= 0 or delta >= 1:
         raise ProbabilityError(
             f"need epsilon > 0 and 0 < delta < 1, got {epsilon}, {delta}"
         )
-    if method not in ("coverage", "canonical"):
-        raise QueryError(f"unknown Karp-Luby method {method!r}")
     m = max(clause_count, 1)
     return max(1, math.ceil(9.0 * m * math.log(2.0 / delta) / (2.0 * epsilon**2)))
 
@@ -89,7 +79,6 @@ class KarpLubyEstimate:
     estimate: float
     samples: int
     clause_weight_total: float
-    method: str
 
     def __float__(self) -> float:
         return self.estimate
@@ -101,7 +90,6 @@ def karp_luby(
     epsilon: float,
     delta: float,
     rng: RngLike,
-    method: str = "coverage",
     adaptive: bool = False,
 ) -> KarpLubyEstimate:
     """FPTRAS for ``Pr[dnf]`` with relative (epsilon, delta) guarantee.
@@ -115,13 +103,12 @@ def karp_luby(
     estimator certifies it, with ``sample_count`` as the never-exceeded
     worst case.
     """
-    samples = sample_count(len(dnf.clauses), epsilon, delta, method)
+    samples = sample_count(len(dnf.clauses), epsilon, delta)
     return karp_luby_samples(
         dnf,
         probs,
         samples,
         rng,
-        method,
         epsilon=epsilon,
         delta=delta,
         adaptive=adaptive,
@@ -133,7 +120,6 @@ def karp_luby_samples(
     probs: Mapping[Variable, ProbLike],
     samples: int,
     rng: RngLike,
-    method: str = "coverage",
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
     adaptive: bool = False,
@@ -150,8 +136,6 @@ def karp_luby_samples(
     certifies a relative ``epsilon`` at confidence ``delta`` (both then
     required), drawing its own fixed block schedule.
     """
-    if method not in ("coverage", "canonical"):
-        raise QueryError(f"unknown Karp-Luby method {method!r}")
     if samples <= 0:
         raise ProbabilityError(f"sample budget must be positive, got {samples}")
     if adaptive and (epsilon is None or delta is None):
@@ -159,9 +143,9 @@ def karp_luby_samples(
             "adaptive Karp-Luby needs epsilon and delta to stop on"
         )
     if dnf.is_true():
-        return KarpLubyEstimate(1.0, 0, 1.0, method)
+        return KarpLubyEstimate(1.0, 0, 1.0)
     if dnf.is_false():
-        return KarpLubyEstimate(0.0, 0, 0.0, method)
+        return KarpLubyEstimate(0.0, 0, 0.0)
     # Refuse up front when the active budget cannot fit the run.
     preflight_samples(samples)
     _check_probs(dnf, probs)
@@ -170,10 +154,10 @@ def karp_luby_samples(
     weights = _clause_weights(dnf, probs)
     total_weight = sum(weights)
     if total_weight <= 0.0:
-        return KarpLubyEstimate(0.0, 0, 0.0, method)
+        return KarpLubyEstimate(0.0, 0, 0.0)
     if len(weights) == 1:
         # One clause: Pr[dnf] = W exactly (every estimator sample is 1).
-        return KarpLubyEstimate(total_weight, 0, total_weight, method)
+        return KarpLubyEstimate(total_weight, 0, total_weight)
 
     obs.inc("karp_luby.runs")
     obs.gauge("karp_luby.cover_weight", total_weight)
@@ -185,7 +169,6 @@ def karp_luby_samples(
         tuple(column_bits(float(probs[v])) for v in plan.variables),
         weights,
         total_weight,
-        method,
     )
     if adaptive:
         from repro.runtime.adaptive import adaptive_mean
@@ -201,13 +184,11 @@ def karp_luby_samples(
         )
         obs.inc("karp_luby.samples", run.drawn)
         estimate = total_weight * run.mean
-        return KarpLubyEstimate(
-            min(estimate, 1.0), run.drawn, total_weight, method
-        )
+        return KarpLubyEstimate(min(estimate, 1.0), run.drawn, total_weight)
     accumulator = sample_kl_batches(kl_plan, rng, samples)
     obs.inc("karp_luby.samples", samples)
     estimate = total_weight * accumulator / samples
-    return KarpLubyEstimate(min(estimate, 1.0), samples, total_weight, method)
+    return KarpLubyEstimate(min(estimate, 1.0), samples, total_weight)
 
 
 def naive_probability_estimate(

@@ -35,6 +35,8 @@ from repro.reliability.grounding import (
     relevant_atoms,
 )
 from repro.reliability.unreliable import UnreliableDatabase
+from repro.runtime.budget import checkpoint
+from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import QueryError
 
 
@@ -86,11 +88,17 @@ def _cell_reliable(cell: Cell) -> bool:
 
 
 def _witness_search(db: UnreliableDatabase, query: Any) -> bool:
-    """Find a world (over relevant atoms) where some answer differs."""
+    """Find a world (over relevant atoms) where some answer differs.
+
+    The search may visit all ``2 ** len(atoms)`` worlds, so the active
+    budget preflights that count and each world passes a checkpoint.
+    """
     atoms = relevant_atoms(db, query)
+    preflight_worlds(len(atoms))
     base = db.observed_world()
     observed_answers = query.answers(db.structure)
     for pattern in product((False, True), repeat=len(atoms)):
+        checkpoint(worlds=1)
         flips = [atom for atom, flip in zip(atoms, pattern) if flip]
         world = base.flip_all(flips) if flips else base
         if query.answers(world) != observed_answers:

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Any, Dict, Tuple, Union
 
 from repro.reliability.exact import as_query, target_cells
-from repro.reliability.montecarlo import hoeffding_samples
+from repro.reliability.montecarlo import _sample_budget, sampled_worlds
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
 
@@ -60,20 +60,17 @@ def estimate_answer_probabilities(
     One pass of world sampling estimates every tuple's probability at
     once; with ``t = hoeffding_samples(epsilon, delta / n**k)`` samples
     each entry is within ``epsilon`` with probability ``1 - delta``
-    overall (union bound).
+    overall (union bound).  A positive ``samples`` overrides that count.
     """
     query = as_query(query)
     cells = len(db.structure) ** query.arity
     if cells == 0:
         raise QueryError("no candidate tuples over an empty universe")
-    budget = samples if samples > 0 else hoeffding_samples(
-        epsilon, delta / cells
-    )
+    budget = _sample_budget(samples, epsilon, delta / cells)
     counts: Dict[TupleOf, int] = {
         args: 0 for args in product(db.structure.universe, repeat=query.arity)
     }
-    for _ in range(budget):
-        world = db.sample(rng)
+    for world in sampled_worlds(db, rng, budget):
         for args in query.answers(world):
             counts[args] += 1
     return {args: hits / budget for args, hits in counts.items()}
@@ -93,15 +90,14 @@ def most_questionable_answers(
     ``(args, doubt, in_observed_answer)`` with the largest doubt first:
     the rows of the answer a careful user should double-check.
     """
-    query = as_query(query)
-    observed = query.answers(db.structure)
-    table = answer_probabilities(db, query, method=method)
+    negated, cells = target_cells(db, as_query(query), method)
     ranked = []
-    for args, probability in table.items():
-        in_answer = args in observed
-        doubt = 1 - probability if in_answer else probability
+    for args, observed, p in cells:
+        # ``observed`` is the target's value; the tuple is an observed
+        # answer unless the target is the query's negation.
+        doubt = 1 - p if observed else p
         if doubt > 0:
-            ranked.append((args, doubt, in_answer))
+            ranked.append((args, doubt, observed != negated))
     ranked.sort(key=lambda row: (-row[1], repr(row[0])))
     return ranked[:limit]
 

@@ -62,7 +62,6 @@ def existential_probability(
     epsilon: float,
     delta: float,
     rng: random.Random,
-    method: str = "coverage",
     adaptive: bool = False,
 ) -> AdditiveEstimate:
     """FPTRAS for ``nu(psi)`` of an existential Boolean query (Thm 5.4).
@@ -84,9 +83,7 @@ def existential_probability(
     if grounding.dnf.is_false():
         return AdditiveEstimate(0.0, epsilon, delta, 0)
     probs = grounding_probabilities(db, grounding.dnf)
-    run = karp_luby(
-        grounding.dnf, probs, epsilon, delta, rng, method, adaptive=adaptive
-    )
+    run = karp_luby(grounding.dnf, probs, epsilon, delta, rng, adaptive=adaptive)
     return AdditiveEstimate(run.estimate, epsilon, delta, run.samples)
 
 
@@ -118,7 +115,6 @@ def reliability_additive(
     epsilon: float,
     delta: float,
     rng: random.Random,
-    method: str = "coverage",
     adaptive: bool = False,
 ) -> AdditiveEstimate:
     """Corollary 5.5: ``Pr[|M(D) - R_psi(D)| > epsilon] < delta``.
@@ -151,7 +147,7 @@ def reliability_additive(
             continue
         run = karp_luby(
             target, grounding_probabilities(db, target), per_epsilon,
-            per_delta, rng, method, adaptive=adaptive,
+            per_delta, rng, adaptive=adaptive,
         )
         total_wrong += 1.0 - run.estimate if observed else run.estimate
         total_samples += run.samples

@@ -12,26 +12,22 @@ a monotone query all influences are nonnegative; atoms with the largest
 the actionable output a user of an unreliable database wants next to the
 reliability number.
 
-Computation rides the Theorem 5.4 grounding.  Exact influences of every
-atom come from one ROBDD of the grounded DNF in two linear passes
-(:func:`~repro.propositional.bdd.influences_via_bdd`); sampled ones
-condition the DNF on each atom and estimate both branches with
-Karp–Luby.  :func:`wrong_probability_sensitivity` converts influence
+Computation rides the Theorem 5.4 grounding: the exact influences of
+every atom come from one ROBDD of the grounded DNF in two linear passes
+(:func:`~repro.propositional.bdd.influences_via_bdd`).
+:func:`wrong_probability_sensitivity` converts influence
 into the derivative of the *expected error*, flipping sign when the
 observed database satisfies the query.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Any, Dict, Optional, Union
+from typing import Dict, Union
 
-from repro import obs
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
 from repro.propositional.bdd import influences_via_bdd
-from repro.propositional.karp_luby import karp_luby
 from repro.relational.atoms import Atom
 from repro.reliability.exact import as_query
 from repro.reliability.grounding import (
@@ -46,18 +42,13 @@ from repro.util.errors import QueryError
 def atom_influence(
     db: UnreliableDatabase,
     sentence: Union[str, Formula, FOQuery],
-    epsilon: Optional[float] = None,
-    delta: Optional[float] = None,
-    rng: Optional[random.Random] = None,
 ) -> Dict[Atom, Fraction]:
-    """Influence ``I(a)`` of every relevant uncertain atom on a sentence.
+    """Exact influence ``I(a)`` of every relevant uncertain atom on a
+    sentence, read off one ROBDD of the grounded DNF.
 
-    Exact by default (one ROBDD of the grounded DNF); pass
-    ``epsilon``/``delta``/``rng`` to condition on each atom and estimate
-    both branches with Karp–Luby instead.  The sentence must be
-    existential or universal (universal sentences are negated, flipping
-    the sign of every influence back at the end — conditioning commutes
-    with complement).
+    The sentence must be existential or universal (universal sentences
+    are negated, flipping the sign of every influence back at the end —
+    conditioning commutes with complement).
     """
     query = as_query(sentence)
     if not isinstance(query, FOQuery) or query.arity != 0:
@@ -68,31 +59,8 @@ def atom_influence(
     dnf = grounding.dnf
     if dnf.is_true() or dnf.is_false():
         return {}
-    probs = grounding_probabilities(db, dnf)
-
-    if epsilon is None:
-        raw = influences_via_bdd(dnf, probs)
-        return {
-            atom: sign * raw[atom] for atom in sorted(raw, key=repr)
-        }
-    if delta is None or rng is None:
-        raise QueryError(
-            "sampled influence needs epsilon, delta and rng together"
-        )
-
-    def branch_probability(conditioned) -> Fraction:
-        run = karp_luby(conditioned, probs, epsilon, delta, rng)
-        return Fraction(run.estimate).limit_denominator(10**9)
-
-    influences: Dict[Atom, Fraction] = {}
-    with obs.span("influence.conditioning", atoms=len(dnf.variables)):
-        for atom in sorted(dnf.variables, key=repr):
-            high = branch_probability(dnf.restrict(atom, True))
-            low = branch_probability(dnf.restrict(atom, False))
-            influences[atom] = sign * (high - low)
-            obs.inc("influence.atoms_evaluated")
-            obs.inc("influence.branch_evaluations", 2)
-    return influences
+    raw = influences_via_bdd(dnf, grounding_probabilities(db, dnf))
+    return {atom: sign * raw[atom] for atom in sorted(raw, key=repr)}
 
 
 def wrong_probability_sensitivity(

@@ -13,6 +13,11 @@ against:
 Both require only that the query is polynomial-time evaluable, like
 Theorem 5.12 — but unlike Theorem 5.12 they offer no lower bound on the
 estimated quantity, which is what the xi-padding construction adds.
+
+Queries that do not compile to the batched kernels draw whole worlds
+through :func:`sampled_worlds`, the one per-world sample loop, which
+Theorem 5.12's padding, the sampled answer table and the metafinite
+estimator share.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from typing import Any, Sequence, Union
+from typing import Any, Iterator, Sequence, Union
 
 from repro import obs
 from repro.kernels.plan import compile_hamming_plan, compile_truth_plan
@@ -67,6 +72,23 @@ def _sample_budget(samples: int, epsilon: float, delta: float) -> int:
     budget = samples if samples > 0 else hoeffding_samples(epsilon, delta)
     # Refuse up front when the active budget cannot fit the run.
     return preflight_samples(budget)
+
+
+def sampled_worlds(db: Any, rng: random.Random, count: int) -> Iterator[Any]:
+    """``count`` worlds drawn with ``db.sample(rng)``: the one per-world
+    sample loop.
+
+    Each run of up to :data:`~repro.runtime.budget.CHECKPOINT_CHUNK`
+    worlds is charged with ``checkpoint(samples=...)`` before its first
+    draw, as :func:`~repro.kernels.sampling.run_batches` charges each
+    batch, so a capped budget stops the loop within one chunk.
+    ``count`` is the caller's resolved and preflighted sample budget.
+    """
+    for start in range(0, count, CHECKPOINT_CHUNK):
+        chunk = min(CHECKPOINT_CHUNK, count - start)
+        checkpoint(samples=chunk)
+        for _ in range(chunk):
+            yield db.sample(rng)
 
 
 def hoeffding_samples(epsilon: float, delta: float) -> int:
@@ -130,13 +152,7 @@ def estimate_truth_probability(
                 return 1.0 - mean if plan.negate else mean
             return sample_truth_batches(plan, rng, budget, delta)
         hits = 0
-        pending = 0
-        for drawn in range(1, budget + 1):
-            pending += 1
-            if pending >= CHECKPOINT_CHUNK or drawn == budget:
-                checkpoint(samples=pending)
-                pending = 0
-            world = db.sample(rng)
+        for drawn, world in enumerate(sampled_worlds(db, rng, budget), 1):
             if query.evaluate(world, args):
                 hits += 1
             if trace and (drawn % stride == 0 or drawn == budget):
@@ -190,13 +206,7 @@ def estimate_reliability_hamming(
             return sample_hamming_batches(plan, rng, budget, delta)
         observed_answers = query.answers(db.structure)
         total = 0.0
-        pending = 0
-        for drawn in range(1, budget + 1):
-            pending += 1
-            if pending >= CHECKPOINT_CHUNK or drawn == budget:
-                checkpoint(samples=pending)
-                pending = 0
-            world = db.sample(rng)
+        for drawn, world in enumerate(sampled_worlds(db, rng, budget), 1):
             actual_answers = query.answers(world)
             distance = len(observed_answers.symmetric_difference(actual_answers))
             total += distance / cells

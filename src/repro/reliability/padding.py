@@ -33,8 +33,8 @@ from repro.relational.atoms import Atom
 from repro.relational.schema import RelationSymbol, Vocabulary
 from repro.reliability.approx import AdditiveEstimate
 from repro.reliability.exact import as_query, _instantiated
+from repro.reliability.montecarlo import sampled_worlds
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import CHECKPOINT_CHUNK, checkpoint
 from repro.runtime.preflight import preflight_samples
 from repro.util.errors import ProbabilityError, QueryError
 from repro.util.rationals import RationalLike, parse_probability
@@ -179,16 +179,11 @@ def padded_truth_probability(
     t = padding_sample_count(xi, half_epsilon, delta)
     # Refuse up front when the active budget cannot fit the run.
     preflight_samples(t)
-    hits = 0
-    pending = 0
-    for drawn in range(1, t + 1):
-        pending += 1
-        if pending >= CHECKPOINT_CHUNK or drawn == t:
-            checkpoint(samples=pending)
-            pending = 0
-        world = padded_db.sample(rng)
-        if padded_query.evaluate(world):
-            hits += 1
+    hits = sum(
+        1
+        for world in sampled_worlds(padded_db, rng, t)
+        if padded_query.evaluate(world)
+    )
     x_bar = hits / t
     xi_f = float(xi)
     alpha = (x_bar - xi_f * xi_f) / (xi_f - xi_f * xi_f)

@@ -33,6 +33,8 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.reliability.approx",
     "repro.reliability.padding",
     "repro.reliability.lifted",
+    "repro.reliability.answers",
+    "repro.reliability.absolute",
     "repro.propositional.karp_luby",
     "repro.propositional.counting",
     "repro.propositional.bdd",
@@ -45,9 +47,10 @@ ENGINE_MODULES: Tuple[str, ...] = (
 
 #: Looping functions that deliberately do not checkpoint, with the
 #: reason.  Loops here must be bounded by the *query or formula* size
-#: (a constant of the problem statement), or be per-batch workers of
+#: (a constant of the problem statement), be per-batch workers of
 #: ``kernels.sampling.run_batches``, which charges each batch to the
-#: budget before drawing it.
+#: budget before drawing it, or make one pass over a result that was
+#: built under checkpoints.
 EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.kernels.sampling", "draw_columns"): (
         "one column per plan variable; run_batches checkpoints per batch"
@@ -120,6 +123,9 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.reliability.padding", "pad_database"): (
         "constant-size loop over the two padding constants"
+    ),
+    ("repro.reliability.answers", "reliability_from_answers"): (
+        "one pass over an answer table the caller already computed"
     ),
     ("repro.reliability.lifted", "is_hierarchical"): (
         "pairwise test over the query's variables, bounded by the query"

@@ -75,8 +75,7 @@ def _one_clause():
     return dnf, probs
 
 
-@pytest.mark.parametrize("method", ["coverage", "canonical"])
-def test_one_clause_dnf_is_answered_exactly(method):
+def test_one_clause_dnf_is_answered_exactly():
     dnf, probs = _one_clause()
     product = 1.0
     for literal in dnf.clauses[0]:
@@ -84,9 +83,7 @@ def test_one_clause_dnf_is_answered_exactly(method):
         product *= p if literal.positive else 1.0 - p
     budget = Budget()
     with apply(budget):
-        result = karp_luby_samples(
-            dnf, probs, 5000, make_rng(1), method=method
-        )
+        result = karp_luby_samples(dnf, probs, 5000, make_rng(1))
     assert result.estimate == product
     assert result.clause_weight_total == product
     assert result.samples == 0
@@ -129,14 +126,11 @@ def _certain_variable_dnf():
     return dnf, probs
 
 
-@pytest.mark.parametrize("method", ["coverage", "canonical"])
-def test_karp_luby_samples_probability_one_variable(method):
+def test_karp_luby_samples_probability_one_variable():
     dnf, probs = _certain_variable_dnf()
     exact = float(probability_enumerate(dnf, probs))
     assert exact == 0.75
-    estimate = karp_luby_samples(
-        dnf, probs, 100_000, make_rng(1), method=method
-    ).estimate
+    estimate = karp_luby_samples(dnf, probs, 100_000, make_rng(1)).estimate
     assert abs(estimate - exact) < 0.01
 
 

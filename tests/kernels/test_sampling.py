@@ -156,11 +156,8 @@ def test_karp_luby_agrees_with_exact():
 
     dnf, probs = _small_dnf()
     exact = float(probability_enumerate(dnf, probs))
-    for method in ("coverage", "canonical"):
-        batched = karp_luby_samples(
-            dnf, probs, SAMPLES, make_rng(4), method=method
-        )
-        assert abs(batched.estimate - exact) < TOLERANCE
+    batched = karp_luby_samples(dnf, probs, SAMPLES, make_rng(4))
+    assert abs(batched.estimate - exact) < TOLERANCE
 
 
 def test_naive_agrees_with_exact():

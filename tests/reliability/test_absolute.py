@@ -7,10 +7,12 @@ import pytest
 from repro.logic.datalog import reachability_query
 from repro.logic.evaluator import FOQuery
 from repro.relational.atoms import Atom
+from repro.relational.builder import StructureBuilder
 from repro.reliability.absolute import is_absolutely_reliable
 from repro.reliability.exact import expected_error
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.util.errors import QueryError
+from repro.runtime.budget import Budget, apply
+from repro.util.errors import BudgetExceeded, CostRefused, QueryError
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
 
@@ -106,3 +108,34 @@ class TestMethodsAgree:
         # Whereas uncertainty on a bridge edge breaks it.
         db2 = UnreliableDatabase(triangle, {Atom("E", ("b", "c")): Fraction(1, 8)})
         assert not is_absolutely_reliable(db2, reachability_query())
+
+
+class TestWitnessSearchBudget:
+    """The witness search may visit every world over the relevant atoms,
+    so the budget refuses it up front and checkpoints each world."""
+
+    @staticmethod
+    def _tautology_db():
+        # Ten uncertain S-atoms; the tautology holds in every world, so
+        # an unbudgeted search visits all 2^10 of them.
+        builder = StructureBuilder([f"e{i}" for i in range(10)])
+        builder.relation("S", 1)
+        structure = builder.build()
+        errors = {Atom("S", (f"e{i}",)): Fraction(1, 3) for i in range(10)}
+        return UnreliableDatabase(structure, errors)
+
+    def test_atom_cap_refuses_the_search(self):
+        with apply(Budget(max_atoms=8)):
+            with pytest.raises(CostRefused):
+                is_absolutely_reliable(
+                    self._tautology_db(), "exists x. S(x) | ~S(x)", "witness"
+                )
+
+    def test_deadline_stops_the_search(self):
+        ticks = iter(range(0, 10**6, 10))  # each clock read: 10 s later
+        budget = Budget(deadline=1.0, clock=lambda: next(ticks))
+        with apply(budget):
+            with pytest.raises(BudgetExceeded):
+                is_absolutely_reliable(
+                    self._tautology_db(), "exists x. S(x) | ~S(x)", "witness"
+                )

@@ -103,3 +103,21 @@ class TestQuestionableAnswers:
 
         query = FOQuery("E(x, y)", ("x", "y"))
         assert len(most_questionable_answers(triangle_db, query, limit=2)) == 2
+
+    def test_reads_the_answer_relation_once(self, triangle_db, monkeypatch):
+        # The observed answers come with the lineage table; the ranking
+        # must not evaluate the query's answer relation a second time.
+        from repro.reliability.answers import most_questionable_answers
+
+        calls = []
+        answers = FOQuery.answers
+
+        def counting(self, structure):
+            calls.append(structure)
+            return answers(self, structure)
+
+        monkeypatch.setattr(FOQuery, "answers", counting)
+        query = FOQuery("E(x, y) | S(x)", ("x", "y"))
+        ranked = most_questionable_answers(triangle_db, query)
+        assert len(calls) == 1
+        assert ranked[0] == (("a", "c"), Fraction(2, 5), False)

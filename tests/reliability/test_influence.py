@@ -22,7 +22,6 @@ from repro.reliability.influence import (
 )
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.util.errors import QueryError
-from repro.util.rng import make_rng
 
 
 @pytest.fixture
@@ -150,20 +149,4 @@ class TestBDDEngine:
         assert atom_influence(two_flag_db, sentence) == self._conditioning(
             two_flag_db, sentence, sign=-1
         )
-
-
-class TestSampledInfluence:
-    def test_tracks_exact_influences(self, triangle_db):
-        sentence = "exists x y. E(x, y) & S(y)"
-        exact = atom_influence(triangle_db, sentence)
-        sampled = atom_influence(
-            triangle_db, sentence, epsilon=0.05, delta=0.05, rng=make_rng(3)
-        )
-        assert sampled.keys() == exact.keys()
-        for atom, value in exact.items():
-            assert abs(sampled[atom] - value) <= 0.1, atom
-
-    def test_needs_delta_and_rng(self, triangle_db):
-        with pytest.raises(QueryError):
-            atom_influence(triangle_db, "exists x. S(x)", epsilon=0.1)
 

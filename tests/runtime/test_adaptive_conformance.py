@@ -17,9 +17,8 @@ Two estimator paths are swept:
   exact DNF probability.
 
 The fixed-budget Karp–Luby kernel makes the same relative claim with
-its worst-case ``sample_count``, so both of its estimators (coverage
-and canonical) are swept on the same window against the
-``probability_enumerate`` oracle: a new sample stream has to earn the
+its worst-case ``sample_count``, so it is swept on the same window
+against the ``probability_enumerate`` oracle: a new sample stream has to earn the
 guarantee, not inherit it.
 
 ``ADAPTIVE_CONF_SEEDS`` (environment) replays an explicit seed window —
@@ -113,7 +112,7 @@ def _kl_estimate(seed):
         with use_surrogate(CostSurrogate()):
             _KL_RESULTS[seed] = karp_luby(
                 dnf, probs, KL_EPSILON, KL_DELTA, make_rng(seed),
-                method="coverage", adaptive=True,
+                adaptive=True,
             )
     return _KL_RESULTS[seed]
 
@@ -121,15 +120,13 @@ def _kl_estimate(seed):
 _FIXED_KL_RESULTS = {}
 
 
-def _fixed_kl_estimate(seed, method):
-    key = (seed, method)
-    if key not in _FIXED_KL_RESULTS:
+def _fixed_kl_estimate(seed):
+    if seed not in _FIXED_KL_RESULTS:
         dnf, probs, _ = _kl_instance()
-        _FIXED_KL_RESULTS[key] = karp_luby(
-            dnf, probs, KL_EPSILON, KL_DELTA, make_rng(seed),
-            method=method, adaptive=False,
+        _FIXED_KL_RESULTS[seed] = karp_luby(
+            dnf, probs, KL_EPSILON, KL_DELTA, make_rng(seed), adaptive=False
         )
-    return _FIXED_KL_RESULTS[key]
+    return _FIXED_KL_RESULTS[seed]
 
 
 @pytest.mark.parametrize("seed", _seeds())
@@ -180,16 +177,15 @@ def test_relative_empirical_coverage():
     assert coverage >= 1.0 - KL_DELTA, (covered, len(seeds))
 
 
-@pytest.mark.parametrize("method", ["coverage", "canonical"])
-def test_fixed_budget_relative_empirical_coverage(method):
+def test_fixed_budget_relative_empirical_coverage():
     """The fixed worst-case budget meets the same relative contract."""
     dnf, probs, _ = _kl_instance()
     exact = float(probability_enumerate(dnf, probs))
-    worst = sample_count(len(dnf.clauses), KL_EPSILON, KL_DELTA, method)
+    worst = sample_count(len(dnf.clauses), KL_EPSILON, KL_DELTA)
     seeds = _seeds()
     covered = 0
     for seed in seeds:
-        run = _fixed_kl_estimate(seed, method)
+        run = _fixed_kl_estimate(seed)
         assert run.samples == worst
         covered += abs(run.estimate - exact) <= KL_EPSILON * exact
     coverage = covered / len(seeds)
@@ -247,12 +243,9 @@ def test_adaptive_saves_half_the_budget_on_karp_luby():
     exact = float(probability_exact(dnf, probs))
     worst = sample_count(len(dnf.clauses), epsilon, delta)
     with use_surrogate(CostSurrogate()):
-        fixed = karp_luby(
-            dnf, probs, epsilon, delta, make_rng(2), method="coverage",
-        )
+        fixed = karp_luby(dnf, probs, epsilon, delta, make_rng(2))
         adaptive = karp_luby(
-            dnf, probs, epsilon, delta, make_rng(2),
-            method="coverage", adaptive=True,
+            dnf, probs, epsilon, delta, make_rng(2), adaptive=True
         )
     assert fixed.samples == worst
     assert (worst - adaptive.samples) / worst >= 0.5, (adaptive.samples, worst)

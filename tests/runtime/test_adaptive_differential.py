@@ -59,7 +59,6 @@ def _kl_plan(dnf, probs):
         tuple(column_bits(float(probs[v])) for v in plan.variables),
         weights,
         sum(weights),
-        "coverage",
     )
 
 

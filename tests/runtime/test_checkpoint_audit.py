@@ -31,6 +31,7 @@ def test_exemption_list_is_not_stale():
 def test_engine_module_list_covers_sampling_engines():
     for module in (
         "repro.reliability.montecarlo",
+        "repro.reliability.answers",
         "repro.propositional.karp_luby",
         "repro.kernels.sampling",
         "repro.kernels.gray",
@@ -41,6 +42,11 @@ def test_engine_module_list_covers_sampling_engines():
 def test_engine_module_list_covers_the_lifted_engine():
     # The lifted plan's projects loop over the domain.
     assert "repro.reliability.lifted" in ENGINE_MODULES
+
+
+def test_engine_module_list_covers_the_witness_search():
+    # Lemma 5.8's search loops over every world of the relevant atoms.
+    assert "repro.reliability.absolute" in ENGINE_MODULES
 
 
 def _violations_of(source: str) -> list:
