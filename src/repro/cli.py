@@ -14,7 +14,7 @@ Examples::
     python -m repro estimate db.txt "forall x. exists y. E(x, y)" \\
         --estimator padding
     python -m repro run db.txt "exists x y. E(x, y)" --deadline 5
-    python -m repro run db.txt "exists x y. E(x, y)" --race --stats
+    python -m repro run db.txt "exists x y. E(x, y)" --stats
     python -m repro calibrate --out calibration.json
     python -m repro run db.txt "exists x y. E(x, y)" \\
         --calibration calibration.json
@@ -175,7 +175,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
         cost_model=_calibration_model(args),
-        race=args.race,
         adaptive=_adaptive_flag(args),
     )
     print(report.render())
@@ -258,7 +257,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         delta=args.delta,
         rng=random.Random(args.seed),
         cost_model=_calibration_model(args),
-        race=False if args.race is None else args.race,
         adaptive=_adaptive_flag(args),
     )
     print(result.describe())
@@ -657,17 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for the run recommendation",
     )
     analyze_cmd.add_argument(
-        "--race",
-        nargs="?",
-        const=True,
-        type=float,
-        default=None,
-        metavar="OVERLAP",
-        help="forecast the speculative race `run --race` would hold; "
-        "the recommendation becomes the predicted race winner "
-        "(optional OVERLAP fraction, default 0.5)",
-    )
-    analyze_cmd.add_argument(
         "--adaptive",
         nargs="?",
         const="on",
@@ -716,18 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="cost-model calibration file (from `repro calibrate`); "
         "orders the chain by predicted cost within guarantee tiers",
-    )
-    run.add_argument(
-        "--race",
-        nargs="?",
-        const=True,
-        type=float,
-        default=None,
-        metavar="OVERLAP",
-        help="race the chain speculatively: each engine launches once "
-        "the previous one has consumed OVERLAP (default 0.5) of its "
-        "fair-share slice; the strongest-tier answer wins (see "
-        "docs/ROBUSTNESS.md, 'Speculative racing')",
     )
     run.add_argument(
         "--adaptive",

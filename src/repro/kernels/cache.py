@@ -47,14 +47,14 @@ _MISSING = object()
 class LruCache:
     """A tiny ordered-dict LRU with observability counters.
 
-    Thread-safe for the racing executor: dictionary operations run
+    Thread-safe for serve pool workers: dictionary operations run
     under a lock, but the ``factory`` itself runs *outside* it — a
-    racer parked at a cooperative checkpoint mid-compilation (the
+    worker parked at a cooperative checkpoint mid-compilation (the
     virtual-clock scheduler's lock-step yield) must not hold the cache
     lock against its siblings.  Counters reflect cache truth, not
     attempts: a miss is counted only when a computed value is actually
-    inserted, so a racer cancelled mid-compilation (its factory raises
-    ``BudgetExceeded``) leaves no entry *and* no miss, and two racers
+    inserted, so a worker cancelled mid-compilation (its factory raises
+    ``BudgetExceeded``) leaves no entry *and* no miss, and two workers
     compiling the same key concurrently count one miss and one hit —
     the first insert wins and the duplicate value is discarded.
     """
@@ -109,7 +109,7 @@ class LruCache:
         with self._lock:
             cached = self._entries.get(key, _MISSING)
             if cached is not _MISSING:
-                # A concurrent racer compiled the same key first; keep
+                # A concurrent worker compiled the same key first; keep
                 # its entry (callers may already hold references to it).
                 self._entries.move_to_end(key)
                 obs.inc("kernels.cache.hits")

@@ -21,7 +21,7 @@ out-of-fragment verdict naming the reason — the dichotomy simply does
 not speak about them and the runtime falls through to the general chain.
 
 The classifier is load-bearing: the executor's ``safe_lifted`` tier and
-the racing/serve routers trust a ``safe`` verdict to mean "the lifted
+the serve router trust a ``safe`` verdict to mean "the lifted
 plan terminates with the exact answer".  Its agreement with the
 brute-force hierarchy oracle and with the lifted engine itself is
 pinned by ``tests/logic/test_safety_differential.py``.

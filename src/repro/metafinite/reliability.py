@@ -44,6 +44,8 @@ from repro.metafinite.terms import (
     is_aggregate_free,
 )
 from repro.reliability.montecarlo import _sample_budget, sampled_worlds
+from repro.runtime.budget import checkpoint
+from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import QueryError
 
 
@@ -88,33 +90,48 @@ def metafinite_reliability_qf(
         raise QueryError("reliability undefined on an empty universe")
     total_error = Fraction(0)
     for args in product(db.observed.universe, repeat=query.arity):
-        env = dict(zip(query.free_order, args))
-        entries = sorted(set(_entries_read(query.term, env)), key=repr)
-        observed_value = query.evaluate(db.observed, args)
-        distributions = [db.distribution(name, eargs) for name, eargs in entries]
-        for combo in product(*(d.items() for d in distributions)):
-            probability = Fraction(1)
-            updates: Dict[Entry, Any] = {}
-            for (name, eargs), (value, p) in zip(entries, combo):
-                probability *= p
-                updates[(name, eargs)] = value
-            if probability == 0:
-                continue
-            world = (
-                db.observed.with_entries(updates) if updates else db.observed
-            )
-            if query.evaluate(world, args) != observed_value:
-                total_error += probability
+        checkpoint()
+        total_error += _tuple_error(db, query, args)
     return 1 - total_error / cells
+
+
+def _tuple_error(
+    db: UnreliableFunctionalDatabase, query: MetafiniteQuery, args: Tuple
+) -> Fraction:
+    """The probability that tuple ``args``'s value differs from the
+    observed one, over the joint values of the entries it reads."""
+    env = dict(zip(query.free_order, args))
+    entries = sorted(set(_entries_read(query.term, env)), key=repr)
+    observed_value = query.evaluate(db.observed, args)
+    distributions = [db.distribution(name, eargs) for name, eargs in entries]
+    error = Fraction(0)
+    for combo in product(*(d.items() for d in distributions)):
+        probability = Fraction(1)
+        updates: Dict[Entry, Any] = {}
+        for (name, eargs), (value, p) in zip(entries, combo):
+            probability *= p
+            updates[(name, eargs)] = value
+        if probability == 0:
+            continue
+        world = db.observed.with_entries(updates) if updates else db.observed
+        if query.evaluate(world, args) != observed_value:
+            error += probability
+    return error
 
 
 def metafinite_expected_error(
     db: UnreliableFunctionalDatabase, query: MetafiniteQuery
 ) -> Fraction:
-    """Exact ``H_F`` by full world enumeration (Theorem 6.2(ii)'s walk)."""
+    """Exact ``H_F`` by full world enumeration (Theorem 6.2(ii)'s walk).
+
+    Preflighted by the support size against the active budget's world
+    limit, and each enumerated world is charged to it.
+    """
+    preflight_worlds(len(db.uncertain_entries()), worlds=db.support_size())
     observed_answers = query.answers(db.observed)
     total = Fraction(0)
     for world, probability in db.worlds():
+        checkpoint(worlds=1)
         if probability == 0:
             continue
         actual_answers = query.answers(world)

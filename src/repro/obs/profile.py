@@ -8,7 +8,7 @@ that exit-ordered stream and aggregates it two ways:
 * a **tree** (:attr:`SpanProfile.roots`) preserving parent/child
   structure, rendered as an indented table — the per-call breakdown of
   where an engine invocation spent its time (compile vs. sample vs.
-  checkpoint vs. race coordination);
+  checkpoint);
 * a **flat phase table** (:attr:`SpanProfile.phases`) keyed by span
   name, each with call count, *total* time (span open to close,
   children included) and *self* time (total minus direct children) —
@@ -18,7 +18,7 @@ that exit-ordered stream and aggregates it two ways:
 Reconstruction is a single O(n) pass: spans close child-before-parent,
 so a span at depth ``d`` adopts every not-yet-adopted span at depth
 ``d + 1`` seen since the previous depth-``d`` close.  Traces from
-multi-threaded sections (the racing executor) interleave several
+multi-threaded sections (serve pool workers) interleave several
 per-thread trees; each thread's depths are self-consistent, so the
 profile remains a valid aggregate though parentage across threads is
 approximate.

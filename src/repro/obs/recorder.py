@@ -111,8 +111,8 @@ class StatsRecorder:
     ``clock`` is injectable for deterministic tests; it must be a
     zero-argument callable returning monotonically nondecreasing seconds.
 
-    The recorder is safe to share across threads (the racing executor
-    emits from its worker threads): counter and histogram updates go
+    The recorder is safe to share across threads (serve pool workers
+    emit from their own threads): counter and histogram updates go
     through the registry's locked instruments, and span nesting depth
     is tracked per thread, so each thread's span tree is internally
     consistent.  The span free list is shared — ``list.append``/``pop``

@@ -6,9 +6,9 @@ label sets and no export protocol; the consumers are the ``--stats``
 CLI table, :func:`repro.obs.summary` and the benchmark harness, all of
 which read a :meth:`Registry.snapshot` dict.
 
-**Thread safety.**  Since the speculative racing executor landed,
-engines emit ``runtime.race.*`` metrics from multiple worker threads at
-once, so updates must not lose increments.  Each counter and histogram
+**Thread safety.**  Serve pool workers run engines on several threads
+at once, all emitting into one registry, so updates must not lose
+increments.  Each counter and histogram
 carries its own lock (``value += amount`` is *not* atomic in CPython —
 the interpreter can switch threads between the load and the store), and
 the registry guards instrument creation with a registry-level lock.
@@ -35,8 +35,8 @@ Number = Union[int, float]
 class Counter:
     """A monotonically increasing integer-or-float total.
 
-    ``inc`` is thread-safe: concurrent increments from racing engine
-    threads are serialised by a per-counter lock.
+    ``inc`` is thread-safe: concurrent increments from serve pool
+    worker threads are serialised by a per-counter lock.
     """
 
     __slots__ = ("name", "value", "_lock")

@@ -64,7 +64,7 @@ class JsonlSink:
         self._handle: Optional[IO[str]] = None
         self._owns_handle = False
         self._buffer: List[str] = []
-        # Racing engines trace from worker threads; the lock keeps a
+        # Serve pool workers trace from their threads; the lock keeps a
         # concurrent flush from dropping records appended between its
         # join and clear.  Uncontended cost is far below serialisation.
         self._lock = threading.Lock()

@@ -81,12 +81,14 @@ def sampled_worlds(db: Any, rng: random.Random, count: int) -> Iterator[Any]:
     Each run of up to :data:`~repro.runtime.budget.CHECKPOINT_CHUNK`
     worlds is charged with ``checkpoint(samples=...)`` before its first
     draw, as :func:`~repro.kernels.sampling.run_batches` charges each
-    batch, so a capped budget stops the loop within one chunk.
-    ``count`` is the caller's resolved and preflighted sample budget.
+    batch, so a capped budget stops the loop within one chunk, and is
+    counted in ``montecarlo.samples``.  ``count`` is the caller's
+    resolved and preflighted sample budget.
     """
     for start in range(0, count, CHECKPOINT_CHUNK):
         chunk = min(CHECKPOINT_CHUNK, count - start)
         checkpoint(samples=chunk)
+        obs.inc("montecarlo.samples", chunk)
         for _ in range(chunk):
             yield db.sample(rng)
 
@@ -162,7 +164,6 @@ def estimate_truth_probability(
                     estimate=hits / drawn,
                     half_width=_half_width(drawn, delta),
                 )
-        obs.inc("montecarlo.samples", budget)
     return hits / budget
 
 
@@ -217,5 +218,4 @@ def estimate_reliability_hamming(
                     estimate=1.0 - total / drawn,
                     half_width=_half_width(drawn, delta),
                 )
-        obs.inc("montecarlo.samples", budget)
     return 1.0 - total / budget

@@ -132,7 +132,6 @@ def analyze(
     chain: Optional[Any] = None,
     budget: Optional[Any] = None,
     cost_model: Optional[Any] = None,
-    race: Optional[Any] = None,
     adaptive: Optional[Any] = None,
 ) -> ReliabilityReport:
     """Classify, dispatch, compute — the one-call entry point.
@@ -147,12 +146,7 @@ def analyze(
     default), ``chain`` (the default chain by default) and
     ``cost_model`` (a :class:`~repro.runtime.costmodel.CostModel`, a
     calibration-file path, or the active model) — so advice and
-    execution cannot drift apart.  ``race`` (``True`` or an overlap
-    fraction) makes the recommendation forecast the speculative race
-    a ``run --race`` of the same request would hold: the recommended
-    engine is then the predicted race *winner* and ``report.plan.race``
-    carries the full :class:`~repro.runtime.plan.RaceForecast`.
-    ``adaptive`` makes the recommendation price the sequential
+    execution cannot drift apart.  ``adaptive`` makes the recommendation price the sequential
     empirical-Bernstein stopper a ``run --adaptive`` would use: the
     plan's sampling-engine forecasts then show expected versus
     worst-case sample counts and surrogate-adjusted seconds.
@@ -169,7 +163,6 @@ def analyze(
         epsilon=epsilon,
         delta=delta,
         cost_model=cost_model,
-        race=race,
         adaptive=adaptive,
     )
     formula = query.formula if isinstance(query, FOQuery) else None

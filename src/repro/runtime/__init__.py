@@ -17,17 +17,12 @@ that landscape into an execution policy instead of a crash report:
   guarantee type, and the attempt log;
 * :mod:`repro.runtime.plan` — the one plan per call: inputs validated,
   cost model, chain order and dichotomy verdict decided once; ``run``
-  executes it, ``analyze``/``--race``/serve admission forecast it;
+  executes it, ``analyze`` and serve admission forecast it;
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (timeout / slowdown / exception) wrapping engine entry points, so
   tests can prove every degradation path fires — plus the
   deterministic virtual-clock :class:`VirtualScheduler` that replays
-  racing interleavings bit-for-bit;
-* :mod:`repro.runtime.racing` — speculative engine racing for
-  ``run_with_fallback(..., race=...)``: staggered concurrent attempts,
-  tier-aware winner selection, loser cancellation through the budget
-  checkpoints — the same driver, on a virtual clock with stub
-  engines, forecasts a race.
+  serve pool interleavings bit-for-bit.
 
 See ``docs/ROBUSTNESS.md`` for the full story.
 
@@ -79,12 +74,8 @@ lazy_exports(
             "CostModel", "plan_chain", "plan_features", "calibrate",
             "load_or_fallback",
         ),
-        ".racing": (
-            "ThreadScheduler", "use_scheduler", "race_sleep",
-            "DEFAULT_OVERLAP",
-        ),
     },
-    submodules=("executor", "faults", "costmodel", "racing"),
+    submodules=("executor", "faults", "costmodel"),
 )
 
 __all__ = [
@@ -120,9 +111,4 @@ __all__ = [
     "plan_features",
     "calibrate",
     "load_or_fallback",
-    "racing",
-    "ThreadScheduler",
-    "use_scheduler",
-    "race_sleep",
-    "DEFAULT_OVERLAP",
 ]

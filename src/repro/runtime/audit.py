@@ -43,6 +43,7 @@ ENGINE_MODULES: Tuple[str, ...] = (
     "repro.runtime.adaptive",
     "repro.delta.session",
     "repro.delta.reground",
+    "repro.metafinite.reliability",
 )
 
 #: Looping functions that deliberately do not checkpoint, with the
@@ -132,6 +133,14 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.reliability.lifted", "_atom_parts"): (
         "one pass over the query body, bounded by the query"
+    ),
+    ("repro.metafinite.reliability", "_entries_read"): (
+        "one walk of the term tree, bounded by the query"
+    ),
+    ("repro.metafinite.reliability", "_tuple_error"): (
+        "Theorem 6.2(i): the joint values of the entries one tuple's "
+        "aggregate-free term reads, constantly many for a fixed query; "
+        "the tuple loop checkpoints"
     ),
 }
 

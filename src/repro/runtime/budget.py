@@ -11,13 +11,16 @@ a randomized estimator.  This module supplies the stopping machinery:
 * :class:`Budget` — a deadline plus caps on worlds enumerated, clauses
   grounded, and samples drawn, consumed at **cooperative checkpoints**;
   :meth:`Budget.child` makes the budget of one attempt (a fair-share
-  slice of the fallback walk, a racer, a serve worker's try), with its
-  own deadline, :class:`CancelToken` and scheduler hook, and
+  slice of the fallback walk, a serve worker's try), with its own
+  deadline, :class:`CancelToken` and scheduler hook, and
   :meth:`Budget.close` charges what it consumed back to its parent;
 * a module-level *active budget*, mirroring the :mod:`repro.obs`
   recorder pattern: engines call :func:`checkpoint` inside their hot
   loops, which is a near-no-op under the default (uncapped) budget, and
-  callers scope a real budget with :func:`apply`.
+  callers scope a real budget with :func:`apply`;
+* the thread-local *worker context* (:func:`worker_scope`): the
+  scheduler and cancel token a serve pool worker runs under, read by
+  the executor's clock and by scripted stalls.
 
 Engines never hold budget references; they always consult the active
 one, so a budget installed around any entry point — the fallback
@@ -103,10 +106,11 @@ class Deadline:
 class CancelToken:
     """A cross-thread cancellation flag checked at budget checkpoints.
 
-    The racing executor hands every speculative engine attempt a token;
-    cancelling it makes the racer's next cooperative checkpoint raise
-    :class:`BudgetExceeded`, so losers unwind through exactly the same
-    path as a blown deadline — no new control flow inside the engines.
+    The serve pool hands every worker's try a token; cancelling it
+    makes the worker's next cooperative checkpoint raise
+    :class:`BudgetExceeded`, so a cancelled try unwinds through exactly
+    the same path as a blown deadline — no new control flow inside the
+    engines.
     """
 
     __slots__ = ("_event", "reason")
@@ -129,7 +133,7 @@ class CancelToken:
         """Raise :class:`BudgetExceeded` if the token was cancelled."""
         if self._event.is_set():
             raise BudgetExceeded(
-                self.reason or "attempt cancelled by the racing executor"
+                self.reason or "attempt cancelled"
             )
 
 
@@ -185,9 +189,9 @@ class Budget:
     under the same budget — a fallback chain shares one allowance.
     Budgets are single-use in spirit: call :meth:`reset` to reuse one.
 
-    One attempt — a fair-share slice of the walk, a racer, a serve
-    worker's try — runs under a :meth:`child`, which :meth:`close`
-    charges back to this budget.
+    One attempt — a fair-share slice of the walk, a serve worker's
+    try — runs under a :meth:`child`, which :meth:`close` charges back
+    to this budget.
     """
 
     __slots__ = (
@@ -260,18 +264,15 @@ class Budget:
         self,
         seconds: Optional[float] = None,
         token: Optional[CancelToken] = None,
-        reserved_samples: int = 0,
         hook: Optional[Callable[[], None]] = None,
     ) -> "Budget":
         """A budget for one attempt, charged back to this one on :meth:`close`.
 
         The child starts from a copy of this budget's caps and ledgers,
-        so its caps bound this budget's *total* consumption; its sample
-        ledger additionally starts ``reserved_samples`` in (the draws
-        forecast for racers launched before it).  Its checkpoints run
-        ``hook`` first — the virtual-clock scheduler's yield point —
-        then check ``token``, every ancestor's deadline, the caps, and
-        its own ``seconds`` deadline.  Given neither ``hook`` nor
+        so its caps bound this budget's *total* consumption.  Its
+        checkpoints run ``hook`` first — the virtual-clock scheduler's
+        yield point — then check ``token``, every ancestor's deadline,
+        the caps, and its own ``seconds`` deadline.  Given neither ``hook`` nor
         ``token``, the child inherits its parent's.
         The ledgers are the child's own until :meth:`close`, so
         concurrent children never share a counter.
@@ -298,7 +299,7 @@ class Budget:
         kid._parent = self
         kid.worlds = self.worlds
         kid.ground_clauses = self.ground_clauses
-        kid.samples = self.samples + max(0, int(reserved_samples))
+        kid.samples = self.samples
         kid._base = (kid.worlds, kid.ground_clauses, kid.samples)
         return kid
 
@@ -416,15 +417,21 @@ DEFAULT_BUDGET = Budget()
 class _ActiveBudget(threading.local):
     """Thread-local active budget.
 
-    Thread-local (not a bare module global) so concurrent racing
-    attempts each see their own child budget: an engine running
-    in one racer thread must never charge — or be cancelled by — a
-    sibling's budget.  Fresh threads start at :data:`DEFAULT_BUDGET`,
+    Thread-local (not a bare module global) so concurrent serve pool
+    workers each see their own child budget: an engine running in one
+    worker thread must never charge — or be cancelled by — a sibling's
+    budget.  Fresh threads start at :data:`DEFAULT_BUDGET`,
     so single-threaded behaviour is unchanged.
+
+    It also holds the thread's worker context (see :func:`worker_scope`):
+    the scheduler and cancel token of the serve pool worker running on
+    it, ``None`` outside one.
     """
 
     def __init__(self):
         self.budget: Budget = DEFAULT_BUDGET
+        self.scheduler = None
+        self.token: Optional[CancelToken] = None
 
 
 _active = _ActiveBudget()
@@ -473,3 +480,32 @@ def checkpoint(worlds: int = 0, samples: int = 0, clauses: int = 0) -> None:
     the active budget is crossed.
     """
     _active.budget.consume(worlds=worlds, samples=samples, clauses=clauses)
+
+
+def current_scheduler():
+    """The scheduler the calling thread works under, or ``None``."""
+    return _active.scheduler
+
+
+def current_token() -> Optional[CancelToken]:
+    """The cancel token of the calling thread's worker, or ``None``."""
+    return _active.token
+
+
+@contextmanager
+def worker_scope(scheduler, token: Optional[CancelToken] = None) -> Iterator[None]:
+    """Install a worker context for the body of a scheduled worker.
+
+    The serve pool installs it around each query it runs, so the
+    executor times attempts on ``scheduler.now`` and a scripted stall
+    (:class:`~repro.runtime.faults.SlowdownFault`) advances the virtual
+    clock or honours ``token`` — a whole multi-query run is drivable by
+    the deterministic virtual clock.  Scopes restore the previous
+    context on exit, so they nest.
+    """
+    previous = (_active.scheduler, _active.token)
+    _active.scheduler, _active.token = scheduler, token
+    try:
+        yield
+    finally:
+        _active.scheduler, _active.token = previous

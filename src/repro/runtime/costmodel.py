@@ -25,8 +25,8 @@ between queries.  This module closes the loop:
   nothing here can crash a run.
 * :func:`plan_chain` — the forecast of the executor's own plan
   (:mod:`repro.runtime.plan` builds and forecasts it), so
-  :func:`repro.reliability.report.analyze`, ``run --race`` forecasts
-  and serve admission *recommend* exactly the engine
+  :func:`repro.reliability.report.analyze` and serve admission
+  *recommend* exactly the engine
   :func:`~repro.runtime.executor.run_with_fallback` would select.
 
 Guarantee tiers are quantity-dependent, mirroring the engines
@@ -595,7 +595,6 @@ def plan_chain(
     epsilon: float = 0.05,
     delta: float = 0.05,
     cost_model: Union[None, CostModel, str, "os.PathLike"] = None,
-    race: Union[None, bool, float] = None,
     adaptive: Union[None, bool] = None,
 ):
     """Forecast the fallback executor's walk without running an engine.
@@ -607,15 +606,14 @@ def plan_chain(
     which is never consumed.  The returned
     :class:`~repro.runtime.plan.ChainPlan` names the selected engine —
     under ``max_atoms`` / ``max_samples`` caps, the engine the run
-    answers with.  ``race`` forecasts the speculative race instead
-    (``plan.race``; ``selected`` is the predicted winner); ``adaptive``
-    prices the surrogate's expected stopping.
+    answers with.  ``adaptive`` prices the surrogate's expected
+    stopping.
     """
     from repro.runtime import plan
 
     built = plan.make_plan(
         db, query, DEFAULT_CHAIN if chain is None else chain,
-        quantity, epsilon, delta, cost_model, race, adaptive,
+        quantity, epsilon, delta, cost_model, adaptive,
         forecast=True,
     )
     return plan.forecast(built, budget if budget is not None else active_budget())

@@ -35,9 +35,8 @@ checkpoint) or :class:`QueryError` (fragment mismatch) is recorded and
 the next engine gets its turn.  The returned :class:`RuntimeResult`
 carries the value, the engine that answered, its guarantee type, and
 the full attempt log; everything is mirrored into :mod:`repro.obs`
-(``runtime.*`` counters, per-attempt spans).  The walk and the race
-of :mod:`repro.runtime.racing` sit behind one dispatch,
-:func:`execute`, which forecasts also run with stub engines.
+(``runtime.*`` counters, per-attempt spans).  The walk is the one
+dispatch, :func:`execute`, which forecasts also run with stub engines.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -62,7 +61,7 @@ from repro.reliability.montecarlo import (
     estimate_truth_probability,
 )
 from repro.runtime import DEFAULT_CHAIN
-from repro.runtime.budget import Budget, active_budget, apply
+from repro.runtime.budget import Budget, active_budget, apply, current_scheduler
 from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import (
     BudgetExceeded,
@@ -280,56 +279,12 @@ STATIC_SAFE_ENGINES: Tuple[str, ...] = ("safe_lifted", "lifted")
 def static_skip_detail(name: str, verdict) -> Optional[str]:
     """The skip reason for ``name`` under ``verdict``, or ``None`` to run.
 
-    Shared between the sequential walk and the race partition, which
-    forecasts run too, so they mark ``skipped_static`` exactly where
-    the run does.
+    The walk calls it, and forecasts run the walk, so they mark
+    ``skipped_static`` exactly where the run does.
     """
     if name in STATIC_SAFE_ENGINES and not verdict.safe:
         return verdict.summary()
     return None
-
-
-def race_partition(
-    chain: Sequence[str], verdict, quantity: str
-) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]:
-    """Split a race chain into ``(kept, skipped)`` by the static verdict.
-
-    A statically-*safe* query must never launch a sampling racer: when
-    the chain contains an exact-tier engine, every weaker engine is
-    statically skipped (speculating on a sampler cannot beat a
-    polynomial exact answer and would waste its samples).  A chain with
-    no exact-tier engine races as given — the caller asked for
-    samplers explicitly.  On an *unsafe* verdict the dichotomy-gated
-    engines are skipped, exactly as in the sequential walk.  Skipped
-    entries are ``(engine, detail)`` pairs.
-    """
-    kept = []
-    skipped = []
-    if verdict.safe:
-        has_exact = any(
-            engine_guarantee(name, quantity) == "exact" for name in chain
-        )
-        if not has_exact:
-            return tuple(chain), ()
-        for name in chain:
-            if engine_guarantee(name, quantity) == "exact":
-                kept.append(name)
-            else:
-                skipped.append(
-                    (
-                        name,
-                        "statically safe query: sampling racer suppressed "
-                        f"({verdict.summary()})",
-                    )
-                )
-    else:
-        for name in chain:
-            detail = static_skip_detail(name, verdict)
-            if detail is None:
-                kept.append(name)
-            else:
-                skipped.append((name, detail))
-    return tuple(kept), tuple(skipped)
 
 
 def _record_prediction_error(model, engine, features, elapsed, emit) -> None:
@@ -349,8 +304,8 @@ def _record_prediction_error(model, engine, features, elapsed, emit) -> None:
 
 
 def report_attempt(plan, attempt: Attempt, counter: str = "", emit=obs) -> None:
-    """Mirror one finished attempt of the walk or the race into
-    ``emit``; ``counter`` is a failure's :func:`classify_failure` one."""
+    """Mirror one finished attempt of the walk into ``emit``;
+    ``counter`` is a failure's :func:`classify_failure` one."""
     emit.inc("runtime.attempts")
     if attempt.outcome != "ok":
         if counter:
@@ -362,8 +317,6 @@ def report_attempt(plan, attempt: Attempt, counter: str = "", emit=obs) -> None:
             outcome=attempt.outcome,
             detail=attempt.detail,
         )
-        if attempt.outcome in ("cancelled", "preempted", "abandoned"):
-            return  # a lost racer's time says nothing about its cost
     if plan.features is not None:
         emit.event(
             "runtime.attempt.cost",
@@ -396,9 +349,8 @@ def check_quantity(quantity: str) -> None:
 def classify_failure(exc: Exception) -> Tuple[str, str]:
     """The executor's failure taxonomy: ``(outcome, obs counter)``.
 
-    Every degradation path shares it — the sequential walk, the racing
-    executor, and the serve layer's retry/breaker policies all speak
-    these outcome strings.
+    Every degradation path shares it — the sequential walk and the
+    serve layer's retry/breaker policies speak these outcome strings.
     """
     if isinstance(exc, CostRefused):
         return "cost_refused", "runtime.cost_refused"
@@ -410,15 +362,13 @@ def classify_failure(exc: Exception) -> Tuple[str, str]:
 def _run_clock():
     """The clock a fallback run times itself with.
 
-    Normally the wall clock, but a run scheduled inside a worker body
-    (a serve pool worker, a racer) must read the scheduler's clock so
-    attempt timings — and therefore whole-server traces — replay
-    deterministically on the virtual clock.  This is the re-entrancy
-    contract: the executor no longer assumes it owns the process or
-    the wall clock.
+    Normally the wall clock, but a run scheduled inside a serve pool
+    worker (:func:`repro.runtime.budget.worker_scope`) must read the
+    scheduler's clock so attempt timings — and therefore whole-server
+    traces — replay deterministically on the virtual clock.  This is
+    the re-entrancy contract: the executor no longer assumes it owns
+    the process or the wall clock.
     """
-    from repro.runtime.racing import current_scheduler
-
     scheduler = current_scheduler()
     return time.perf_counter if scheduler is None else scheduler.now
 
@@ -428,10 +378,8 @@ def _attempt_rng(base: int, engine: str) -> random.Random:
 
     Derived from a single 64-bit draw of the caller's ``rng`` plus the
     engine *name* — never from sibling attempts' consumption — so an
-    engine's value is identical whether it runs alone, after failed
-    predecessors in a sequential chain, or concurrently in a race.
-    That independence is what lets the racing property tests assert
-    value equality against solo sequential runs.
+    engine's value is identical whether it runs alone or after failed
+    predecessors in a chain.
     """
     return random.Random(f"{base:x}:attempt:{engine}")
 
@@ -446,7 +394,6 @@ def run_with_fallback(
     delta: float = 0.05,
     rng: RngLike = 0,
     cost_model=None,
-    race: Union[bool, float, None] = False,
     adaptive: Union[bool, None] = None,
 ) -> RuntimeResult:
     """Answer ``quantity`` for ``query``, degrading across ``chain``.
@@ -473,15 +420,6 @@ def run_with_fallback(
     event when observability is on — the raw material ``repro
     calibrate`` fits from.
 
-    ``race`` turns on speculative racing (see
-    :mod:`repro.runtime.racing` and docs/ROBUSTNESS.md): instead of
-    walking the chain sequentially, engines launch concurrently with a
-    stagger of ``overlap * fair_share`` and the first answer at least
-    as strong as every still-running contender wins.  ``True`` uses
-    :data:`~repro.runtime.racing.DEFAULT_OVERLAP`; a float in
-    ``[0, 1]`` sets the overlap fraction directly (0 launches
-    everything at once).
-
     ``adaptive`` (default off) switches the sampling engines to the
     sequential empirical-Bernstein stopper of
     :mod:`repro.runtime.adaptive`: same (epsilon, delta) contract, the
@@ -502,7 +440,7 @@ def run_with_fallback(
     from repro.runtime.plan import make_plan
 
     plan = make_plan(
-        db, query, chain, quantity, epsilon, delta, cost_model, race, adaptive
+        db, query, chain, quantity, epsilon, delta, cost_model, adaptive
     )
     rng_base = as_rng(rng).getrandbits(64)
     scope = apply(budget) if budget is not None else nullcontext()
@@ -510,69 +448,15 @@ def run_with_fallback(
         return execute(plan, active_budget(), rng_base)
 
 
-def execute(
-    plan, budget, rng_base: int, engines=None, emit=obs, scheduler=None
-) -> RuntimeResult:
-    """Race ``plan`` under ``budget`` if it has an overlap, else walk it.
+def execute(plan, budget, rng_base: int, engines=None, emit=obs) -> RuntimeResult:
+    """Walk ``plan``'s chain under ``budget``: the first answer wins.
 
     The one dispatch of runs and of :func:`repro.runtime.plan.forecast`,
-    which passes stub ``engines``, ``emit=obs.NULL`` and, for a race,
-    a virtual ``scheduler``; a walk times itself on ``scheduler.now``.
+    which passes stub ``engines`` and ``emit=obs.NULL``.
     """
     if engines is None:
         engines = ENGINES
-    if plan.overlap is not None:
-        return _race(plan, budget, rng_base, engines, emit, scheduler)
-    clock = _run_clock() if scheduler is None else scheduler.now
-    return _walk(plan, budget, rng_base, engines, emit, clock)
-
-
-def _record_skip(name: str, detail: str, emit) -> Attempt:
-    emit.inc("runtime.skipped_static")
-    emit.event("runtime.skip_static", engine=name, detail=detail)
-    return Attempt(name, "skipped_static", detail, 0.0)
-
-
-def _exhausted(message: str, attempts, emit) -> FallbackExhausted:
-    emit.inc("runtime.exhausted")
-    return FallbackExhausted(
-        f"{message} "
-        f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
-        attempts,
-    )
-
-
-def _race(plan, run_budget, rng_base, engines, emit, scheduler) -> RuntimeResult:
-    """Race the plan's chain after the dichotomy partition."""
-    from repro.runtime import racing
-
-    race_chain, skipped = race_partition(
-        plan.chain, plan.verdict, plan.quantity
-    )
-    attempts = tuple(
-        _record_skip(name, detail, emit) for name, detail in skipped
-    )
-    if not race_chain:
-        raise _exhausted(
-            "no engine to race: every engine in the chain was "
-            "statically skipped",
-            attempts,
-            emit,
-        )
-    try:
-        result = racing.run_race(
-            plan, race_chain, run_budget, rng_base,
-            scheduler=scheduler, engines=engines, emit=emit,
-        )
-    except FallbackExhausted as exc:
-        raise FallbackExhausted(str(exc), attempts + tuple(exc.attempts)) from None
-    if attempts:
-        result = replace(result, attempts=attempts + result.attempts)
-    return result
-
-
-def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
-    """Walk the plan's chain sequentially: the first answer wins."""
+    clock = _run_clock()
     chain = plan.chain
     attempts = []
     started = clock()
@@ -580,7 +464,9 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
         for index, name in enumerate(chain):
             skip_detail = static_skip_detail(name, plan.verdict)
             if skip_detail is not None:
-                attempts.append(_record_skip(name, skip_detail, emit))
+                emit.inc("runtime.skipped_static")
+                emit.event("runtime.skip_static", engine=name, detail=skip_detail)
+                attempts.append(Attempt(name, "skipped_static", skip_detail, 0.0))
                 continue
             attempt_start = clock()
             slice_budget = None
@@ -590,7 +476,7 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                 # attempts_left seconds, so one stalled engine cannot
                 # starve the rest of the chain; an attempt that
                 # finishes early rolls its unused share forward.
-                remaining = run_budget.remaining_time()
+                remaining = budget.remaining_time()
                 if remaining is None:
                     attempt_scope = nullcontext()
                 elif remaining <= 0:
@@ -599,7 +485,7 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                     )
                 else:
                     share = remaining / (len(chain) - index)
-                    slice_budget = run_budget.child(share)
+                    slice_budget = budget.child(share)
                     attempt_scope = apply(slice_budget)
                 request = _Request(
                     plan.quantity, plan.epsilon, plan.delta, rng_base, name,
@@ -639,7 +525,12 @@ def _walk(plan, run_budget, rng_base, engines, emit, clock) -> RuntimeResult:
                 attempts=len(attempts),
             )
             return result
-    raise _exhausted(f"all {len(chain)} engines failed", attempts, emit)
+    emit.inc("runtime.exhausted")
+    raise FallbackExhausted(
+        f"all {len(chain)} engines failed "
+        f"({', '.join(f'{a.engine}: {a.outcome}' for a in attempts)})",
+        attempts,
+    )
 
 
 #: Update op -> its argument count; each op is the name of the

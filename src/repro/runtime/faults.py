@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro import obs
-from repro.runtime.budget import checkpoint
+from repro.runtime.budget import checkpoint, current_scheduler, current_token
 from repro.util.errors import (
     BudgetExceeded,
     ProbabilityError,
@@ -59,6 +59,10 @@ from repro.util.errors import (
 from repro.util.rng import Seed, as_rng
 
 RngLike = Union[random.Random, Seed]
+
+#: Slice of a real-thread :class:`SlowdownFault` stall between two
+#: cancel-token checks, in seconds.
+SLEEP_QUANTUM = 0.02
 
 __all__ = [
     "Fault",
@@ -109,6 +113,14 @@ class SlowdownFault(Fault):
     own first checkpoint would come late.  Without a deadline the
     engine simply runs slow and still answers — which is exactly the
     distinction tests want to probe.
+
+    The stall cooperates with the worker context of the calling thread
+    (:func:`repro.runtime.budget.worker_scope`): outside one it is
+    ``time.sleep``; under the :class:`VirtualScheduler` it advances the
+    worker's virtual time instead of sleeping, so scripted interleavings
+    replay instantly; on real threads it sleeps in slices of
+    :data:`SLEEP_QUANTUM`, checking the worker's cancel token between
+    them, so a cancelled try is reclaimed within one slice.
     """
 
     seconds: float = 0.05
@@ -121,15 +133,27 @@ class SlowdownFault(Fault):
             )
 
     def apply(self, engine: str, real: Callable, *args, **kwargs):
-        from repro.runtime.racing import race_sleep
-
-        # race_sleep is time.sleep outside a race; under the racing
-        # executor it cooperates with cancellation, and under the
-        # virtual-clock scheduler it advances virtual time instead of
-        # sleeping, so scripted interleavings replay instantly.
-        race_sleep(self.seconds)
+        self._stall()
         checkpoint()
         return real(*args, **kwargs)
+
+    def _stall(self) -> None:
+        scheduler = current_scheduler()
+        if scheduler is None:
+            time.sleep(self.seconds)
+            return
+        if scheduler.is_virtual:
+            scheduler.sleep(self.seconds)
+            return
+        token = current_token()
+        end = time.monotonic() + self.seconds
+        while True:
+            if token is not None:
+                token.check()
+            remaining = end - time.monotonic()
+            if remaining <= 0:
+                return
+            time.sleep(min(remaining, SLEEP_QUANTUM))
 
 
 def _default_error() -> Exception:
@@ -262,36 +286,31 @@ class _VirtualEntity:
 class VirtualScheduler:
     """A deterministic lock-step scheduler with a virtual clock.
 
-    Racing is nondeterministic on the wall clock; this scheduler tames
-    it for tests.  Racer threads still exist, but **exactly one runs at
-    a time**: every cooperative budget checkpoint (and every
-    ``SlowdownFault`` stall, routed through
-    :func:`repro.runtime.racing.race_sleep`) parks the racer and hands
+    Worker threads are nondeterministic on the wall clock; this
+    scheduler tames them for tests.  Worker threads still exist, but
+    **exactly one runs at a time**: every cooperative budget checkpoint
+    (and every :class:`SlowdownFault` stall) parks the worker and hands
     control back to the driver, which always grants the next turn to
     the runnable entity with the smallest ``(virtual time, spawn
     order)``.  Virtual time advances only by scripted amounts — a
-    per-engine ``tick`` per checkpoint plus the ``seconds`` of any
+    per-worker ``tick`` per checkpoint plus the ``seconds`` of any
     ``SlowdownFault`` — so the same fault script and seed replay the
-    same interleaving, winner, value, and counters bit-for-bit.
+    same interleaving, answers, and counters bit-for-bit.
 
-    Use it as the race scheduler and, for deadline tests, as the budget
-    clock::
-
-        scheduler = faults.VirtualScheduler(ticks={"karp_luby": 0.01})
-        budget = Budget(deadline=2.0, clock=scheduler.now)
-        with racing.use_scheduler(scheduler):
-            result = run_with_fallback(db, query, race=True, budget=budget)
-
-    ``ticks`` maps engine names to virtual seconds per checkpoint
+    ``ticks`` maps worker labels to virtual seconds per checkpoint
     (default ``default_tick``, itself defaulting to 0: time then moves
     only through scripted slowdowns).
 
-    The racing executor and the :class:`repro.serve.Server` driver both
-    speak this scheduler's driver protocol (``now`` / ``spawn`` /
-    ``wait`` / ``pop_completions`` / ``drain`` / ``poke``): a scripted
-    fault schedule plus a seed replays a whole multi-query serving run
-    — admission decisions, retries, breaker transitions, and per-query
-    answers — bit for bit (see tests/serve/test_replay.py).
+    The :class:`repro.serve.Server` driver speaks this scheduler's
+    protocol (``now`` / ``spawn`` / ``wait`` / ``pop_completions`` /
+    ``poke``), as does the real
+    :class:`~repro.serve.scheduler.ThreadScheduler`: a scripted fault
+    schedule plus a seed replays a whole multi-query serving run —
+    admission decisions, retries, breaker transitions, and per-query
+    answers — bit for bit (see tests/serve/test_replay.py)::
+
+        server = Server(db, pool_size=2, scheduler=VirtualScheduler())
+        responses = server.run(requests)
     """
 
     is_virtual = True
@@ -314,7 +333,7 @@ class VirtualScheduler:
     # -- clock ---------------------------------------------------------- #
 
     def now(self) -> float:
-        """Virtual seconds: the calling racer's time, or the driver's."""
+        """Virtual seconds: the calling worker's time, or the driver's."""
         entity = getattr(self._local, "entity", None)
         if entity is not None:
             return entity.vtime
@@ -325,11 +344,11 @@ class VirtualScheduler:
 
         Virtual-mode submissions come from the driver thread itself
         (scripted workloads), so there is never a blocked driver to
-        wake; the real :class:`~repro.runtime.racing.ThreadScheduler`
+        wake; the real :class:`~repro.serve.scheduler.ThreadScheduler`
         implements this with a condition notify.
         """
 
-    # -- racer side ----------------------------------------------------- #
+    # -- worker side ---------------------------------------------------- #
 
     def _yield_turn(self, entity: _VirtualEntity) -> None:
         entity.resume.clear()
@@ -337,7 +356,7 @@ class VirtualScheduler:
         entity.resume.wait()
 
     def checkpoint(self) -> None:
-        """Budget-checkpoint hook: advance the racer's tick and park."""
+        """Budget-checkpoint hook: advance the worker's tick and park."""
         entity = getattr(self._local, "entity", None)
         if entity is None:
             return
@@ -370,7 +389,7 @@ class VirtualScheduler:
                 self._wake_driver.set()
 
         entity.thread = threading.Thread(
-            target=body, name=f"repro-vracer-{entity.index}-{label}", daemon=True
+            target=body, name=f"repro-vworker-{entity.index}-{label}", daemon=True
         )
         entity.thread.start()
         return entity.index
@@ -418,21 +437,13 @@ class VirtualScheduler:
                 return
             self._grant(self._entities[tr[1]])
 
-    def pop_completions(self, include_future: bool = False) -> List[int]:
+    def pop_completions(self) -> List[int]:
         """Completions whose finish time is due, in ``(vtime, index)`` order.
 
         A completion at a virtual time past the driver's clock is held
-        back until :meth:`wait` advances to it (``include_future=True``
-        overrides — used after :meth:`drain`).
+        back until :meth:`wait` advances to it.
         """
         self._collect_pending()
-        if include_future:
-            ready = sorted(
-                self._completions,
-                key=lambda i: (self._entities[i].vtime, i),
-            )
-            self._completions = []
-            return ready
         ready = sorted(
             (i for i in self._completions
              if self._entities[i].vtime <= self._driver_time),
@@ -441,21 +452,3 @@ class VirtualScheduler:
         held = set(ready)
         self._completions = [i for i in self._completions if i not in held]
         return ready
-
-    def drain(self, entities) -> int:
-        """Step every given entity to completion (fully deterministic).
-
-        The driver clock does not advance: losers finish in their own
-        virtual time, the race's elapsed time stays the winner's.
-        Returns 0 — the virtual scheduler never abandons a thread.
-        """
-        remaining = [
-            self._entities[i] for i in entities
-            if i is not None and not self._entities[i].finished
-        ]
-        while True:
-            runnable = [e for e in remaining if not e.finished]
-            if not runnable:
-                break
-            self._grant(min(runnable, key=lambda e: (e.vtime, e.index)))
-        return 0

@@ -5,14 +5,13 @@
 :func:`~repro.runtime.costmodel.plan_chain` and decides, before any
 engine runs, the cost model (wrapped by the adaptive surrogate), the
 cost-ordered chain and the static Dalvi–Suciu verdict.  The executor
-runs the :class:`Plan`; :func:`forecast` predicts its walk or race for
-``repro analyze``, ``run --race`` forecasts and serve admission.
+runs the :class:`Plan`; :func:`forecast` predicts its walk for
+``repro analyze`` and serve admission.
 
 Each engine has one forecast function (:meth:`Plan.forecast`): its
 fragment check plus the refusal arithmetic of
-:mod:`repro.runtime.preflight`.  The race driver reserves samples with
-it, and :func:`forecast` runs the executor's own walk or race with
-stub engines that replay it, so the order, skips, fair shares and
+:mod:`repro.runtime.preflight`.  :func:`forecast` runs the executor's
+own walk with stub engines that replay it, so the order, skips and
 exhaustion it predicts are the executor's by construction.
 
 Under ``max_atoms`` / ``max_samples`` caps a forecast is exact: the
@@ -41,8 +40,8 @@ from repro.reliability.grounding import (
     relevant_atoms,
 )
 from repro.reliability.montecarlo import hoeffding_samples
-from repro.runtime import costmodel, executor, racing
-from repro.runtime.budget import Budget, active_budget, apply, checkpoint
+from repro.runtime import costmodel, executor
+from repro.runtime.budget import Budget, apply
 from repro.runtime.preflight import (
     grounding_refusal,
     samples_refusal,
@@ -58,10 +57,8 @@ from repro.util.errors import (
 __all__ = [
     "Plan",
     "make_plan",
-    "race_overlap",
     "forecast",
     "EngineForecast",
-    "RaceForecast",
     "ChainPlan",
 ]
 
@@ -78,7 +75,7 @@ class Plan:
     ``chain`` is ordered by ``model`` within guarantee tiers (as given
     without a model).  ``verdict`` is the dichotomy verdict, set
     whenever a decision reads it: a statically gated engine in the
-    chain, a race, or a forecast.  ``features`` are the cost-model
+    chain, or a forecast.  ``features`` are the cost-model
     features, set when a model, a recorder or a forecast reads them —
     a plain run with neither computes nothing it does not use.
     """
@@ -92,14 +89,12 @@ class Plan:
     model: Optional[costmodel.CostModel]
     features: Optional[Mapping[str, float]]
     verdict: Any
-    overlap: Optional[float]
     adaptive: bool
 
-    def forecast(self, name: str, budget, samples_used: int = 0) -> Forecast:
-        """Engine ``name``'s predicted fate under ``budget``, after
-        earlier attempts drew ``samples_used``; the returned sample
-        count is this attempt's own draw (a racer's reservation)."""
-        return _FORECASTS[name](self, budget, samples_used)
+    def forecast(self, name: str, budget) -> Forecast:
+        """Engine ``name``'s predicted fate under ``budget``; the
+        returned sample count is this attempt's own draw."""
+        return _FORECASTS[name](self, budget)
 
 
 def make_plan(
@@ -110,7 +105,6 @@ def make_plan(
     epsilon: float,
     delta: float,
     cost_model=None,
-    race=None,
     adaptive=None,
     forecast: bool = False,
     features: Optional[Mapping[str, float]] = None,
@@ -141,7 +135,6 @@ def make_plan(
             "quantity='probability' needs a Boolean (0-ary) query; "
             "use quantity='reliability' for k-ary queries"
         )
-    overlap = race_overlap(race)
     model = costmodel.resolve_model(cost_model)
     adaptive = bool(adaptive)
     if adaptive and model is not None:
@@ -153,27 +146,13 @@ def make_plan(
     if model is not None:
         chain = model.order_chain(chain, features, quantity)
     if verdict is None and (
-        forecast
-        or overlap is not None
-        or any(name in executor.STATIC_SAFE_ENGINES for name in chain)
+        forecast or any(name in executor.STATIC_SAFE_ENGINES for name in chain)
     ):
         verdict = safety.classify_dichotomy(query)
     return Plan(
         db, query, quantity, epsilon, delta, chain, model, features,
-        verdict, overlap, adaptive,
+        verdict, adaptive,
     )
-
-
-def race_overlap(race) -> Optional[float]:
-    """The stagger fraction a ``race`` argument asks for (``None``: walk)."""
-    if race is None or race is False:
-        return None
-    overlap = racing.DEFAULT_OVERLAP if race is True else float(race)
-    if not (overlap >= 0.0 and math.isfinite(overlap)):
-        raise ResourceError(
-            f"race overlap must be a finite fraction >= 0, got {race!r}"
-        )
-    return overlap
 
 
 # ---------------------------------------------------------------------- #
@@ -191,7 +170,7 @@ def _left(budget, used: int) -> Optional[int]:
     return None if remaining is None else max(0, remaining - used)
 
 
-def _forecast_exact(plan: Plan, budget, samples_used: int) -> Forecast:
+def _forecast_exact(plan: Plan, budget) -> Forecast:
     atoms = (
         len(relevant_atoms(plan.db, plan.query))
         if plan.features is None
@@ -200,7 +179,7 @@ def _forecast_exact(plan: Plan, budget, samples_used: int) -> Forecast:
     return _refused(worlds_refusal(atoms, budget)) or _OK
 
 
-def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
+def _forecast_karp_luby(plan: Plan, budget) -> Forecast:
     """The grounding preflight, then the sample preflight per target.
 
     Grounding done to predict a run runs under an uncapped budget, so
@@ -233,9 +212,7 @@ def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
             if dnf.is_true() or dnf.is_false():
                 continue
             needed = sample_count(len(dnf.clauses), plan.epsilon, per_delta)
-            refusal = samples_refusal(
-                needed, _left(budget, samples_used + consumed)
-            )
+            refusal = samples_refusal(needed, _left(budget, consumed))
             if refusal is not None:
                 return _refused(refusal, consumed)
             consumed += needed
@@ -244,7 +221,7 @@ def _forecast_karp_luby(plan: Plan, budget, samples_used: int) -> Forecast:
     return "ok", "", consumed
 
 
-def _forecast_montecarlo(plan: Plan, budget, samples_used: int) -> Forecast:
+def _forecast_montecarlo(plan: Plan, budget) -> Forecast:
     if plan.quantity == "reliability":
         arity = int(getattr(plan.query, "arity", 0))
         if plan.db.universe_size**arity == 0:
@@ -254,11 +231,11 @@ def _forecast_montecarlo(plan: Plan, budget, samples_used: int) -> Forecast:
                 0,
             )
     needed = hoeffding_samples(plan.epsilon, plan.delta)
-    refusal = samples_refusal(needed, _left(budget, samples_used))
+    refusal = samples_refusal(needed, budget.remaining_samples())
     return _refused(refusal) or ("ok", "", needed)
 
 
-def _forecast_ok(plan: Plan, budget, samples_used: int) -> Forecast:
+def _forecast_ok(plan: Plan, budget) -> Forecast:
     """The lifted engines: the static router skips them on an unsafe
     verdict before any forecast runs, and a safe verdict admits them."""
     return _OK
@@ -298,31 +275,6 @@ class EngineForecast:
 
 
 @dataclass(frozen=True)
-class RaceForecast:
-    """The forecast race: who launches when, who wins, who is wasted.
-
-    Produced by ``plan_chain(..., race=...)``, which races the plan
-    through :func:`repro.runtime.executor.execute` on a virtual clock
-    over the model's predicted per-engine seconds.  ``outcomes`` maps every
-    engine in the chain to its predicted fate: ``"won"``,
-    ``"preempted"``, ``"cancelled"``, ``"not_launched"``,
-    ``"skipped_static"`` (excluded by the dichotomy router before
-    launch), or a failure outcome (``"cost_refused"``,
-    ``"fragment_mismatch"``, ``"budget_exceeded"``).
-    ``finish_seconds`` gives each launched engine's predicted completion
-    time on the race clock; ``elapsed_seconds`` is the predicted race
-    wall-clock (the winner's decision time).
-    """
-
-    winner: Optional[str]
-    overlap: float
-    launch_order: Tuple[str, ...]
-    outcomes: Mapping[str, str]
-    finish_seconds: Mapping[str, float]
-    elapsed_seconds: float
-
-
-@dataclass(frozen=True)
 class ChainPlan:
     """The forecast walk: ordered chain, forecasts, selected engine.
 
@@ -337,7 +289,6 @@ class ChainPlan:
     selected: Optional[str]
     forecasts: Tuple[EngineForecast, ...]
     features: Mapping[str, float]
-    race: Optional[RaceForecast] = None
     dichotomy: Optional[Any] = None
 
     def describe(self) -> str:
@@ -361,29 +312,20 @@ class ChainPlan:
             if forecast.detail:
                 line += f" — {forecast.detail}"
             lines.append(line)
-        if self.race is not None:
-            lines.append(
-                f"race (overlap={self.race.overlap:g}): "
-                f"winner={self.race.winner or 'none'} "
-                f"~{self.race.elapsed_seconds:.3g}s, "
-                f"launched {', '.join(self.race.launch_order) or 'nothing'}"
-            )
         if self.dichotomy is not None:
             lines.append(f"dichotomy: {self.dichotomy.summary()}")
         return "\n".join(lines)
 
 
 def forecast(plan: Plan, budget) -> ChainPlan:
-    """Predict ``plan``'s walk — or race — under ``budget``.
+    """Predict ``plan``'s walk under ``budget``.
 
-    Runs the executor's own dispatch,
+    Runs the executor's own walk,
     :func:`repro.runtime.executor.execute`, over a shadow of
     ``budget``'s caps and sample ledger, with stub engines that refuse
-    as :meth:`Plan.forecast` predicts or answer.  A walk's stub takes no
-    time and charges its draw to the shadow's ledger (the walk forecast
-    is deadline-blind); a race's takes its predicted seconds on a
-    :class:`~repro.runtime.faults.VirtualScheduler`, its racer's sample
-    headroom doing the reserving.
+    as :meth:`Plan.forecast` predicts or answer.  A stub takes no time
+    and charges its draw to the shadow's ledger (the forecast is
+    deadline-blind).
 
     Read-only: no engine runs, ``budget``'s ledgers are not charged,
     and the executor reports to ``obs.NULL``.  Under ``plan.adaptive``
@@ -408,58 +350,37 @@ def forecast(plan: Plan, budget) -> ChainPlan:
     predicted = {
         name: scorer.predict_seconds(name, plan.features) for name in plan.chain
     }
-    race = plan.overlap is not None
-    caps = (
-        budget.max_worlds, budget.max_ground_clauses, budget.max_samples,
-        budget.max_atoms,
+    shadow = Budget(
+        None, budget.max_worlds, budget.max_ground_clauses,
+        budget.max_samples, budget.max_atoms,
     )
-    scheduler = None
-    if race:
-        from repro.runtime.faults import VirtualScheduler
-
-        scheduler = VirtualScheduler()
-        shadow = Budget(budget.deadline_seconds, *caps, clock=scheduler.now)
-    else:
-        shadow = Budget(None, *caps)
     left = budget.remaining_samples()
     if left is not None:
         shadow.samples = shadow.max_samples - left
     samples: Dict[str, int] = {}
-    finish: Dict[str, float] = {}
 
     def stub(db, query, request):
         name = request.engine
-        view = active_budget() if race else shadow
-        outcome, detail, spent = plan.forecast(name, view)
+        outcome, detail, spent = plan.forecast(name, shadow)
         samples[name] = spent
-        try:
-            if not race:
-                view.consume(samples=spent)
-            if outcome == "cost_refused":
-                raise CostRefused(detail)
-            if outcome != "ok":
-                raise QueryError(detail)
-            if race:
-                racing.race_sleep(predicted[name])
-                checkpoint()
-        finally:
-            if race:
-                finish[name] = scheduler.now()
+        shadow.consume(samples=spent)
+        if outcome == "cost_refused":
+            raise CostRefused(detail)
+        if outcome != "ok":
+            raise QueryError(detail)
         guarantee = executor.engine_guarantee(name, plan.quantity)
         return executor._Answer(0.0, guarantee, None, None)
 
     try:
         result = executor.execute(
             plan, shadow.start(), 0, engines=dict.fromkeys(plan.chain, stub),
-            emit=obs.NULL, scheduler=scheduler,
+            emit=obs.NULL,
         )
-        winner, attempts, elapsed = result.engine, result.attempts, result.elapsed
+        winner, attempts = result.engine, result.attempts
     except FallbackExhausted as exc:
         winner, attempts = None, exc.attempts
-        elapsed = scheduler.now() if race else 0.0
-    # One conversion of the attempt log for both modes.  An engine the
-    # executor never reached is not_tried in a walk, not_launched in a
-    # race; a statically skipped one is forecast at 0 s.
+    # An engine the executor never reached is not_tried; a statically
+    # skipped one is forecast at 0 s.
     log: Dict[str, list] = {}
     for attempt in attempts:
         log.setdefault(attempt.engine, []).append(attempt)
@@ -468,11 +389,9 @@ def forecast(plan: Plan, budget) -> ChainPlan:
         tier = executor.engine_guarantee(name, plan.quantity)
         tried = log.get(name)
         if not tried:
-            unreached = "not_launched" if race else "not_tried"
-            forecasts.append(EngineForecast(name, tier, unreached, predicted[name]))
+            forecasts.append(EngineForecast(name, tier, "not_tried", predicted[name]))
             continue
         attempt = tried.pop(0)
-        outcome = "won" if race and name == winner else attempt.outcome
         spent = samples.get(name, 0)
         expected: Optional[int] = None
         worst: Optional[int] = None
@@ -483,24 +402,14 @@ def forecast(plan: Plan, budget) -> ChainPlan:
                 expected = max(1, math.ceil(spent * fraction))
         forecasts.append(
             EngineForecast(
-                name, tier, outcome,
-                0.0 if outcome == "skipped_static" else predicted[name],
+                name, tier, attempt.outcome,
+                0.0 if attempt.outcome == "skipped_static" else predicted[name],
                 attempt.detail,
                 expected_samples=expected,
                 worst_samples=worst,
             )
         )
-    race_forecast = None
-    if race:
-        race_forecast = RaceForecast(
-            winner=winner,
-            overlap=plan.overlap,
-            launch_order=tuple(name for name in plan.chain if name in finish),
-            outcomes={f.engine: f.outcome for f in forecasts},
-            finish_seconds=finish,
-            elapsed_seconds=elapsed,
-        )
     return ChainPlan(
         plan.chain, winner, tuple(forecasts), plan.features,
-        race=race_forecast, dichotomy=plan.verdict,
+        dichotomy=plan.verdict,
     )

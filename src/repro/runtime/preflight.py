@@ -51,15 +51,20 @@ def worlds_cost(atom_count: int) -> int:
     return 1 << atom_count
 
 
-def worlds_refusal(atom_count: int, budget: Budget) -> Optional[CostRefused]:
+def worlds_refusal(
+    atom_count: int, budget: Budget, worlds: Optional[int] = None
+) -> Optional[CostRefused]:
     """The refusal :func:`preflight_worlds` would raise, or ``None``."""
     limit = budget.world_limit()
-    estimate = worlds_cost(atom_count)
+    estimate = worlds_cost(atom_count) if worlds is None else worlds
     if limit is None or estimate <= limit:
         return None
+    if worlds is None:
+        need = f"{atom_count} uncertain atoms needs 2^{atom_count} = {estimate}"
+    else:
+        need = f"{atom_count} uncertain entries needs {estimate}"
     return CostRefused(
-        f"world enumeration over {atom_count} uncertain atoms needs "
-        f"2^{atom_count} = {estimate} worlds, over the budget limit "
+        f"world enumeration over {need} worlds, over the budget limit "
         f"of {limit}; raise Budget(max_worlds=...) / "
         f"Budget(max_atoms=...) or use a sampling engine",
         estimate=estimate,
@@ -67,17 +72,25 @@ def worlds_refusal(atom_count: int, budget: Budget) -> Optional[CostRefused]:
     )
 
 
-def preflight_worlds(atom_count: int, budget: Optional[Budget] = None) -> int:
+def preflight_worlds(
+    atom_count: int,
+    budget: Optional[Budget] = None,
+    worlds: Optional[int] = None,
+) -> int:
     """Refuse a world enumeration the budget predicts to be hopeless.
 
-    Returns the estimated world count (``2 ** atom_count``) when it fits
-    under the budget's effective world limit (``max_worlds`` if set,
-    else ``2 ** max_atoms``); raises :class:`CostRefused` otherwise.
+    Returns the estimated world count (``2 ** atom_count``, or
+    ``worlds`` when the ``atom_count`` uncertain entries are not
+    two-valued — a metafinite support size) when it fits under the
+    budget's effective world limit (``max_worlds`` if set, else
+    ``2 ** max_atoms``); raises :class:`CostRefused` otherwise.
     ``budget`` defaults to the active one.
     """
     budget = budget if budget is not None else active_budget()
-    _enforce(worlds_refusal(atom_count, budget), "preflight.worlds_refused")
-    return worlds_cost(atom_count)
+    _enforce(
+        worlds_refusal(atom_count, budget, worlds), "preflight.worlds_refused"
+    )
+    return worlds_cost(atom_count) if worlds is None else worlds
 
 
 def grounding_cost(

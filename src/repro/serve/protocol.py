@@ -34,7 +34,6 @@ _REQUEST_FIELDS = {
     "chain",
     "seed",
     "arrival",
-    "race",
 }
 
 
@@ -70,7 +69,6 @@ def request_from_payload(payload: Mapping[str, Any]) -> ServeRequest:
         chain=tuple(chain) if chain else None,
         seed=int(payload.get("seed", 0)),
         arrival=float(payload.get("arrival", 0.0)),
-        race=payload.get("race", False),
     )
     request.validate()
     return request
@@ -106,8 +104,6 @@ def request_to_payload(request: ServeRequest) -> dict:
         payload["seed"] = request.seed
     if request.arrival:
         payload["arrival"] = request.arrival
-    if request.race:
-        payload["race"] = request.race
     return payload
 
 

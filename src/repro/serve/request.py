@@ -100,7 +100,6 @@ class ServeRequest:
     chain: Optional[Tuple[str, ...]] = None
     seed: int = 0
     arrival: float = 0.0
-    race: Any = False
 
     def resolved_query(self):
         """The query object (text is parsed here; raises QueryError)."""

@@ -9,11 +9,10 @@ are launched over a fixed-size worker pool with fair-share arbitration
 :func:`repro.runtime.executor.execute`, whose between-engines fair
 share nests inside it unchanged.
 
-The driver is the same event loop shape as the racing executor
-(:func:`repro.runtime.racing.run_race`), built on the same scheduler
-protocol (``now``/``spawn``/``wait``/``pop_completions``/``poke``):
-with the real :class:`~repro.runtime.racing.ThreadScheduler` workers
-are daemon threads on the wall clock; with the deterministic
+The driver is an event loop over a scheduler protocol
+(``now``/``spawn``/``wait``/``pop_completions``/``poke``): with the
+real :class:`ThreadScheduler` workers are daemon threads on the wall
+clock; with the deterministic
 :class:`~repro.runtime.faults.VirtualScheduler` the *whole server* —
 admission decisions, fair-share picks, retries, breaker transitions,
 per-query answers — replays bit-for-bit from a scripted fault schedule
@@ -40,14 +39,13 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.runtime.budget import Budget, CancelToken, apply
+from repro.runtime.budget import Budget, CancelToken, apply, worker_scope
 from repro.runtime.executor import DEFAULT_CHAIN
-from repro.runtime.plan import race_overlap
-from repro.runtime.racing import ThreadScheduler, racer_scope
 from repro.util.errors import (
     BudgetExceeded,
     CostRefused,
@@ -63,6 +61,78 @@ from repro.serve import request as rq
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.queue import Backlog
 from repro.serve.retry import RetryPolicy
+
+
+class ThreadScheduler:
+    """The production scheduler: real daemon threads on the wall clock.
+
+    Completions are queued under a condition variable; the driver
+    blocks in :meth:`wait` until a worker finishes or :meth:`poke`
+    signals new work.
+    """
+
+    is_virtual = False
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._completions: List[int] = []
+        self._next_id = 0
+        self._poked = False
+
+    def now(self) -> float:
+        return time.monotonic()
+
+    def spawn(self, label: str, fn: Callable[[], None]) -> int:
+        """Start ``fn`` on a daemon thread; returns its entity id."""
+        entity = self._next_id
+        self._next_id += 1
+
+        def body():
+            try:
+                fn()
+            finally:
+                with self._cond:
+                    self._completions.append(entity)
+                    self._cond.notify_all()
+
+        threading.Thread(
+            target=body, name=f"repro-worker-{entity}-{label}", daemon=True
+        ).start()
+        return entity
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        """Block until a completion is queued (or ``timeout`` elapses).
+
+        Also wakes on :meth:`poke`: the driver blocks here while its
+        pool works, and a submission from another thread must be able
+        to interrupt the wait even though no worker completed.
+        """
+        with self._cond:
+            if self._completions or self._poked:
+                self._poked = False
+                return
+            self._cond.wait(timeout)
+            self._poked = False
+
+    def poke(self) -> None:
+        """Wake a driver blocked in :meth:`wait` (new work arrived).
+
+        The poke is latched: a poke landing *between* two waits makes
+        the next wait return immediately instead of being lost — a
+        submission racing the driver's loop can never strand a request
+        in the inbox until an unrelated completion.
+        """
+        with self._cond:
+            self._poked = True
+            self._cond.notify_all()
+
+    def pop_completions(self) -> List[int]:
+        with self._cond:
+            done, self._completions = self._completions, []
+            return done
+
+    def checkpoint(self) -> None:
+        """Worker-side yield point: a no-op on real threads."""
 
 
 class _Ticket:
@@ -128,10 +198,6 @@ class Server:
     scheduler's ``poke``), :meth:`run` in the driver thread, and
     :meth:`shutdown` to start rejecting new work while in-flight and
     queued requests drain.
-
-    ``race`` on a request is honoured only on the real scheduler; the
-    virtual clock drives one flat pool (a nested race would need a
-    second driver inside a worker entity).
     """
 
     def __init__(
@@ -435,15 +501,13 @@ class Server:
         rng_base = random.Random(
             f"{request.seed}:{request.id}:try:{ticket.retries}"
         ).getrandbits(64)
-        race = False if scheduler.is_virtual else request.race
 
         def body():
-            with racer_scope(scheduler, ticket.token):
+            with worker_scope(scheduler, ticket.token):
                 t0 = scheduler.now()
                 try:
-                    run = replace(plan, overlap=race_overlap(race))
                     with apply(worker_budget):
-                        result = executor.execute(run, worker_budget, rng_base)
+                        result = executor.execute(plan, worker_budget, rng_base)
                     ticket.result = result
                     ticket.outcome = "ok"
                     ticket.last_attempts = tuple(result.attempts)

@@ -15,7 +15,8 @@ from repro.metafinite.reliability import (
     metafinite_reliability_qf,
 )
 from repro.metafinite.terms import MetafiniteQuery, aggregate, apply_op, func, num
-from repro.util.errors import QueryError
+from repro.runtime.budget import Budget, apply
+from repro.util.errors import BudgetExceeded, CostRefused, QueryError
 from repro.util.rng import make_rng
 
 
@@ -92,6 +93,37 @@ class TestExactEngines:
         )
         query = MetafiniteQuery(func("w", "x"), ["x"])
         assert metafinite_reliability_qf(udb, query) == Fraction(9, 10)
+
+
+def _six_entries():
+    names = tuple(f"s{i}" for i in range(6))
+    observed = FunctionalDatabase(names, {"w": {(s,): 10 for s in names}})
+    return UnreliableFunctionalDatabase(
+        observed, {("w", (s,)): {10: "9/10", 11: "1/10"} for s in names}
+    )
+
+
+class TestBudget:
+    def test_world_walk_is_preflighted_by_its_support(self):
+        query = MetafiniteQuery(func("w", "x"), ["x"])
+        with pytest.raises(CostRefused, match="64 worlds"):
+            with apply(Budget(max_atoms=2, max_worlds=4)):
+                metafinite_reliability(_six_entries(), query)
+
+    @pytest.mark.parametrize(
+        "engine", [metafinite_reliability, metafinite_reliability_qf]
+    )
+    def test_exact_walks_honour_the_deadline(self, engine):
+        now = [0.0]
+
+        def clock():  # every read is ten seconds later
+            now[0] += 10.0
+            return now[0]
+
+        query = MetafiniteQuery(func("w", "x"), ["x"])
+        with pytest.raises(BudgetExceeded):
+            with apply(Budget(deadline=1.0, clock=clock)):
+                engine(_six_entries(), query)
 
 
 class TestMonteCarlo:

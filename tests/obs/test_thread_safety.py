@@ -1,8 +1,8 @@
 """Concurrency regression tests for the instrumentation layer.
 
-Since the speculative racing executor landed, engines emit
-``runtime.race.*`` counters, histogram observations and spans from
-multiple worker threads into one shared :class:`StatsRecorder`.  A
+Serve pool workers run engines on several threads at once, and each
+emits counters, histogram observations and spans into one shared
+:class:`StatsRecorder`.  A
 bare ``value += amount`` is not atomic in CPython — the interpreter
 can switch threads between the load and the store — so an unlocked
 registry loses increments under contention.  These tests hammer every
@@ -44,16 +44,16 @@ def _run_threads(worker, count=THREADS):
 
 class TestCounterConcurrency:
     def test_no_lost_increments_through_recorder(self, aggressive_switching):
-        """The racing-emission shape: many threads, one counter name."""
+        """The serve-pool emission shape: many threads, one counter name."""
         recorder = StatsRecorder()
 
         def worker():
             for _ in range(PER_THREAD):
-                recorder.inc("runtime.race.launched")
+                recorder.inc("worker.launched")
 
         _run_threads(worker)
         counters = recorder.summary()["counters"]
-        assert counters["runtime.race.launched"] == THREADS * PER_THREAD
+        assert counters["worker.launched"] == THREADS * PER_THREAD
 
     def test_no_lost_increments_direct(self, aggressive_switching):
         registry = Registry()
@@ -84,11 +84,11 @@ class TestHistogramConcurrency:
 
         def worker():
             for _ in range(PER_THREAD // 4):
-                recorder.observe("runtime.race.wasted_seconds", 1.0)
+                recorder.observe("worker.wasted_seconds", 1.0)
 
         _run_threads(worker)
         stats = recorder.summary()["histograms"][
-            "runtime.race.wasted_seconds"
+            "worker.wasted_seconds"
         ]
         expected = THREADS * (PER_THREAD // 4)
         assert stats["count"] == expected
@@ -105,7 +105,7 @@ class TestInstrumentCreationRace:
         one shared instrument per name (no increments split across
         orphaned twins)."""
         registry = Registry()
-        names = [f"race.{i}" for i in range(32)]
+        names = [f"metric.{i}" for i in range(32)]
         barrier = threading.Barrier(THREADS)
 
         def worker():
@@ -150,31 +150,31 @@ class TestSpanConcurrency:
 
         def worker():
             for _ in range(spans_per_thread):
-                with recorder.span("race.attempt"):
-                    with recorder.span("race.inner"):
+                with recorder.span("worker.attempt"):
+                    with recorder.span("worker.inner"):
                         pass
 
         _run_threads(worker)
         histograms = recorder.summary()["histograms"]
         expected = THREADS * spans_per_thread
-        assert histograms["race.attempt.seconds"]["count"] == expected
-        assert histograms["race.inner.seconds"]["count"] == expected
+        assert histograms["worker.attempt.seconds"]["count"] == expected
+        assert histograms["worker.inner.seconds"]["count"] == expected
         # The main thread's depth is untouched by worker-thread spans.
         assert recorder._span_depth == 0
 
     def test_module_level_emission_under_use(self, aggressive_switching):
-        """The exact call shape racing uses: obs.inc via the module-level
+        """The call shape serve workers use: obs.inc via the module-level
         helpers with a recorder installed."""
         recorder = StatsRecorder()
         with obs.use(recorder):
 
             def worker():
                 for _ in range(PER_THREAD // 4):
-                    obs.inc("runtime.race.cancelled")
-                    with obs.span("race.lane"):
+                    obs.inc("worker.cancelled")
+                    with obs.span("worker.lane"):
                         pass
 
             _run_threads(worker)
         expected = THREADS * (PER_THREAD // 4)
         counters = recorder.summary()["counters"]
-        assert counters["runtime.race.cancelled"] == expected
+        assert counters["worker.cancelled"] == expected

@@ -7,6 +7,7 @@ batched kernels, so the estimator takes the per-world loop.
 
 import pytest
 
+from repro import obs
 from repro.logic.datalog import reachability_query
 from repro.metafinite.database import (
     FunctionalDatabase,
@@ -135,3 +136,12 @@ def test_each_chunk_is_charged_before_its_first_draw(triangle_db, draws):
                 pass
     assert draws[0] == CHECKPOINT_CHUNK
     assert budget.samples == 2 * CHECKPOINT_CHUNK
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_samples_counter_equals_worlds_drawn(name, triangle_db, udb, draws):
+    recorder = obs.StatsRecorder()
+    with obs.use(recorder):
+        count = ESTIMATORS[name](triangle_db, udb, 150)
+    assert draws[0] == count
+    assert recorder.summary()["counters"]["montecarlo.samples"] == count

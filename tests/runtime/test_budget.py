@@ -10,11 +10,15 @@ from repro.runtime.budget import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ATOMS,
     Budget,
+    CancelToken,
     Deadline,
     active_budget,
     apply,
     checkpoint,
+    current_scheduler,
+    current_token,
     set_budget,
+    worker_scope,
 )
 from repro.util.errors import BudgetExceeded, ResourceError
 
@@ -199,6 +203,47 @@ class TestChildBudget:
         piece.consume(samples=7)
         piece.close()
         assert DEFAULT_BUDGET.samples == 0
+
+
+def test_cancel_token_checkpoint_raises():
+    token = CancelToken()
+    budget = Budget().child(token=token)
+    budget.consume(samples=1)
+    token.cancel("loser")
+    with pytest.raises(BudgetExceeded, match="loser"):
+        budget.consume(samples=1)
+
+
+def test_worker_budget_ledgers_are_private():
+    parent = Budget(max_samples=100)
+    worker = parent.child(token=CancelToken())
+    worker.consume(samples=95)
+    assert parent.samples == 0
+    assert worker.remaining_samples() == 5
+    with pytest.raises(BudgetExceeded):
+        worker.consume(samples=6)
+    worker.close()
+    assert parent.samples == 101
+
+
+def test_worker_budget_checkpoint_hook_runs_first():
+    calls = []
+    token = CancelToken()
+    worker = Budget().child(token=token, hook=lambda: calls.append(1))
+    token.cancel()
+    with pytest.raises(BudgetExceeded):
+        worker.consume()
+    assert calls == [1]  # the scheduler yield happened before the check
+
+
+def test_worker_scope_nests_and_restores():
+    outer, inner, token = object(), object(), CancelToken()
+    assert (current_scheduler(), current_token()) == (None, None)
+    with worker_scope(outer):
+        with worker_scope(inner, token):
+            assert (current_scheduler(), current_token()) == (inner, token)
+        assert (current_scheduler(), current_token()) == (outer, None)
+    assert (current_scheduler(), current_token()) == (None, None)
 
 
 class TestActiveBudget:

@@ -13,18 +13,12 @@ cost models, then asserts three contracts:
 (c) **oracle agreement** — whichever engine answers agrees with the
     unbudgeted exact oracle within its advertised guarantee (exactly,
     relatively, or additively), and so does each engine forced solo.
-(d) **race agreement** — ``plan_chain(..., race=...)`` simulates the
-    speculative race, and when each engine really does take its
-    predicted time (a scripted ``SlowdownFault`` on the virtual clock),
-    the real race reproduces the forecast winner and the per-engine
-    outcome map exactly.
 
 Budgets are restricted to ``max_atoms``/``max_samples`` caps — the
 combinations :func:`plan_chain` simulates exactly (deadlines are racy
 by nature and documented as best-effort).
 """
 
-import math
 import random
 
 import pytest
@@ -274,125 +268,6 @@ def test_fuzz_covers_every_engine_and_exhaustion():
     assert selected == set(DEFAULT_CHAIN)
     assert exhausted >= 5
     assert len(kinds) >= 12  # budget x model grid is genuinely mixed
-
-
-RACE_CASE_COUNT = 200
-RACE_OVERLAPS = [0.0, 0.25, 0.5, 1.0]
-
-
-def _race_case(index):
-    """A fuzz case whose race forecast is replayable as slowdowns.
-
-    Adversarial models predict inf/NaN seconds, which cannot be
-    scripted as a finite ``SlowdownFault``; those cases fall back to
-    the uncalibrated predictor (still fuzzing db/query/budget).
-    """
-    case = _make_case(index)
-    if case["kind"].endswith("/adversarial"):
-        case["model"] = None
-        case["kind"] = case["kind"].split("/")[0] + "/none*"
-    return case
-
-
-@pytest.mark.parametrize("index", range(RACE_CASE_COUNT))
-def test_analyze_race_agrees_with_run(index):
-    """(d): scripted-slowdown races land exactly on the forecast."""
-    from repro.runtime import faults, racing
-
-    case = _race_case(index)
-    overlap = RACE_OVERLAPS[index % len(RACE_OVERLAPS)]
-    plan = plan_chain(
-        case["db"],
-        case["query"],
-        budget=case["budget"],
-        quantity=case["quantity"],
-        epsilon=case["epsilon"],
-        delta=case["delta"],
-        cost_model=case["model"],
-        race=overlap,
-    )
-    race = plan.race
-    assert race is not None and race.overlap == overlap
-    assert race.winner == plan.selected
-
-    # Script each forecast-ok engine to take exactly its predicted
-    # time; failing engines refuse on their own and need no fault.
-    predicted = {f.engine: f.predicted_seconds for f in plan.forecasts}
-    script = {
-        name: faults.SlowdownFault(seconds=predicted[name])
-        for name, outcome in race.outcomes.items()
-        if outcome in ("won", "preempted", "cancelled")
-        and math.isfinite(predicted[name])
-    }
-    with racing.use_scheduler(faults.VirtualScheduler()):
-        with faults.inject(script):
-            try:
-                result = run_with_fallback(
-                    case["db"],
-                    case["query"],
-                    budget=case["budget"],
-                    quantity=case["quantity"],
-                    epsilon=case["epsilon"],
-                    delta=case["delta"],
-                    rng=case["seed"],
-                    cost_model=case["model"],
-                    race=overlap,
-                )
-            except FallbackExhausted as exc:
-                assert race.winner is None, (
-                    f"[{case['kind']}] race exhausted but analyze forecast "
-                    f"winner {race.winner!r}"
-                )
-                run_outcomes = {a.engine: a.outcome for a in exc.attempts}
-                forecast_outcomes = {
-                    engine: outcome
-                    for engine, outcome in race.outcomes.items()
-                    if outcome != "not_launched"
-                }
-                assert run_outcomes == forecast_outcomes
-                return
-
-    assert race.winner == result.engine, (
-        f"[{case['kind']}] analyze forecast race winner {race.winner!r} "
-        f"but the race selected {result.engine!r}"
-    )
-    run_outcomes = {a.engine: a.outcome for a in result.attempts}
-    run_outcomes[result.engine] = "won"
-    forecast_outcomes = {
-        engine: outcome
-        for engine, outcome in race.outcomes.items()
-        if outcome != "not_launched"
-    }
-    assert run_outcomes == forecast_outcomes, (
-        f"[{case['kind']}] race outcome map diverged from the forecast"
-    )
-
-
-def test_race_fuzz_covers_wins_losses_and_exhaustion():
-    """The racing fuzz space exercises every interesting fate."""
-    winners = set()
-    fates = set()
-    exhausted = 0
-    for index in range(RACE_CASE_COUNT):
-        case = _race_case(index)
-        plan = plan_chain(
-            case["db"],
-            case["query"],
-            budget=case["budget"],
-            quantity=case["quantity"],
-            epsilon=case["epsilon"],
-            delta=case["delta"],
-            cost_model=case["model"],
-            race=RACE_OVERLAPS[index % len(RACE_OVERLAPS)],
-        )
-        if plan.race.winner is None:
-            exhausted += 1
-        else:
-            winners.add(plan.race.winner)
-        fates.update(plan.race.outcomes.values())
-    assert winners == set(DEFAULT_CHAIN)
-    assert exhausted >= 5
-    assert {"won", "cancelled", "not_launched"} <= fates
 
 
 def test_reordering_changes_selection_only_within_tiers():

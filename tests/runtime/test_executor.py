@@ -60,6 +60,14 @@ class TestChainValidation:
         with pytest.raises(QueryError, match="unknown quantity"):
             run_with_fallback(triangle_db, EXISTENTIAL, quantity="entropy")
 
+    def test_race_keyword_is_rejected(self, triangle_db):
+        from repro.reliability.report import analyze
+        from repro.runtime.costmodel import plan_chain
+
+        for entry in (run_with_fallback, plan_chain, analyze):
+            with pytest.raises(TypeError, match="race"):
+                entry(triangle_db, EXISTENTIAL, race=True)
+
     def test_probability_needs_boolean_query(self, triangle_db):
         with pytest.raises(QueryError, match="Boolean"):
             run_with_fallback(

@@ -1,13 +1,11 @@
-"""The one plan behind run, analyze, race forecasts and serve admission.
+"""The one plan behind run, analyze and serve admission.
 
 Pins properties of :mod:`repro.runtime.plan` that the differential
-harnesses do not: a forecast, walk or race, has no side effects, a
+harnesses do not: a forecast has no side effects, a
 walk forecast charges a refused engine's draws to the engines after
 it, a plain run stays lazy, and a run classifies its query exactly
 once.
 """
-
-import threading
 
 import pytest
 
@@ -33,14 +31,6 @@ def _db():
     )
 
 
-def _racer_threads():
-    return {
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("repro-vracer-")
-    }
-
-
 def _fitted_model():
     """Calibrated for every engine, cheapest first: forecasts never fall
     back to the closed form, and planning never reorders the chain."""
@@ -52,22 +42,15 @@ def _fitted_model():
     ])
 
 
-@pytest.mark.parametrize(
-    "race, fitted",
-    [(None, True), (0.25, True), (None, False), (0.25, False)],
-    ids=["walk", "race", "walk-no_model", "race-no_model"],
-)
-def test_race_forecast_has_no_side_effects(race, fitted):
+@pytest.mark.parametrize("fitted", [True, False], ids=["walk", "walk-no_model"])
+def test_forecast_has_no_side_effects(fitted):
     db = _db()
     budget = Budget(max_atoms=2, max_samples=200_000, max_ground_clauses=10_000)
     model = _fitted_model() if fitted else None
-    before = _racer_threads()
     sink = obs.ListSink()
     with obs.use(obs.StatsRecorder(sink=sink)) as recorder:
-        plan = plan_chain(db, UNSAFE, budget=budget, cost_model=model, race=race)
+        plan = plan_chain(db, UNSAFE, budget=budget, cost_model=model)
     assert plan.selected is not None
-    if race is not None:
-        assert plan.race is not None and len(plan.race.launch_order) >= 2
     counters = recorder.summary()["counters"]
     emitted = list(counters) + [
         str(record.get("name", "")) for record in sink.events
@@ -76,7 +59,6 @@ def test_race_forecast_has_no_side_effects(race, fitted):
         name for name in emitted if name.startswith(("runtime.", "costmodel."))
     ]
     assert (budget.samples, budget.worlds, budget.ground_clauses) == (0, 0, 0)
-    assert _racer_threads() <= before
 
 
 def test_plain_run_never_computes_plan_features(monkeypatch):

@@ -98,6 +98,13 @@ class TestBatchServing:
         assert counters["serve.rejected"] == 1
         check_accounting(counters)
 
+    def test_race_field_is_an_unknown_request_field(self):
+        from repro.serve import protocol
+        from repro.util.errors import QueryError
+
+        with pytest.raises(QueryError, match=r"unknown request fields \['race'\]"):
+            protocol.request_from_payload({"id": "q", "query": QUERY, "race": True})
+
     def test_unparseable_query_is_invalid(self, db):
         _, responses, counters = serve(
             db, [ServeRequest(id="q", query="exists exists x.")]
@@ -398,31 +405,6 @@ class TestBudgetLedger:
         attempts = len(response.attempts)
         assert budgets["q"].worlds <= 16 + attempts
 
-    def test_raced_request_is_charged_like_an_unraced_one(self, db, monkeypatch):
-        # A one-engine race is deterministic: the racer draws exactly
-        # the samples the walk would, and both reach the per-query
-        # budget.
-        budgets = capture_budgets(monkeypatch)
-        requests = [
-            ServeRequest(
-                id=f"q-{race}",
-                query="exists x. exists y. E(x, y) & E(y, x)",
-                max_cost=10**6,
-                epsilon=0.2,
-                delta=0.2,
-                race=race,
-                seed=3,
-            )
-            for race in (False, True)
-        ]
-        responses = Server(db, pool_size=1, chain=("karp_luby",)).run(requests)
-        assert [(r.code, r.engine) for r in responses] == [
-            ("ok", "karp_luby"),
-            ("ok", "karp_luby"),
-        ]
-        assert budgets["q-False"].samples > 0
-        assert budgets["q-True"].samples == budgets["q-False"].samples
-
 
 def count_planning(monkeypatch):
     """Count parses, plans and classifications from here on."""
@@ -582,12 +564,8 @@ class TestPlannedOnce:
         assert counters["serve.plan_cache.misses"] == 2
         assert counters["serve.plan_cache.hits"] == 2
 
-    def test_raced_request_runs_admissions_plan_with_the_overlap(
-        self, db, monkeypatch
-    ):
-        from dataclasses import replace
-
-        from repro.runtime import executor, racing
+    def test_request_runs_admissions_plan(self, db, monkeypatch):
+        from repro.runtime import executor
         from repro.serve import admission
 
         decisions, executed = [], []
@@ -605,12 +583,12 @@ class TestPlannedOnce:
         monkeypatch.setattr(admission, "assess", recording_assess)
         monkeypatch.setattr(executor, "execute", recording_execute)
         (response,) = Server(db, pool_size=1).run(
-            [ServeRequest(id="r", query=QUERY, race=True)]
+            [ServeRequest(id="r", query=QUERY)]
         )
         assert response.ok and response.engine == "safe_lifted"
         (decision,) = decisions
         (plan,) = executed
-        assert plan == replace(decision.plan, overlap=racing.DEFAULT_OVERLAP)
+        assert plan == decision.plan
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(

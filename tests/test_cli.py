@@ -242,6 +242,20 @@ class TestRunCommand:
         assert "[exact]" in out
         assert "reliability =" in out
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_no_racing_option(self, command):
+        # The chain is always walked; an option naming a race is an
+        # unrecognized argument.
+        from repro.cli import build_parser
+
+        (subcommands,) = build_parser()._subparsers._group_actions
+        options = {
+            option.lstrip("-")
+            for action in subcommands.choices[command]._actions
+            for option in action.option_strings
+        }
+        assert not [option for option in options if option.startswith("race")]
+
     def test_degrades_under_max_cost(self, tmp_path, capsys):
         # 20 uncertain atoms -> 2^20 worlds: exact is refused at a
         # 100k cap, while the Monte-Carlo Hoeffding budget (~29 samples
@@ -620,7 +634,7 @@ def test_run_help_prints_the_default_chain(capsys):
 
 def test_run_loads_only_what_it_calls(db_file):
     """A plain ``run`` walk loads neither the unrun modules nor the
-    fault module (only a forecast race uses it) nor ``pickle`` (only a
+    fault module (only fault injection uses it) nor ``pickle`` (only a
     persistent cache tier does)."""
     modules = SUBSYSTEMS + UNRUN + ("repro.runtime.faults", "pickle")
     setup = (
