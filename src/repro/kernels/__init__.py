@@ -15,8 +15,11 @@ time.  This package makes that work *compile-once, evaluate-many*:
 * :mod:`repro.kernels.sampling` — the one batched sample loop behind
   the Monte-Carlo, Karp–Luby and naive-DNF estimators, fixed-budget
   and adaptive alike, with deterministic per-batch seeding.
-* :mod:`repro.kernels.gray` — Gray-code world enumeration for the
-  exact engines: one atom flip and one weight update per world.
+* :mod:`repro.kernels.gray` — the one world-enumeration loop behind
+  the exact engines (the Theorem 4.2 ``worlds`` route, the Lemma 5.8
+  witness search, the Theorem 6.2 metafinite walk): reflected
+  mixed-radix Gray order, one coordinate and one weight update per
+  world, preflighted and charged per chunk.
 
 Everything reports through :mod:`repro.obs` (``kernels.*`` counters)
 and respects the active :class:`repro.runtime.Budget` via
@@ -30,9 +33,7 @@ lazy_exports(
     {
         ".bitops": ("BATCH_BITS", "popcount"),
         ".cache": ("clear_caches", "compilation_cache"),
-        ".gray": (
-            "gray_enumeration_probability", "product_enumeration_probability",
-        ),
+        ".gray": ("atom_worlds", "enumerated_worlds"),
         ".plan": (
             "DnfPlan", "HammingPlan", "TruthPlan", "compile_dnf_plan",
             "compile_hamming_plan", "compile_truth_plan",
@@ -49,8 +50,8 @@ __all__ = [
     "popcount",
     "clear_caches",
     "compilation_cache",
-    "gray_enumeration_probability",
-    "product_enumeration_probability",
+    "atom_worlds",
+    "enumerated_worlds",
     "DnfPlan",
     "HammingPlan",
     "KlPlan",

@@ -53,7 +53,7 @@ class LruCache:
     virtual-clock scheduler's lock-step yield) must not hold the cache
     lock against its siblings.  Counters reflect cache truth, not
     attempts: a miss is counted only when a computed value is actually
-    inserted, so a worker cancelled mid-compilation (its factory raises
+    inserted, so a worker stopped mid-compilation (its factory raises
     ``BudgetExceeded``) leaves no entry *and* no miss, and two workers
     compiling the same key concurrently count one miss and one hit —
     the first insert wins and the duplicate value is discarded.

@@ -25,7 +25,7 @@ function of (plan, seed, layout), whether or not a recorder is on.
 
 Budgets are charged through ``runtime.checkpoint(samples=width)``
 *before* each batch is drawn: ``BudgetExceeded`` is accurate to one
-batch, and a cancelled attempt draws nothing.  Convergence traces emit
+batch, and an attempt over its budget draws nothing.  Convergence traces emit
 one event per batch (``montecarlo.batch``, ``karp_luby.batch``, ...).
 """
 

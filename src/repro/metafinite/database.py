@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
+from repro.kernels.gray import enumerated_worlds
 from repro.util.errors import ProbabilityError, VocabularyError
 from repro.util.rationals import RationalLike, as_fraction, parse_probability
 
@@ -256,38 +256,28 @@ class UnreliableFunctionalDatabase:
         return size
 
     def worlds(self) -> Iterator[Tuple[FunctionalDatabase, Fraction]]:
-        """Enumerate ``(B, nu(B))`` — exponential; oracle and Thm 6.2 path.
+        """Enumerate ``(B, nu(B))`` — exponential; the Thm 6.2 path.
 
         The paper's observation that the support is bounded by
         ``2 ** p(n)`` and each ``nu(B)`` is efficiently computable is
-        visible here: the product structure gives both.
+        visible here: the product structure gives both.  The walk is
+        :func:`repro.kernels.gray.enumerated_worlds`, one entry changed
+        per step, preflighted and charged to the active budget.
         """
-        choices = []
-        for entry in self._uncertain:
-            dist = self._distributions[entry]
-            choices.append([(entry, v, p) for v, p in dist.items()])
-        # Deterministic distributions that disagree with the observed value
-        # must be applied to every world.
-        fixed_updates: Dict[Entry, Value] = {}
-        for entry, dist in self._distributions.items():
-            if dist.is_deterministic():
-                value = dist.support()[0]
-                if value != self._observed.value(entry[0], entry[1]):
-                    fixed_updates[entry] = value
-        base = (
-            self._observed.with_entries(fixed_updates)
-            if fixed_updates
-            else self._observed
+        # A deterministic distribution's value holds in every world (it
+        # may disagree with the observed one); each uncertain entry
+        # starts at its first support value.
+        start = {
+            entry: dist.support()[0]
+            for entry, dist in self._distributions.items()
+        }
+        base = self._observed.with_entries(start) if start else self._observed
+        entries = self._uncertain
+        return enumerated_worlds(
+            base,
+            [tuple(self._distributions[entry].items()) for entry in entries],
+            lambda world, slot, value: world.with_entry(*entries[slot], value),
         )
-        for combo in product(*choices):
-            probability = Fraction(1)
-            updates: Dict[Entry, Value] = {}
-            for entry, value, p in combo:
-                probability *= p
-                if value != base.value(entry[0], entry[1]):
-                    updates[entry] = value
-            world = base.with_entries(updates) if updates else base
-            yield world, probability
 
     def sample(self, rng: random.Random) -> FunctionalDatabase:
         """Draw one possible world."""

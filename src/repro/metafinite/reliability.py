@@ -45,7 +45,6 @@ from repro.metafinite.terms import (
 )
 from repro.reliability.montecarlo import _sample_budget, sampled_worlds
 from repro.runtime.budget import checkpoint
-from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import QueryError
 
 
@@ -124,16 +123,12 @@ def metafinite_expected_error(
 ) -> Fraction:
     """Exact ``H_F`` by full world enumeration (Theorem 6.2(ii)'s walk).
 
-    Preflighted by the support size against the active budget's world
-    limit, and each enumerated world is charged to it.
+    ``db.worlds()`` preflights the support size against the active
+    budget's world limit and charges the worlds it yields to it.
     """
-    preflight_worlds(len(db.uncertain_entries()), worlds=db.support_size())
     observed_answers = query.answers(db.observed)
     total = Fraction(0)
     for world, probability in db.worlds():
-        checkpoint(worlds=1)
-        if probability == 0:
-            continue
         actual_answers = query.answers(world)
         distance = sum(
             1

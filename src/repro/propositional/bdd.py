@@ -35,7 +35,7 @@ clauses pairwise, as a balanced tree that the diagram keeps
 of changed clauses, and :meth:`BDD.compacted` copies out the nodes the
 tree still reaches.  Building checkpoints the active budget once every
 :data:`~repro.runtime.budget.CHECKPOINT_CHUNK` build steps, so a compile
-can be cancelled or run out of time; the passes over a built diagram
+can run out of time; the passes over a built diagram
 are linear in it and do not.
 
 Probabilities are evaluated on integers: every node's value is a
@@ -196,7 +196,7 @@ class BDD:
         loop).  Halves run low before high.  The depth of a diagram is
         bounded by memory, not by the interpreter's stack.  Every
         :data:`CHECKPOINT_CHUNK` build steps run a :func:`checkpoint`
-        that charges nothing: deadlines and cancellation reach a long
+        that charges nothing: deadlines reach a long
         compile.
         """
         if op == "and":

@@ -22,9 +22,9 @@ the DNF is non-trivial in the relevant direction.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Any
 
+from repro.kernels.gray import atom_worlds
 from repro.logic.evaluator import FOQuery
 from repro.propositional.bdd import ONE, compile_dnf
 from repro.reliability.exact import _wrong_probabilities, as_query
@@ -35,8 +35,6 @@ from repro.reliability.grounding import (
     relevant_atoms,
 )
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import checkpoint
-from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import QueryError
 
 
@@ -90,17 +88,11 @@ def _cell_reliable(cell: Cell) -> bool:
 def _witness_search(db: UnreliableDatabase, query: Any) -> bool:
     """Find a world (over relevant atoms) where some answer differs.
 
-    The search may visit all ``2 ** len(atoms)`` worlds, so the active
-    budget preflights that count and each world passes a checkpoint.
+    The search may visit all ``2 ** len(atoms)`` worlds; it stops at
+    the first disagreeing one.
     """
-    atoms = relevant_atoms(db, query)
-    preflight_worlds(len(atoms))
-    base = db.observed_world()
     observed_answers = query.answers(db.structure)
-    for pattern in product((False, True), repeat=len(atoms)):
-        checkpoint(worlds=1)
-        flips = [atom for atom, flip in zip(atoms, pattern) if flip]
-        world = base.flip_all(flips) if flips else base
+    for world, _weight in atom_worlds(db, relevant_atoms(db, query)):
         if query.answers(world) != observed_answers:
             return True
     return False

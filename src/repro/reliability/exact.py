@@ -30,7 +30,7 @@ from itertools import product
 from typing import Any, Iterator, Sequence, Tuple, Union
 
 from repro import obs
-from repro.kernels.gray import gray_enumeration_probability
+from repro.kernels.gray import atom_worlds
 from repro.logic.classify import is_conjunctive, is_quantifier_free
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
@@ -48,7 +48,6 @@ from repro.reliability.grounding import (
 )
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.runtime.budget import checkpoint
-from repro.runtime.preflight import preflight_worlds
 from repro.util.errors import QueryError
 
 QueryLike = Union[str, Formula, FOQuery, Any]
@@ -163,15 +162,13 @@ def _grounded_probability(
 def _worlds_truth_probability(db: UnreliableDatabase, query: Any) -> Fraction:
     obs.inc("exact.dispatch.worlds")
     atoms = relevant_atoms(db, query)
-    # Fail fast on hopeless enumerations: 2 ** len(atoms) worlds against
-    # the active budget's world limit (2 ** 20 by default) — see
-    # docs/ROBUSTNESS.md.  Budget(max_atoms=None) disables the guard.
-    preflight_worlds(len(atoms))
     with obs.span("exact.worlds", atoms=len(atoms)):
         obs.observe("exact.relevant_atoms", len(atoms))
-        return gray_enumeration_probability(
-            db, atoms, lambda world: query.evaluate(world, ())
-        )
+        total = _ZERO
+        for world, weight in atom_worlds(db, atoms):
+            if query.evaluate(world, ()):
+                total += weight
+        return total
 
 
 def truth_probability(

@@ -12,15 +12,15 @@ a randomized estimator.  This module supplies the stopping machinery:
   grounded, and samples drawn, consumed at **cooperative checkpoints**;
   :meth:`Budget.child` makes the budget of one attempt (a fair-share
   slice of the fallback walk, a serve worker's try), with its own
-  deadline, :class:`CancelToken` and scheduler hook, and
-  :meth:`Budget.close` charges what it consumed back to its parent;
+  deadline and scheduler hook, and :meth:`Budget.close` charges what it
+  consumed back to its parent;
 * a module-level *active budget*, mirroring the :mod:`repro.obs`
   recorder pattern: engines call :func:`checkpoint` inside their hot
   loops, which is a near-no-op under the default (uncapped) budget, and
   callers scope a real budget with :func:`apply`;
 * the thread-local *worker context* (:func:`worker_scope`): the
-  scheduler and cancel token a serve pool worker runs under, read by
-  the executor's clock and by scripted stalls.
+  scheduler a serve pool worker runs under, read by the executor's
+  clock and by scripted stalls.
 
 Engines never hold budget references; they always consult the active
 one, so a budget installed around any entry point — the fallback
@@ -103,40 +103,6 @@ class Deadline:
         return f"Deadline({self.seconds:g}s, {state})"
 
 
-class CancelToken:
-    """A cross-thread cancellation flag checked at budget checkpoints.
-
-    The serve pool hands every worker's try a token; cancelling it
-    makes the worker's next cooperative checkpoint raise
-    :class:`BudgetExceeded`, so a cancelled try unwinds through exactly
-    the same path as a blown deadline — no new control flow inside the
-    engines.
-    """
-
-    __slots__ = ("_event", "reason")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self.reason = ""
-
-    def cancel(self, reason: str = "") -> None:
-        """Set the flag (idempotent); the first reason given sticks."""
-        if reason and not self.reason:
-            self.reason = reason
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def check(self) -> None:
-        """Raise :class:`BudgetExceeded` if the token was cancelled."""
-        if self._event.is_set():
-            raise BudgetExceeded(
-                self.reason or "attempt cancelled"
-            )
-
-
 def _in_order(calls) -> Optional[Callable[[], None]]:
     """One callable making ``calls`` in order (``None`` when empty).
 
@@ -207,7 +173,7 @@ class Budget:
         "ground_clauses",
         "samples",
         "_limited",
-        "_calls",
+        "_hook",
         "_guard",
         "_parent",
         "_base",
@@ -249,11 +215,11 @@ class Budget:
             or self.max_ground_clauses is not None
             or self.max_samples is not None
         )
-        # A child's scheduler hook and cancel-token check, and what its
-        # checkpoints run before the caps: those, then its ancestors'
-        # deadlines.  Its own deadline is checked after the caps, so a
-        # budget made by the constructor keeps the short path.
-        self._calls: tuple = ()
+        # A child's scheduler hook, and what its checkpoints run before
+        # the caps: the hook, then its ancestors' deadlines.  Its own
+        # deadline is checked after the caps, so a budget made by the
+        # constructor keeps the short path.
+        self._hook: Optional[Callable[[], None]] = None
         self._guard: Optional[Callable[[], None]] = None
         self._parent: Optional[Budget] = None
         self._base = (0, 0, 0)
@@ -263,7 +229,6 @@ class Budget:
     def child(
         self,
         seconds: Optional[float] = None,
-        token: Optional[CancelToken] = None,
         hook: Optional[Callable[[], None]] = None,
     ) -> "Budget":
         """A budget for one attempt, charged back to this one on :meth:`close`.
@@ -271,9 +236,9 @@ class Budget:
         The child starts from a copy of this budget's caps and ledgers,
         so its caps bound this budget's *total* consumption.  Its
         checkpoints run ``hook`` first — the virtual-clock scheduler's
-        yield point — then check ``token``, every ancestor's deadline,
-        the caps, and its own ``seconds`` deadline.  Given neither ``hook`` nor
-        ``token``, the child inherits its parent's.
+        yield point — then check every ancestor's deadline, the caps,
+        and its own ``seconds`` deadline.  Without a ``hook`` the child
+        inherits its parent's.
         The ledgers are the child's own until :meth:`close`, so
         concurrent children never share a counter.
         """
@@ -285,16 +250,11 @@ class Budget:
             kid.deadline_seconds = self.deadline_seconds
         kid._deadlines = self._deadlines + kid._deadlines
         kid._limited = True  # always counts: close() charges the parent
-        if hook is None and token is None:
-            kid._calls = self._calls
-        else:
-            kid._calls = tuple(
-                call
-                for call in (hook, None if token is None else token.check)
-                if call is not None
-            )
+        kid._hook = self._hook if hook is None else hook
         kid._guard = _in_order(
-            kid._calls + tuple(deadline.check for deadline in self._deadlines)
+            call
+            for call in (kid._hook, *(d.check for d in self._deadlines))
+            if call is not None
         )
         kid._parent = self
         kid.worlds = self.worlds
@@ -419,19 +379,18 @@ class _ActiveBudget(threading.local):
 
     Thread-local (not a bare module global) so concurrent serve pool
     workers each see their own child budget: an engine running in one
-    worker thread must never charge — or be cancelled by — a sibling's
+    worker thread must never charge — or be stopped by — a sibling's
     budget.  Fresh threads start at :data:`DEFAULT_BUDGET`,
     so single-threaded behaviour is unchanged.
 
     It also holds the thread's worker context (see :func:`worker_scope`):
-    the scheduler and cancel token of the serve pool worker running on
-    it, ``None`` outside one.
+    the scheduler of the serve pool worker running on it, ``None``
+    outside one.
     """
 
     def __init__(self):
         self.budget: Budget = DEFAULT_BUDGET
         self.scheduler = None
-        self.token: Optional[CancelToken] = None
 
 
 _active = _ActiveBudget()
@@ -487,25 +446,19 @@ def current_scheduler():
     return _active.scheduler
 
 
-def current_token() -> Optional[CancelToken]:
-    """The cancel token of the calling thread's worker, or ``None``."""
-    return _active.token
-
-
 @contextmanager
-def worker_scope(scheduler, token: Optional[CancelToken] = None) -> Iterator[None]:
+def worker_scope(scheduler) -> Iterator[None]:
     """Install a worker context for the body of a scheduled worker.
 
     The serve pool installs it around each query it runs, so the
     executor times attempts on ``scheduler.now`` and a scripted stall
     (:class:`~repro.runtime.faults.SlowdownFault`) advances the virtual
-    clock or honours ``token`` — a whole multi-query run is drivable by
-    the deterministic virtual clock.  Scopes restore the previous
-    context on exit, so they nest.
+    clock — a whole multi-query run is drivable by the deterministic
+    virtual clock.  Scopes restore the previous context on exit, so
+    they nest.
     """
-    previous = (_active.scheduler, _active.token)
-    _active.scheduler, _active.token = scheduler, token
+    previous, _active.scheduler = _active.scheduler, scheduler
     try:
         yield
     finally:
-        _active.scheduler, _active.token = previous
+        _active.scheduler = previous

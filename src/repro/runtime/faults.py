@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro import obs
-from repro.runtime.budget import checkpoint, current_scheduler, current_token
+from repro.runtime.budget import checkpoint, current_scheduler
 from repro.util.errors import (
     BudgetExceeded,
     ProbabilityError,
@@ -60,8 +60,8 @@ from repro.util.rng import Seed, as_rng
 
 RngLike = Union[random.Random, Seed]
 
-#: Slice of a real-thread :class:`SlowdownFault` stall between two
-#: cancel-token checks, in seconds.
+#: Slice of a wall-clock :class:`SlowdownFault` stall between two
+#: budget checkpoints, in seconds.
 SLEEP_QUANTUM = 0.02
 
 __all__ = [
@@ -115,12 +115,12 @@ class SlowdownFault(Fault):
     distinction tests want to probe.
 
     The stall cooperates with the worker context of the calling thread
-    (:func:`repro.runtime.budget.worker_scope`): outside one it is
-    ``time.sleep``; under the :class:`VirtualScheduler` it advances the
-    worker's virtual time instead of sleeping, so scripted interleavings
-    replay instantly; on real threads it sleeps in slices of
-    :data:`SLEEP_QUANTUM`, checking the worker's cancel token between
-    them, so a cancelled try is reclaimed within one slice.
+    (:func:`repro.runtime.budget.worker_scope`): under the
+    :class:`VirtualScheduler` it advances the worker's virtual time
+    instead of sleeping, so scripted interleavings replay instantly;
+    otherwise it sleeps in slices of :data:`SLEEP_QUANTUM` with a
+    :func:`checkpoint` between them, so a deadline that expires
+    mid-stall stops it within one slice.
     """
 
     seconds: float = 0.05
@@ -139,17 +139,12 @@ class SlowdownFault(Fault):
 
     def _stall(self) -> None:
         scheduler = current_scheduler()
-        if scheduler is None:
-            time.sleep(self.seconds)
-            return
-        if scheduler.is_virtual:
+        if scheduler is not None and scheduler.is_virtual:
             scheduler.sleep(self.seconds)
             return
-        token = current_token()
         end = time.monotonic() + self.seconds
         while True:
-            if token is not None:
-                token.check()
+            checkpoint()
             remaining = end - time.monotonic()
             if remaining <= 0:
                 return

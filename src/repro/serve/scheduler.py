@@ -44,7 +44,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.runtime.budget import Budget, CancelToken, apply, worker_scope
+from repro.runtime.budget import Budget, apply, worker_scope
 from repro.runtime.executor import DEFAULT_CHAIN
 from repro.util.errors import (
     BudgetExceeded,
@@ -144,7 +144,6 @@ class _Ticket:
         "tier",
         "plan",
         "budget",
-        "token",
         "worker_budget",
         "entity",
         "not_before",
@@ -168,7 +167,6 @@ class _Ticket:
         self.tier = "exact"
         self.plan = None  # admission's Plan: the one this request runs
         self.budget = None
-        self.token: Optional[CancelToken] = None
         self.worker_budget: Optional[Budget] = None
         self.entity: Optional[int] = None
         self.not_before = now
@@ -465,10 +463,8 @@ class Server:
                 "every admissible engine's circuit breaker is open",
             )
             return
-        token = CancelToken()
-        ticket.token = token
         ticket.worker_budget = ticket.budget.child(
-            token=token, hook=self.scheduler.checkpoint
+            hook=self.scheduler.checkpoint
         )
         ticket.launched_at = now
         if ticket.first_launch_at is None:
@@ -503,7 +499,7 @@ class Server:
         ).getrandbits(64)
 
         def body():
-            with worker_scope(scheduler, ticket.token):
+            with worker_scope(scheduler):
                 t0 = scheduler.now()
                 try:
                     with apply(worker_budget):

@@ -6,6 +6,7 @@ estimates are not stream-identical — the contract is distributional:
 both must land within a Hoeffding-style tolerance of the exact value.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from repro.reliability.montecarlo import (
     estimate_truth_probability,
 )
 from repro.runtime.adaptive import CostSurrogate, use_surrogate
-from repro.runtime.budget import Budget, CancelToken, apply
+from repro.runtime.budget import Budget, apply
 from repro.util.errors import BudgetExceeded
 from repro.util.rng import make_rng
 
@@ -254,6 +255,13 @@ def _estimators(db):
     }
 
 
+def _expired_budget():
+    """A budget whose deadline has passed by its first checkpoint: each
+    clock read is ten seconds after the last."""
+    ticks = itertools.count(0, 10)
+    return Budget(deadline=1.0, clock=lambda: next(ticks))
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -279,9 +287,7 @@ def test_cancelled_attempt_draws_no_batch(triangle_db, monkeypatch, name):
             return draw_columns(*args)
 
         monkeypatch.setattr(sampling, "draw_columns", counting)
-        token = CancelToken()
-        token.cancel("cancelled before the call")
         with pytest.raises(BudgetExceeded):
-            with apply(Budget().child(token=token)):
+            with apply(_expired_budget()):
                 run()
     assert drawn == []

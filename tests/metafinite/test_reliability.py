@@ -1,9 +1,11 @@
 """Tests for metafinite reliability (Theorem 6.2)."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from repro import obs
 from repro.metafinite.database import (
     FunctionalDatabase,
     UnreliableFunctionalDatabase,
@@ -124,6 +126,73 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             with apply(Budget(deadline=1.0, clock=clock)):
                 engine(_six_entries(), query)
+
+
+class TestWorldWalk:
+    """The Theorem 6.2(ii) walk is the shared Gray-code enumeration."""
+
+    @staticmethod
+    def _mixed_radix():
+        # w(a) has three values, w(b) two, w(c) four; t(a) is certain at
+        # 9 although 2 was observed, so every world carries the override.
+        names = ("a", "b", "c")
+        observed = FunctionalDatabase(
+            names,
+            {
+                "w": {("a",): 1, ("b",): 2, ("c",): 0},
+                "t": {("a",): 2, ("b",): 2, ("c",): 2},
+            },
+        )
+        distributions = {
+            ("w", ("a",)): {0: "1/6", 1: "1/2", 2: "1/3"},
+            ("w", ("b",)): {2: "3/5", 7: "2/5"},
+            ("w", ("c",)): {0: "1/10", 1: "2/10", 2: "3/10", 3: "4/10"},
+            ("t", ("a",)): {9: 1},
+        }
+        return observed, distributions
+
+    def test_counts_every_world_of_the_support(self):
+        observed, distributions = self._mixed_radix()
+        udb = UnreliableFunctionalDatabase(observed, distributions)
+        query = MetafiniteQuery(aggregate("sum", ["x"], func("w", "x")))
+        recorder = obs.StatsRecorder()
+        with obs.use(recorder):
+            metafinite_expected_error(udb, query)
+        counters = recorder.summary()["counters"]
+        assert udb.support_size() == 24
+        assert counters["exact.worlds_enumerated"] == udb.support_size()
+
+    @pytest.mark.parametrize(
+        "term, free",
+        [
+            (aggregate("sum", ["x"], func("w", "x")), []),
+            (aggregate("max", ["x"], apply_op("add", func("w", "x"), func("t", "x"))), []),
+            (apply_op("geq", func("w", "x"), func("t", "x")), ["x"]),
+            (apply_op("sub", func("t", "x"), func("w", "x")), ["x"]),
+        ],
+    )
+    def test_mixed_radix_walk_equals_a_product_sum(self, term, free):
+        observed, distributions = self._mixed_radix()
+        udb = UnreliableFunctionalDatabase(observed, distributions)
+        query = MetafiniteQuery(term, free)
+        expected = Fraction(0)
+        baseline = query.answers(observed)
+        entries = list(distributions)
+        supports = [
+            [(value, Fraction(p)) for value, p in distributions[e].items()]
+            for e in entries
+        ]
+        for combo in product(*supports):
+            weight = Fraction(1)
+            updates = {}
+            for entry, (value, p) in zip(entries, combo):
+                weight *= p
+                updates[entry] = value
+            answers = query.answers(observed.with_entries(updates))
+            expected += weight * sum(
+                1 for args, value in baseline.items() if answers[args] != value
+            )
+        assert metafinite_expected_error(udb, query) == expected
 
 
 class TestMonteCarlo:

@@ -27,7 +27,7 @@ from repro.reliability.grounding import (
     grounding_probabilities,
 )
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import Budget, CancelToken, apply
+from repro.runtime.budget import Budget, apply
 from repro.util.errors import BudgetExceeded, ProbabilityError, QueryError
 from repro.util.rng import make_rng
 from repro.workloads.random_dnf import random_kdnf, random_probabilities
@@ -219,7 +219,7 @@ class TestClauseOrder:
 
 
 class TestBudget:
-    """A compile checkpoints, so it can be cancelled or time out.
+    """A compile checkpoints, so a deadline stops it.
 
     Both compile in the sorted order, whose ~30,000 nodes take many
     checkpoint chunks: the clause-ordered compile of this lineage makes
@@ -227,10 +227,9 @@ class TestBudget:
     """
 
     def test_cancelled_compile_raises(self):
-        token = CancelToken()
-        token.cancel("lost the race")
+        ticks = count(0, 10)  # each clock read: ten seconds later
         dnf = _h0_lineage(3, 11, 0.5)
-        with apply(Budget().child(token=token)):
+        with apply(Budget(deadline=1.0, clock=lambda: next(ticks))):
             with pytest.raises(BudgetExceeded):
                 compile_dnf(dnf, order=sorted(dnf.variables, key=repr))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.logic.datalog import reachability_query
 from repro.logic.evaluator import FOQuery
 from repro.relational.atoms import Atom
@@ -11,7 +12,7 @@ from repro.relational.builder import StructureBuilder
 from repro.reliability.absolute import is_absolutely_reliable
 from repro.reliability.exact import expected_error
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import Budget, apply
+from repro.runtime.budget import CHECKPOINT_CHUNK, Budget, apply
 from repro.util.errors import BudgetExceeded, CostRefused, QueryError
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
@@ -112,7 +113,7 @@ class TestMethodsAgree:
 
 class TestWitnessSearchBudget:
     """The witness search may visit every world over the relevant atoms,
-    so the budget refuses it up front and checkpoints each world."""
+    so the budget refuses it up front and charges each chunk of worlds."""
 
     @staticmethod
     def _tautology_db():
@@ -130,6 +131,18 @@ class TestWitnessSearchBudget:
                 is_absolutely_reliable(
                     self._tautology_db(), "exists x. S(x) | ~S(x)", "witness"
                 )
+
+    def test_search_stops_at_its_first_disagreeing_world(self):
+        # Only S(e0) decides the answer; the Gray walk flips the first
+        # relevant atom, S(e0), on its second world and stops there.
+        budget = Budget(max_worlds=2**10)
+        recorder = obs.StatsRecorder()
+        with obs.use(recorder), apply(budget):
+            assert not is_absolutely_reliable(
+                self._tautology_db(), "S('e0')", "witness"
+            )
+        assert recorder.summary()["counters"]["exact.worlds_enumerated"] == 2
+        assert budget.worlds <= 2 + CHECKPOINT_CHUNK  # one chunk past it
 
     def test_deadline_stops_the_search(self):
         ticks = iter(range(0, 10**6, 10))  # each clock read: 10 s later

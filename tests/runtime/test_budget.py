@@ -10,13 +10,11 @@ from repro.runtime.budget import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ATOMS,
     Budget,
-    CancelToken,
     Deadline,
     active_budget,
     apply,
     checkpoint,
     current_scheduler,
-    current_token,
     set_budget,
     worker_scope,
 )
@@ -205,18 +203,18 @@ class TestChildBudget:
         assert DEFAULT_BUDGET.samples == 0
 
 
-def test_cancel_token_checkpoint_raises():
-    token = CancelToken()
-    budget = Budget().child(token=token)
+def test_child_checkpoint_raises_once_a_parent_deadline_expires():
+    clock = FakeClock()
+    budget = Budget(deadline=1.0, clock=clock).start().child()
     budget.consume(samples=1)
-    token.cancel("loser")
-    with pytest.raises(BudgetExceeded, match="loser"):
+    clock.advance(2.0)
+    with pytest.raises(BudgetExceeded, match="deadline of 1s exceeded"):
         budget.consume(samples=1)
 
 
 def test_worker_budget_ledgers_are_private():
     parent = Budget(max_samples=100)
-    worker = parent.child(token=CancelToken())
+    worker = parent.child()
     worker.consume(samples=95)
     assert parent.samples == 0
     assert worker.remaining_samples() == 5
@@ -228,22 +226,23 @@ def test_worker_budget_ledgers_are_private():
 
 def test_worker_budget_checkpoint_hook_runs_first():
     calls = []
-    token = CancelToken()
-    worker = Budget().child(token=token, hook=lambda: calls.append(1))
-    token.cancel()
+    clock = FakeClock()
+    parent = Budget(deadline=1.0, clock=clock).start()
+    worker = parent.child(hook=lambda: calls.append(1))
+    clock.advance(2.0)
     with pytest.raises(BudgetExceeded):
         worker.consume()
     assert calls == [1]  # the scheduler yield happened before the check
 
 
 def test_worker_scope_nests_and_restores():
-    outer, inner, token = object(), object(), CancelToken()
-    assert (current_scheduler(), current_token()) == (None, None)
+    outer, inner = object(), object()
+    assert current_scheduler() is None
     with worker_scope(outer):
-        with worker_scope(inner, token):
-            assert (current_scheduler(), current_token()) == (inner, token)
-        assert (current_scheduler(), current_token()) == (outer, None)
-    assert (current_scheduler(), current_token()) == (None, None)
+        with worker_scope(inner):
+            assert current_scheduler() is inner
+        assert current_scheduler() is outer
+    assert current_scheduler() is None
 
 
 class TestActiveBudget:
