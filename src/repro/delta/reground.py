@@ -8,12 +8,14 @@ constants must match outright and repeated variables must bind
 consistently.  Everything else is untouched by an update to that atom.
 
 :class:`DeltaGrounding` materialises the full clause map once (the same
-``|templates| * n ** |variables|`` work the batch grounder does), then
-answers ``affected_keys(atom)`` by unification: bind the template
-literal against the atom, enumerate only the *unbound* existential
-variables.  For a single-atom update this is ``O(n ** u)`` with ``u``
-the variables the literal does not mention — the Δ, not the whole
-grounding.
+``|templates| * n ** |variables|`` keys the batch grounder charges,
+folded ones included), through the grounder's compiled clause templates
+and one set of lookup tables per build.  It then answers
+``affected_keys(atom)`` by unification: bind the template literal
+against the atom, enumerate only the *unbound* existential variables.
+For a single-atom update this is ``O(n ** u)`` with ``u`` the variables
+the literal does not mention — the Δ, not the whole grounding — and
+:meth:`DeltaGrounding.reground` resolves those keys atom by atom.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from repro.logic.normalform import dnf_clauses, existential_parts
 from repro.logic.terms import Const, Var
 from repro.propositional.formula import DNF, Clause
 from repro.relational.atoms import Atom
-from repro.reliability.grounding import ground_clause
+from repro.reliability.grounding import (
+    ClauseTemplate,
+    atom_lookups,
+    lookup_tables,
+)
 from repro.reliability.unreliable import UnreliableDatabase
 from repro.runtime.budget import checkpoint
 from repro.runtime.preflight import preflight_grounding
@@ -56,16 +62,16 @@ class DeltaGrounding:
             preflight_grounding(
                 len(self.universe), len(self.variables), len(self.templates)
             )
+            # One lookup table per relation for the whole build.
+            tables = lookup_tables(db, self.templates)
             self._clauses: Dict[ClauseKey, Optional[Clause]] = {}
             for index, template in enumerate(self.templates):
+                compiled = ClauseTemplate(template, self.variables, tables)
                 for values in product(
                     self.universe, repeat=len(self.variables)
                 ):
                     checkpoint(clauses=1)
-                    env = dict(zip(self.variables, values))
-                    self._clauses[(index, values)] = ground_clause(
-                        db, template, env
-                    )
+                    self._clauses[(index, values)] = compiled.ground(values)
             #: Clause-map key -> its slot: the key's position in the
             #: map, fixed here for the grounding's lifetime.
             self.index: Dict[ClauseKey, int] = {
@@ -109,12 +115,20 @@ class DeltaGrounding:
         Nothing is stored; :meth:`commit` applies the result, so an
         update aborted before its commit leaves the clause map intact.
         """
+        # A few keys: each atom resolves through the database, not a
+        # whole-relation table.
+        lookups = atom_lookups(db, self.templates)
+        compiled: Dict[int, ClauseTemplate] = {}
         changes: Dict[ClauseKey, Optional[Clause]] = {}
         for key in keys:
             checkpoint(clauses=1)
             index, values = key
-            env = dict(zip(self.variables, values))
-            clause = ground_clause(db, self.templates[index], env)
+            template = compiled.get(index)
+            if template is None:
+                template = compiled[index] = ClauseTemplate(
+                    self.templates[index], self.variables, lookups
+                )
+            clause = template.ground(values)
             obs.inc("delta.regrounds")
             if clause != self._clauses[key]:
                 changes[key] = clause

@@ -10,7 +10,7 @@ scaling curves are against the same quantity the theorems talk about.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.relational.atoms import Atom
 from repro.relational.schema import RelationSymbol, Vocabulary
@@ -42,26 +42,34 @@ def encode_structure(structure: Structure) -> str:
 
 def _parse_element(token: str) -> Any:
     # Elements were rendered with repr; ints and quoted strings round-trip.
+    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
+        return token[1:-1]
     try:
         return int(token)
     except ValueError:
-        pass
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    raise VocabularyError(f"cannot parse universe element {token!r}")
+        raise VocabularyError(f"cannot parse universe element {token!r}") from None
+
+
+def _entries(lines: List[str]) -> Iterator[Tuple[int, str, List[str]]]:
+    """``(lineno, line, tokens)`` of each line that is not blank or a
+    comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
 
 
 def decode_structure(text: str) -> Structure:
     """Parse the canonical text format back into a structure."""
+    return _structure(_entries(text.splitlines()))
+
+
+def _structure(entries: Iterable[Tuple[int, str, List[str]]]) -> Structure:
     universe: Tuple[Any, ...] = ()
     symbols: List[RelationSymbol] = []
     rows: Dict[str, List[Tuple[Any, ...]]] = {}
     saw_universe = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in entries:
         kind = parts[0]
         if kind == "universe":
             universe = tuple(_parse_element(tok) for tok in parts[1:])
@@ -100,21 +108,27 @@ def encode_error_function(mu: Dict[Atom, Fraction]) -> str:
 
 def decode_error_function(text: str) -> Dict[Atom, Fraction]:
     """Parse ``error`` lines back into an atom -> probability mapping."""
-    mu: Dict[Atom, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "error":
-            continue
-        if len(parts) < 3:
-            raise VocabularyError(f"line {lineno}: bad error line {line!r}")
-        relation = parts[1]
-        probability = Fraction(parts[2])
-        args = tuple(_parse_element(tok) for tok in parts[3:])
-        mu[Atom(relation, args)] = probability
-    return mu
+    return dict(
+        _error_entry(*entry)
+        for entry in _entries(text.splitlines())
+        if entry[2][0] == "error"
+    )
+
+
+def _error_entry(
+    lineno: int, line: str, parts: List[str]
+) -> Tuple[Atom, Fraction]:
+    if len(parts) < 3:
+        raise VocabularyError(f"line {lineno}: bad error line {line!r}")
+    numerator, slash, denominator = parts[2].partition("/")
+    # The encoder writes n/d: two ints, not Fraction's string parser.
+    probability = (
+        Fraction(int(numerator), int(denominator))
+        if slash
+        else Fraction(parts[2])
+    )
+    args = tuple(_parse_element(tok) for tok in parts[3:])
+    return Atom(parts[1], args), probability
 
 
 def encode_unreliable_database(db) -> str:
@@ -125,16 +139,26 @@ def encode_unreliable_database(db) -> str:
 
 
 def decode_unreliable_database(text: str):
-    """Parse a document with structure and ``error`` lines into a database."""
+    """Parse a document with structure and ``error`` lines into a database.
+
+    One pass over the lines: the others are the structure's document
+    (its line numbers count them alone), and ``error`` lines are parsed
+    once the structure is.
+    """
     from repro.reliability.unreliable import UnreliableDatabase
 
-    structural = "\n".join(
-        line
-        for line in text.splitlines()
-        if not line.strip().startswith("error")
-    )
-    structure = decode_structure(structural)
-    mu = decode_error_function(text)
+    structural: List[str] = []
+    errors: List[Tuple[int, str, List[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line.startswith("error"):
+            structural.append(raw)
+            continue
+        parts = line.split()
+        if parts[0] == "error":
+            errors.append((lineno, line, parts))
+    structure = _structure(_entries(structural))
+    mu = dict(_error_entry(*entry) for entry in errors)
     return UnreliableDatabase(structure, mu)
 
 

@@ -83,6 +83,11 @@ class Structure:
     def universe(self) -> Tuple[Any, ...]:
         return self._universe
 
+    @property
+    def elements(self) -> FrozenSet[Any]:
+        """The universe as a set, for membership tests."""
+        return self._universe_set
+
     def __len__(self) -> int:
         """Cardinality ``n`` of the universe (the paper's ``n``)."""
         return len(self._universe)

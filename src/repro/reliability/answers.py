@@ -42,7 +42,7 @@ def answer_probabilities(
     (see :func:`~repro.reliability.exact.target_cells`) get 0 or 1
     without an engine.
     """
-    negated, cells = target_cells(db, as_query(query), method)
+    negated, cells = target_cells(db, as_query(query), method, observed=False)
     # A negated target is ~psi(a): its probability is 1 - Pr[psi(a)].
     return {args: 1 - p if negated else p for args, _, p in cells}
 

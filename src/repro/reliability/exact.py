@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any, Iterator, Sequence, Tuple, Union
+from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.kernels.gray import atom_worlds
@@ -59,8 +59,9 @@ _ONE = Fraction(1)
 
 #: One answer tuple: ``(args, observed, p)``, where ``p`` is the
 #: probability of the tuple's target and ``observed`` the target's value
-#: on the observed structure.
-TargetCell = Tuple[Tuple[Any, ...], bool, Fraction]
+#: on the observed structure (``None`` when the caller did not ask for
+#: it, see :func:`target_cells`).
+TargetCell = Tuple[Tuple[Any, ...], Optional[bool], Fraction]
 
 
 def as_query(query: QueryLike) -> Any:
@@ -208,7 +209,11 @@ def truth_probability(
 
 
 def target_cells(
-    db: UnreliableDatabase, query: Any, method: str, verdict=None
+    db: UnreliableDatabase,
+    query: Any,
+    method: str,
+    verdict=None,
+    observed: bool = True,
 ) -> Tuple[bool, Iterator[TargetCell]]:
     """``(negated, cells)``: every answer tuple's :data:`TargetCell`,
     in tuple order.
@@ -218,12 +223,15 @@ def target_cells(
     route reads the lineage table: a constant cell is 0 or 1 without an
     engine, and no tuple is instantiated or evaluated.  ``verdict`` is
     a Boolean query's dichotomy verdict, as in :func:`truth_probability`.
+    A caller that does not read the cells' observed values passes
+    ``observed=False``: the lifted and worlds routes then evaluate no
+    tuple on the observed structure, and their cells carry ``None``.
     """
     route = _route(query, method)
     if route == "worlds":
-        return False, _worlds_cells(db, query)
+        return False, _worlds_cells(db, query, observed)
     if route == "lifted":
-        return False, _lifted_cells(db, query, verdict)
+        return False, _lifted_cells(db, query, verdict, observed)
     lineage = ground_answers(db, query)
     counter = _dispatch_counter(query.formula, method)
     cells = (_grounded_cell(db, cell, counter) for cell in lineage.cells())
@@ -238,7 +246,7 @@ def _grounded_cell(db: UnreliableDatabase, cell: Cell, counter: str) -> TargetCe
 
 
 def _lifted_cells(
-    db: UnreliableDatabase, query: FOQuery, verdict
+    db: UnreliableDatabase, query: FOQuery, verdict, observed: bool
 ) -> Iterator[TargetCell]:
     """Each tuple through the lifted engine, until it refuses one; that
     tuple and the rest are read from the lineage table."""
@@ -249,18 +257,21 @@ def _lifted_cells(
             formula = query.instantiated(args) if args else query.formula
             p = _try_lifted(db, formula, verdict)
             if p is not None:
-                yield args, query.evaluate(db.structure, args), p
+                value = query.evaluate(db.structure, args) if observed else None
+                yield args, value, p
                 continue
             lineage = ground_answers(db, query)
         yield _grounded_cell(db, lineage.cell(args), "exact.dispatch.dnf")
 
 
-def _worlds_cells(db: UnreliableDatabase, query: Any) -> Iterator[TargetCell]:
+def _worlds_cells(
+    db: UnreliableDatabase, query: Any, observed: bool
+) -> Iterator[TargetCell]:
     for args in product(db.structure.universe, repeat=query.arity):
         checkpoint()
         boolean = _instantiated(query, args)
-        observed = boolean.evaluate(db.structure, ())
-        yield args, observed, _worlds_truth_probability(db, boolean)
+        value = boolean.evaluate(db.structure, ()) if observed else None
+        yield args, value, _worlds_truth_probability(db, boolean)
 
 
 def _wrong_probabilities(

@@ -14,13 +14,39 @@ fixed ``L``/``R`` atoms into every clause.
 answer tuple in one pass (Corollary 5.5's per-tuple decomposition, the
 lineage of each tuple in the probabilistic-database sense).  Tuples
 whose lineage folds to a constant need no engine at all.
+
+The pass grounds by lookup rather than by the proof's literal product.
+Each relation the query mentions gets one lookup table per pass
+(:func:`lookup_tables`), from argument tuples to their folded state
+(:func:`fold` is the one folding rule).  Each clause template is
+compiled once (:class:`ClauseTemplate`): the free variables and then
+the existential ones form one nest of levels, and each literal is
+tested at the first level that binds all of its variables.  The walk
+(:class:`_Walk`) skips every valuation beneath a literal that folds to
+false and charges the skipped subtree's ``n ** levels_below`` raw
+clauses in one checkpoint, so the counters and the budget ledger are
+those of the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.kernels.cache import compilation_cache
@@ -40,7 +66,7 @@ from repro.logic.terms import Const, Term, Var
 from repro.propositional.formula import DNF, Clause, Literal
 from repro.relational.atoms import Atom
 from repro.reliability.unreliable import UnreliableDatabase
-from repro.runtime.budget import checkpoint
+from repro.runtime.budget import active_budget, checkpoint
 from repro.runtime.preflight import preflight_grounding
 from repro.util.errors import QueryError
 
@@ -107,14 +133,18 @@ def _ground_pass(
     Theorem 5.4's transformation, prenexing once: for every valuation of
     ``free`` (one, the empty tuple, for a sentence), every clause
     template and every valuation of the existential variables, emit a
-    propositional clause.  The budget sees what grounding each
-    instantiation on its own would charge: one preflight (every
-    instantiation has the same shape), ``checkpoint(clauses=1)`` per raw
-    clause, and an empty clause ends its tuple.
+    propositional clause.  Each template is compiled once against the
+    pass's :func:`lookup tables <lookup_tables>` and walked as one nest of
+    levels, the free variables first (see :class:`_Walk`); a literal
+    that folds to false skips every valuation beneath it.  The budget
+    sees what grounding each instantiation clause by clause would
+    charge: one preflight (every instantiation has the same shape), one
+    clause per raw clause, and an empty clause ends its tuple.
 
     Returns ``(width, raw clause count, certain, dnfs)``: the tuples
     whose instantiation is certainly true, and the others' DNFs where
-    they are not constant.  A tuple in neither is certainly false.
+    they are not constant, both in tuple order.  A tuple in neither is
+    certainly false.
     """
     variables, matrix = existential_parts(formula)
     clause_templates = dnf_clauses(matrix)
@@ -123,56 +153,398 @@ def _ground_pass(
     # Refuse a grounding the active budget predicts to be hopeless:
     # |templates| * n ** |variables| clauses per tuple (Theorem 5.4).
     preflight_grounding(len(universe), len(variables), len(clause_templates))
-    certain: List[TupleOf] = []
+    levels = tuple(free) + variables
+    tables = lookup_tables(db, clause_templates)
+    walk = _Walk(universe, len(free), len(levels))
+    for template in clause_templates:
+        if not walk.run(ClauseTemplate(template, levels, tables)):
+            break
+    position = {value: index for index, value in enumerate(universe)}
+
+    def order(args: TupleOf) -> List[int]:
+        return [position[value] for value in args]
+
+    certain = sorted(walk.certain, key=order)
     dnfs: Dict[TupleOf, DNF] = {}
-    raw_count = kept_count = variable_count = 0
-    for args in product(universe, repeat=len(free)):
-        grounded, raw = _ground_templates(
-            db, clause_templates, variables, dict(zip(free, args))
-        )
-        raw_count += raw
-        if grounded is None:
-            certain.append(args)
-            kept_count += 1  # DNF.true(): one empty clause
+    kept_count = len(certain)  # DNF.true(): one empty clause each
+    variable_count = 0
+    for args in sorted(walk.grounded, key=order):
+        if args in walk.certain:
             continue
-        dnf = DNF(grounded)
+        dnf = DNF(walk.grounded[args])
         if dnf.clauses:
             kept_count += len(dnf.clauses)
             variable_count += len(dnf.variables)
             dnfs[args] = dnf
-    obs.inc("grounding.clauses_raw", raw_count)
+    obs.inc("grounding.clauses_raw", walk.raw)
     obs.inc("grounding.clauses_kept", kept_count)
     obs.inc("grounding.variables", variable_count)
     obs.gauge("grounding.width", width)
-    return width, raw_count, certain, dnfs
+    return width, walk.raw, certain, dnfs
 
 
-def _ground_templates(
+def fold(error: Fraction, observed: bool, atom):
+    """The folding rule: an atom's actual value, or the atom itself.
+
+    ``True`` / ``False`` when the atom's error probability ``error``
+    makes its actual value certain (``mu`` 0 keeps the ``observed``
+    value, ``mu`` 1 flips it), else ``atom``: the grounded clause keeps
+    it as an uncertain literal.
+    """
+    if error == 0:
+        return observed
+    if error == 1:
+        return not observed
+    return atom
+
+
+def _state(resolved):
+    """A lookup-table entry: a folded value, or ``None`` for an
+    uncertain atom not known yet, or an uncertain atom's
+    ``(negative, positive)`` literals, indexed by polarity."""
+    if resolved is None or resolved is True or resolved is False:
+        return resolved
+    return (Literal(resolved, False), Literal(resolved, True))
+
+
+def _relations(
+    clause_templates: Tuple[Tuple[Formula, ...], ...]
+) -> FrozenSet[str]:
+    return frozenset(
+        core.relation
+        for template in clause_templates
+        for core in (p.sub if isinstance(p, Not) else p for p in template)
+        if isinstance(core, AtomF)
+    )
+
+
+def lookup_tables(
     db: UnreliableDatabase,
     clause_templates: Tuple[Tuple[Formula, ...], ...],
-    variables: Tuple[Var, ...],
-    env: Dict[Var, object],
-) -> Tuple[Optional[List[Clause]], int]:
-    """Ground each template under every valuation of ``variables``.
+) -> Dict[str, Tuple[Dict[TupleOf, Any], Any]]:
+    """One grounding pass's lookup tables, one per mentioned relation.
 
-    ``env`` binds any other (free) variables.  Returns the surviving
-    clauses, or ``None`` once an empty clause makes the sentence
-    certainly true, with the raw clause count up to that point.
+    Each is ``(states, miss)``: ``states`` maps the argument tuples of
+    the relation's observed rows and error-table entries to their
+    :func:`_state`; ``miss`` is the state of every other tuple (not
+    observed, error ``default_error``), ``None`` when that leaves it
+    uncertain.  Built in one pass over those rows and entries, so no
+    ``Fraction`` is compared again during the walk.
     """
-    grounded: List[Clause] = []
-    raw_count = 0
-    for template in clause_templates:
-        for values in product(db.structure.universe, repeat=len(variables)):
-            env.update(zip(variables, values))
-            raw_count += 1
-            checkpoint(clauses=1)
-            clause = ground_clause(db, template, env)
-            if clause is None:
+    default = db.default_error
+    structure = db.structure
+    miss = fold(default, False, None)
+    observed = fold(default, True, None)
+    tables: Dict[str, Tuple[Dict[TupleOf, Any], Any]] = {}
+    for name in _relations(clause_templates):
+        rows = structure.relation(name)
+        if observed is None:
+            states = {args: _state(Atom(name, args)) for args in rows}
+        else:
+            states = dict.fromkeys(rows, observed)
+        tables[name] = (states, miss)
+    for atom, error in db.error_table().items():
+        table = tables.get(atom.relation)
+        if table is not None:
+            table[0][atom.args] = _state(
+                fold(error, structure.holds(atom), atom)
+            )
+    return tables
+
+
+class _AtomLookup:
+    """A lookup table that resolves each tuple on demand through the
+    database: for grounding a few keys, where a whole-relation table
+    would cost more than the keys."""
+
+    __slots__ = ("db", "relation")
+
+    def __init__(self, db: UnreliableDatabase, relation: str):
+        self.db = db
+        self.relation = relation
+
+    def get(self, args: TupleOf, miss=None):
+        atom = Atom(self.relation, args)
+        db = self.db
+        return _state(fold(db.mu(atom), db.structure.holds(atom), atom))
+
+
+def atom_lookups(
+    db: UnreliableDatabase,
+    clause_templates: Tuple[Tuple[Formula, ...], ...],
+) -> Dict[str, Tuple[_AtomLookup, None]]:
+    """Lookup tables that resolve tuples one at a time (see
+    :class:`_AtomLookup`), for :class:`ClauseTemplate`."""
+    return {
+        name: (_AtomLookup(db, name), None)
+        for name in _relations(clause_templates)
+    }
+
+
+class ClauseTemplate:
+    """One clause template compiled against a nest of variable levels.
+
+    ``levels`` are the variables in walk order (the free variables, then
+    the existential ones); ``tables`` resolve each relation's tuples
+    (:func:`lookup_tables` or :func:`atom_lookups`).  Each literal becomes a
+    test at the first level that binds all of its variables; one that
+    mentions no variable is resolved here, and ``dead`` records that one
+    folded the whole template to false.  ``values`` holds the walk's
+    current valuation, then the template's constants; ``literals`` one
+    slot per atom literal, in template order, ``None`` where it folded
+    to true.
+    """
+
+    __slots__ = (
+        "dead", "equalities", "atoms", "values", "literals", "deepest"
+    )
+
+    def __init__(
+        self,
+        template: Tuple[Formula, ...],
+        levels: Tuple[Var, ...],
+        tables: Mapping[str, Tuple[Any, Any]],
+    ):
+        position = {var: index for index, var in enumerate(levels)}
+        self.dead = False
+        self.values: List[Any] = [None] * len(levels)
+        self.literals: List[Optional[Literal]] = []
+        #: Per level: ``(left, right, positive)`` value positions of each
+        #: equality, ``(slot, positive, args, states, miss, relation)``
+        #: of each atom literal tested there.
+        self.equalities: List[List[Tuple]] = [[] for _ in levels]
+        self.atoms: List[List[Tuple]] = [[] for _ in levels]
+        #: The deepest level with a test (-1: none).
+        self.deepest = -1
+        for part in template:
+            positive = not isinstance(part, Not)
+            core = part if positive else part.sub
+            if isinstance(core, (Top, Bottom)):
+                if isinstance(core, Top) != positive:
+                    self.dead = True
                 continue
-            if len(clause) == 0:
-                return None, raw_count
-            grounded.append(clause)
-    return grounded, raw_count
+            if isinstance(core, Eq):
+                terms: Tuple[Term, ...] = (core.left, core.right)
+            elif isinstance(core, AtomF):
+                terms = core.args
+            else:
+                raise QueryError(
+                    f"unexpected literal {type(core).__name__} in grounded "
+                    "clause"
+                )
+            places = [self._place(term, position) for term in terms]
+            depth = max(
+                (place for place in places if place < len(levels)),
+                default=-1,
+            )
+            self.deepest = max(self.deepest, depth)
+            if isinstance(core, Eq):
+                test = (places[0], places[1], positive)
+                if depth >= 0:
+                    self.equalities[depth].append(test)
+                elif (self.values[places[0]] == self.values[places[1]]) != (
+                    positive
+                ):
+                    self.dead = True
+                continue
+            slot = len(self.literals)
+            self.literals.append(None)
+            states, miss = tables[core.relation]
+            test = (slot, positive, _getter(places), states, miss,
+                    core.relation)
+            if depth >= 0:
+                self.atoms[depth].append(test)
+            elif not _resolve(test, self.values, self.literals):
+                self.dead = True
+
+    def _place(self, term: Term, position: Mapping[Var, int]) -> int:
+        if isinstance(term, Const):
+            self.values.append(term.value)
+            return len(self.values) - 1
+        try:
+            return position[term]
+        except KeyError:
+            raise QueryError(
+                f"variable {term.name!r} is free in a sentence being grounded"
+            ) from None
+
+    def passes(self, depth: int) -> bool:
+        """Test the literals of level ``depth`` against ``values``:
+        ``False`` when one folds the clause to false."""
+        values = self.values
+        for left, right, positive in self.equalities[depth]:
+            if (values[left] == values[right]) != positive:
+                return False
+        literals = self.literals
+        for test in self.atoms[depth]:
+            if not _resolve(test, values, literals):
+                return False
+        return True
+
+    def clause(self) -> Optional[Clause]:
+        """The clause of the literals the walk resolved, or ``None``
+        when it is contradictory."""
+        clause = Clause(filter(None, self.literals))
+        return None if clause.contradictory else clause
+
+    def ground(self, valuation: Sequence[Any]) -> Optional[Clause]:
+        """The clause under one full valuation of the levels, or
+        ``None`` when it is certainly false."""
+        if self.dead:
+            return None
+        self.values[: len(valuation)] = valuation
+        for depth in range(len(valuation)):
+            if not self.passes(depth):
+                return None
+        return self.clause()
+
+
+def _getter(places: List[int]):
+    """The function from a valuation to one atom literal's arguments."""
+    if len(places) == 1:
+        (place,) = places
+        return lambda values: (values[place],)
+    if not places:
+        return lambda values: ()
+    return itemgetter(*places)
+
+
+def _resolve(test: Tuple, values: List[Any], literals: List) -> bool:
+    """Resolve one atom literal under ``values`` into its slot of
+    ``literals``: ``False`` when it folds the clause to false."""
+    slot, positive, args, states, miss, relation = test
+    key = args(values)
+    state = states.get(key, miss)
+    if state is positive:
+        literals[slot] = None
+    elif state is None:
+        literals[slot] = Literal(Atom(relation, key), positive)
+    elif state is True or state is False:
+        return False
+    else:
+        literals[slot] = state[positive]
+    return True
+
+
+class _Walk:
+    """The pruned walk of one grounding pass over its compiled templates.
+
+    Levels ``0 .. free_count - 1`` bind the free variables, the rest the
+    existential ones; a template's clauses for one free tuple are its
+    leaves under that tuple, in valuation order.  A level whose literal
+    folds to false skips its subtree and charges the subtree's raw
+    clauses in one call (:func:`_charge`); trailing levels with no test
+    repeat one clause, charged once for all its copies.  Tuples made
+    certain by an earlier template are skipped uncharged, as a
+    tuple-by-tuple pass would never reach them.
+
+    ``grounded`` maps each tuple to its clauses in template order,
+    ``certain`` holds the tuples whose instantiation is certainly true,
+    ``raw`` counts raw clauses.
+    """
+
+    def __init__(self, universe: Tuple[Any, ...], free_count: int,
+                 level_count: int):
+        self.universe = universe
+        self.free_count = free_count
+        n = len(universe)
+        #: Index ``depth + 1``: raw clauses under one value of ``depth``.
+        self.weights = [n ** (level_count - 1 - depth)
+                        for depth in range(-1, level_count)]
+        self.per_tuple = n ** (level_count - free_count)
+        self.grounded: Dict[TupleOf, List[Clause]] = {}
+        self.certain: Set[TupleOf] = set()
+        #: Certain tuples under each free prefix, for subtree charges.
+        self.prefixes: Dict[TupleOf, int] = {}
+        self.raw = 0
+        self.stop = -1
+
+    def run(self, template: ClauseTemplate) -> bool:
+        """Walk one template; ``False`` once a sentence (no free
+        variable) is certainly true and the pass can stop."""
+        if not self.weights[0]:
+            return True  # an empty universe: no valuation to ground
+        # The level whose values complete a clause: the template's
+        # deepest test, or the last free level (each tuple has its own).
+        self.stop = max(template.deepest, self.free_count - 1)
+        if template.dead:
+            self._skip(-1, ())
+        elif self.stop < 0:
+            self._leaf(template, -1)
+        else:
+            self._descend(template, 0)
+        return not (self.free_count == 0 and self.certain)
+
+    def _descend(self, template: ClauseTemplate, depth: int) -> bool:
+        """Walk level ``depth``; ``True`` when the tuple being walked
+        became certain (at an existential level: its walk ends)."""
+        values = template.values
+        free_count = self.free_count
+        at_tuple = depth == free_count - 1
+        inner = depth >= free_count
+        last = depth == self.stop
+        certain = self.certain
+        for value in self.universe:
+            values[depth] = value
+            if at_tuple and certain and tuple(values[:free_count]) in certain:
+                continue
+            if not template.passes(depth):
+                self._skip(depth, values)
+                continue
+            if last:
+                if self._leaf(template, depth) and inner:
+                    return True
+            elif self._descend(template, depth + 1) and inner:
+                return True
+        return False
+
+    def _leaf(self, template: ClauseTemplate, depth: int) -> bool:
+        """Ground the clause the walk reached; ``True`` when it made its
+        tuple certain."""
+        clause = template.clause()
+        if clause is None:
+            self._charge(self.weights[depth + 1])
+            return False
+        args = tuple(template.values[: self.free_count])
+        if not clause:
+            self._charge(1)
+            self.certain.add(args)
+            for end in range(self.free_count):
+                prefix = args[:end]
+                self.prefixes[prefix] = self.prefixes.get(prefix, 0) + 1
+            return True
+        self._charge(self.weights[depth + 1])
+        self.grounded.setdefault(args, []).append(clause)
+        return False
+
+    def _skip(self, depth: int, values: Sequence[Any]) -> None:
+        """Charge the raw clauses under a value of ``depth`` that folded."""
+        free_count = self.free_count
+        if depth >= free_count - 1:
+            self._charge(self.weights[depth + 1])
+            return
+        # The subtree spans free tuples: those certain already are not
+        # ground again.
+        tuples = len(self.universe) ** (free_count - 1 - depth)
+        prefix = tuple(values[: depth + 1])
+        self._charge(
+            (tuples - self.prefixes.get(prefix, 0)) * self.per_tuple
+        )
+
+    def _charge(self, clauses: int) -> None:
+        """Charge ``clauses`` raw clauses in one checkpoint.
+
+        Under a clause cap, a charge that crosses it charges up to the
+        first clause past the cap (one clause on a ledger already past
+        it, as a retry's is), where a clause-by-clause pass stops, so
+        ``BudgetExceeded`` leaves the same ledger.
+        """
+        self.raw += clauses
+        budget = active_budget()
+        cap = budget.max_ground_clauses
+        if cap is not None and budget.ground_clauses + clauses > cap:
+            clauses = min(clauses, max(cap + 1 - budget.ground_clauses, 1))
+        checkpoint(clauses=clauses)
 
 
 def wrong_target(formula: Formula) -> Formula:
@@ -287,72 +659,6 @@ def _ground_answers_uncached(
             certain=frozenset(certain),
             dnfs=dnfs,
         )
-
-
-def ground_clause(
-    db: UnreliableDatabase,
-    template: Tuple[Formula, ...],
-    env: Dict[Var, object],
-) -> Optional[Clause]:
-    """One grounded clause, or ``None`` when it is certainly false.
-
-    Shared with :mod:`repro.delta`, which re-derives exactly the clauses
-    a single-atom update can affect instead of regrounding everything.
-    """
-    literals: List[Literal] = []
-    for part in template:
-        positive = True
-        core = part
-        if isinstance(core, Not):
-            positive = False
-            core = core.sub
-        if isinstance(core, Top):
-            if not positive:
-                return None
-            continue
-        if isinstance(core, Bottom):
-            if positive:
-                return None
-            continue
-        if isinstance(core, Eq):
-            left = _value(core.left, env)
-            right = _value(core.right, env)
-            if (left == right) != positive:
-                return None
-            continue
-        if isinstance(core, AtomF):
-            atom = Atom(core.relation, tuple(_value(t, env) for t in core.args))
-            error = db.mu(atom)
-            if error == 0:
-                # Actual value equals the observed value, deterministically.
-                if db.structure.holds(atom) != positive:
-                    return None
-                continue
-            if error == 1:
-                # Actual value is the flip of the observed one.
-                if db.structure.holds(atom) == positive:
-                    return None
-                continue
-            literals.append(Literal(atom, positive))
-            continue
-        raise QueryError(
-            f"unexpected literal {type(core).__name__} in grounded clause"
-        )
-    clause = Clause(literals)
-    if clause.contradictory:
-        return None
-    return clause
-
-
-def _value(term: Term, env: Dict[Var, object]) -> object:
-    if isinstance(term, Const):
-        return term.value
-    try:
-        return env[term]
-    except KeyError:
-        raise QueryError(
-            f"variable {term.name!r} is free in a sentence being grounded"
-        ) from None
 
 
 def grounding_probabilities(db: UnreliableDatabase, dnf: DNF):

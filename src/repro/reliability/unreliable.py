@@ -50,29 +50,30 @@ class UnreliableDatabase:
         self._default = parse_probability(default_error)
         table: Dict[Atom, Fraction] = {}
         if mu:
+            vocabulary = structure.vocabulary
+            elements = structure.elements
             for atom, value in mu.items():
-                symbol = structure.vocabulary.symbol(atom.relation)
+                symbol = vocabulary.symbol(atom.relation)
                 if symbol.arity != atom.arity:
                     raise VocabularyError(
                         f"atom {atom} has arity {atom.arity}, relation has "
                         f"{symbol.arity}"
                     )
                 for element in atom.args:
-                    if element not in structure.universe:
+                    if element not in elements:
                         raise VocabularyError(
                             f"atom {atom} mentions {element!r}, not in universe"
                         )
                 table[atom] = parse_probability(value)
         self._mu = table
         uncertain = []
-        if 0 < self._default < 1:
+        if _uncertain(self._default):
             for atom in structure.atoms():
-                probability = table.get(atom, self._default)
-                if 0 < probability < 1:
+                if _uncertain(table.get(atom, self._default)):
                     uncertain.append(atom)
         else:
             for atom, probability in table.items():
-                if 0 < probability < 1:
+                if _uncertain(probability):
                     uncertain.append(atom)
         self._uncertain: Tuple[Atom, ...] = tuple(sorted(uncertain, key=repr))
         self._fingerprint: Optional[Tuple] = None
@@ -213,14 +214,14 @@ class UnreliableDatabase:
                     f"{symbol.arity}"
                 )
             for element in atom.args:
-                if element not in structure.universe:
+                if element not in structure.elements:
                     raise VocabularyError(
                         f"atom {atom} mentions {element!r}, not in universe"
                     )
             probability = parse_probability(value)
-            was = 0 < table.get(atom, self._default) < 1
+            was = _uncertain(table.get(atom, self._default))
             table[atom] = probability
-            now = 0 < probability < 1
+            now = _uncertain(probability)
             if was and not now:
                 removed.add(atom)
             elif now and not was:
@@ -285,6 +286,12 @@ class UnreliableDatabase:
             f"UnreliableDatabase({self._structure!r}, "
             f"{len(self._uncertain)} uncertain atoms)"
         )
+
+
+def _uncertain(probability: Fraction) -> bool:
+    """``0 < probability < 1``, on the numerator and denominator (the
+    denominator of a ``Fraction`` is positive)."""
+    return 0 < probability.numerator < probability.denominator
 
 
 def uniform_error(

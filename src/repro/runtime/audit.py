@@ -76,8 +76,20 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"
     ),
-    ("repro.reliability.grounding", "ground_clause"): (
-        "one clause template, bounded by the query's clause width"
+    ("repro.reliability.grounding", "ClauseTemplate.__init__"): (
+        "compiles one clause template, bounded by the query"
+    ),
+    ("repro.reliability.grounding", "ClauseTemplate.passes"): (
+        "one level's literals, bounded by the query's clause width; the "
+        "walk that calls it charges every clause"
+    ),
+    ("repro.reliability.grounding", "ClauseTemplate.ground"): (
+        "one clause's levels, bounded by the query; its callers "
+        "checkpoint per clause"
+    ),
+    ("repro.reliability.grounding", "lookup_tables"): (
+        "one pass over the error table and the query's relations: "
+        "linear in the database the caller decoded"
     ),
     ("repro.delta.reground", "_unify"): (
         "one literal against one atom, bounded by the relation arity"

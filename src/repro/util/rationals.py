@@ -44,7 +44,8 @@ def as_fraction(value: RationalLike) -> Fraction:
 def parse_probability(value: RationalLike) -> Fraction:
     """Convert ``value`` to a Fraction and check it lies in ``[0, 1]``."""
     frac = as_fraction(value)
-    if frac < 0 or frac > 1:
+    # A Fraction's denominator is positive: compare the two ints.
+    if not 0 <= frac.numerator <= frac.denominator:
         raise ProbabilityError(f"probability {frac} outside [0, 1]")
     return frac
 

@@ -41,6 +41,32 @@ class TestAnswerProbabilities:
         assert table[("a", "c")] > Fraction(1, 2)
         assert table[("c", "a")] < Fraction(1, 2)
 
+    @pytest.mark.parametrize("text, method, evaluations", [
+        # A conjunctive query under auto: the lifted route, no world.
+        ("exists y. E(x, y) & S(y)", "auto", 0),
+        # Nine tuples, each over the 2 ** 4 worlds of the uncertain
+        # E and S atoms.
+        ("E(x, y) | S(x)", "worlds", 9 * 2**4),
+    ])
+    def test_observed_structure_not_evaluated(
+        self, triangle_db, monkeypatch, text, method, evaluations
+    ):
+        # The table discards each tuple's observed value, so no route
+        # evaluates the query on the observed structure for it.
+        calls = []
+        evaluate = FOQuery.evaluate
+
+        def counting(self, structure, args=()):
+            calls.append(structure)
+            return evaluate(self, structure, args)
+
+        monkeypatch.setattr(FOQuery, "evaluate", counting)
+        query = FOQuery(text)
+        table = answer_probabilities(triangle_db, query, method)
+        assert len(calls) == evaluations
+        monkeypatch.setattr(FOQuery, "evaluate", evaluate)
+        assert table == answer_probabilities(triangle_db, query, "worlds")
+
     def test_reliability_recoverable(self, triangle_db):
         query = FOQuery("exists y. E(x, y) & S(y)", ("x",))
         table = answer_probabilities(triangle_db, query)
