@@ -158,8 +158,8 @@ def _calibration_model(args: argparse.Namespace):
 
 
 def _adaptive_flag(args: argparse.Namespace) -> bool:
-    """``--adaptive[=off|on]`` to the executor's boolean (default off)."""
-    return getattr(args, "adaptive", None) == "on"
+    """``--adaptive[=off|on]`` to the executor's boolean (default on)."""
+    return getattr(args, "adaptive", None) != "off"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -660,9 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
         const="on",
         choices=["off", "on"],
         default=None,
-        help="price the sequential empirical-Bernstein stopper a "
-        "`run --adaptive` would use: sampling-engine forecasts show "
-        "expected vs worst-case samples and surrogate-adjusted seconds",
+        help="price the sequential empirical-Bernstein stopper `run` "
+        "uses (default on): sampling-engine forecasts show expected vs "
+        "worst-case samples and surrogate-adjusted seconds; `off` "
+        "prices the fixed worst-case budget",
     )
     analyze_cmd.add_argument(
         "--explain-dichotomy",
@@ -711,8 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["off", "on"],
         default=None,
         help="stop the sampling engines as soon as empirical-Bernstein "
-        "confidence intervals certify the (epsilon, delta) guarantee; "
-        "the worst-case sample count becomes a never-exceeded cap "
+        "confidence intervals certify the (epsilon, delta) guarantee, "
+        "with the worst-case sample count as a never-exceeded cap "
+        "(default on); `off` draws the fixed worst-case budget "
         "(see docs/PERFORMANCE.md, 'Adaptive stopping')",
     )
     run.add_argument(
@@ -779,10 +781,11 @@ def build_parser() -> argparse.ArgumentParser:
         const="on",
         choices=["off", "on"],
         default=None,
-        help="adaptive sampling for every request: runs stop early "
-        "once their guarantee is certified, and admission forecasts "
-        "use the online surrogate's expected costs, admitting more "
-        "under the same deadline as the surrogate warms",
+        help="adaptive sampling for every request (default on): runs "
+        "stop early once their guarantee is certified, and admission "
+        "forecasts use the online surrogate's expected costs, admitting "
+        "more under the same deadline as the surrogate warms; `off` "
+        "draws and forecasts the fixed worst-case budget",
     )
     serve.add_argument(
         "--cache-dir",

@@ -12,9 +12,10 @@ time.  This package makes that work *compile-once, evaluate-many*:
 * :mod:`repro.kernels.cache` — a bounded LRU keyed on a database
   fingerprint plus the query AST, so repeated ``run``/``analyze``/
   benchmark invocations stop re-grounding.
-* :mod:`repro.kernels.sampling` — the one batched sample loop behind
-  the Monte-Carlo, Karp–Luby and naive-DNF estimators, fixed-budget
-  and adaptive alike, with deterministic per-batch seeding.
+* :mod:`repro.kernels.sampling` — the one batch layout and sample loop
+  behind the Monte-Carlo, Karp–Luby and naive-DNF estimators,
+  fixed-budget and adaptive alike, with deterministic per-batch
+  seeding.
 * :mod:`repro.kernels.gray` — the one world-enumeration loop behind
   the exact engines (the Theorem 4.2 ``worlds`` route, the Lemma 5.8
   witness search, the Theorem 6.2 metafinite walk): reflected
@@ -38,10 +39,7 @@ lazy_exports(
             "DnfPlan", "HammingPlan", "TruthPlan", "compile_dnf_plan",
             "compile_hamming_plan", "compile_truth_plan",
         ),
-        ".sampling": (
-            "KlPlan", "sample_hamming_batches", "sample_kl_batches",
-            "sample_naive_batches", "sample_truth_batches",
-        ),
+        ".sampling": ("KlPlan", "sample_layout"),
     },
 )
 
@@ -59,8 +57,5 @@ __all__ = [
     "compile_dnf_plan",
     "compile_hamming_plan",
     "compile_truth_plan",
-    "sample_hamming_batches",
-    "sample_kl_batches",
-    "sample_naive_batches",
-    "sample_truth_batches",
+    "sample_layout",
 ]

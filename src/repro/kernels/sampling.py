@@ -1,27 +1,29 @@
 """Batched sample loops over bit columns.
 
-Every sampling estimator runs through one sample loop,
-:func:`run_batches`.  It walks a layout of ``(index, width)`` batches
-and hands each batch's generator ``batch_rng(base, index)`` to a
-worker, which draws per-variable Bernoulli columns and evaluates the
+Every sampling estimator runs through one layout and one sample loop.
+:func:`sample_layout` turns a worst-case budget into ``(index, width)``
+batches and a grid of stopping checks; :func:`run_batches` walks the
+batches and hands each batch's generator ``batch_rng(base, index)`` to
+a worker, which draws per-variable Bernoulli columns and evaluates the
 compiled clause plan with big-int AND/OR/popcount — a few hundred
 interpreter operations per batch instead of a few thousand per
 *sample*.
 
-Two layouts feed the loop, and each seeds its own sample stream:
-
-* fixed-budget runs split the budget with :func:`plan_batches`, whose
-  width adapts to the plan (:func:`~repro.kernels.bitops.pick_batch_bits`:
-  at most :data:`~repro.kernels.bitops.BATCH_BITS` worlds, narrower
-  for wide plans and tiny budgets);
-* adaptive runs (:func:`repro.runtime.adaptive.adaptive_mean`) walk
-  fixed-width blocks and pass a stop rule that the loop calls on a
-  doubling grid of block counts.
+The checks fall at cumulative sample counts that double from
+:data:`FIRST_CHECK`, plus the worst case; each segment between two
+checks is drawn in batches no wider than
+:func:`~repro.kernels.bitops.pick_batch_bits` (at most
+:data:`~repro.kernels.bitops.BATCH_BITS` worlds, narrower for wide
+plans and tiny budgets).  An adaptive run
+(:func:`repro.runtime.adaptive.adaptive_mean`) asks its stop rule at
+each check; a fixed-budget run walks the same batches with no stop
+rule.
 
 Determinism contract: the caller's ``rng`` contributes exactly one
 ``getrandbits(64)`` draw, the ``base`` of every batch generator.
 Batch results are combined in index order, so the estimate is a pure
-function of (plan, seed, layout), whether or not a recorder is on.
+function of (plan, seed, worst-case budget, lanes) and of where the
+stop rule fires, whether or not a recorder is on.
 
 Budgets are charged through ``runtime.checkpoint(samples=width)``
 *before* each batch is drawn: ``BudgetExceeded`` is accurate to one
@@ -32,10 +34,8 @@ one event per batch (``montecarlo.batch``, ``karp_luby.batch``, ...).
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.kernels.bitops import (
     add_to_counter,
     bernoulli_column,
@@ -45,13 +45,14 @@ from repro.kernels.bitops import (
     pick_batch_bits,
     popcount,
 )
-from repro.kernels.plan import (
-    HammingPlan,
-    TruthPlan,
-    clause_masks,
-    satisfied_mask,
-)
+from repro.kernels.plan import HammingPlan, clause_masks, satisfied_mask
 from repro.runtime.budget import checkpoint
+
+#: Cumulative sample count of the first stopping check; each later
+#: check doubles it.  Earlier checks cost more batches than they save:
+#: a batch costs nearly the same whatever its width, and a check at 256
+#: samples rarely certifies anything.
+FIRST_CHECK = 1024
 
 
 def batch_rng(base: int, index: int) -> random.Random:
@@ -73,35 +74,45 @@ def draw_columns(
     return [bernoulli_column(rng, width, b, full) for b in bits]
 
 
-def split_layout(total: int, width: int) -> List[Tuple[int, int]]:
-    """``(index, width)`` batches covering ``total`` samples, the last
-    truncated."""
-    return [
-        (index, min(width, total - start))
-        for index, start in enumerate(range(0, total, width))
-    ]
+def sample_layout(
+    worst: int, lanes: int = 1
+) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The batches and the check grid of a run of at most ``worst``
+    samples.
 
-
-def plan_batches(budget: int, lanes: int = 1) -> List[Tuple[int, int]]:
-    """Split a fixed sample budget into ``(index, width)`` batches.
-
-    The width is adaptive (:func:`~repro.kernels.bitops.pick_batch_bits`):
-    ``lanes`` — the plan's live column count — narrows wide plans for
-    locality, and a tiny budget yields one narrow batch instead of a
-    full-width column.  The split never depends on whether a recorder
-    is on: batches seed the sample stream, so a traced run draws
-    exactly the samples an untraced one does, and the convergence
-    trace gets one event per batch.
+    Returns ``(batches, grid)``: ``batches`` are ``(index, width)``
+    pairs whose widths sum to ``worst``; ``grid`` holds the cumulative
+    sample counts at which a stop rule is asked — :data:`FIRST_CHECK`,
+    doubling while below ``worst``, then ``worst``.  Every check falls
+    on a batch boundary, and no batch is wider than
+    ``pick_batch_bits(worst, lanes)``, where ``lanes`` is the plan's
+    live column count.  A pure function of ``(worst, lanes)``: batches
+    seed the sample stream, so a traced run draws exactly the samples
+    an untraced one does.
     """
-    return split_layout(budget, pick_batch_bits(budget, lanes))
+    if worst <= 0:
+        raise ValueError("worst-case budget must be positive")
+    width = pick_batch_bits(worst, lanes)
+    grid = []
+    check = FIRST_CHECK
+    while check < worst:
+        grid.append(check)
+        check <<= 1
+    grid.append(worst)
+    batches: List[Tuple[int, int]] = []
+    start = 0
+    for end in grid:
+        for offset in range(start, end, width):
+            batches.append((len(batches), min(width, end - offset)))
+        start = end
+    return tuple(batches), tuple(grid)
 
 
 class Tally:
     """Running sums of one sampling run.
 
-    ``total`` sums the per-sample values and ``total_sq`` their squares
-    (kept only under a stop rule); ``drawn`` counts samples and
-    ``batches`` the batches done.
+    ``total`` sums the per-sample values and ``total_sq`` their
+    squares; ``drawn`` counts samples and ``batches`` the batches done.
     """
 
     __slots__ = ("total", "total_sq", "drawn", "batches")
@@ -116,71 +127,38 @@ class Tally:
 def run_batches(
     draw: Callable,
     rng: random.Random,
-    layout: Sequence[Tuple[int, int]],
-    on_batch: Optional[Callable[[Tally], None]] = None,
+    batches: Sequence[Tuple[int, int]],
+    on_batch: Callable[[Tally], None],
     stop: Optional[Callable[[Tally], bool]] = None,
     grid: Sequence[int] = (),
 ) -> Tally:
     """The one sample loop of every batched estimator.
 
     Takes the ``base`` of the batch generators from ``rng``, then for
-    each ``(index, width)`` of ``layout`` charges
+    each ``(index, width)`` of ``batches`` charges
     ``checkpoint(samples=width)`` and calls
-    ``draw(batch_rng(base, index), width)``.  Without a stop rule
-    ``draw`` returns the batch's sum of per-sample values; with one it
-    returns ``(sum, sum of squares)``.  ``on_batch(tally)`` runs after
-    every batch; ``stop(tally)`` runs each time the batch count reaches
-    the next entry of ``grid`` and ends the run by returning true.
+    ``draw(batch_rng(base, index), width)``, which returns the batch's
+    ``(sum, sum of squares)`` of per-sample values.  ``on_batch(tally)``
+    runs after every batch; ``stop(tally)``, when given, runs each time
+    the samples drawn reach the next count of ``grid`` and ends the run
+    by returning true.
     """
     base = rng.getrandbits(64)
     tally = Tally()
-    checks = iter(grid)
+    checks = iter(grid if stop is not None else ())
     due = next(checks, None)
-    for index, width in layout:
+    for index, width in batches:
         checkpoint(samples=width)
-        batch = batch_rng(base, index)
-        if stop is None:
-            tally.total += draw(batch, width)
-        else:
-            first, second = draw(batch, width)
-            tally.total += first
-            tally.total_sq += second
+        first, second = draw(batch_rng(base, index), width)
+        tally.total += first
+        tally.total_sq += second
         tally.drawn += width
         tally.batches += 1
-        if on_batch is not None:
-            on_batch(tally)
-        if tally.batches == due:
+        on_batch(tally)
+        if tally.drawn == due:
             if stop(tally):
                 break
             due = next(checks, None)
-    return tally
-
-
-def _fixed_run(
-    label: str,
-    draw: Callable,
-    rng: random.Random,
-    budget: int,
-    lanes: int,
-    event: Callable[[Tally], None],
-) -> Tally:
-    """A fixed-budget run: the :func:`plan_batches` layout, no stop rule.
-
-    ``label`` names the kernel on the ``kernels.batched`` span;
-    ``event(tally)`` emits the kernel's convergence-trace record after
-    each batch while a recorder is on.
-    """
-    batches = plan_batches(budget, lanes)
-    trace = obs.enabled()
-
-    def on_batch(tally: Tally) -> None:
-        obs.inc("kernels.batches")
-        if trace:
-            event(tally)
-
-    with obs.span("kernels.batched", kernel=label, batches=len(batches)):
-        tally = run_batches(draw, rng, batches, on_batch=on_batch)
-    obs.inc("kernels.batch_samples", budget)
     return tally
 
 
@@ -189,77 +167,15 @@ def _fixed_run(
 # ---------------------------------------------------------------------- #
 
 
-def dnf_hits(clauses, bits, rng: random.Random, width: int) -> int:
-    """Satisfying-lane count of one batch of a compiled DNF."""
+def dnf_moments(
+    clauses, bits, rng: random.Random, width: int
+) -> Tuple[int, int]:
+    """One batch's satisfying-lane count of a compiled DNF, as moments:
+    0/1 samples square to themselves."""
     full = full_mask(width)
     columns = draw_columns(rng, bits, width, full)
-    return popcount(satisfied_mask(clauses, columns, full))
-
-
-def truth_moments(
-    plan: TruthPlan, rng: random.Random, width: int
-) -> Tuple[float, float]:
-    """One batch's hits as moments: 0/1 samples square to themselves."""
-    hits = float(dnf_hits(plan.plan.clauses, plan.bits, rng, width))
+    hits = popcount(satisfied_mask(clauses, columns, full))
     return hits, hits
-
-
-def sample_truth_batches(
-    plan: TruthPlan,
-    rng: random.Random,
-    budget: int,
-    delta: float,
-) -> float:
-    """Batched ``estimate_truth_probability`` inner loop."""
-    from repro.reliability.montecarlo import _half_width
-
-    if plan.constant is not None:
-        checkpoint(samples=budget)
-        if obs.enabled():
-            obs.event(
-                "montecarlo.batch",
-                samples=budget,
-                estimate=plan.constant,
-                half_width=_half_width(budget, delta),
-            )
-        obs.inc("montecarlo.samples", budget)
-        return plan.constant
-
-    def event(tally: Tally) -> None:
-        estimate = tally.total / tally.drawn
-        obs.event(
-            "montecarlo.batch",
-            samples=tally.drawn,
-            estimate=1.0 - estimate if plan.negate else estimate,
-            half_width=_half_width(tally.drawn, delta),
-        )
-
-    draw = partial(dnf_hits, plan.plan.clauses, plan.bits)
-    tally = _fixed_run("truth", draw, rng, budget, len(plan.bits), event)
-    obs.inc("montecarlo.samples", budget)
-    estimate = tally.total / budget
-    return 1.0 - estimate if plan.negate else estimate
-
-
-def sample_naive_batches(
-    clauses,
-    bits,
-    rng: random.Random,
-    samples: int,
-) -> float:
-    """Batched naive Monte-Carlo estimate of ``Pr[dnf]``."""
-
-    def event(tally: Tally) -> None:
-        obs.event(
-            "naive_mc.batch",
-            samples=tally.drawn,
-            estimate=tally.total / tally.drawn,
-        )
-
-    draw = partial(dnf_hits, clauses, bits)
-    tally = _fixed_run("naive_mc", draw, rng, samples, len(bits), event)
-    obs.inc("naive_mc.samples", samples)
-    return tally.total / samples
 
 
 # ---------------------------------------------------------------------- #
@@ -294,25 +210,15 @@ def _hamming_diffs(
     return full, constant, diffs
 
 
-def hamming_batch_distance(
-    plan: HammingPlan, rng: random.Random, width: int
-) -> int:
-    """Total Hamming distance over one batch of sampled worlds."""
-    _, constant, diffs = _hamming_diffs(plan, rng, width)
-    return constant * width + sum(popcount(diff) for diff in diffs)
-
-
 def hamming_block_moments(
     plan: HammingPlan, rng: random.Random, width: int
 ) -> Tuple[int, int]:
     """Per-lane Hamming distance first and second moments of one block.
 
-    The adaptive controller needs the empirical variance of the
-    per-world distance, which :func:`hamming_batch_distance`'s batch
-    total cannot provide — so this worker counts, per lane, the cells
-    that disagree in a vertical counter and reads the lanes of each
-    distance off its tally.  The lane total matches
-    ``hamming_batch_distance`` on the same generator exactly.
+    The stop rule needs the empirical variance of the per-world
+    distance, so this worker counts, per lane, the cells that disagree
+    in a vertical counter and reads the lanes of each distance off its
+    tally.
     """
     full, constant, diffs = _hamming_diffs(plan, rng, width)
     planes: List[int] = []
@@ -335,33 +241,6 @@ def hamming_moments(
     total, total_sq = hamming_block_moments(plan, rng, width)
     cells = float(plan.cells)
     return total / cells, total_sq / (cells * cells)
-
-
-def sample_hamming_batches(
-    plan: HammingPlan,
-    rng: random.Random,
-    budget: int,
-    delta: float,
-) -> float:
-    """Batched ``estimate_reliability_hamming`` inner loop."""
-    from repro.reliability.montecarlo import _half_width
-
-    cells = plan.cells
-
-    def draw(batch: random.Random, width: int) -> float:
-        return hamming_batch_distance(plan, batch, width) / cells
-
-    def event(tally: Tally) -> None:
-        obs.event(
-            "montecarlo.hamming_batch",
-            samples=tally.drawn,
-            estimate=1.0 - tally.total / tally.drawn,
-            half_width=_half_width(tally.drawn, delta),
-        )
-
-    tally = _fixed_run("hamming", draw, rng, budget, len(plan.bits), event)
-    obs.inc("montecarlo.samples", budget)
-    return 1.0 - tally.total / budget
 
 
 # ---------------------------------------------------------------------- #
@@ -474,25 +353,3 @@ def kl_block_moments(
         acc += lanes / count
         acc_sq += lanes / (count * count)
     return acc, acc_sq
-
-
-def sample_kl_batches(
-    plan: KlPlan,
-    rng: random.Random,
-    samples: int,
-) -> float:
-    """Batched Karp–Luby accumulator over the full sample budget."""
-
-    def draw(batch: random.Random, width: int) -> float:
-        return kl_block_moments(plan, batch, width)[0]
-
-    def event(tally: Tally) -> None:
-        obs.event(
-            "karp_luby.batch",
-            samples=tally.drawn,
-            estimate=min(plan.total_weight * tally.total / tally.drawn, 1.0),
-            cover_weight=plan.total_weight,
-        )
-
-    tally = _fixed_run("karp_luby", draw, rng, samples, len(plan.bits), event)
-    return tally.total

@@ -29,12 +29,7 @@ from typing import List, Mapping, Optional, Union
 from repro import obs
 from repro.kernels.bitops import column_bits
 from repro.kernels.plan import compile_dnf_plan
-from repro.kernels.sampling import (
-    KlPlan,
-    kl_block_moments,
-    sample_kl_batches,
-    sample_naive_batches,
-)
+from repro.kernels.sampling import KlPlan, dnf_moments, kl_block_moments
 from repro.propositional.counting import _check_probs
 from repro.propositional.formula import DNF, Variable
 from repro.runtime.preflight import preflight_samples
@@ -132,9 +127,10 @@ def karp_luby_samples(
     budget checks as a sampled run.
 
     ``adaptive`` treats ``samples`` as the worst case and stops at the
-    first canonical checkpoint where the empirical-Bernstein interval
-    certifies a relative ``epsilon`` at confidence ``delta`` (both then
-    required), drawing its own fixed block schedule.
+    first check of the sample layout where the empirical-Bernstein
+    interval certifies a relative ``epsilon`` at confidence ``delta``
+    (both then required).  Both modes draw the same batches, through
+    :func:`sample_kl_batches`.
     """
     if samples <= 0:
         raise ProbabilityError(f"sample budget must be positive, got {samples}")
@@ -170,25 +166,46 @@ def karp_luby_samples(
         weights,
         total_weight,
     )
-    if adaptive:
-        from repro.runtime.adaptive import adaptive_mean
+    run = sample_kl_batches(kl_plan, rng, samples, epsilon, delta, adaptive)
+    obs.inc("karp_luby.samples", run.drawn)
+    estimate = total_weight * run.mean
+    return KarpLubyEstimate(min(estimate, 1.0), run.drawn, total_weight)
 
-        run = adaptive_mean(
-            partial(kl_block_moments, kl_plan),
-            rng,
-            samples,
-            epsilon,
-            delta,
-            mode="relative",
-            kind="karp_luby",
+
+def sample_kl_batches(
+    plan: KlPlan,
+    rng: random.Random,
+    samples: int,
+    epsilon: Optional[float] = None,
+    delta: Optional[float] = None,
+    adaptive: bool = False,
+):
+    """The one Karp–Luby driver: the coverage estimator's
+    :class:`~repro.runtime.adaptive.AdaptiveRun` over at most
+    ``samples`` samples, stopped on a relative ``epsilon`` at
+    confidence ``delta`` when ``adaptive``."""
+    from repro.runtime.adaptive import adaptive_mean
+
+    def event(tally) -> None:
+        obs.event(
+            "karp_luby.batch",
+            samples=tally.drawn,
+            estimate=min(plan.total_weight * tally.total / tally.drawn, 1.0),
+            cover_weight=plan.total_weight,
         )
-        obs.inc("karp_luby.samples", run.drawn)
-        estimate = total_weight * run.mean
-        return KarpLubyEstimate(min(estimate, 1.0), run.drawn, total_weight)
-    accumulator = sample_kl_batches(kl_plan, rng, samples)
-    obs.inc("karp_luby.samples", samples)
-    estimate = total_weight * accumulator / samples
-    return KarpLubyEstimate(min(estimate, 1.0), samples, total_weight)
+
+    return adaptive_mean(
+        partial(kl_block_moments, plan),
+        rng,
+        samples,
+        epsilon,
+        delta,
+        mode="relative",
+        kind="karp_luby",
+        lanes=len(plan.bits),
+        adaptive=adaptive,
+        event=event,
+    )
 
 
 def naive_probability_estimate(
@@ -208,7 +225,27 @@ def naive_probability_estimate(
     # Refuse up front when the active budget cannot fit the run.
     preflight_samples(samples)
     _check_probs(dnf, probs)
+    from repro.runtime.adaptive import adaptive_mean
+
     rng = as_rng(rng)
     plan = compile_dnf_plan(dnf)
     bits = tuple(column_bits(float(probs[v])) for v in plan.variables)
-    return sample_naive_batches(plan.clauses, bits, rng, samples)
+
+    def event(tally) -> None:
+        obs.event(
+            "naive_mc.batch",
+            samples=tally.drawn,
+            estimate=tally.total / tally.drawn,
+        )
+
+    run = adaptive_mean(
+        partial(dnf_moments, plan.clauses, bits),
+        rng,
+        samples,
+        kind="naive_mc",
+        lanes=len(bits),
+        adaptive=False,
+        event=event,
+    )
+    obs.inc("naive_mc.samples", samples)
+    return run.mean

@@ -32,6 +32,12 @@ class Atom:
         return len(self.args)
 
 
+def atom_key(atom: Atom) -> str:
+    """``repr(atom)``, the sort key of uncertain atoms, built without
+    the dataclass repr's recursion guard."""
+    return f"Atom(relation={atom.relation!r}, args={atom.args!r})"
+
+
 def make_atom(relation: str, args: Sequence[Any]) -> Atom:
     """Build an :class:`Atom`, normalising ``args`` to a tuple."""
     return Atom(relation, tuple(args))

@@ -29,12 +29,7 @@ from typing import Any, Iterator, Sequence, Union
 
 from repro import obs
 from repro.kernels.plan import compile_hamming_plan, compile_truth_plan
-from repro.kernels.sampling import (
-    hamming_moments,
-    sample_hamming_batches,
-    sample_truth_batches,
-    truth_moments,
-)
+from repro.kernels.sampling import dnf_moments, hamming_moments
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
 from repro.reliability.exact import as_query
@@ -129,9 +124,8 @@ def estimate_truth_probability(
     empirical-Bernstein stopper (:mod:`repro.runtime.adaptive`): same
     additive (epsilon, delta) contract, but the run stops — and stops
     charging the budget — as soon as the empirical variance certifies
-    it.  Adaptive draws follow their own fixed block schedule, so the
-    value differs from (while agreeing within guarantee with) the
-    fixed-budget value of the same seed.
+    it.  Both modes draw the same batches, so an adaptive run's value
+    is the fixed-budget value of a prefix of the same sample stream.
     """
     query = as_query(query)
     args = tuple(args)
@@ -146,13 +140,7 @@ def estimate_truth_probability(
     with obs.span("montecarlo.truth_probability", budget=budget):
         plan = compile_truth_plan(db, query, args)
         if plan is not None:
-            if adaptive and plan.constant is None:
-                from repro.runtime.adaptive import adaptive_mean
-
-                draw = partial(truth_moments, plan)
-                mean = adaptive_mean(draw, rng, budget, epsilon, delta).mean
-                return 1.0 - mean if plan.negate else mean
-            return sample_truth_batches(plan, rng, budget, delta)
+            return _sample_truth(plan, rng, budget, epsilon, delta, adaptive)
         hits = 0
         for drawn, world in enumerate(sampled_worlds(db, rng, budget), 1):
             if query.evaluate(world, args):
@@ -199,12 +187,7 @@ def estimate_reliability_hamming(
     with obs.span("montecarlo.hamming", budget=budget, cells=cells):
         plan = compile_hamming_plan(db, query)
         if plan is not None:
-            if adaptive:
-                from repro.runtime.adaptive import adaptive_mean
-
-                draw = partial(hamming_moments, plan)
-                return 1.0 - adaptive_mean(draw, rng, budget, epsilon, delta).mean
-            return sample_hamming_batches(plan, rng, budget, delta)
+            return _sample_hamming(plan, rng, budget, epsilon, delta, adaptive)
         observed_answers = query.answers(db.structure)
         total = 0.0
         for drawn, world in enumerate(sampled_worlds(db, rng, budget), 1):
@@ -219,3 +202,68 @@ def estimate_reliability_hamming(
                     half_width=_half_width(drawn, delta),
                 )
     return 1.0 - total / budget
+
+
+def _sample_truth(plan, rng, budget, epsilon, delta, adaptive) -> float:
+    """The batched path of :func:`estimate_truth_probability`."""
+    from repro.runtime.adaptive import adaptive_mean
+
+    if plan.constant is not None:
+        checkpoint(samples=budget)
+        if obs.enabled():
+            obs.event(
+                "montecarlo.batch",
+                samples=budget,
+                estimate=plan.constant,
+                half_width=_half_width(budget, delta),
+            )
+        obs.inc("montecarlo.samples", budget)
+        return plan.constant
+
+    def event(tally) -> None:
+        estimate = tally.total / tally.drawn
+        obs.event(
+            "montecarlo.batch",
+            samples=tally.drawn,
+            estimate=1.0 - estimate if plan.negate else estimate,
+            half_width=_half_width(tally.drawn, delta),
+        )
+
+    run = adaptive_mean(
+        partial(dnf_moments, plan.plan.clauses, plan.bits),
+        rng,
+        budget,
+        epsilon,
+        delta,
+        lanes=len(plan.bits),
+        adaptive=adaptive,
+        event=event,
+    )
+    obs.inc("montecarlo.samples", run.drawn)
+    return 1.0 - run.mean if plan.negate else run.mean
+
+
+def _sample_hamming(plan, rng, budget, epsilon, delta, adaptive) -> float:
+    """The batched path of :func:`estimate_reliability_hamming`."""
+    from repro.runtime.adaptive import adaptive_mean
+
+    def event(tally) -> None:
+        obs.event(
+            "montecarlo.hamming_batch",
+            samples=tally.drawn,
+            estimate=1.0 - tally.total / tally.drawn,
+            half_width=_half_width(tally.drawn, delta),
+        )
+
+    run = adaptive_mean(
+        partial(hamming_moments, plan),
+        rng,
+        budget,
+        epsilon,
+        delta,
+        lanes=len(plan.bits),
+        adaptive=adaptive,
+        event=event,
+    )
+    obs.inc("montecarlo.samples", run.drawn)
+    return 1.0 - run.mean

@@ -146,10 +146,11 @@ def analyze(
     default), ``chain`` (the default chain by default) and
     ``cost_model`` (a :class:`~repro.runtime.costmodel.CostModel`, a
     calibration-file path, or the active model) — so advice and
-    execution cannot drift apart.  ``adaptive`` makes the recommendation price the sequential
-    empirical-Bernstein stopper a ``run --adaptive`` would use: the
-    plan's sampling-engine forecasts then show expected versus
-    worst-case sample counts and surrogate-adjusted seconds.
+    execution cannot drift apart.  ``adaptive`` (default on, as in
+    ``run``) makes the recommendation price the sequential
+    empirical-Bernstein stopper: the plan's sampling-engine forecasts
+    then show expected versus worst-case sample counts and
+    surrogate-adjusted seconds.
     """
     from repro.runtime.costmodel import plan_chain
 

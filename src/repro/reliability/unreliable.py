@@ -18,7 +18,7 @@ from bisect import insort
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.relational.atoms import Atom
+from repro.relational.atoms import Atom, atom_key
 from repro.relational.structure import Structure
 from repro.util.errors import ProbabilityError, VocabularyError
 from repro.util.rationals import RationalLike, parse_probability
@@ -75,7 +75,7 @@ class UnreliableDatabase:
             for atom, probability in table.items():
                 if _uncertain(probability):
                     uncertain.append(atom)
-        self._uncertain: Tuple[Atom, ...] = tuple(sorted(uncertain, key=repr))
+        self._uncertain: Tuple[Atom, ...] = tuple(sorted(uncertain, key=atom_key))
         self._fingerprint: Optional[Tuple] = None
 
     # ------------------------------------------------------------------ #
@@ -127,7 +127,7 @@ class UnreliableDatabase:
             raise ProbabilityError(
                 "default_error == 1 flips every atom; enumerate explicitly"
             )
-        return tuple(sorted(flips, key=repr))
+        return tuple(sorted(flips, key=atom_key))
 
     def is_positive_only(self) -> bool:
         """True in de Rougemont's restricted model: errors only on facts.
@@ -230,7 +230,7 @@ class UnreliableDatabase:
         if removed or added:
             patched = [a for a in uncertain if a not in removed]
             for atom in added:
-                insort(patched, atom, key=repr)
+                insort(patched, atom, key=atom_key)
             uncertain = tuple(patched)
         return self._derived(structure, table, uncertain)
 

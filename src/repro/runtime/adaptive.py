@@ -5,23 +5,24 @@ worst-case Hoeffding bound, so a fixed-budget run burns the whole
 budget even when the empirical variance certifies the (epsilon, delta)
 guarantee long before.  This module adds the sequential alternative:
 
-* :func:`adaptive_mean` — the controller.  It draws samples in fixed
-  :data:`ADAPTIVE_BLOCK_BITS`-wide blocks through the bit-parallel
-  kernels, maintains both a Hoeffding and an empirical-Bernstein
-  (Maurer-Pontil) confidence interval, and stops at the first
-  checkpoint of a canonical geometric grid where the requested
-  guarantee holds.  Sequential validity comes from a union bound:
-  check ``t`` runs both bounds at level ``delta / (2 t (t + 1))``, so
-  the total failure probability over every checkpoint is below
-  ``delta`` — the stopped answer carries the *same* (epsilon, delta)
-  contract as the exhausted one.
+* :func:`adaptive_mean` — the one sampling driver.  It draws the
+  batches of :func:`~repro.kernels.sampling.sample_layout` through the
+  bit-parallel kernels' one sample loop and, at each check of the
+  layout's doubling grid, evaluates both a Hoeffding and an
+  empirical-Bernstein (Maurer-Pontil) confidence interval, stopping at
+  the first check where the requested guarantee holds.  Sequential
+  validity comes from a union bound: check ``t`` runs both bounds at
+  level ``delta / (2 t (t + 1))``, so the total failure probability
+  over every check is below ``delta`` — the stopped answer carries the
+  *same* (epsilon, delta) contract as the exhausted one.  With
+  ``adaptive=False`` the same batches run with the stop rule off: the
+  fixed worst-case budget.
 
-* Determinism.  Block ``j`` is always ``ADAPTIVE_BLOCK_BITS`` samples
-  wide (the last block truncates to the worst-case budget) and is
-  seeded by ``batch_rng(base, j)``; the stopping grid is a pure
-  function of the worst-case budget.  The answer is therefore a pure
-  function of (plan, seed, worst-case budget, epsilon, delta, mode),
-  bit-identical whether tracing is on or off.
+* Determinism.  The layout is a pure function of the worst-case budget
+  and the plan's column count, and batch ``j`` is seeded by
+  ``batch_rng(base, j)``.  The answer is therefore a pure function of
+  (plan, seed, worst-case budget, epsilon, delta, mode), bit-identical
+  whether tracing is on or off.
 
 * :class:`CostSurrogate` — the online feedback half.  Every stopped
   run records ``drawn / worst`` for its engine kind; the surrogate
@@ -47,13 +48,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro import obs
-from repro.kernels.sampling import run_batches, split_layout
+from repro.kernels.sampling import run_batches, sample_layout
 from repro.runtime.costmodel import CostModel
-
-#: Fixed width of one adaptive sampling block.  Every block except the
-#: last is exactly this many samples; the block index alone determines
-#: its stream (``batch_rng(base, index)``).
-ADAPTIVE_BLOCK_BITS = 256
 
 #: Stopping modes: ``additive`` certifies ``|estimate - mean| <=
 #: epsilon``; ``relative`` certifies ``|estimate - mean| <= epsilon *
@@ -68,20 +64,20 @@ REASONS = ("eb", "hoeffding", "exhausted")
 
 @dataclass(frozen=True)
 class AdaptiveRun:
-    """Outcome of one sequential run.
+    """Outcome of one sampling run.
 
-    ``mean`` is the plain sample mean of the drawn blocks (callers
+    ``mean`` is the plain sample mean of the drawn batches (callers
     rescale it to their estimator's units); ``half_width`` is the
-    confidence half-width at the stopping checkpoint (worst-case
-    ``inf`` when the budget was exhausted before the first check could
-    certify anything, which still satisfies the contract because the
-    exhausted budget is the Hoeffding worst case).
+    confidence half-width at the stopping check (``inf`` when the
+    budget was exhausted before any check could certify anything, or
+    the run was fixed-budget, which still satisfies the contract
+    because the exhausted budget is the worst case).
     """
 
     mean: float
     drawn: int
     worst: int
-    blocks: int
+    batches: int
     checks: int
     reason: str
     half_width: float
@@ -89,31 +85,6 @@ class AdaptiveRun:
     @property
     def saved(self) -> int:
         return self.worst - self.drawn
-
-
-def block_layout(worst: int) -> Tuple[Tuple[int, int], ...]:
-    """The fixed ``(index, width)`` blocks covering ``worst`` samples."""
-    if worst <= 0:
-        raise ValueError("worst-case budget must be positive")
-    return tuple(split_layout(worst, ADAPTIVE_BLOCK_BITS))
-
-
-def check_grid(total_blocks: int) -> Tuple[int, ...]:
-    """Cumulative block counts at which stopping is checked.
-
-    Geometric doubling (1, 2, 4, ...) plus the final block: O(log n)
-    checks keep the union-bound penalty small while still stopping
-    within a factor ~2 of the oracle stopping time.
-    """
-    if total_blocks <= 0:
-        raise ValueError("need at least one block")
-    grid = []
-    count = 1
-    while count < total_blocks:
-        grid.append(count)
-        count <<= 1
-    grid.append(total_blocks)
-    return tuple(grid)
 
 
 def sequential_delta(delta: float, check: int) -> float:
@@ -153,36 +124,53 @@ def adaptive_mean(
     draw: Callable[[random.Random, int], Tuple[float, float]],
     rng: random.Random,
     worst: int,
-    epsilon: float,
-    delta: float,
+    epsilon: Optional[float] = None,
+    delta: Optional[float] = None,
     mode: str = "additive",
     kind: str = "montecarlo",
+    lanes: int = 1,
+    adaptive: bool = True,
+    event: Optional[Callable] = None,
 ) -> AdaptiveRun:
-    """Sequentially estimate a [0, 1]-valued mean to (epsilon, delta).
+    """Estimate a [0, 1]-valued mean, sequentially to (epsilon, delta).
 
-    ``draw(batch_rng, width)`` returns one block's ``(sum, sum of
-    squares)`` of per-sample values in [0, 1], drawn from the block's
+    ``draw(batch_rng, width)`` returns one batch's ``(sum, sum of
+    squares)`` of per-sample values in [0, 1], drawn from the batch's
     own generator (the kernel workers do).  ``rng`` contributes one
-    ``getrandbits(64)``, the base of every block generator, as in a
-    fixed-budget run.  ``worst`` is the fixed-budget worst case — the
-    controller never draws more, so an adaptive run is never more
-    expensive than the run it replaces.  The blocks run through the
-    kernels' one sample loop (:func:`~repro.kernels.sampling.
-    run_batches`), which charges each block to the budget before
-    drawing it.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if mode not in MODES:
-        raise ValueError(f"unknown adaptive mode {mode!r}")
+    ``getrandbits(64)``, the base of every batch generator.  ``worst``
+    is the fixed-budget worst case, laid out by
+    :func:`~repro.kernels.sampling.sample_layout` for a plan of
+    ``lanes`` columns; the run never draws more, so an adaptive run is
+    never more expensive than the run it replaces.  The batches run
+    through the kernels' one sample loop (:func:`~repro.kernels.
+    sampling.run_batches`), which charges each batch to the budget
+    before drawing it.
 
-    layout = block_layout(worst)
+    ``adaptive=False`` switches the stop rule off: the run draws all
+    ``worst`` samples, and ``epsilon``/``delta`` are not needed.
+    ``event(tally)`` emits the estimator's convergence-trace record
+    after each batch while a recorder is on; ``kind`` names the
+    estimator on the ``kernels.batched`` span and, for adaptive runs,
+    in the surrogate.
+    """
+    if adaptive:
+        if epsilon is None or epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+        if delta is None or not 0.0 < delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
+        if mode not in MODES:
+            raise ValueError(f"unknown adaptive mode {mode!r}")
+
+    batches, grid = sample_layout(worst, lanes)
     trace = obs.enabled()
     checks = 0
     reason = "exhausted"
     half_width = math.inf
+
+    def on_batch(tally) -> None:
+        obs.inc("kernels.batches")
+        if trace and event is not None:
+            event(tally)
 
     def stop(tally) -> bool:
         nonlocal checks, reason, half_width
@@ -211,9 +199,9 @@ def adaptive_mean(
             reason = "eb" if bernstein <= hoeffding else "hoeffding"
         return stopped
 
-    with obs.span("adaptive.run", kind=kind, mode=mode, worst=worst):
+    with obs.span("kernels.batched", kernel=kind, worst=worst, adaptive=adaptive):
         tally = run_batches(
-            draw, rng, layout, stop=stop, grid=check_grid(len(layout))
+            draw, rng, batches, on_batch, stop if adaptive else None, grid
         )
 
     drawn = tally.drawn
@@ -222,11 +210,14 @@ def adaptive_mean(
         mean=mean,
         drawn=drawn,
         worst=worst,
-        blocks=tally.batches,
+        batches=tally.batches,
         checks=checks,
         reason=reason,
         half_width=half_width,
     )
+    obs.inc("kernels.batch_samples", drawn)
+    if not adaptive:
+        return run
     obs.inc("adaptive.runs")
     obs.inc("adaptive.batches", tally.batches)
     obs.inc("adaptive.samples_drawn", drawn)

@@ -70,8 +70,9 @@ EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.kernels.sampling", "kl_block_moments"): (
         "per-batch worker; run_batches charges checkpoint(samples=width)"
     ),
-    ("repro.runtime.adaptive", "check_grid"): (
-        "O(log blocks) doubling grid over an already-bounded budget"
+    ("repro.kernels.sampling", "sample_layout"): (
+        "O(log worst) doubling checks and the batches between them, over "
+        "an already-preflighted budget; run_batches charges each batch"
     ),
     ("repro.propositional.karp_luby", "_clause_weights"): (
         "one pass over the DNF clauses, bounded by the formula"

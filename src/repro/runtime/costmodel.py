@@ -606,8 +606,8 @@ def plan_chain(
     which is never consumed.  The returned
     :class:`~repro.runtime.plan.ChainPlan` names the selected engine —
     under ``max_atoms`` / ``max_samples`` caps, the engine the run
-    answers with.  ``adaptive`` prices the surrogate's expected
-    stopping.
+    answers with.  ``adaptive`` (default on, as in the run) prices the
+    surrogate's expected stopping.
     """
     from repro.runtime import plan
 

@@ -420,13 +420,14 @@ def run_with_fallback(
     event when observability is on — the raw material ``repro
     calibrate`` fits from.
 
-    ``adaptive`` (default off) switches the sampling engines to the
-    sequential empirical-Bernstein stopper of
+    ``adaptive`` (default on; ``None`` means on) runs the sampling
+    engines under the sequential empirical-Bernstein stopper of
     :mod:`repro.runtime.adaptive`: same (epsilon, delta) contract, the
     worst-case sample count as a never-exceeded cap, and the budget
-    only charged for samples actually drawn.  When a cost model is in
-    play it is wrapped so predicted seconds for the sampling engines
-    reflect the surrogate's expected stopping.
+    only charged for samples actually drawn.  ``adaptive=False`` draws
+    the fixed worst-case budget.  When a cost model is in play it is
+    wrapped so predicted seconds for the sampling engines reflect the
+    surrogate's expected stopping.
 
     The inputs are validated and the static decisions — model, chain
     order, dichotomy verdict — made once, by

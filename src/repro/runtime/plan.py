@@ -118,7 +118,7 @@ def make_plan(
     epsilon, delta)``, which a caller that keeps them (a serve
     :class:`~repro.serve.admission.PlanCache`) passes back instead of
     having them recomputed; the model and the chain order are still
-    decided here, per call.
+    decided here, per call.  ``adaptive`` defaults to on (``None``).
     """
     executor.check_quantity(quantity)
     if not chain:
@@ -136,7 +136,7 @@ def make_plan(
             "use quantity='reliability' for k-ary queries"
         )
     model = costmodel.resolve_model(cost_model)
-    adaptive = bool(adaptive)
+    adaptive = True if adaptive is None else bool(adaptive)
     if adaptive and model is not None:
         from repro.runtime.adaptive import surrogate_adjusted
 
@@ -333,6 +333,14 @@ def forecast(plan: Plan, budget) -> ChainPlan:
     expected stopping, while the sample preflights stay worst-case —
     exactly what the run reserves — and sampling forecasts carry
     ``expected_samples``/``worst_samples``.
+
+    Under a sample cap the forecast is exact for a fixed-budget plan
+    and one-sided for an adaptive one.  The forecast charges each
+    sampling attempt its worst case, and an adaptive run charges only
+    what it draws.  So the run finds at least as many samples left at
+    every preflight as the forecast did: it never selects an engine
+    later in the chain than the forecast, but it may answer with an
+    earlier engine that the forecast refused.
     """
     surrogate = None
     if plan.adaptive:

@@ -183,7 +183,7 @@ def assess(
     ladder: DegradationLadder,
     budget: Budget,
     cost_model=None,
-    adaptive: bool = False,
+    adaptive: bool = True,
     plans: Optional[PlanCache] = None,
 ) -> AdmissionDecision:
     """Decide one request's admission against the current backlog depth.

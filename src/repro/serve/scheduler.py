@@ -210,7 +210,7 @@ class Server:
         cost_model=None,
         scheduler=None,
         cache_dir=None,
-        adaptive: bool = False,
+        adaptive: bool = True,
     ):
         if pool_size < 1:
             raise ResourceError(f"pool_size must be >= 1, got {pool_size}")
@@ -235,7 +235,7 @@ class Server:
         self.cost_model = cost_model
         #: Sequential empirical-Bernstein stopping for every request's
         #: sampling engines, plus surrogate-priced admission forecasts
-        #: (see repro.runtime.adaptive).
+        #: (see repro.runtime.adaptive); off draws the fixed budget.
         self.adaptive = bool(adaptive)
         self.scheduler = scheduler if scheduler is not None else ThreadScheduler()
         self._backlog = Backlog(queue_capacity)

@@ -265,9 +265,9 @@ class TestPlanPickling:
             compile_hamming_plan,
             compile_truth_plan,
         )
-        from repro.kernels.sampling import (
-            sample_hamming_batches,
-            sample_truth_batches,
+        from repro.reliability.montecarlo import (
+            _sample_hamming,
+            _sample_truth,
         )
         from repro.reliability.exact import as_query
         from repro.reliability.grounding import ground_existential_to_dnf
@@ -278,12 +278,14 @@ class TestPlanPickling:
         plans = {
             "truth_plan": (
                 compile_truth_plan(triangle_db, query),
-                lambda plan: sample_truth_batches(plan, make_rng(1), 2000, 0.05),
+                lambda plan: _sample_truth(
+                    plan, make_rng(1), 2000, 0.05, 0.05, False
+                ),
             ),
             "hamming_plan": (
                 compile_hamming_plan(triangle_db, as_query("E(x, y) & S(y)")),
-                lambda plan: sample_hamming_batches(
-                    plan, make_rng(1), 2000, 0.05
+                lambda plan: _sample_hamming(
+                    plan, make_rng(1), 2000, 0.05, 0.05, False
                 ),
             ),
             "dnf_plan": (

@@ -212,3 +212,47 @@ class TestEvidenceConditioning:
         )
         den = triangle_db.nu(atom)
         assert joint == num / den
+
+
+def _string_database(rng):
+    """A seeded database over string elements, quotes and digits
+    included, so their reprs order differently from the strings."""
+    universe = sorted(
+        {rng.choice(["a", "B", "x'y", 'q"r', "10", "9", ""]) + str(i)
+         for i in range(rng.randint(2, 6))}
+    )
+    builder = StructureBuilder(universe)
+    builder.relation("E", 2).relation("S", 1)
+    mu = {}
+    for left in universe:
+        if rng.random() < 0.5:
+            builder.add("S", (left,))
+        mu[Atom("S", (left,))] = rng.choice(["1/4", "1", "0"])
+        for right in universe:
+            if rng.random() < 0.3:
+                builder.add("E", (left, right))
+            if rng.random() < 0.6:
+                mu[Atom("E", (left, right))] = rng.choice(["1/3", "1"])
+    return UnreliableDatabase(builder.build(), mu)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_atom_order_is_repr_order(seed):
+    from repro.workloads.random_db import random_unreliable_database
+
+    rng = make_rng(seed)
+    ints = random_unreliable_database(
+        rng, size=rng.randint(2, 12), relations={"E": 2, "S": 1},
+        density=0.4, uncertain_fraction=0.7,
+        error_choices=["1/8", "1/2", "1"],
+    )
+    for db in (ints, _string_database(rng)):
+        uncertain = db.uncertain_atoms()
+        assert list(uncertain) == sorted(uncertain, key=repr)
+        flips = db.certain_flips()
+        assert list(flips) == sorted(flips, key=repr)
+        # The patched index of with_errors keeps the same order.
+        atoms = list(db.structure.atoms())
+        extra = {rng.choice(atoms): "1/5" for _ in range(3)}
+        patched = db.with_errors(extra).uncertain_atoms()
+        assert list(patched) == sorted(patched, key=repr)

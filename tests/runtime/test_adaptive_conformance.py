@@ -253,13 +253,13 @@ def test_adaptive_saves_half_the_budget_on_karp_luby():
     assert abs(adaptive.estimate - exact) <= 2 * epsilon * exact
 
 
-def _kl_stop(dnf, probs):
+def _kl_stop(dnf, probs, epsilon):
     """One adaptive coverage run: ``(samples drawn, stop reason)``."""
     sink = ListSink()
     with use_surrogate(CostSurrogate()):
         with obs.use(StatsRecorder(sink=sink)):
             run = karp_luby(
-                dnf, probs, 0.1, 0.05, make_rng(2), adaptive=True,
+                dnf, probs, epsilon, 0.05, make_rng(2), adaptive=True,
             )
     (stop,) = sink.by_name("adaptive.stop")
     return run.samples, stop["fields"]["reason"]
@@ -270,15 +270,17 @@ def test_relative_stopper_uses_the_bernstein_bound(monkeypatch):
     on 8 variable-disjoint width-3 clauses with every ``p = 0.1`` the
     coverage estimator's variance is small, so the Bernstein bound
     certifies the estimate before the sequential Hoeffding bound can,
-    and the Hoeffding-only run draws more."""
+    and the Hoeffding-only run draws more.  The relative epsilon is
+    tight enough (0.04) that Hoeffding cannot certify at the layout's
+    first check too."""
     dnf = DNF(Clause(pos(f"v{c}_{i}") for i in range(3)) for c in range(8))
     probs = {variable: 0.1 for variable in dnf.variables}
-    samples, reason = _kl_stop(dnf, probs)
+    samples, reason = _kl_stop(dnf, probs, 0.04)
     assert reason == "eb"
     monkeypatch.setattr(
         adaptive_module, "bernstein_half_width", lambda *args: math.inf
     )
-    hoeffding_samples_drawn, hoeffding_reason = _kl_stop(dnf, probs)
+    hoeffding_samples_drawn, hoeffding_reason = _kl_stop(dnf, probs, 0.04)
     assert hoeffding_reason == "hoeffding"
     assert samples < hoeffding_samples_drawn, (samples, hoeffding_samples_drawn)
 

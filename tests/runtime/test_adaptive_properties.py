@@ -6,8 +6,11 @@ Hypothesis sweeps the knobs the unit tests pin:
   asking for a weaker guarantee can never cost more samples, because
   at any fixed checkpoint the data are identical and the stopping
   predicate is monotone in both parameters;
-* the controller never stops before the first canonical checkpoint
-  (one full block), and never draws past the worst case;
+* the controller never stops before the first check of the sample
+  layout, and never draws past the worst case;
+* the layout is canonical: a pure function of ``(worst, lanes)``
+  whose checks double from ``FIRST_CHECK`` and whose batches respect
+  ``pick_batch_bits``;
 * the unspent-budget refund is never negative and always accounts
   exactly: ``drawn + saved == worst``;
 * the surrogate's exponentially-weighted refit never degrades its
@@ -21,13 +24,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import math
+
 from repro import obs
+from repro.kernels.bitops import BATCH_BITS, pick_batch_bits
+from repro.kernels.sampling import FIRST_CHECK, sample_layout
 from repro.runtime.adaptive import (
-    ADAPTIVE_BLOCK_BITS,
     CostSurrogate,
     adaptive_mean,
-    block_layout,
-    check_grid,
     sequential_delta,
     use_surrogate,
 )
@@ -115,7 +119,7 @@ def test_never_stops_before_first_block_never_exceeds_worst(
     seed, p, worst, epsilon, delta
 ):
     result = run(seed, p, worst, epsilon, delta)
-    assert result.drawn >= min(worst, ADAPTIVE_BLOCK_BITS)
+    assert result.drawn >= min(worst, FIRST_CHECK)
     assert result.drawn <= worst
     assert result.checks >= 1
 
@@ -144,18 +148,48 @@ def test_refund_never_negative_and_accounts_exactly(
 
 
 @SETTINGS
-@given(worst=st.integers(1, 1 << 16))
-def test_block_layout_and_grid_are_canonical(worst):
-    layout = block_layout(worst)
-    assert sum(width for _, width in layout) == worst
-    assert all(
-        width == ADAPTIVE_BLOCK_BITS for _, width in layout[:-1]
-    )
-    assert [index for index, _ in layout] == list(range(len(layout)))
-    grid = check_grid(len(layout))
-    assert grid[0] == 1
-    assert grid[-1] == len(layout)
-    assert list(grid) == sorted(set(grid))
+@given(worst=st.integers(1, 1 << 18), lanes=st.integers(1, 1 << 16))
+def test_sample_layout_is_canonical(worst, lanes):
+    batches, grid = sample_layout(worst, lanes)
+    # A pure function of (worst, lanes).
+    assert sample_layout(worst, lanes) == (batches, grid)
+    widths = [width for _, width in batches]
+    assert sum(widths) == worst
+    assert [index for index, _ in batches] == list(range(len(batches)))
+    # Checks fall on the doubling grid from FIRST_CHECK, then worst.
+    doubling = list(grid[:-1])
+    assert doubling == [
+        FIRST_CHECK << shift for shift in range(len(doubling))
+    ]
+    assert grid[-1] == worst
+    assert all(check < worst for check in doubling)
+    assert 2 * doubling[-1] >= worst if doubling else worst <= FIRST_CHECK
+    # Every check is a batch boundary, and no batch is too wide.
+    ends = set()
+    drawn = 0
+    for width in widths:
+        drawn += width
+        ends.add(drawn)
+    assert set(grid) <= ends
+    cap = pick_batch_bits(worst, lanes)
+    assert max(widths) <= cap
+    assert len(batches) <= len(grid) + math.ceil(worst / cap)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    p=st.floats(0.0, 1.0),
+    worst=st.integers(1, 1 << 15),
+    epsilon=st.floats(0.02, 0.5),
+    delta=st.floats(0.01, 0.5),
+)
+def test_adaptive_run_batch_count_is_bounded(seed, p, worst, epsilon, delta):
+    # The bound the layout promises: checks + ceil(worst / BATCH_BITS)
+    # batches at most, for a plan narrow enough for full-width batches.
+    result = run(seed, p, worst, epsilon, delta)
+    _, grid = sample_layout(worst)
+    assert result.batches <= len(grid) + math.ceil(worst / BATCH_BITS)
 
 
 @SETTINGS

@@ -88,7 +88,8 @@ def test_run_classifies_the_query_once(monkeypatch):
 def test_walk_forecast_charges_a_refused_engines_draws():
     # Karp–Luby draws for the first answer tuples, then refuses one; the
     # Monte Carlo that follows has only what is left of the cap, in the
-    # forecast as in the run.
+    # forecast as in the run.  A fixed-budget run draws exactly what
+    # the forecast charges, so the two agree outcome for outcome.
     db = random_unreliable_database(
         make_rng(0), size=3, relations={"E": 2, "S": 1}, density=0.5
     )
@@ -98,7 +99,9 @@ def test_walk_forecast_charges_a_refused_engines_draws():
     def budget():
         return Budget(max_atoms=2, max_samples=cap)
 
-    plan = plan_chain(db, query, budget=budget(), epsilon=0.05, delta=0.3)
+    plan = plan_chain(
+        db, query, budget=budget(), epsilon=0.05, delta=0.3, adaptive=False
+    )
     fates = {f.engine: f for f in plan.forecasts}
     assert fates["karp_luby"].outcome == "cost_refused"
     drawn = fates["karp_luby"].worst_samples
@@ -106,8 +109,46 @@ def test_walk_forecast_charges_a_refused_engines_draws():
     assert fates["montecarlo"].outcome == "cost_refused"
     with pytest.raises(FallbackExhausted) as exc:
         run_with_fallback(
-            db, query, budget=budget(), epsilon=0.05, delta=0.3, rng=0
+            db, query, budget=budget(), epsilon=0.05, delta=0.3, rng=0,
+            adaptive=False,
         )
     assert [(a.engine, a.outcome) for a in exc.value.attempts] == [
         (f.engine, f.outcome) for f in plan.forecasts
     ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_adaptive_run_never_selects_later_than_its_forecast(seed):
+    # Under a sample cap the forecast charges each sampling attempt its
+    # worst case and an adaptive run only what it draws: the run may
+    # answer earlier in the chain than forecast, never later.
+    rng = make_rng(seed)
+    db = random_unreliable_database(
+        rng, size=rng.randint(2, 4), relations={"E": 2, "S": 1},
+        density=0.5,
+    )
+    text = rng.choice(["exists y. E(x, y)", "exists y. E(x, y) & S(y)"])
+    query = FOQuery(text, ["x"])
+    # A cap around Karp–Luby's worst-case total, where its forecast flips.
+    uncapped = plan_chain(
+        db, query, budget=Budget(max_atoms=2), epsilon=0.05, delta=0.3
+    )
+    (worst,) = [
+        f.worst_samples for f in uncapped.forecasts if f.engine == "karp_luby"
+    ]
+    cap = rng.randint(worst // 2, worst + worst // 2)
+
+    def budget():
+        return Budget(max_atoms=2, max_samples=cap)
+
+    plan = plan_chain(db, query, budget=budget(), epsilon=0.05, delta=0.3)
+    chain = list(plan.chain)
+    try:
+        result = run_with_fallback(
+            db, query, budget=budget(), epsilon=0.05, delta=0.3, rng=seed
+        )
+    except FallbackExhausted:
+        assert plan.selected is None
+        return
+    if plan.selected is not None:
+        assert chain.index(result.engine) <= chain.index(plan.selected)
