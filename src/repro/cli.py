@@ -15,9 +15,6 @@ Examples::
         --estimator padding
     python -m repro run db.txt "exists x y. E(x, y)" --deadline 5
     python -m repro run db.txt "exists x y. E(x, y)" --stats
-    python -m repro calibrate --out calibration.json
-    python -m repro run db.txt "exists x y. E(x, y)" \\
-        --calibration calibration.json
     python -m repro inspect db.txt
 
 Every subcommand accepts ``--stats`` (print engine-internal counters —
@@ -142,21 +139,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _calibration_model(args: argparse.Namespace):
-    """The cost model named by ``--calibration``, or ``None``.
-
-    A bad file degrades to the closed-form model inside
-    :func:`repro.runtime.costmodel.load_or_fallback` — the command
-    still runs (``costmodel.fallback`` counts the degradation).
-    """
-    path = getattr(args, "calibration", None)
-    if path is None:
-        return None
-    from repro.runtime import costmodel
-
-    return costmodel.load_or_fallback(path)
-
-
 def _adaptive_flag(args: argparse.Namespace) -> bool:
     """``--adaptive[=off|on]`` to the executor's boolean (default on)."""
     return getattr(args, "adaptive", None) != "off"
@@ -174,7 +156,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         rng=rng,
         epsilon=args.epsilon,
         delta=args.delta,
-        cost_model=_calibration_model(args),
         adaptive=_adaptive_flag(args),
     )
     print(report.render())
@@ -256,7 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
         rng=random.Random(args.seed),
-        cost_model=_calibration_model(args),
         adaptive=_adaptive_flag(args),
     )
     print(result.describe())
@@ -315,7 +295,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             threshold=args.breaker_threshold,
             cooldown=args.breaker_cooldown,
         ),
-        cost_model=_calibration_model(args),
         adaptive=_adaptive_flag(args),
     )
     responses = server.run(requests)
@@ -358,29 +337,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     request.validate()
     print(json.dumps(protocol.request_to_payload(request), sort_keys=True))
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.runtime import costmodel
-
-    model = costmodel.calibrate(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        rng=args.seed,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    model.save(args.out)
-    print(f"calibration written to {args.out}")
-    for name in sorted(model.engines):
-        calibration = model.engines[name]
-        print(
-            f"  {name}: {calibration.observations} observations, "
-            f"rmse {calibration.rmse:.3f} (log-seconds)"
-        )
-    if not model.engines:
-        print("  (no engine collected enough timings; closed forms apply)")
     return 0
 
 
@@ -649,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable estimators with this seed (omit to force exact)",
     )
     analyze_cmd.add_argument(
-        "--calibration",
-        metavar="PATH",
-        help="cost-model calibration file (from `repro calibrate`) used "
-        "for the run recommendation",
-    )
-    analyze_cmd.add_argument(
         "--adaptive",
         nargs="?",
         const="on",
@@ -699,12 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", type=float, default=0.05)
     run.add_argument("--delta", type=float, default=0.05)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--calibration",
-        metavar="PATH",
-        help="cost-model calibration file (from `repro calibrate`); "
-        "orders the chain by predicted cost within guarantee tiers",
-    )
     run.add_argument(
         "--adaptive",
         nargs="?",
@@ -771,11 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-circuit cooldown before a half-open probe",
     )
     serve.add_argument(
-        "--calibration",
-        metavar="PATH",
-        help="cost-model calibration file used for admission forecasts",
-    )
-    serve.add_argument(
         "--adaptive",
         nargs="?",
         const="on",
@@ -828,30 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scripted arrival offset (server replays arrivals in order)",
     )
     submit.set_defaults(handler=_cmd_submit)
-
-    calibrate_cmd = sub.add_parser(
-        "calibrate",
-        help="fit per-engine cost models on a seeded workload and save "
-        "a calibration file for `run`/`analyze` --calibration",
-        parents=[observability],
-    )
-    calibrate_cmd.add_argument(
-        "--out",
-        default="calibration.json",
-        metavar="PATH",
-        help="calibration file to write (default: calibration.json)",
-    )
-    calibrate_cmd.add_argument("--epsilon", type=float, default=0.1)
-    calibrate_cmd.add_argument("--delta", type=float, default=0.1)
-    calibrate_cmd.add_argument("--seed", type=int, default=0)
-    calibrate_cmd.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="times each workload case is run per engine (mixes cold- "
-        "and warm-cache timings)",
-    )
-    calibrate_cmd.set_defaults(handler=_cmd_calibrate)
 
     inspect = sub.add_parser(
         "inspect", help="summarise a database file", parents=[observability]

@@ -8,9 +8,7 @@ plan from scratch.  Compiled plans are pure artefacts of the
 lesson: plans are reusable per (query, schema)), so this module stores
 them on disk and lets a second process start warm.
 
-Design mirrors the costmodel calibration-file contract
-(:mod:`repro.runtime.costmodel`): **a bad file never takes a run
-down.**  Every envelope is schema-versioned; corrupt, truncated,
+Design contract: **a bad file never takes a run down.**  Every envelope is schema-versioned; corrupt, truncated,
 version-mismatched, foreign, or concurrently-half-written files are
 counted (``kernels.cache.persist.invalid``) and ignored — the caller
 falls back to a cold compile exactly as if the file were absent.

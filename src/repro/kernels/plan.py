@@ -33,11 +33,18 @@ from repro.kernels.cache import compilation_cache
 from repro.logic.evaluator import FOQuery
 from repro.logic.fo import Formula
 from repro.propositional.formula import DNF
+from repro.relational.atoms import Atom, atom_key
 from repro.util.errors import CostRefused, QueryError
 
 # A compiled clause: (positive column indices, negative column indices),
 # or None for a contradictory clause (mask 0, never satisfiable).
 CompiledClause = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+def _variable_key(variable) -> str:
+    """The column order, ``repr(variable)``: :func:`atom_key` builds it
+    for atoms; propositional DNFs also use strings."""
+    return atom_key(variable) if type(variable) is Atom else repr(variable)
 
 
 def satisfied_mask(
@@ -114,7 +121,7 @@ class DnfPlan:
     __slots__ = ("variables", "clauses")
 
     def __init__(self, dnf: DNF):
-        self.variables = tuple(sorted(dnf.variables, key=repr))
+        self.variables = tuple(sorted(dnf.variables, key=_variable_key))
         index = {variable: i for i, variable in enumerate(self.variables)}
         self.clauses = _compile_clauses(dnf, index)
 
@@ -240,7 +247,7 @@ def _hamming_plan(db, query: FOQuery) -> HammingPlan:
         if isinstance(target, bool):
             tuples.append(HammingTuple(None, observed, target))
             continue
-        for variable in sorted(target.variables, key=repr):
+        for variable in sorted(target.variables, key=_variable_key):
             if variable not in index:
                 index[variable] = len(variables)
                 variables.append(variable)

@@ -144,8 +144,8 @@ def analyze(
     the engine :func:`repro.runtime.run_with_fallback` would select for
     the same request, forecast under ``budget`` (the active budget by
     default), ``chain`` (the default chain by default) and
-    ``cost_model`` (a :class:`~repro.runtime.costmodel.CostModel`, a
-    calibration-file path, or the active model) — so advice and
+    ``cost_model`` (a :class:`~repro.runtime.costmodel.CostModel`, or
+    the active model) — so advice and
     execution cannot drift apart.  ``adaptive`` (default on, as in
     ``run``) makes the recommendation price the sequential
     empirical-Bernstein stopper: the plan's sampling-engine forecasts

@@ -71,8 +71,7 @@ lazy_exports(
             "inject", "VirtualScheduler",
         ),
         ".costmodel": (
-            "CostModel", "plan_chain", "plan_features", "calibrate",
-            "load_or_fallback",
+            "CostModel", "plan_chain", "plan_features",
         ),
     },
     submodules=("executor", "faults", "costmodel"),
@@ -109,6 +108,4 @@ __all__ = [
     "CostModel",
     "plan_chain",
     "plan_features",
-    "calibrate",
-    "load_or_fallback",
 ]

@@ -368,9 +368,9 @@ class SurrogateAdjustedModel(CostModel):
     """A :class:`CostModel` whose sampling forecasts expect stopping.
 
     Wraps a base model: predicted seconds for the sampling engines are
-    multiplied by the surrogate's expected shrink fraction; everything
-    else — calibration provenance, chain ordering policy — delegates
-    to :class:`CostModel` semantics via the adjusted predictions.
+    multiplied by the surrogate's expected shrink fraction; chain
+    ordering keeps :class:`CostModel` semantics over the adjusted
+    predictions.
     :func:`repro.runtime.plan.make_plan` builds this wrapper once per
     plan, for the run and its forecast alike, which is what keeps
     analyze/run agreement exact with adaptivity on.
@@ -379,7 +379,6 @@ class SurrogateAdjustedModel(CostModel):
     __slots__ = ("base", "surrogate")
 
     def __init__(self, base: CostModel, surrogate: CostSurrogate):
-        super().__init__(base.engines, base.source)
         self.base = base
         self.surrogate = surrogate
 

@@ -41,7 +41,6 @@ dispatch, :func:`execute`, which forecasts also run with stub engines.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -287,22 +286,6 @@ def static_skip_detail(name: str, verdict) -> Optional[str]:
     return None
 
 
-def _record_prediction_error(model, engine, features, elapsed, emit) -> None:
-    """Mirror a successful attempt's predicted-vs-observed cost into ``emit``.
-
-    ``costmodel.prediction_error`` is the absolute log10 ratio of
-    observed to predicted seconds (0 = perfect, 1 = off by 10x) — the
-    quantity the calibration smoke lane bounds.
-    """
-    predicted = model.predict_seconds(engine, features)
-    emit.inc("costmodel.predictions")
-    if not (predicted > 0 and math.isfinite(predicted)):
-        return
-    ratio = max(elapsed, 1e-9) / predicted
-    emit.observe("costmodel.prediction_error", abs(math.log10(ratio)))
-    emit.gauge("costmodel.last_ratio", ratio)
-
-
 def report_attempt(plan, attempt: Attempt, counter: str = "", emit=obs) -> None:
     """Mirror one finished attempt of the walk into ``emit``;
     ``counter`` is a failure's :func:`classify_failure` one."""
@@ -324,10 +307,6 @@ def report_attempt(plan, attempt: Attempt, counter: str = "", emit=obs) -> None:
             outcome=attempt.outcome,
             seconds=attempt.elapsed,
             **plan.features,
-        )
-    if attempt.outcome == "ok" and plan.model is not None:
-        _record_prediction_error(
-            plan.model, attempt.engine, plan.features, attempt.elapsed, emit
         )
 
 
@@ -410,15 +389,13 @@ def run_with_fallback(
     queries only).  ``epsilon``/``delta`` parameterize the sampling
     engines; ``rng`` is a ``random.Random`` or bare seed.
 
-    ``cost_model`` is a :class:`repro.runtime.costmodel.CostModel`, a
-    calibration-file path, or ``None`` (the module-level active model;
-    usually none is installed).  With a model, the chain is re-ordered
-    by predicted cost *within guarantee tiers* before the walk (see
-    docs/ROBUSTNESS.md); without one, the chain runs exactly as given.
-    Prediction errors surface as ``costmodel.*`` metrics, and every
-    attempt's features/timing become a ``runtime.attempt.cost`` trace
-    event when observability is on — the raw material ``repro
-    calibrate`` fits from.
+    ``cost_model`` is a :class:`repro.runtime.costmodel.CostModel` or
+    ``None`` (the module-level active model; usually none is
+    installed).  With a model, the chain is re-ordered by predicted
+    cost *within guarantee tiers* before the walk (see
+    docs/ROBUSTNESS.md, "Chain order"); without one, the chain runs
+    exactly as given.  Every attempt's features and timing become a
+    ``runtime.attempt.cost`` trace event when observability is on.
 
     ``adaptive`` (default on; ``None`` means on) runs the sampling
     engines under the sequential empirical-Bernstein stopper of

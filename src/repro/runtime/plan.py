@@ -135,7 +135,7 @@ def make_plan(
             "quantity='probability' needs a Boolean (0-ary) query; "
             "use quantity='reliability' for k-ary queries"
         )
-    model = costmodel.resolve_model(cost_model)
+    model = costmodel.active_model() if cost_model is None else cost_model
     adaptive = True if adaptive is None else bool(adaptive)
     if adaptive and model is not None:
         from repro.runtime.adaptive import surrogate_adjusted

@@ -1,7 +1,7 @@
 """Per-engine circuit breakers for the serve scheduler.
 
-An engine that keeps timing out (a stalled external resource, a bad
-calibration making every slice too short) should stop being *tried*:
+An engine that keeps timing out (a stalled external resource, a
+deadline too short for every slice) should stop being *tried*:
 each failed attempt burns a slice of every request's deadline.  The
 breaker watches the executor's per-attempt outcomes and takes a
 repeatedly-failing engine out of the launch chain:

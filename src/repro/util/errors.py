@@ -77,16 +77,6 @@ class CostRefused(ResourceError):
         self.limit = limit
 
 
-class CalibrationError(ResourceError):
-    """A cost-model calibration file is missing, stale, or corrupt.
-
-    Raised by :func:`repro.runtime.costmodel.load_calibration`; the
-    executor-facing loader catches it and degrades to the closed-form
-    cost model (``costmodel.fallback`` counter), so a bad calibration
-    file can never crash ``run`` or ``analyze``.
-    """
-
-
 class FallbackExhausted(ResourceError):
     """Every engine in a fallback chain failed or was refused.
 

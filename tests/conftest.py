@@ -33,8 +33,8 @@ def _fresh_kernel_caches():
 def _no_active_cost_model():
     """Keep the module-level cost model inert between tests.
 
-    A test that installs a calibrated model must not silently reorder
-    the executor chains of every later test in the process.
+    A test that installs a cost model must not silently reorder the
+    executor chains of every later test in the process.
     """
     from repro.runtime import costmodel
 

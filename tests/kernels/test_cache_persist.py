@@ -1,7 +1,6 @@
 """The persistent compilation-cache tier: fallback, counters, lifecycle.
 
-The contract mirrors the costmodel calibration-file one: **a bad cache
-file never takes a run down.**  Corrupt, truncated, version-mismatched,
+The contract: **a bad cache file never takes a run down.**  Corrupt, truncated, version-mismatched,
 foreign, and concurrently-half-written envelopes all fall back to a
 cold compile (counted ``kernels.cache.persist.invalid``), and a disk
 hit fills the memory tier *without* counting a compile miss — the

@@ -148,6 +148,27 @@ def _small_dnf():
     return dnf, probs
 
 
+@pytest.mark.parametrize(
+    "variables",
+    [
+        # repr order differs from dataclass order: "E" < "S" both ways,
+        # but 10 sorts before 9 and quoted strings after ints in repr.
+        [Atom("S", (9,)), Atom("E", (10, 2)), Atom("S", (10,)),
+         Atom("E", ("a", 1)), Atom("E", (9, 2)), Atom("R", ())],
+        ["x10", "x9", "b", "a", "x1"],
+    ],
+    ids=["atoms", "strings"],
+)
+def test_dnf_plan_columns_are_in_repr_order(variables):
+    from repro.kernels.plan import DnfPlan
+
+    dnf = DNF(
+        Clause([Literal(v, True), Literal(w, i % 2 == 0)])
+        for i, (v, w) in enumerate(zip(variables, variables[1:]))
+    )
+    assert DnfPlan(dnf).variables == tuple(sorted(dnf.variables, key=repr))
+
+
 def test_karp_luby_agrees_with_exact():
     from repro.propositional.counting import probability_enumerate
 

@@ -1,42 +1,25 @@
-"""Cost-model unit tests: features, fitting, persistence, fallback.
+"""Cost-model unit tests: features, the closed-form scorer, ordering."""
 
-The regression class pins the satellite contract: a stale, corrupt, or
-partial calibration file degrades to closed-form predictions with a
-``costmodel.fallback`` counter — it never crashes ``run`` or
-``analyze``.
-"""
-
-import json
 import math
 import random
-
-import pytest
 
 from repro import obs
 from repro.logic.evaluator import FOQuery
 from repro.obs.recorder import StatsRecorder
 from repro.obs.sink import ListSink
-from repro.reliability.report import analyze
-from repro.runtime import costmodel
 from repro.runtime.budget import Budget
 from repro.runtime.costmodel import (
-    CALIBRATION_VERSION,
+    CLOSED_FORM_UNIT_SECONDS,
     FEATURE_NAMES,
     CostModel,
-    CostObservation,
-    EngineCalibration,
     engine_guarantee,
-    fit,
-    fit_from_trace,
-    load_calibration,
-    load_or_fallback,
     plan_chain,
     plan_features,
     static_cost,
 )
 from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
-from repro.util.errors import CalibrationError
 from repro.workloads.random_db import random_unreliable_database
+from tests.cost_tables import TableModel
 
 EXISTENTIAL = "exists x. exists y. E(x, y) & S(y)"
 
@@ -45,19 +28,6 @@ def small_db(seed=7, size=4):
     return random_unreliable_database(
         random.Random(seed), size=size, relations={"E": 2, "S": 1}, density=0.4
     )
-
-
-def fitted_model(scale=1.0):
-    """A deterministic synthetic fit: engine i costs scale * i seconds."""
-    observations = []
-    base = {name: 1.0 for name in FEATURE_NAMES}
-    for rank, engine in enumerate(DEFAULT_CHAIN, start=1):
-        for jitter in (0.9, 1.0, 1.1, 1.2):
-            features = dict(base, atoms=jitter * 3)
-            observations.append(
-                CostObservation(engine, scale * rank * jitter, features)
-            )
-    return fit(observations)
 
 
 class TestPlanFeatures:
@@ -94,6 +64,17 @@ class TestPlanFeatures:
         features = plan_features(db, Opaque())
         assert features["clauses"] == 0.0
 
+    def test_executor_emits_attempt_cost_events(self):
+        db = small_db()
+        sink = ListSink()
+        with obs.use(StatsRecorder(sink=sink)):
+            run_with_fallback(db, EXISTENTIAL, rng=3)
+        events = sink.by_name("runtime.attempt.cost")
+        assert events, "executor should trace attempt costs when recording"
+        fields = events[-1]["fields"]
+        assert fields["outcome"] == "ok"
+        assert set(FEATURE_NAMES) <= set(fields)
+
 
 class TestGuaranteeTiers:
     def test_karp_luby_tier_depends_on_quantity(self):
@@ -106,158 +87,14 @@ class TestGuaranteeTiers:
         assert engine_guarantee("montecarlo") == "additive"
 
 
-class TestFit:
-    def test_fit_orders_engines_by_observed_cost(self):
-        model = fitted_model()
-        features = {name: 1.0 for name in FEATURE_NAMES}
-        predictions = [
-            model.predict_seconds(engine, features) for engine in DEFAULT_CHAIN
-        ]
-        assert predictions == sorted(predictions)
-
-    def test_underobserved_engine_stays_uncalibrated(self):
-        features = {name: 1.0 for name in FEATURE_NAMES}
-        model = fit([CostObservation("exact", 0.5, features)])
-        assert not model.calibrated("exact")
-        # Closed-form fallback still predicts something sortable.
-        assert math.isfinite(model.predict_seconds("exact", features))
-
-    def test_fit_from_trace_uses_only_ok_attempts(self):
-        features = {name: 2.0 for name in FEATURE_NAMES}
-        records = []
-        for seconds in (0.1, 0.2, 0.3, 0.4):
-            records.append(
-                {
-                    "type": "event",
-                    "name": "runtime.attempt.cost",
-                    "fields": dict(
-                        features, engine="montecarlo", outcome="ok",
-                        seconds=seconds,
-                    ),
-                }
+class TestClosedForm:
+    def test_model_prices_static_cost(self):
+        features = plan_features(small_db(), FOQuery(EXISTENTIAL))
+        model = CostModel()
+        for engine in DEFAULT_CHAIN:
+            assert model.predict_seconds(engine, features) == (
+                static_cost(engine, features) * CLOSED_FORM_UNIT_SECONDS
             )
-        # Refused attempts must not train the model.
-        for _ in range(10):
-            records.append(
-                {
-                    "type": "event",
-                    "name": "runtime.attempt.cost",
-                    "fields": dict(
-                        features, engine="exact", outcome="cost_refused",
-                        seconds=1e-6,
-                    ),
-                }
-            )
-        model = fit_from_trace(records)
-        assert model.calibrated("montecarlo")
-        assert not model.calibrated("exact")
-
-    def test_executor_emits_trainable_cost_events(self):
-        db = small_db()
-        sink = ListSink()
-        with obs.use(StatsRecorder(sink=sink)):
-            run_with_fallback(db, EXISTENTIAL, rng=3)
-        events = sink.by_name("runtime.attempt.cost")
-        assert events, "executor should trace attempt costs when recording"
-        fields = events[-1]["fields"]
-        assert fields["outcome"] == "ok"
-        assert set(FEATURE_NAMES) <= set(fields)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        model = fitted_model()
-        path = tmp_path / "calibration.json"
-        model.save(path)
-        loaded = load_calibration(path)
-        assert set(loaded.engines) == set(model.engines)
-        features = {name: 3.0 for name in FEATURE_NAMES}
-        for engine in model.engines:
-            assert loaded.predict_seconds(engine, features) == pytest.approx(
-                model.predict_seconds(engine, features)
-            )
-
-    def test_missing_file_raises_calibration_error(self, tmp_path):
-        with pytest.raises(CalibrationError):
-            load_calibration(tmp_path / "absent.json")
-
-    def test_stale_version_raises_calibration_error(self, tmp_path):
-        path = tmp_path / "stale.json"
-        payload = fitted_model().to_payload()
-        payload["version"] = CALIBRATION_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CalibrationError, match="stale"):
-            load_calibration(path)
-
-
-class TestCalibrationFallback:
-    """Satellite: corrupt calibration degrades, counts, never crashes."""
-
-    def _counter(self, recorder, name):
-        return recorder.summary().get("counters", {}).get(name, 0)
-
-    def test_corrupt_json_falls_back_and_counts(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not json at all")
-        with obs.use(StatsRecorder()) as recorder:
-            model = load_or_fallback(path)
-        assert model.engines == {}
-        assert self._counter(recorder, "costmodel.fallback") == 1
-
-    def test_partial_file_keeps_valid_engines(self, tmp_path):
-        payload = fitted_model().to_payload()
-        payload["engines"]["exact"]["weights"] = ["oops"]
-        payload["engines"]["safe_lifted"]["weights"] = [float("nan")] * (
-            len(FEATURE_NAMES) + 1
-        )
-        path = tmp_path / "partial.json"
-        path.write_text(json.dumps(payload))
-        with obs.use(StatsRecorder()) as recorder:
-            model = load_or_fallback(path)
-        assert not model.calibrated("exact")
-        assert not model.calibrated("safe_lifted")
-        assert model.calibrated("karp_luby")
-        assert model.calibrated("montecarlo")
-        assert self._counter(recorder, "costmodel.fallback") == 2
-
-    @pytest.mark.parametrize(
-        "content",
-        ["", "[1, 2, 3]", '{"version": 999}', '{"version": 1, "engines": 3}'],
-    )
-    def test_run_and_analyze_never_crash_on_bad_calibration(
-        self, tmp_path, content
-    ):
-        path = tmp_path / "bad.json"
-        path.write_text(content)
-        db = small_db()
-        result = run_with_fallback(db, EXISTENTIAL, rng=1, cost_model=path)
-        assert 0.0 <= result.value <= 1.0
-        report = analyze(db, FOQuery(EXISTENTIAL), cost_model=path)
-        assert report.recommended_engine == result.engine
-
-    def test_bad_calibration_preserves_guarantee_tiers(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("corrupt")
-        db = random_unreliable_database(
-            random.Random(0),
-            size=6,
-            relations={"E": 2, "S": 1},
-            density=0.8,
-        )
-        assert len(db.uncertain_atoms()) > 20  # exact must be refused
-        result = run_with_fallback(db, EXISTENTIAL, rng=1, cost_model=path)
-        # The cold model predicts from the closed forms, which may swap
-        # engines *within* a tier (lifted's polynomial beats exact's
-        # 2^atoms) but never across tiers: every exact-tier attempt must
-        # precede every approximate attempt.
-        tiers = [
-            engine_guarantee(a.engine, "reliability") for a in result.attempts
-        ]
-        first_approx = next(
-            (i for i, tier in enumerate(tiers) if tier != "exact"), len(tiers)
-        )
-        assert all(tier == "exact" for tier in tiers[:first_approx])
-        assert all(tier != "exact" for tier in tiers[first_approx:])
 
 
 class TestOrderChain:
@@ -268,13 +105,31 @@ class TestOrderChain:
             result = run_with_fallback(db, EXISTENTIAL, rng=2)
         assert tuple(a.engine for a in result.attempts)[0] == "safe_lifted"
 
+    def test_static_model_preserves_guarantee_tiers(self):
+        db = random_unreliable_database(
+            random.Random(0),
+            size=6,
+            relations={"E": 2, "S": 1},
+            density=0.8,
+        )
+        assert len(db.uncertain_atoms()) > 20  # exact must be refused
+        result = run_with_fallback(
+            db, EXISTENTIAL, rng=1, cost_model=CostModel()
+        )
+        # The closed forms may swap engines *within* a tier (lifted's
+        # polynomial beats exact's 2^atoms) but never across tiers:
+        # every exact-tier attempt must precede every approximate one.
+        tiers = [
+            engine_guarantee(a.engine, "reliability") for a in result.attempts
+        ]
+        first_approx = next(
+            (i for i, tier in enumerate(tiers) if tier != "exact"), len(tiers)
+        )
+        assert all(tier == "exact" for tier in tiers[:first_approx])
+        assert all(tier != "exact" for tier in tiers[first_approx:])
+
     def test_order_chain_respects_tiers_with_adversarial_weights(self):
-        width = len(FEATURE_NAMES) + 1
-        engines = {
-            "exact": EngineCalibration((float("inf"),) * width, 9, 0.0),
-            "montecarlo": EngineCalibration((-1e300,) * width, 9, 0.0),
-        }
-        model = CostModel(engines)
+        model = TableModel({"exact": math.inf, "montecarlo": -1e300})
         features = {name: 1.0 for name in FEATURE_NAMES}
         ordered = model.order_chain(DEFAULT_CHAIN, features, "reliability")
         tiers = [engine_guarantee(name, "reliability") for name in ordered]
@@ -282,16 +137,10 @@ class TestOrderChain:
         assert sorted(ordered) == sorted(DEFAULT_CHAIN)
 
     def test_calibrated_model_reorders_within_additive_tier(self):
-        # montecarlo observed much cheaper than karp_luby: it must move
-        # ahead of karp_luby, but never ahead of the exact tier.
-        observations = []
+        # montecarlo priced far below karp_luby: it must move ahead of
+        # karp_luby, but never ahead of the exact tier.
         features = {name: 1.0 for name in FEATURE_NAMES}
-        for seconds, engine in ((0.001, "montecarlo"), (1.0, "karp_luby")):
-            for jitter in (0.9, 1.0, 1.1):
-                observations.append(
-                    CostObservation(engine, seconds * jitter, features)
-                )
-        model = fit(observations)
+        model = TableModel({"montecarlo": 0.001, "karp_luby": 1.0})
         ordered = model.order_chain(DEFAULT_CHAIN, features, "reliability")
         assert ordered == ("safe_lifted", "exact", "montecarlo", "karp_luby")
         # On probabilities Karp-Luby is *relative*: a stronger tier than
@@ -301,8 +150,10 @@ class TestOrderChain:
 
     def test_executor_uses_calibrated_order(self):
         db = small_db()
-        model = fitted_model()
-        # Make lifted far cheaper than exact within the exact tier.
+        # Engine i of the default chain costs i seconds.
+        model = TableModel(
+            {engine: float(i) for i, engine in enumerate(DEFAULT_CHAIN, 1)}
+        )
         features = plan_features(db, FOQuery(EXISTENTIAL))
         ordered = model.order_chain(DEFAULT_CHAIN, features, "reliability")
         result = run_with_fallback(db, EXISTENTIAL, rng=5, cost_model=model)
@@ -339,14 +190,3 @@ class TestPlanChain:
         for engine in DEFAULT_CHAIN:
             cost = static_cost(engine, features)
             assert math.isfinite(cost) and cost > 0
-
-
-class TestCalibrate:
-    def test_calibrate_produces_a_usable_model(self):
-        model = costmodel.calibrate(seed=11, repeats=1)
-        assert model.engines, "seeded workload should calibrate engines"
-        db = small_db()
-        features = plan_features(db, FOQuery(EXISTENTIAL))
-        for engine in model.engines:
-            predicted = model.predict_seconds(engine, features)
-            assert math.isfinite(predicted) and predicted > 0

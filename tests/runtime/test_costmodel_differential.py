@@ -7,7 +7,7 @@ cost models, then asserts three contracts:
     (the one ``repro analyze`` prints) is exactly the engine
     :func:`run_with_fallback` selects under the same inputs, and a
     forecast of "nothing runs" coincides with :class:`FallbackExhausted`.
-(b) **tier safety** — calibrated ordering permutes engines only within
+(b) **tier safety** — model ordering permutes engines only within
     guarantee tiers; every exact-tier attempt precedes every approximate
     attempt, under every model including adversarial ones.
 (c) **oracle agreement** — whichever engine answers agrees with the
@@ -26,18 +26,11 @@ import pytest
 from repro.logic.evaluator import FOQuery
 from repro.reliability.exact import reliability, truth_probability
 from repro.runtime.budget import Budget
-from repro.runtime.costmodel import (
-    FEATURE_NAMES,
-    CostModel,
-    CostObservation,
-    EngineCalibration,
-    engine_guarantee,
-    fit,
-    plan_chain,
-)
+from repro.runtime.costmodel import CostModel, engine_guarantee, plan_chain
 from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
 from repro.util.errors import FallbackExhausted
 from repro.workloads.random_db import random_unreliable_database
+from tests.cost_tables import TableModel
 
 # (text, free variables, allow-probability) — spans the safe-plan
 # fragment, unsafe CQs, non-CQ connectives, universal sentences, k-ary
@@ -57,28 +50,22 @@ CASE_COUNT = 220
 
 
 def _synthetic_model(rng):
-    """A plausibly-fitted model with randomized per-engine scales."""
-    observations = []
-    features = {name: 1.0 for name in FEATURE_NAMES}
-    for engine in DEFAULT_CHAIN:
-        scale = rng.uniform(1e-4, 1e-1)
-        for jitter in (0.8, 1.0, 1.25):
-            observations.append(
-                CostObservation(engine, scale * jitter, dict(features))
-            )
-    return fit(observations)
+    """A plausible model with randomized per-engine seconds."""
+    return TableModel(
+        {engine: rng.uniform(1e-4, 1e-1) for engine in DEFAULT_CHAIN}
+    )
 
 
 def _adversarial_model(rng):
-    """Hand-built calibrations with hostile weights (inf/NaN/huge)."""
-    width = len(FEATURE_NAMES) + 1
+    """Hostile predictions (inf/NaN/huge) for a random engine subset."""
     hostile = [float("inf"), float("-inf"), float("nan"), 1e300, -1e300, 0.0]
-    engines = {}
-    for engine in DEFAULT_CHAIN:
-        if rng.random() < 0.7:
-            weights = tuple(rng.choice(hostile) for _ in range(width))
-            engines[engine] = EngineCalibration(weights, 5, 0.0)
-    return CostModel(engines, source="adversarial")
+    return TableModel(
+        {
+            engine: rng.choice(hostile)
+            for engine in DEFAULT_CHAIN
+            if rng.random() < 0.7
+        }
+    )
 
 
 def _make_case(index):
@@ -111,12 +98,12 @@ def _make_case(index):
         )
     else:  # starved: likely nothing can run except (maybe) lifted
         budget = Budget(max_atoms=rng.randint(1, 2), max_samples=rng.randint(1, 5))
-    model_kind = rng.choice(["none", "cold", "fitted", "adversarial"])
+    model_kind = rng.choice(["none", "cold", "table", "adversarial"])
     if model_kind == "none":
         model = None
     elif model_kind == "cold":
         model = CostModel()
-    elif model_kind == "fitted":
+    elif model_kind == "table":
         model = _synthetic_model(rng)
     else:
         model = _adversarial_model(rng)
@@ -278,17 +265,7 @@ def test_reordering_changes_selection_only_within_tiers():
     )
     query = FOQuery("forall x. exists y. E(x, y)")  # non-CQ: lifted out
     budget = Budget(max_atoms=2)  # exact out too
-    features = {name: 1.0 for name in FEATURE_NAMES}
-    cheap_mc = fit(
-        [
-            CostObservation("karp_luby", 1.0 * j, dict(features))
-            for j in (0.9, 1.0, 1.1)
-        ]
-        + [
-            CostObservation("montecarlo", 0.001 * j, dict(features))
-            for j in (0.9, 1.0, 1.1)
-        ]
-    )
+    cheap_mc = TableModel({"karp_luby": 1.0, "montecarlo": 0.001})
     plan = plan_chain(db, query, budget=budget, cost_model=cheap_mc)
     result = run_with_fallback(
         db, query, budget=Budget(max_atoms=2), rng=7, cost_model=cheap_mc

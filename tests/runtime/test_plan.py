@@ -20,6 +20,7 @@ from repro.runtime.executor import DEFAULT_CHAIN, run_with_fallback
 from repro.util.errors import FallbackExhausted
 from repro.util.rng import make_rng
 from repro.workloads.random_db import random_unreliable_database
+from tests.cost_tables import TableModel
 
 SAFE = "exists x. exists y. E(x, y) & S(y)"
 UNSAFE = "exists x. exists y. E(x, y) & S(x) & S(y)"
@@ -31,22 +32,17 @@ def _db():
     )
 
 
-def _fitted_model():
-    """Calibrated for every engine, cheapest first: forecasts never fall
-    back to the closed form, and planning never reorders the chain."""
-    features = {name: 1.0 for name in costmodel.FEATURE_NAMES}
-    return costmodel.fit([
-        costmodel.CostObservation(engine, scale * jitter, dict(features))
-        for engine, scale in zip(DEFAULT_CHAIN, (1e-4, 1e-3, 1e-2, 1e-1))
-        for jitter in (0.8, 1.0, 1.25)
-    ])
+def _table_model():
+    """Priced for every engine, cheapest first: planning never reorders
+    the chain."""
+    return TableModel(dict(zip(DEFAULT_CHAIN, (1e-4, 1e-3, 1e-2, 1e-1))))
 
 
-@pytest.mark.parametrize("fitted", [True, False], ids=["walk", "walk-no_model"])
-def test_forecast_has_no_side_effects(fitted):
+@pytest.mark.parametrize("with_model", [True, False], ids=["walk", "walk-no_model"])
+def test_forecast_has_no_side_effects(with_model):
     db = _db()
     budget = Budget(max_atoms=2, max_samples=200_000, max_ground_clauses=10_000)
-    model = _fitted_model() if fitted else None
+    model = _table_model() if with_model else None
     sink = obs.ListSink()
     with obs.use(obs.StatsRecorder(sink=sink)) as recorder:
         plan = plan_chain(db, UNSAFE, budget=budget, cost_model=model)

@@ -503,11 +503,7 @@ class TestPlannedOnce:
 
     def test_model_installed_after_caching_reorders_the_chain(self, db):
         from repro.runtime import costmodel
-        from repro.runtime.costmodel import (
-            FEATURE_NAMES,
-            CostModel,
-            EngineCalibration,
-        )
+        from tests.cost_tables import TableModel
 
         server = Server(
             db,
@@ -526,10 +522,7 @@ class TestPlannedOnce:
         with costmodel.use_model(None):
             assert ask("cold") == "karp_luby"
             # karp_luby priced far above montecarlo, both additive.
-            width = len(FEATURE_NAMES) + 1
-            slow = CostModel(
-                {"karp_luby": EngineCalibration((50.0,) * width, 9, 0.0)}
-            )
+            slow = TableModel({"karp_luby": 50.0})
             with costmodel.use_model(slow):
                 assert ask("hot") == "montecarlo"
         assert len(server._plans) == 1

@@ -155,6 +155,15 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "quantifier-free" in capsys.readouterr().out
 
+    def test_analyze_matches_run_selection(self, db_file, capsys):
+        query = "exists x y. E(x, y) & S(y)"
+        assert main(["analyze", db_file, query]) == 0
+        analyze_out = capsys.readouterr().out
+        assert "run would select:" in analyze_out
+        recommended = analyze_out.split("run would select:")[1].split()[0]
+        assert main(["run", db_file, query]) == 0
+        assert f"via {recommended}" in capsys.readouterr().out
+
     def test_explain_dichotomy_safe_prints_hierarchy_tree(
         self, db_file, capsys
     ):
@@ -367,86 +376,28 @@ class TestBudgetFlags:
         assert "reliability" in capsys.readouterr().out
 
 
-class TestCalibrationCommands:
-    """`calibrate` -> `run/analyze --calibration` round trip."""
+class TestNoCalibration:
+    """The cost model is the closed-form scorer: there is no file to
+    fit or load, so argparse rejects the command and the option."""
 
-    @pytest.fixture(scope="class")
-    def calibration_file(self, tmp_path_factory):
-        # Class-scoped: the calibration workload runs every engine and
-        # is the slow part; the consumers below just read the file.
-        path = tmp_path_factory.mktemp("calibration") / "calibration.json"
-        code = main(
-            ["calibrate", "--out", str(path), "--seed", "3", "--repeats", "1"]
-        )
-        assert code == 0
-        return str(path)
+    def test_calibrate_command_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
-    def test_calibrate_writes_loadable_model(self, calibration_file, capsys):
-        import json
+    @pytest.mark.parametrize("command", ["run", "analyze", "serve"])
+    def test_no_calibration_option(self, command):
+        # No option even prefix-matches one naming a calibration file.
+        from repro.cli import build_parser
 
-        from repro.runtime import costmodel
-
-        payload = json.loads(open(calibration_file).read())
-        assert payload["version"] == costmodel.CALIBRATION_VERSION
-        model = costmodel.load_calibration(calibration_file)
-        assert model.engines, "workload should calibrate at least one engine"
-
-    def test_calibrate_reports_per_engine_fit(self, db_file, tmp_path, capsys):
-        path = tmp_path / "cal.json"
-        code = main(["calibrate", "--out", str(path), "--repeats", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "calibration written to" in out
-        assert "observations" in out and "rmse" in out
-
-    def test_run_accepts_calibration(self, db_file, calibration_file, capsys):
-        code = main(
-            ["run", db_file, "exists x y. E(x, y) & S(y)",
-             "--calibration", calibration_file]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "reliability =" in out
-
-    def test_analyze_matches_run_selection(
-        self, db_file, calibration_file, capsys
-    ):
-        query = "exists x y. E(x, y) & S(y)"
-        assert main(
-            ["analyze", db_file, query, "--calibration", calibration_file]
-        ) == 0
-        analyze_out = capsys.readouterr().out
-        assert "run would select:" in analyze_out
-        recommended = analyze_out.split("run would select:")[1].split()[0]
-        assert main(
-            ["run", db_file, query, "--calibration", calibration_file]
-        ) == 0
-        run_out = capsys.readouterr().out
-        assert f"via {recommended}" in run_out
-
-    def test_run_stats_show_costmodel_metrics(
-        self, db_file, calibration_file, capsys
-    ):
-        code = main(
-            ["run", db_file, "exists x y. E(x, y)",
-             "--calibration", calibration_file, "--stats"]
-        )
-        assert code == 0
-        assert "costmodel." in capsys.readouterr().out
-
-    def test_corrupt_calibration_degrades_not_crashes(
-        self, db_file, tmp_path, capsys
-    ):
-        path = tmp_path / "broken.json"
-        path.write_text("{definitely not json")
-        code = main(
-            ["run", db_file, "exists x y. E(x, y)",
-             "--calibration", str(path), "--stats"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "reliability =" in out
-        assert "costmodel.fallback" in out
+        (subcommands,) = build_parser()._subparsers._group_actions
+        options = {
+            option.lstrip("-")
+            for action in subcommands.choices[command]._actions
+            for option in action.option_strings
+        }
+        assert not [o for o in options if o.startswith("calib")]
 
 
 class TestServeCommands:

@@ -1,6 +1,7 @@
 """Property-based tests for the Datalog engine, the algebra compiler and
 the lifted-inference engine, each against an independent oracle."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -186,28 +187,21 @@ def test_bdd_canonicity(dnf):
 
 
 # ---------------------------------------------------------------------------
-# Calibrated chain ordering: tier-safety under arbitrary calibrations.
+# Model chain ordering: tier-safety under arbitrary predictions.
 
 from repro.runtime.costmodel import (  # noqa: E402
     FEATURE_NAMES,
-    CostModel,
-    EngineCalibration,
     engine_guarantee,
 )
+from tests.cost_tables import TableModel  # noqa: E402
 
 _ENGINE_NAMES = ("exact", "lifted", "karp_luby", "montecarlo")
-_weights = st.lists(
-    st.floats(allow_nan=True, allow_infinity=True, width=64),
-    min_size=len(FEATURE_NAMES) + 1,
-    max_size=len(FEATURE_NAMES) + 1,
-)
-_calibrations = st.dictionaries(
+# Any float a model could predict: NaN, +-inf, 1e300 and the rest.
+_predictions = st.dictionaries(
     st.sampled_from(_ENGINE_NAMES),
-    st.builds(
-        EngineCalibration,
-        weights=_weights.map(tuple),
-        observations=st.integers(min_value=3, max_value=50),
-        rmse=st.floats(min_value=0.0, max_value=10.0),
+    st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
     ),
 )
 _chains = st.lists(st.sampled_from(_ENGINE_NAMES), min_size=1, max_size=8)
@@ -234,20 +228,20 @@ def _tier_runs(chain, quantity):
 
 
 @given(
-    _calibrations,
+    _predictions,
     _chains,
     _features,
     st.sampled_from(["reliability", "probability"]),
 )
 @settings(max_examples=200, deadline=None)
 def test_order_chain_permutes_only_within_guarantee_tiers(
-    calibrations, chain, features, quantity
+    predictions, chain, features, quantity
 ):
-    """Adversarial calibrations (NaN/inf/huge weights) may reorder a
-    chain only inside maximal same-tier runs: the tier sequence and each
-    run's engine multiset are invariant, so the executor's degradation
+    """Adversarial predictions (NaN/inf/huge) may reorder a chain only
+    inside maximal same-tier runs: the tier sequence and each run's
+    engine multiset are invariant, so the executor's degradation
     contract (exact > relative > additive) survives any cost table."""
-    model = CostModel(dict(calibrations), source="property-fuzz")
+    model = TableModel(predictions)
     ordered = model.order_chain(tuple(chain), features, quantity)
     assert sorted(ordered) == sorted(chain)
     assert _tier_runs(ordered, quantity) == _tier_runs(chain, quantity)
